@@ -1,12 +1,19 @@
 """Compiled per-layer execution plans for the simulator core.
 
 Every simulated iteration used to re-derive the same facts layer by
-layer: liveness lookups (`all_storages()` scans per backward step —
-O(L²) overall), roofline kernel timings, workspace sizes, DMA
+layer: liveness lookups, roofline kernel timings, workspace sizes, DMA
 durations, offload/release decisions and even the trace buffer names.
 None of those depend on anything that changes between runs of the same
 ``(network, algo-config, hardware)`` point, so this module hoists all
-of it into a :class:`CompiledPlan` built once and cached.
+of it into a :class:`CompiledPlan` built once and cached.  Compiling
+is linear in layers plus storages: the backward release and
+gradient-allocation schedules come from one bucketing pass over the
+storages, not from an ``all_storages()`` scan per backward step.
+
+The cache key holds only the hardware fields the plan reads — the
+GPU's throughput figures (via :class:`LatencyModel`), the PCIe link
+and the compression model — never GPU capacity, so the oracular GPU
+and every ``with_gpu_memory`` budget probe share one plan.
 
 The plan deliberately holds **no reference to the network** (only
 per-storage records, strings and numbers).  That keeps the cache — a
@@ -93,11 +100,11 @@ class ForwardStep:
 class BackwardStep:
     """Everything one backward layer does, decided ahead of time.
 
-    ``releases`` is the interleaved (owner, is_gradient) free order the
-    refcount walk used to produce by scanning ``all_storages()`` per
-    step — precomputing it removes the O(L²) scans while preserving the
-    exact pool free order (free order shapes the pool's hole structure,
-    hence later offsets)."""
+    ``releases`` is the interleaved (owner, is_gradient) free order of
+    the refcount walk: storages in owner order, a storage's buffer
+    before its gradient twin.  The compile buckets it in one pass over
+    the storages and must keep that order exactly (free order shapes
+    the pool's hole structure, hence later offsets)."""
 
     __slots__ = ("index", "name", "required", "grad_allocs", "ws_bytes",
                  "ws_tag", "ws_buf", "seconds", "dram_nbytes", "releases",
@@ -134,7 +141,7 @@ class PersistentAlloc:
 
 
 class CompiledPlan:
-    """Per-(network, algos, gpu, pcie) execution plan.
+    """Per-(network, algos, gpu throughput, pcie, compression) plan.
 
     Policy-independent: offload *candidates* are per forward step, and
     the per-policy trigger set comes from :meth:`offload_indices`.
@@ -230,7 +237,25 @@ class CompiledPlan:
         self.forward = tuple(forward)
 
         # -- backward steps --------------------------------------------
-        all_storages = liveness.all_storages()
+        # One pass over the storages (in owner order) buckets every
+        # gradient allocation and release by the backward step that
+        # performs it.  Each step's free order must stay owner order,
+        # a buffer (owner, False) before its gradient twin (owner, True).
+        grad_alloc_at: Dict[int, List[StorageRecord]] = {}
+        releases_at: Dict[int, List[Tuple[int, bool]]] = {}
+        for storage in liveness.all_storages():
+            if storage.needed_backward:
+                releases_at.setdefault(
+                    storage.backward_release_after, []).append(
+                        (storage.owner, False))
+            if storage.needs_gradient:
+                grad_alloc_at.setdefault(
+                    storage.gradient_alloc_at, []).append(
+                        records[storage.owner])
+                releases_at.setdefault(
+                    storage.gradient_release_after, []).append(
+                        (storage.owner, True))
+
         backward: List[BackwardStep] = []
         for index in network.backward_schedule():
             node = network[index]
@@ -248,9 +273,7 @@ class CompiledPlan:
                 required[own.owner] = own
             step.required = tuple(records[o] for o in required)
 
-            step.grad_allocs = tuple(
-                records[s.owner] for s in all_storages
-                if s.needs_gradient and s.gradient_alloc_at == index)
+            step.grad_allocs = tuple(grad_alloc_at.get(index, ()))
 
             step.ws_bytes = algos.workspace_bytes(node)
             if step.ws_bytes:
@@ -260,15 +283,7 @@ class CompiledPlan:
             step.seconds = timing.seconds
             step.dram_nbytes = int(timing.dram_bytes)
 
-            releases: List[Tuple[int, bool]] = []
-            for storage in all_storages:
-                if storage.needed_backward \
-                        and storage.backward_release_after == index:
-                    releases.append((storage.owner, False))
-                if storage.needs_gradient \
-                        and storage.gradient_release_after == index:
-                    releases.append((storage.owner, True))
-            step.releases = tuple(releases)
+            step.releases = tuple(releases_at.get(index, ()))
 
             step.grad_write_candidates = tuple(
                 (s.owner, records[s.owner].g_buf)
@@ -354,16 +369,23 @@ def _algo_signature(algos: AlgoConfig) -> tuple:
         for index, profile in algos.profiles.items()))
 
 
-#: network -> {(gpu, pcie, compression, algo signature) -> CompiledPlan}.
-#: Plans hold no network reference, so entries die with their network.
+#: network -> {(gpu throughput, pcie, compression, algo signature)
+#: -> CompiledPlan}.  Plans hold no network reference, so entries die
+#: with their network.
 _PLANS: "weakref.WeakKeyDictionary[Network, Dict[tuple, CompiledPlan]]" = \
     weakref.WeakKeyDictionary()
 
 
 def compiled_plan(network: Network, system: SystemConfig,
                   algos: AlgoConfig) -> CompiledPlan:
-    """The cached plan for this (network, hardware, algo-config) point."""
-    key = (system.gpu, system.pcie, system.compression,
+    """The cached plan for this (network, hardware, algo-config) point.
+
+    Keyed on the GPU fields :class:`LatencyModel` reads, not on the
+    whole :class:`~repro.hw.gpu.GPUSpec`: capacity (and the name) never
+    reach a plan, so GPUs differing only in memory share one."""
+    gpu = system.gpu
+    key = (gpu.peak_flops, gpu.dram_bandwidth, gpu.compute_efficiency,
+           gpu.bandwidth_efficiency, system.pcie, system.compression,
            _algo_signature(algos))
     table = _PLANS.get(network)
     if table is None:

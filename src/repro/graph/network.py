@@ -10,6 +10,7 @@ refcounts that gate offload/release decisions for fork/join topologies.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -155,25 +156,30 @@ class Network:
 
         # Kahn's algorithm, stable with respect to the declaration order so
         # that builder-emitted networks keep their natural layer numbering.
+        # ``queued`` (names ever put on the ready queue) makes each
+        # membership test O(1); a layer listing one input twice appears
+        # twice among that input's consumers but is queued once.
         remaining_deps = {layer.name: set(layer.inputs) for layer in layers}
         ordered: List[Layer] = []
-        ready = [l for l in layers if not remaining_deps[l.name]]
+        ready = deque(l for l in layers if not remaining_deps[l.name])
+        queued = {l.name for l in ready}
         consumers: Dict[str, List[Layer]] = {l.name: [] for l in layers}
         for layer in layers:
             for dep in layer.inputs:
                 consumers[dep].append(layer)
 
         while ready:
-            layer = ready.pop(0)
+            layer = ready.popleft()
             ordered.append(layer)
             for consumer in consumers[layer.name]:
                 deps = remaining_deps[consumer.name]
                 deps.discard(layer.name)
-                if not deps and consumer not in ready and consumer not in ordered:
+                if not deps and consumer.name not in queued:
+                    queued.add(consumer.name)
                     ready.append(consumer)
 
         if len(ordered) != len(layers):
-            stuck = [l.name for l in layers if l not in ordered]
+            stuck = [l.name for l in layers if l.name not in queued]
             raise GraphError(f"network contains a cycle involving {stuck}")
         return ordered
 

@@ -39,10 +39,10 @@ from typing import Deque, Dict, List, Tuple
 from ..core.algo_config import AlgoConfig
 from ..core.inference import _validate_inference_batch, weight_load_bytes
 from ..core.liveness import LivenessAnalysis
+from ..core.plan import ForwardStep, compiled_plan
 from ..graph.layer import LayerKind
 from ..graph.network import Network
 from ..hw.config import SystemConfig
-from ..kernels.latency import LatencyModel
 
 #: Residency policies accepted by :func:`plan_service`.
 RESIDENCY_POLICIES = ("resident", "layered", "pinned")
@@ -117,6 +117,9 @@ def activation_peak_bytes(network: Network, algos: AlgoConfig) -> int:
     shape — Y allocated at its producer, workspace live only during the
     kernel, X freed at its last consumer — without running the latency
     model.  This is the activation term of a serving footprint.
+    :func:`plan_service` reads the same peak off the compiled plan; this
+    liveness-based walk is the independent reference the static
+    verifier (SP406) audits it against.
     """
     liveness = LivenessAnalysis(network)
     live = 0
@@ -138,20 +141,22 @@ def activation_peak_bytes(network: Network, algos: AlgoConfig) -> int:
     return peak
 
 
-def _layer_compute_seconds(
-    network: Network, system: SystemConfig, algos: AlgoConfig
-) -> Dict[int, float]:
-    """Per-layer forward kernel seconds in schedule order."""
-    latency = LatencyModel(system.gpu)
-    out: Dict[int, float] = {}
-    for index in network.forward_schedule():
-        node = network[index]
-        if node.kind is LayerKind.INPUT:
-            out[index] = 0.0
-        else:
-            out[index] = latency.forward(network, node,
-                                         algos.profile(node)).seconds
-    return out
+def _forward_activation_peak(steps: Tuple[ForwardStep, ...]) -> int:
+    """:func:`activation_peak_bytes`, read off a plan's forward steps.
+
+    Same walk — allocate each out-of-place Y, count the kernel's
+    workspace, free every input whose last forward reader this is —
+    with the liveness facts the plan already compiled.
+    """
+    live = 0
+    peak = 0
+    for step in steps:
+        if step.alloc_rec is not None:
+            live += step.alloc_rec.nbytes
+        peak = max(peak, live + step.ws_bytes)
+        for rec in step.offload_candidates + step.dead_releases:
+            live -= rec.nbytes
+    return peak
 
 
 def _pick_pinned(
@@ -197,9 +202,11 @@ def plan_service(
 
     weights = weight_load_bytes(network)
     total_weights = sum(weights.values())
-    compute = _layer_compute_seconds(network, system, algos)
-    compute_total = sum(compute.values())
-    activations = activation_peak_bytes(network, algos)
+    # Kernel seconds and liveness come from the cached compiled plan:
+    # the forward steps hold both, in schedule order.
+    steps = compiled_plan(network, system, algos).forward
+    compute_total = sum(step.seconds for step in steps)
+    activations = _forward_activation_peak(steps)
     dma = system.pcie.dma_time
 
     if residency == "pinned":
@@ -246,9 +253,9 @@ def plan_service(
     dma_total = 0.0
     stall = 0.0
     window_peak = 0
-    for index in network.forward_schedule():
+    for step in steps:
         ready = compute_ready
-        nbytes = streamed.get(index, 0)
+        nbytes = streamed.get(step.index, 0)
         if nbytes:
             start = dma_ready
             while occupancy + nbytes > effective_window:
@@ -262,7 +269,7 @@ def plan_service(
             window_peak = max(window_peak, occupancy)
             ready = max(ready, load_done)
         stall += max(0.0, ready - compute_ready)
-        finish = ready + compute[index]
+        finish = ready + step.seconds
         compute_ready = finish
         if nbytes:
             loaded.append((nbytes, finish))

@@ -9,7 +9,9 @@ import pytest
 from repro.cli import main
 from repro.core import AlgoConfig, simulate_inference, weight_load_bytes
 from repro.faults import FaultSpec
+from repro.graph import LayerKind
 from repro.hw import PAPER_SYSTEM, SystemConfig
+from repro.kernels.latency import LatencyModel
 from repro.serve import (
     ArrivalSpec,
     ArrivalSpecError,
@@ -26,7 +28,7 @@ from repro.serve import (
     shrink_window,
     simulate_serving,
 )
-from repro.zoo import build
+from repro.zoo import available, build
 
 MIB = 1 << 20
 GIB = 1 << 30
@@ -182,6 +184,38 @@ class TestServicePlan:
             self._plan("nope")
         with pytest.raises(ServePlanError):
             self._plan("layered", window_bytes=0)
+
+
+# ----------------------------------------------------------------------
+# Plan-backed planner == liveness / latency-model reference
+# ----------------------------------------------------------------------
+def _layer_compute_seconds(network, system, algos):
+    """Per-layer forward kernel seconds in schedule order (reference)."""
+    latency = LatencyModel(system.gpu)
+    seconds = []
+    for index in network.forward_schedule():
+        node = network[index]
+        seconds.append(0.0 if node.kind is LayerKind.INPUT else
+                       latency.forward(network, node,
+                                       algos.profile(node)).seconds)
+    return seconds
+
+
+@pytest.mark.parametrize("algo", ["m", "p"])
+def test_plan_service_matches_reference_on_zoo(algo):
+    for name in available():
+        network = build(name, 4)
+        algos = (AlgoConfig.memory_optimal(network) if algo == "m"
+                 else AlgoConfig.performance_optimal(network))
+        expected_act = activation_peak_bytes(network, algos)
+        expected_compute = sum(
+            _layer_compute_seconds(network, PAPER_SYSTEM, algos))
+        half = network.total_weight_bytes() // 2
+        for residency in ("resident", "layered", "pinned"):
+            plan = plan_service(network, PAPER_SYSTEM, algos, residency,
+                                pinned_bytes=half)
+            assert plan.activation_bytes == expected_act, (name, residency)
+            assert plan.compute_seconds == expected_compute, (name, residency)
 
 
 # ----------------------------------------------------------------------
