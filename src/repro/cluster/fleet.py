@@ -316,7 +316,7 @@ class FleetScheduler:
             )
         weight_bytes = 0
         if len(gpus) > 1:
-            weight_bytes = record.job.build_network().total_weight_bytes()
+            weight_bytes = self.controller.weight_bytes(record.job)
         resident.append(_FleetResident(
             record=record,
             rung=rung,

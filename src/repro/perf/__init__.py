@@ -35,7 +35,6 @@ from .fingerprint import (
     fingerprint,
     fingerprint_network,
     fingerprint_point,
-    network_signature,
 )
 from .sweep import SweepPoint, resolve_jobs, sweep
 
@@ -50,7 +49,6 @@ __all__ = [
     "fingerprint_network",
     "fingerprint_point",
     "get_cache",
-    "network_signature",
     "resolve_jobs",
     "set_cache",
     "sweep",

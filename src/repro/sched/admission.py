@@ -99,21 +99,32 @@ def evaluate_ladder(network, system: SystemConfig) -> List[RungEval]:
 class AdmissionController:
     """Memoized degradation-ladder oracle for job admission.
 
-    Each distinct (network, batch) pair is simulated once per rung; the
-    scheduler then answers every admission question from the cached
-    :class:`RungEval` list.
+    Each distinct (network, batch) pair is built and simulated once per
+    rung; the scheduler then answers every admission question from the
+    cached :class:`RungEval` list and parameter size.
     """
 
     def __init__(self, system: Optional[SystemConfig] = None):
         self.system = system or PAPER_SYSTEM
         self._cache: Dict[Tuple[str, Optional[int]], List[RungEval]] = {}
+        self._weight_bytes: Dict[Tuple[str, Optional[int]], int] = {}
 
     def ladder(self, job: Job) -> List[RungEval]:
         """The job's rung evaluations, fastest first (memoized)."""
         key = (job.network, job.batch_size)
         if key not in self._cache:
-            self._cache[key] = evaluate_ladder(job.build_network(), self.system)
+            network = job.build_network()
+            self._cache[key] = evaluate_ladder(network, self.system)
+            self._weight_bytes[key] = network.total_weight_bytes()
         return self._cache[key]
+
+    def weight_bytes(self, job: Job) -> int:
+        """The job's parameter bytes, recorded when its ladder was built
+        (a subclass that supplies its own ladders builds the network once)."""
+        key = (job.network, job.batch_size)
+        if key not in self._weight_bytes:
+            self._weight_bytes[key] = job.build_network().total_weight_bytes()
+        return self._weight_bytes[key]
 
     def cheapest_fit(self, job: Job, free_bytes: int) -> Optional[RungEval]:
         """Fastest rung whose footprint fits ``free_bytes`` (None = none)."""

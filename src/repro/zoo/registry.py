@@ -80,7 +80,11 @@ def build(name: str, batch_size: Optional[int] = None) -> Network:
         batch_size = defaults.get(key, 128)
     if batch_size <= 0:
         raise ValueError(f"batch size must be positive, got {batch_size}")
-    return _BUILDERS[key](batch_size)
+    network = _BUILDERS[key](batch_size)
+    # Builders are deterministic, so the recipe names the content:
+    # repro.perf.fingerprint digests each recipe once per process.
+    network._repro_recipe = (key, batch_size)
+    return network
 
 
 def paper_conventional_networks() -> List[Network]:

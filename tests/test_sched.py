@@ -97,6 +97,14 @@ class TestLadder:
         first = controller.ladder(job)
         assert controller.ladder(Job("b", "alexnet", 16)) is first
 
+    def test_controller_records_weight_bytes_with_ladder(self, monkeypatch):
+        controller = AdmissionController(PAPER_SYSTEM)
+        controller.ladder(Job("a", "alexnet", 16))
+        monkeypatch.setattr(Job, "build_network",
+                            lambda job: pytest.fail("network rebuilt"))
+        assert controller.weight_bytes(Job("b", "alexnet", 16)) == \
+            build("alexnet", 16).total_weight_bytes()
+
     def test_cheapest_fit_degrades_with_budget(self):
         controller = AdmissionController(PAPER_SYSTEM)
         job = Job("j", "vgg16", 64)
