@@ -74,8 +74,11 @@ class HBGraph:
                 clock[op.wait_stream] = max(clock.get(op.wait_stream, -1),
                                             op.wait_pos)
                 waited = self._by_position.get((op.wait_stream, op.wait_pos))
-                if waited is not None:
-                    self._merge(clock, self.clock[waited])
+                if waited is None or waited >= op.seq:
+                    raise ValueError(
+                        f"{op.ref()} waits on {op.wait_stream}:"
+                        f"{op.wait_pos}, which is not issued before it")
+                self._merge(clock, self.clock[waited])
             self.clock.append(clock)
             last_on[op.stream] = op.seq
             if op.kind.host_synchronous:

@@ -23,6 +23,7 @@ the pool itself observes.  Rules:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -59,6 +60,38 @@ class _HotRange:
     transfer: TraceOp
 
 
+class _OffsetIndex:
+    """Live placed ranges sorted by pool offset, while they are disjoint.
+
+    On a valid trace no two live blocks share a byte, so one bisect
+    answers whether a new range overlaps anything.  The first overlap
+    or double allocation sets ``usable`` to False for the rest of the
+    trace, and the replay falls back to scanning the live set, which
+    reports the findings in their exact order.
+    """
+
+    def __init__(self) -> None:
+        self.los: List[int] = []
+        self.his: List[int] = []
+        self.usable = True
+
+    def claim(self, lo: int, hi: int) -> bool:
+        """Insert ``[lo, hi)``; False (index unchanged) on an overlap."""
+        # The last range starting below ``hi`` ends furthest right of
+        # all candidates: it alone can reach past ``lo``.
+        i = bisect_left(self.los, hi)
+        if i and self.his[i - 1] > lo:
+            return False
+        self.los.insert(i, lo)
+        self.his.insert(i, hi)
+        return True
+
+    def release(self, lo: int) -> None:
+        i = bisect_left(self.los, lo)
+        del self.los[i]
+        del self.his[i]
+
+
 def _overlaps(lo_a: int, hi_a: int, lo_b: int, hi_b: int) -> bool:
     return lo_a < hi_b and lo_b < hi_a
 
@@ -79,14 +112,16 @@ def check_memory_safety(
 
     live: Dict[str, _LiveBlock] = {}
     hot: List[_HotRange] = []
+    index = _OffsetIndex()
     issued_kernels: Set[Tuple[int, str]] = set()  # (layer_index, phase)
     flagged_missing: Set[str] = set()
 
     for op in trace.ops:
         if op.kind is OpKind.ALLOC:
-            _replay_alloc(op, live, hot, report)
+            _replay_alloc(op, live, hot, index, report)
         elif op.kind is OpKind.FREE:
-            _replay_free(op, live, hot, hb, liveness, issued_kernels, report)
+            _replay_free(op, live, hot, index, hb, liveness, issued_kernels,
+                         report)
         elif op.kind is OpKind.SYNC:
             # The join guarantees every op on wait_stream through
             # wait_pos completed: their reads of released bytes are over.
@@ -121,24 +156,30 @@ def check_memory_safety(
 
 
 def _replay_alloc(op: TraceOp, live: Dict[str, _LiveBlock],
-                  hot: List[_HotRange], report) -> None:
+                  hot: List[_HotRange], index: _OffsetIndex,
+                  report) -> None:
     if op.buffer in live:
         report(
             "MS104",
             f"{op.buffer} allocated twice without an intervening free",
             live[op.buffer].alloc, op)
+        index.usable = False
     block = _LiveBlock(buffer=op.buffer, alloc=op, offloads=[])
     if block.has_range:
         lo, hi = block.range
-        for other in live.values():
-            if other.buffer != op.buffer and other.has_range and \
-                    _overlaps(lo, hi, *other.range):
-                report(
-                    "MS104",
-                    f"{op.buffer} at [{lo}, {hi}) overlaps live buffer "
-                    f"{other.buffer} at "
-                    f"[{other.range[0]}, {other.range[1]})",
-                    op, other.alloc)
+        if not (index.usable and index.claim(lo, hi)):
+            # The index cannot say which blocks overlap, nor in what
+            # order to report them: scan the live set from here on.
+            index.usable = False
+            for other in live.values():
+                if other.buffer != op.buffer and other.has_range and \
+                        _overlaps(lo, hi, *other.range):
+                    report(
+                        "MS104",
+                        f"{op.buffer} at [{lo}, {hi}) overlaps live "
+                        f"buffer {other.buffer} at "
+                        f"[{other.range[0]}, {other.range[1]})",
+                        op, other.alloc)
         for entry in hot:
             if _overlaps(lo, hi, entry.lo, entry.hi):
                 report(
@@ -151,7 +192,7 @@ def _replay_alloc(op: TraceOp, live: Dict[str, _LiveBlock],
 
 
 def _replay_free(op: TraceOp, live: Dict[str, _LiveBlock],
-                 hot: List[_HotRange], hb: HBGraph,
+                 hot: List[_HotRange], index: _OffsetIndex, hb: HBGraph,
                  liveness: Optional[LivenessAnalysis],
                  issued_kernels: Set[Tuple[int, str]], report) -> None:
     block = live.pop(op.buffer, None)
@@ -165,6 +206,8 @@ def _replay_free(op: TraceOp, live: Dict[str, _LiveBlock],
     # "hot": a later allocation landing on them is real corruption.
     if block.has_range:
         lo, hi = block.range
+        if index.usable:
+            index.release(lo)
         for transfer in block.offloads:
             if not hb.happens_before(transfer, op):
                 hot.append(_HotRange(lo=lo, hi=hi, buffer=op.buffer,

@@ -32,6 +32,7 @@ the executor uses.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -193,20 +194,31 @@ class ScheduleTrace:
         """A re-sequenced copy with the given ops dropped.
 
         The mutation-testing primitive: removing one SYNC from a valid
-        schedule must make the verifier flag it.
+        schedule must make the verifier flag it.  Dropping an op shifts
+        the later positions on its stream down, so every ``wait_pos`` on
+        that stream drops by the number of removed positions at or below
+        it: a wait keeps naming the op it named, or the last surviving
+        one before it.
         """
         dropped = set(seqs)
+        gone: Dict[str, List[int]] = {}   # stream -> dropped positions
+        for op in self.ops:
+            if op.seq in dropped:
+                gone.setdefault(op.stream, []).append(op.pos)
         mutated = ScheduleTrace()
         for op in self.ops:
             if op.seq in dropped:
                 continue
+            wait_pos = op.wait_pos
+            if wait_pos >= 0 and op.wait_stream in gone:
+                wait_pos -= bisect_right(gone[op.wait_stream], wait_pos)
             kw = {
                 "label": op.label, "buffer": op.buffer, "owner": op.owner,
                 "nbytes": op.nbytes, "offset": op.offset, "size": op.size,
                 "reads": op.reads, "writes": op.writes,
                 "layer_index": op.layer_index,
                 "target_layer": op.target_layer,
-                "wait_stream": op.wait_stream, "wait_pos": op.wait_pos,
+                "wait_stream": op.wait_stream, "wait_pos": wait_pos,
                 "phase": op.phase, "demand": op.demand,
                 "persistent": op.persistent,
                 "start": op.start, "end": op.end,

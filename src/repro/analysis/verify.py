@@ -9,8 +9,9 @@ already-generated artifacts.
 
 ``verify_zoo`` sweeps every zoo network across the paper's policy grid
 {base, vDNN_conv, vDNN_all, vDNN_dyn} x {m, p} (dynamic picks its own
-algorithms, so it contributes one point), optionally fanning points out
-over worker processes — the CI ``verify-sweep`` gate.
+algorithms, so it contributes one point), optionally fanning networks
+out over worker processes — the CI ``verify-sweep`` gate.  Each network
+is built once and shared by its row of points.
 
 ``verify_schedule`` checks the multi-tenant scheduler's shared-pool
 schedules (MT3xx rules): budget never exceeded, residency intervals
@@ -20,6 +21,7 @@ well-formed, no job allocation leaked, lifecycle records consistent.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from itertools import groupby
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.algo_config import AlgoConfig
@@ -69,6 +71,13 @@ def verify_result(result: IterationResult,
                   network: Optional[Network] = None,
                   subject: str = "") -> Report:
     """Verify an executor result that carries a schedule trace."""
+    return _verify_result(result, network, subject, liveness=None)
+
+
+def _verify_result(result: IterationResult, network: Optional[Network],
+                   subject: str,
+                   liveness: Optional[LivenessAnalysis]) -> Report:
+    """``verify_result`` with the network's liveness, when already built."""
     subject = subject or f"{result.network_name} {result.label}"
     if result.schedule_trace is None:
         raise ValueError(
@@ -81,7 +90,8 @@ def verify_result(result: IterationResult,
         # DMA that ran out of retries): the trace is truncated, so its
         # dangling lifetimes are artifacts, not leaks.
         return Report(subject=f"{subject} (aborted: {result.failure})")
-    liveness = LivenessAnalysis(network) if network is not None else None
+    if liveness is None and network is not None:
+        liveness = LivenessAnalysis(network)
     return analyze_trace(result.schedule_trace, network=network,
                          liveness=liveness, subject=subject)
 
@@ -93,6 +103,12 @@ def verify_point(
     system: Optional[SystemConfig] = None,
 ) -> Report:
     """Simulate one configuration with tracing on, then verify it."""
+    return _verify_point(network, policy, algo, system, liveness=None)
+
+
+def _verify_point(network: Network, policy: str, algo: str,
+                  system: Optional[SystemConfig],
+                  liveness: Optional[LivenessAnalysis]) -> Report:
     system = system or PAPER_SYSTEM
     subject = f"{network.name} {policy}({algo})"
     if policy == "base":
@@ -127,7 +143,7 @@ def verify_point(
         }[policy]()
         result = simulate_vdnn(network, system, transfer,
                                _algos(network, algo), verify=True)
-    return verify_result(result, network=network, subject=subject)
+    return _verify_result(result, network, subject, liveness)
 
 
 def _algos(network: Network, algo: str) -> AlgoConfig:
@@ -139,12 +155,23 @@ def _algos(network: Network, algo: str) -> AlgoConfig:
 # ----------------------------------------------------------------------
 # Zoo sweep (the CI gate)
 # ----------------------------------------------------------------------
-def _verify_point_task(task: Tuple[str, Optional[int], str, str]) -> Report:
-    """Worker entry: build the network in-process and verify one point."""
+#: One sweep task: (network name, batch, policy, algo).
+_Task = Tuple[str, Optional[int], str, str]
+
+
+def _verify_row(row: Sequence[_Task]) -> List[Report]:
+    """Worker entry: verify a run of points that share one network.
+
+    The network and its liveness are built once per row, so every point
+    of the row reuses its compiled plans.
+    """
     from ..zoo import build
 
-    name, batch, policy, algo = task
-    return verify_point(build(name, batch), policy=policy, algo=algo)
+    name, batch = row[0][:2]
+    network = build(name, batch)
+    liveness = LivenessAnalysis(network)
+    return [_verify_point(network, policy, algo, None, liveness)
+            for _name, _batch, policy, algo in row]
 
 
 def verify_zoo(
@@ -203,12 +230,17 @@ def verify_zoo(
     return _run_tasks(tasks, jobs)
 
 
-def _run_tasks(tasks: Sequence[Tuple[str, Optional[int], str, str]],
-               jobs: int) -> List[Report]:
+def _run_tasks(tasks: Sequence[_Task], jobs: int) -> List[Report]:
+    """Verify ``tasks`` in order, one unit of work per run of
+    consecutive tasks with the same ``(name, batch)``."""
+    rows = [list(row) for _key, row in
+            groupby(tasks, key=lambda task: (task[0], task[1]))]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_verify_point_task, tasks))
-    return [_verify_point_task(task) for task in tasks]
+            done = list(pool.map(_verify_row, rows))
+    else:
+        done = [_verify_row(row) for row in rows]
+    return [report for reports in done for report in reports]
 
 
 # ----------------------------------------------------------------------

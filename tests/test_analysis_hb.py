@@ -6,6 +6,8 @@ half of the sanitizer's contract (the clean executor sweep in
 test_analysis_verify.py is the no-false-positive half).
 """
 
+import pytest
+
 from repro.analysis.hb import HBGraph, check_races
 from repro.analysis.trace import ScheduleTrace
 from repro.sim.stream import COMPUTE_STREAM, MEMORY_STREAM
@@ -82,6 +84,22 @@ class TestHBGraph:
         on_memory = t.offload("Y0", MEMORY_STREAM)
         assert HBGraph(t).happens_before(alloc, on_memory)
 
+    def test_wait_on_a_position_issued_later_is_rejected(self):
+        t = ScheduleTrace()
+        t.kernel("k0", COMPUTE_STREAM)
+        t.sync(COMPUTE_STREAM, wait_pos=1)   # names k1, issued after it
+        t.kernel("k1", COMPUTE_STREAM)
+        with pytest.raises(ValueError, match=r"op#1 .* stream_compute:1"):
+            HBGraph(t)
+
+    def test_wait_on_a_position_never_issued_is_rejected(self):
+        t = ScheduleTrace()
+        t.kernel("k0", COMPUTE_STREAM)
+        t.offload("Y0", MEMORY_STREAM, wait_stream=COMPUTE_STREAM,
+                  wait_pos=3)
+        with pytest.raises(ValueError, match="stream_compute:3"):
+            HBGraph(t)
+
     def test_transitivity_through_two_syncs(self):
         t = ScheduleTrace()
         dma = t.offload("Y0", MEMORY_STREAM)
@@ -135,6 +153,30 @@ class TestRaceRules:
                         if op.kind.name == "SYNC")
         mutant = clean.without(sync_seq)
         assert any(d.rule == "HB002" for d in check_races(mutant))
+
+    def test_without_keeps_each_wait_on_the_op_it_named(self):
+        t = ScheduleTrace()
+        t.kernel("k0", COMPUTE_STREAM)
+        t.kernel("k1", COMPUTE_STREAM)
+        t.kernel("k2", COMPUTE_STREAM)
+        t.offload("Y0", MEMORY_STREAM, wait_stream=COMPUTE_STREAM,
+                  wait_pos=2)                          # waits on k2
+        t.sync(COMPUTE_STREAM, wait_pos=1)             # waits on k1
+        mutant = t.without(0)                          # k1, k2 shift down
+        offload, sync = mutant.ops[2], mutant.ops[3]
+        assert (offload.wait_pos, sync.wait_pos) == (1, 0)
+        by_pos = {op.pos: op.label for op in mutant.on_stream(COMPUTE_STREAM)}
+        assert by_pos[offload.wait_pos] == "k2"
+        assert by_pos[sync.wait_pos] == "k1"
+        HBGraph(mutant)   # every wait names an op issued before it
+
+    def test_without_moves_a_wait_on_a_dropped_op_to_its_predecessor(self):
+        t = ScheduleTrace()
+        t.kernel("k0", COMPUTE_STREAM)
+        t.kernel("k1", COMPUTE_STREAM)
+        t.sync(COMPUTE_STREAM, wait_pos=1)
+        assert t.without(1).ops[-1].wait_pos == 0      # now waits on k0
+        assert t.without(0, 1).ops[-1].wait_pos == -1  # nothing left
 
     def test_finding_carries_evidence_refs(self):
         findings = check_races(make_offload_trace(with_sync=False))

@@ -2,14 +2,29 @@
 
 Known-bad fixtures, one per MS1xx rule, each asserting the rule fires
 exactly once (and nothing else fires that the defect doesn't imply).
+The offset-indexed replay is then held to the linear live-set scan it
+replaced, diagnostic for diagnostic, on executor traces, their
+single-op mutants and generated traces.
 """
 
-from conftest import make_linear_cnn
+import functools
+from unittest import mock
 
+import pytest
+from conftest import make_linear_cnn
+from hypothesis import given, settings, strategies as st
+
+from repro.analysis import safety
+from repro.analysis.hb import HBGraph
 from repro.analysis.safety import check_memory_safety
 from repro.analysis.trace import ScheduleTrace
+from repro.core.algo_config import AlgoConfig
+from repro.core.executor import simulate_vdnn
 from repro.core.liveness import LivenessAnalysis
+from repro.core.policy import TransferPolicy
+from repro.hw import PAPER_SYSTEM
 from repro.sim.stream import COMPUTE_STREAM, MEMORY_STREAM
+from repro.zoo import build
 
 
 def rules(findings):
@@ -137,3 +152,170 @@ class TestRefcountGate:
         t.free(f"Y{s.owner}", COMPUTE_STREAM, owner=s.owner, phase="fwd",
                layer=s.forward_release_at)
         assert check_memory_safety(t, liveness=self.liveness) == []
+
+
+# ----------------------------------------------------------------------
+# The linear scan the offset index replaced, kept as the oracle
+# ----------------------------------------------------------------------
+def reference_replay_alloc(op, live, hot, report):
+    """The replay's ALLOC step before the offset index: test the new
+    range against every live block, in the live set's insertion order."""
+    if op.buffer in live:
+        report(
+            "MS104",
+            f"{op.buffer} allocated twice without an intervening free",
+            live[op.buffer].alloc, op)
+    block = safety._LiveBlock(buffer=op.buffer, alloc=op, offloads=[])
+    if block.has_range:
+        lo, hi = block.range
+        for other in live.values():
+            if other.buffer != op.buffer and other.has_range and \
+                    safety._overlaps(lo, hi, *other.range):
+                report(
+                    "MS104",
+                    f"{op.buffer} at [{lo}, {hi}) overlaps live buffer "
+                    f"{other.buffer} at "
+                    f"[{other.range[0]}, {other.range[1]})",
+                    op, other.alloc)
+        for entry in hot:
+            if safety._overlaps(lo, hi, entry.lo, entry.hi):
+                report(
+                    "MS104",
+                    f"{op.buffer} at [{lo}, {hi}) reuses bytes of "
+                    f"{entry.buffer} while its offload may still be "
+                    f"reading them",
+                    op, entry.transfer)
+    live[op.buffer] = block
+
+
+def reference_findings(trace, hb, liveness=None):
+    def replay(op, live, hot, index, report):
+        index.usable = False   # so the FREE step leaves the index alone
+        reference_replay_alloc(op, live, hot, report)
+
+    with mock.patch.object(safety, "_replay_alloc", replay):
+        return check_memory_safety(trace, hb, liveness=liveness)
+
+
+def assert_matches_oracle(trace, liveness=None):
+    """Equal rules, messages, refs and order; returns the findings."""
+    hb = HBGraph(trace)
+    findings = check_memory_safety(trace, hb, liveness=liveness)
+    assert findings == reference_findings(trace, hb, liveness)
+    return findings
+
+
+ORACLE_NETWORKS = ("alexnet", "googlenet", "resnet18", "lstm")
+ORACLE_POLICIES = ("all", "conv", "comp")
+
+
+@functools.lru_cache(maxsize=None)
+def zoo_trace(name, policy):
+    network = build(name, 8)
+    transfer = getattr(TransferPolicy, f"vdnn_{policy}")()
+    result = simulate_vdnn(network, PAPER_SYSTEM, transfer,
+                           AlgoConfig.performance_optimal(network),
+                           verify=True)
+    return result.schedule_trace, LivenessAnalysis(network)
+
+
+class TestOffsetIndexOracle:
+    @pytest.mark.parametrize("policy", ORACLE_POLICIES)
+    @pytest.mark.parametrize("name", ORACLE_NETWORKS)
+    def test_executor_traces_match_the_linear_scan(self, name, policy):
+        trace, liveness = zoo_trace(name, policy)
+        assert assert_matches_oracle(trace, liveness) == []
+
+    @pytest.mark.parametrize("policy", ORACLE_POLICIES)
+    def test_every_single_op_mutant_matches_the_linear_scan(self, policy):
+        trace, liveness = zoo_trace("alexnet", policy)
+        overlaps = 0
+        for op in trace.ops:
+            findings = assert_matches_oracle(trace.without(op.seq), liveness)
+            overlaps += sum("overlaps live buffer" in d.message
+                            for d in findings)
+        # Dropped frees leave blocks the pool has already reused: the
+        # fallback scan must have run and agreed.
+        assert overlaps > 0
+
+    def test_overlap_fallback_reports_every_live_block_in_order(self):
+        t = ScheduleTrace()
+        t.alloc("A", 256, offset=512, size=256)
+        t.alloc("B", 256, offset=0, size=256)
+        t.alloc("C", 1024, offset=0, size=1024)   # covers A and B
+        t.alloc("D", 256, offset=768, size=256)   # overlaps C only
+        findings = assert_matches_oracle(t)
+        # The second ref names the live block each finding overlaps.
+        assert [d.refs[1].split()[-1] for d in findings
+                if d.rule == "MS104"] == ["A", "B", "C"]
+
+    def test_double_alloc_then_overlap_matches(self):
+        t = ScheduleTrace()
+        t.alloc("A", 256, offset=0, size=256)
+        t.alloc("A", 256, offset=256, size=256)   # old range drops out
+        t.alloc("B", 256, offset=0, size=256)     # so this one is clean
+        t.alloc("C", 256, offset=256, size=256)   # overlaps A's new range
+        assert assert_matches_oracle(t)
+
+    def test_free_removes_only_its_own_range(self):
+        t = ScheduleTrace()
+        t.alloc("A", 64, offset=0, size=64)
+        t.alloc("B", 64, offset=128, size=64)
+        t.free("A", COMPUTE_STREAM)
+        t.alloc("C", 64, offset=128, size=64)    # B still holds these
+        findings = assert_matches_oracle(t)
+        assert any("C at [128, 192) overlaps live buffer B" in d.message
+                   for d in findings)
+
+    def test_freed_range_is_reusable_through_the_index(self):
+        t = ScheduleTrace()
+        for step in range(4):
+            t.alloc(f"Y{step}", 512, offset=0, size=512)
+            t.alloc(f"Z{step}", 512, offset=512, size=512)
+            t.free(f"Y{step}", COMPUTE_STREAM, offset=0, size=512)
+            t.free(f"Z{step}", COMPUTE_STREAM, offset=512, size=512)
+        assert assert_matches_oracle(t) == []
+
+
+BUFFERS = ("A", "B", "C", "D")
+STREAMS = (COMPUTE_STREAM, MEMORY_STREAM)
+
+
+@st.composite
+def replay_traces(draw):
+    """Traces mixing placed, unplaced (offset -1) and zero-size blocks
+    on a coarse offset grid, so overlapping live ranges, double allocs,
+    double frees and hot ranges under unsynchronized offloads are all
+    common."""
+    disjoint = draw(st.booleans())   # one fixed slot per buffer
+    t = ScheduleTrace()
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(
+            ("alloc", "alloc", "free", "free", "kernel", "offload",
+             "sync")))
+        buffer = draw(st.sampled_from(BUFFERS))
+        stream = draw(st.sampled_from(STREAMS))
+        if kind == "alloc":
+            if disjoint:
+                offset = 256 * BUFFERS.index(buffer)
+                size = draw(st.sampled_from((0, 64, 256)))
+            else:
+                offset = draw(st.sampled_from((-1, 0, 64, 128, 256, 320)))
+                size = draw(st.sampled_from((0, 64, 128, 256)))
+            t.alloc(buffer, size, offset=offset, size=size)
+        elif kind == "free":
+            t.free(buffer, stream)
+        elif kind == "kernel":
+            t.kernel("k", stream, reads=(buffer,))
+        elif kind == "offload":
+            t.offload(buffer, MEMORY_STREAM)
+        else:
+            t.sync(stream)
+    return t
+
+
+class TestOffsetIndexProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(replay_traces())
+    def test_generated_traces_match_the_linear_scan(self, trace):
+        assert_matches_oracle(trace)

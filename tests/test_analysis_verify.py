@@ -11,8 +11,11 @@ from conftest import make_fork_join_cnn, make_linear_cnn
 
 from repro.analysis.hb import check_races
 from repro.analysis.trace import OpKind
-from repro.analysis.verify import (analyze_trace, verify_point,
-                                   verify_result, verify_schedule)
+from repro import zoo
+from repro.analysis import verify
+from repro.analysis.verify import (SWEEP_POLICIES, analyze_trace,
+                                   verify_point, verify_result,
+                                   verify_schedule, verify_zoo)
 from repro.core.algo_config import AlgoConfig
 from repro.core.executor import simulate_baseline, simulate_vdnn
 from repro.core.policy import TransferPolicy
@@ -108,6 +111,53 @@ class TestMutations:
         report = analyze_trace(result.schedule_trace, network=deep_cnn,
                                subject="untouched")
         assert report.ok and not report.warnings
+
+
+class TestZooSweep:
+    """Each sweep row shares one network; reports must not notice."""
+
+    NAMES = ["alexnet", "resnet18"]
+    BATCH = 4
+
+    def count_builds(self, monkeypatch):
+        built = []
+        real = zoo.build
+
+        def counting(name, batch_size=None):
+            built.append((name, batch_size))
+            return real(name, batch_size)
+
+        monkeypatch.setattr(zoo, "build", counting)
+        return built
+
+    def test_row_shared_sweep_equals_fresh_network_per_point(
+            self, monkeypatch):
+        fresh = [verify_point(zoo.build(name, self.BATCH), policy=policy,
+                              algo=algo)
+                 for name in self.NAMES for policy, algo in SWEEP_POLICIES]
+        built = self.count_builds(monkeypatch)
+        shared = verify_zoo(self.NAMES, batch=self.BATCH, jobs=1)
+        assert built == [(name, self.BATCH) for name in self.NAMES]
+        assert shared == fresh
+
+    def test_worker_pool_equals_serial_sweep(self):
+        serial = verify_zoo(self.NAMES, batch=self.BATCH, jobs=1)
+        assert verify_zoo(self.NAMES, batch=self.BATCH, jobs=2) == serial
+
+    def test_interleaved_tasks_keep_their_order(self, monkeypatch):
+        # Hybrid mode hands over a filtered task list: only consecutive
+        # tasks of one network share a build.
+        tasks = [("alexnet", self.BATCH, "all", "m"),
+                 ("alexnet", self.BATCH, "base", "p"),
+                 ("resnet18", self.BATCH, "conv", "p"),
+                 ("alexnet", self.BATCH, "dyn", "-")]
+        built = self.count_builds(monkeypatch)
+        reports = verify._run_tasks(tasks, jobs=1)
+        assert [name for name, _batch in built] == [
+            "alexnet", "resnet18", "alexnet"]
+        assert [r.subject for r in reports] == [
+            "AlexNet(4) all(m)", "AlexNet(4) base(p)",
+            "ResNet-18(4) conv(p)", "AlexNet(4) dyn"]
 
 
 class TestMultiTenant:
