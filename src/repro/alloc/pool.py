@@ -89,6 +89,11 @@ def _align(nbytes: int) -> int:
     return (nbytes + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
 
 
+def footprint(nbytes: int) -> int:
+    """The pool bytes an ``nbytes`` allocation occupies (even zero)."""
+    return max(_align(nbytes), ALIGNMENT)
+
+
 #: Placement strategies: cnmem uses best-fit; first-fit is provided for
 #: the fragmentation ablation.
 STRATEGIES = ("best_fit", "first_fit")
@@ -155,7 +160,7 @@ class PoolAllocator:
         """Reserve ``nbytes`` (rounded up to the alignment granule)."""
         if nbytes < 0:
             raise ValueError("allocation size must be non-negative")
-        size = max(_align(nbytes), ALIGNMENT)
+        size = footprint(nbytes)
 
         best_offset = self._place(size)
         if best_offset is None:
@@ -275,7 +280,7 @@ class PoolAllocator:
         """
         if nbytes < 0:
             return False
-        return max(_align(nbytes), ALIGNMENT) <= self.largest_free_block
+        return footprint(nbytes) <= self.largest_free_block
 
     @property
     def live_allocations(self) -> List[Allocation]:

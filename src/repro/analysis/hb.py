@@ -29,6 +29,7 @@ or an explicit event wait.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -236,22 +237,23 @@ def _check_prefetch_window(
     search can never return a target ``t`` with a CONV layer strictly
     between ``t`` and ``n`` that either never offloaded or was already
     prefetched.  Any prefetch violating that was found by an unbounded
-    (or buggy) search.
+    (or buggy) search.  Only the CONV ids in that range are visited,
+    lowest first, so the reported CONV is the lowest violating one.
     """
     diagnostics: List[Diagnostic] = []
     offload_triggers = {op.target_layer
                         for op in trace.of_kind(OpKind.OFFLOAD)
                         if op.target_layer >= 0}
+    convs = [node.index for node in network if node.kind is LayerKind.CONV]
     prefetched: Set[int] = set()
     for op in trace.of_kind(OpKind.PREFETCH):
         target, issue = op.target_layer, op.layer_index
         if op.demand or target < 0 or issue < 0:
             continue
-        for between in range(target + 1, issue):
-            if between >= len(network):
+        for position in range(bisect_right(convs, target), len(convs)):
+            between = convs[position]
+            if between >= issue:
                 break
-            if network[between].kind is not LayerKind.CONV:
-                continue
             if between not in offload_triggers or between in prefetched:
                 diagnostics.append(Diagnostic.make(
                     "HB004",

@@ -49,7 +49,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..alloc.pool import ALIGNMENT, _align
 from ..core.algo_config import AlgoConfig
 from ..core.dynamic import run_profiling_ladder
 from ..core.liveness import LivenessAnalysis
@@ -61,11 +60,6 @@ from ..graph.layer import LayerKind
 from ..graph.network import Network
 from ..hw.config import PAPER_SYSTEM, SystemConfig
 from .diagnostics import Report, Severity
-
-
-def _aligned(nbytes: int) -> int:
-    """A pool allocation's true footprint (mirrors PoolAllocator.alloc)."""
-    return max(_align(nbytes), ALIGNMENT)
 
 
 # ----------------------------------------------------------------------
@@ -113,7 +107,8 @@ class _PlanInterpreter:
     """Symbolic forward+backward walk of one compiled plan.
 
     State tracked: aligned pool live/peak bytes, pinned-host live/peak,
-    the owner→bytes device and gradient tables, the Fig. 10
+    the owner→footprint device and gradient tables (footprints are
+    plan-compiled: ``aligned`` / ``ws_aligned``), the Fig. 10
     :class:`PrefetchState`, and the happens-before abstraction — every
     DMA gets a serial issue position ``mem_pos`` and every sync raises
     the ``synced_through`` watermark; an operation that reads or
@@ -152,7 +147,8 @@ class _PlanInterpreter:
 
         self.live = 0
         self.peak = 0
-        self.peak_step = ""
+        # (template, args) of the peak step, formatted once by run().
+        self._peak_label: Tuple[str, tuple] = ("", ())
         self.first_over_budget: Optional[str] = None
         self.device: Dict[int, int] = {}
         self.gradients: Dict[int, int] = {}
@@ -169,37 +165,42 @@ class _PlanInterpreter:
         self._sp403_checked: Set[int] = set()
         self._window_prefetched: Set[int] = set()
 
-        self.state = PrefetchState.for_network(network)
+        self.state = PrefetchState.for_network(network, plan.conv_floor)
         self.offloaded_at: Dict[int, List[StorageRecord]] = {}
         self.offload_bytes = 0
         self.prefetch_bytes = 0
 
     # -- pool abstraction ----------------------------------------------
-    def _alloc(self, nbytes: int, label: str) -> None:
-        self.live += _aligned(nbytes)
-        if self.live > self.peak:
-            self.peak = self.live
-            self.peak_step = label
+    def _alloc(self, aligned: int, label: str, *args) -> None:
+        """Charge one footprint.  The step is named by
+        ``label.format(*args)``, formatted only if it is ever reported
+        (the peak step, or the first over-budget step)."""
+        live = self.live + aligned
+        self.live = live
+        if live > self.peak:
+            self.peak = live
+            self._peak_label = (label, args)
         if self.first_over_budget is None \
-                and self.live + self.external > self.budget:
+                and live + self.external > self.budget:
             self.first_over_budget = (
-                f"{label}: managed {self.live} + external {self.external} "
-                f"bytes > GPU capacity {self.budget} bytes")
+                f"{label.format(*args)}: managed {live} + external "
+                f"{self.external} bytes > GPU capacity {self.budget} bytes")
 
-    def _free(self, nbytes: int) -> None:
-        self.live -= _aligned(nbytes)
+    def _free(self, aligned: int) -> None:
+        self.live -= aligned
 
     # -- forward pass --------------------------------------------------
     def _forward(self, step) -> None:
         index = step.index
         rec = step.alloc_rec
         if rec is not None:
-            self.device[rec.owner] = rec.nbytes
-            self._alloc(rec.nbytes, f"fwd {step.name}: alloc Y{rec.owner}")
+            self.device[rec.owner] = rec.aligned
+            self._alloc(rec.aligned, "fwd {}: alloc Y{}", step.name,
+                        rec.owner)
         if step.is_input:
             return
         if step.ws_bytes:
-            self._alloc(step.ws_bytes, f"fwd {step.name}: workspace")
+            self._alloc(step.ws_aligned, "fwd {}: workspace", step.name)
 
         for dead in step.dead_releases:
             self._dead_release(step, dead)
@@ -208,12 +209,12 @@ class _PlanInterpreter:
             self._offload(step)
 
         if step.ws_bytes:
-            self._free(step.ws_bytes)
+            self._free(step.ws_aligned)
 
     def _dead_release(self, step, dead) -> None:
         index = step.index
-        nbytes = self.device.pop(dead.owner, None)
-        if nbytes is None:
+        aligned = self.device.pop(dead.owner, None)
+        if aligned is None:
             if dead.owner not in self.flagged:
                 self.report.add(
                     "SP404",
@@ -242,7 +243,7 @@ class _PlanInterpreter:
                     refs=(f"fwd#{index}",
                           f"last consumer: "
                           f"fwd#{dead.info.forward_release_at}"))
-        self._free(nbytes)
+        self._free(aligned)
 
     def _offload(self, step) -> None:
         index = step.index
@@ -285,8 +286,8 @@ class _PlanInterpreter:
         if self.sync_after_offload:
             self.synced_through = self.mem_pos
         for rec in completed:
-            nbytes = self.device.pop(rec.owner, None)
-            if nbytes is None:
+            aligned = self.device.pop(rec.owner, None)
+            if aligned is None:
                 if rec.owner not in self.flagged:
                     self.report.add(
                         "SP404",
@@ -306,7 +307,7 @@ class _PlanInterpreter:
                     refs=(f"fwd#{index}",
                           f"offload mem op #{self.offload_pos[rec.owner]}",
                           f"synced through #{self.synced_through}"))
-            self._free(nbytes)
+            self._free(aligned)
 
     # -- backward pass -------------------------------------------------
     def _backward(self, step) -> None:
@@ -322,12 +323,12 @@ class _PlanInterpreter:
 
         for rec in step.grad_allocs:
             if rec.owner not in self.gradients:
-                self.gradients[rec.owner] = rec.nbytes
-                self._alloc(rec.nbytes,
-                            f"bwd {step.name}: alloc dY{rec.owner}")
+                self.gradients[rec.owner] = rec.aligned
+                self._alloc(rec.aligned, "bwd {}: alloc dY{}", step.name,
+                            rec.owner)
 
         if step.ws_bytes:
-            self._alloc(step.ws_bytes, f"bwd {step.name}: workspace")
+            self._alloc(step.ws_aligned, "bwd {}: workspace", step.name)
 
         target = find_prefetch_layer(
             self.network, self.state, index,
@@ -337,9 +338,9 @@ class _PlanInterpreter:
             for rec in self.offloaded_at.get(target, []):
                 if rec.owner in self.restored:
                     continue
-                self.device[rec.owner] = rec.nbytes
-                self._alloc(rec.nbytes,
-                            f"bwd {step.name}: prefetch Y{rec.owner}")
+                self.device[rec.owner] = rec.aligned
+                self._alloc(rec.aligned, "bwd {}: prefetch Y{}", step.name,
+                            rec.owner)
                 self.mem_pos += 1
                 self.prefetch_pos[rec.owner] = self.mem_pos
                 wire = self.host.pop(rec.owner)
@@ -375,8 +376,8 @@ class _PlanInterpreter:
 
         for owner, is_gradient in step.releases:
             table = self.gradients if is_gradient else self.device
-            nbytes = table.pop(owner, None)
-            if nbytes is None:
+            aligned = table.pop(owner, None)
+            if aligned is None:
                 if owner not in self.flagged:
                     kind = "dY" if is_gradient else "Y"
                     self.report.add(
@@ -386,17 +387,17 @@ class _PlanInterpreter:
                         f"allocated)",
                         refs=(f"bwd#{index}",))
                 continue
-            self._free(nbytes)
+            self._free(aligned)
 
         if step.ws_bytes:
-            self._free(step.ws_bytes)
+            self._free(step.ws_aligned)
 
     def _demand_restore(self, step, rec) -> None:
         # Demand fetch: blocking, so it synchronizes everything
         # issued so far — it can never race (emits nothing).
-        self.device[rec.owner] = rec.nbytes
-        self._alloc(rec.nbytes,
-                    f"bwd {step.name}: demand restore Y{rec.owner}")
+        self.device[rec.owner] = rec.aligned
+        self._alloc(rec.aligned, "bwd {}: demand restore Y{}", step.name,
+                    rec.owner)
         self.mem_pos += 1
         wire = self.host.pop(rec.owner)
         self.prefetch_bytes += wire
@@ -415,30 +416,36 @@ class _PlanInterpreter:
                 refs=(f"bwd#{step.index}",))
 
     def _check_window(self, target: int, issue: int) -> None:
-        """SP403 warning: the Fig. 10 CONV-bounded window (HB004 twin)."""
-        for between in range(target + 1, issue):
-            if between >= len(self.network):
-                break
-            if self.network[between].kind is not LayerKind.CONV:
-                continue
+        """SP403 warning: the Fig. 10 CONV-bounded window (HB004 twin).
+
+        Walks the CONV ids strictly between ``target`` and ``issue``
+        down the compiled floor and reports the lowest violating one;
+        a bounded search leaves none in range, so this is O(1) there.
+        """
+        floor = self.plan.conv_floor
+        lowest = -1
+        between = floor[issue]
+        while between > target:
             if between not in self.offloaded_at \
                     or between in self._window_prefetched:
-                self.report.add(
-                    "SP403",
-                    f"prefetch of layer {target}'s X during backward of "
-                    f"layer {issue} skips past CONV layer {between} "
-                    f"({self.network[between].name}): outside the "
-                    f"Fig. 10 search window",
-                    refs=(f"bwd#{issue}", f"target fwd#{target}"),
-                    severity=Severity.WARNING)
-                break
+                lowest = between
+            between = floor[between]
+        if lowest >= 0:
+            self.report.add(
+                "SP403",
+                f"prefetch of layer {target}'s X during backward of "
+                f"layer {issue} skips past CONV layer {lowest} "
+                f"({self.network[lowest].name}): outside the "
+                f"Fig. 10 search window",
+                refs=(f"bwd#{issue}", f"target fwd#{target}"),
+                severity=Severity.WARNING)
         self._window_prefetched.add(target)
 
     # -- end of iteration ----------------------------------------------
     def _finish(self) -> None:
         """The executor's end sweep, plus the static leak check."""
-        for owner, nbytes in list(self.device.items()):
-            self._free(nbytes)
+        for owner, aligned in list(self.device.items()):
+            self._free(aligned)
             rec = self.plan.records.get(owner)
             if rec is None or owner in self.flagged:
                 continue
@@ -452,8 +459,8 @@ class _PlanInterpreter:
                     f"(static leak)",
                     refs=("end-sweep",))
         self.device.clear()
-        for owner, nbytes in list(self.gradients.items()):
-            self._free(nbytes)
+        for owner, aligned in list(self.gradients.items()):
+            self._free(aligned)
             if owner not in self.flagged:
                 self.report.add(
                     "SP404",
@@ -470,8 +477,8 @@ class _PlanInterpreter:
         )
         try:
             for item in self.plan.persistent:
-                self._alloc(item.nbytes, f"persistent W[{item.index}]")
-                self._alloc(item.nbytes, f"persistent dW[{item.index}]")
+                self._alloc(item.aligned, "persistent W[{}]", item.index)
+                self._alloc(item.aligned, "persistent dW[{}]", item.index)
             for step in self.plan.forward:
                 self._forward(step)
             for step in self.plan.backward:
@@ -480,7 +487,8 @@ class _PlanInterpreter:
         except _AbortWalk as abort:
             result.aborted = str(abort)
         result.peak_bytes = self.peak
-        result.peak_step = self.peak_step
+        label, args = self._peak_label
+        result.peak_step = label.format(*args)
         result.offload_bytes = self.offload_bytes
         result.prefetch_bytes = self.prefetch_bytes
         result.pinned_peak_bytes = self.pinned_peak
@@ -561,8 +569,8 @@ class _JointInterpreter(_PlanInterpreter):
         # RECOMPUTE: free now, regenerate from producers in backward.
         for rec in step.offload_candidates:
             self.dropped.add(rec.owner)
-            nbytes = self.device.pop(rec.owner, None)
-            if nbytes is None:
+            aligned = self.device.pop(rec.owner, None)
+            if aligned is None:
                 if rec.owner not in self.flagged:
                     self.report.add(
                         "SP404",
@@ -570,7 +578,7 @@ class _JointInterpreter(_PlanInterpreter):
                         f"nothing (buffer not on device)",
                         refs=(f"fwd#{step.index}",))
                 continue
-            self._free(nbytes)
+            self._free(aligned)
 
     # -- backward -------------------------------------------------------
     def _missing_required(self, step, rec) -> None:
@@ -608,9 +616,9 @@ class _JointInterpreter(_PlanInterpreter):
                 source = self.network[producer].storage_index
                 if source != owner and source not in self.device:
                     self._ensure(source, step)
-        self.device[owner] = rec.nbytes
-        self._alloc(rec.nbytes,
-                    f"bwd {step.name}: remat Y{owner} ({rec.name})")
+        self.device[owner] = rec.aligned
+        self._alloc(rec.aligned, "bwd {}: remat Y{} ({})", step.name, owner,
+                    rec.name)
         for member in info.chain:
             fstep = self._fwd_steps[member]
             if fstep.is_input:
@@ -618,18 +626,18 @@ class _JointInterpreter(_PlanInterpreter):
             if fstep.ws_bytes:
                 # alloc → replay kernel → free: same peak as the
                 # executor's transient replay workspace.
-                self._alloc(fstep.ws_bytes,
-                            f"bwd {step.name}: remat workspace "
-                            f"{fstep.name}(re)")
-                self._free(fstep.ws_bytes)
+                self._alloc(fstep.ws_aligned,
+                            "bwd {}: remat workspace {}(re)", step.name,
+                            fstep.name)
+                self._free(fstep.ws_aligned)
 
     def _backward(self, step) -> None:
         super()._backward(step)
         if self._dead_resident:
             for owner in sorted(self._dead_resident):
-                nbytes = self.device.pop(owner, None)
-                if nbytes is not None:
-                    self._free(nbytes)
+                aligned = self.device.pop(owner, None)
+                if aligned is not None:
+                    self._free(aligned)
             self._dead_resident.clear()
 
     # -- end of iteration ----------------------------------------------
@@ -637,9 +645,9 @@ class _JointInterpreter(_PlanInterpreter):
         # The protected input survives forward by design when anything
         # drops; free it silently so the leak sweep stays meaningful.
         for owner in self._protected:
-            nbytes = self.device.pop(owner, None)
-            if nbytes is not None:
-                self._free(nbytes)
+            aligned = self.device.pop(owner, None)
+            if aligned is not None:
+                self._free(aligned)
         super()._finish()
 
 
@@ -663,16 +671,21 @@ def interpret_joint_plan(
 # ----------------------------------------------------------------------
 # Structural audit (SP402/SP404): plan lifecycle vs liveness ground truth
 # ----------------------------------------------------------------------
-def audit_plan(network: Network, plan: CompiledPlan,
-               report: Report) -> Set[int]:
+def audit_plan(network: Network, plan: CompiledPlan, report: Report, *,
+               liveness: Optional[LivenessAnalysis] = None) -> Set[int]:
     """Audit every storage's whole lifecycle against a fresh liveness.
 
     Position-independent checks: each allocation must be freed exactly
     once, at the step liveness dictates, by the mechanism the refcount
     gate allows.  Returns the set of flagged owners so the walk can
     skip its own (now redundant) findings for them.
+
+    ``liveness`` is the ground truth; a caller auditing many plans of
+    one network (a static sweep row) builds it once and passes it in.
+    It must be derived from ``network`` independently of the plan.
     """
-    liveness = LivenessAnalysis(network)
+    if liveness is None:
+        liveness = LivenessAnalysis(network)
     releases = plan.release_schedule()
     dead_sites = plan.dead_release_sites()
     offload_sites = plan.offload_candidate_sites()
@@ -849,11 +862,13 @@ def verify_compiled_plan(
     sync_after_offload: bool = True,
     sync_after_prefetch: bool = True,
     subject: str = "",
+    liveness: Optional[LivenessAnalysis] = None,
 ) -> Report:
     """Prove (or refute) the SP4xx rules for one compiled plan."""
     report = Report(subject=subject or
                     f"{plan.network_name} {policy.describe()} [static]")
-    flagged = frozenset(audit_plan(network, plan, report))
+    flagged = frozenset(audit_plan(network, plan, report,
+                                   liveness=liveness))
     audit_compression(network, system, plan, report)
     interp = interpret_plan(
         network, system, plan, policy,
@@ -884,6 +899,7 @@ def verify_plan(
     sync_after_offload: bool = True,
     sync_after_prefetch: bool = True,
     subject: str = "",
+    liveness: Optional[LivenessAnalysis] = None,
 ) -> Report:
     """Build (or fetch) the compiled plan for a point and verify it."""
     plan = compiled_plan(network, system, algos)
@@ -892,7 +908,7 @@ def verify_plan(
         bounded_prefetch_window=bounded_prefetch_window,
         sync_after_offload=sync_after_offload,
         sync_after_prefetch=sync_after_prefetch,
-        subject=subject)
+        subject=subject, liveness=liveness)
 
 
 def verify_joint_plan(
@@ -901,6 +917,7 @@ def verify_joint_plan(
     config,
     algos: AlgoConfig,
     subject: str = "",
+    liveness: Optional[LivenessAnalysis] = None,
 ) -> Report:
     """Prove the SP4xx rules for one joint configuration.
 
@@ -914,7 +931,8 @@ def verify_joint_plan(
     report = Report(subject=subject or
                     f"{network.name} {config.describe()} [static]")
     plan = compiled_plan(network, system, algos)
-    flagged = frozenset(audit_plan(network, plan, report))
+    flagged = frozenset(audit_plan(network, plan, report,
+                                   liveness=liveness))
     audit_compression(network, system, plan, report)
     interp = interpret_joint_plan(
         network, system, plan, config,
@@ -1022,11 +1040,15 @@ def verify_point_static(
     policy: str = "all",
     algo: str = "p",
     system: Optional[SystemConfig] = None,
+    *,
+    liveness: Optional[LivenessAnalysis] = None,
 ) -> Report:
     """Statically verify one (network, policy, algo) point.
 
     Subjects match :func:`repro.analysis.verify.verify_point` so the
-    two sweeps zip together point for point.
+    two sweeps zip together point for point.  ``liveness`` is the
+    audit's ground truth, shared across a sweep row (see
+    :func:`audit_plan`).
     """
     from ..core.dynamic import UntrainableError
 
@@ -1051,7 +1073,7 @@ def verify_point_static(
         except UntrainableError:
             return Report(subject=f"{subject} (untrainable, skipped)")
         return verify_plan(network, system, transfer, algos,
-                           subject=subject)
+                           subject=subject, liveness=liveness)
     if policy == "joint":
         subject = f"{network.name} joint"
         try:
@@ -1059,7 +1081,7 @@ def verify_point_static(
         except UntrainableError:
             return Report(subject=f"{subject} (untrainable, skipped)")
         return verify_joint_plan(network, system, config, algos,
-                                 subject=subject)
+                                 subject=subject, liveness=liveness)
     transfer = {
         "all": TransferPolicy.vdnn_all,
         "conv": TransferPolicy.vdnn_conv,
@@ -1067,7 +1089,7 @@ def verify_point_static(
         "none": TransferPolicy.none,
     }[policy]()
     return verify_plan(network, system, transfer, _algos(network, algo),
-                       subject=subject)
+                       subject=subject, liveness=liveness)
 
 
 def verify_zoo_static(
@@ -1076,7 +1098,8 @@ def verify_zoo_static(
     policies: Optional[Sequence[Tuple[str, str]]] = None,
     system: Optional[SystemConfig] = None,
 ) -> List[Report]:
-    """Statically verify the whole sweep grid; builds each network once.
+    """Statically verify the whole sweep grid; builds each network, and
+    the liveness its audits check plans against, once per row.
 
     No worker pool: the entire 140-point grid interprets in a few
     seconds, so process fan-out would only add overhead.
@@ -1090,9 +1113,11 @@ def verify_zoo_static(
     reports: List[Report] = []
     for name in names:
         network = build(name, batch)
+        liveness = LivenessAnalysis(network)
         for policy, algo in policies:
             reports.append(verify_point_static(
-                network, policy=policy, algo=algo, system=system))
+                network, policy=policy, algo=algo, system=system,
+                liveness=liveness))
     return reports
 
 

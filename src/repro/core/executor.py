@@ -296,7 +296,7 @@ class _VDNNSimulation:
         self.pinned = PinnedHostAllocator(pinned_capacity)
         self.compute, self.memory, self.timeline = make_stream_pair()
         self.usage = UsageTracker()
-        self.state = PrefetchState.for_network(network)
+        self.state = PrefetchState.for_network(network, plan.conv_floor)
         # Fig. 10 search outcomes, reported to obs once per run.
         self.prefetch_hits = 0
         self.prefetch_misses = 0

@@ -35,6 +35,7 @@ from __future__ import annotations
 import weakref
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from ..alloc.pool import footprint
 from ..graph.layer import LayerKind
 from ..graph.network import Network
 from ..hw.config import SystemConfig
@@ -42,16 +43,17 @@ from ..kernels.latency import LatencyModel
 from .algo_config import AlgoConfig
 from .liveness import LivenessAnalysis, StorageInfo
 from .policy import TransferPolicy
+from .prefetcher import conv_floor
 
 
 class StorageRecord:
     """One feature-map storage with every derived fact the executor
-    needs precomputed: liveness, DMA duration on this link (raw and
-    cDMA-compressed), and the tag/buffer strings the allocator and
-    schedule trace use."""
+    needs precomputed: liveness, pool footprint, DMA duration on this
+    link (raw and cDMA-compressed), and the tag/buffer strings the
+    allocator and schedule trace use."""
 
-    __slots__ = ("info", "owner", "nbytes", "name", "y_buf", "g_buf",
-                 "g_tag", "host_tag", "pre_tag", "demand_tag",
+    __slots__ = ("info", "owner", "nbytes", "aligned", "name", "y_buf",
+                 "g_buf", "g_tag", "host_tag", "pre_tag", "demand_tag",
                  "dma_seconds", "comp_nbytes", "comp_dma_seconds")
 
     def __init__(self, info: StorageInfo, name: str, dma_seconds: float,
@@ -59,6 +61,7 @@ class StorageRecord:
         self.info = info
         self.owner = info.owner
         self.nbytes = info.nbytes
+        self.aligned = footprint(info.nbytes)
         self.name = name
         self.y_buf = f"Y{info.owner}"
         self.g_buf = f"dY{info.owner}"
@@ -75,9 +78,9 @@ class ForwardStep:
     """Everything one forward layer does, decided ahead of time."""
 
     __slots__ = ("index", "name", "is_input", "alloc_rec", "y_tag",
-                 "y_owner", "ws_bytes", "ws_tag", "ws_buf", "seconds",
-                 "dram_nbytes", "offload_candidates", "dead_releases",
-                 "trace_reads", "trace_writes")
+                 "y_owner", "ws_bytes", "ws_aligned", "ws_tag", "ws_buf",
+                 "seconds", "dram_nbytes", "offload_candidates",
+                 "dead_releases", "trace_reads", "trace_writes")
 
     def __init__(self, index: int, name: str):
         self.index = index
@@ -87,6 +90,7 @@ class ForwardStep:
         self.y_tag = ""
         self.y_owner = -1
         self.ws_bytes = 0
+        self.ws_aligned = 0
         self.ws_tag = ""
         self.ws_buf = ""
         self.seconds = 0.0
@@ -107,8 +111,9 @@ class BackwardStep:
     the pool's hole structure, hence later offsets)."""
 
     __slots__ = ("index", "name", "required", "grad_allocs", "ws_bytes",
-                 "ws_tag", "ws_buf", "seconds", "dram_nbytes", "releases",
-                 "y_owner", "has_weight", "grad_write_candidates")
+                 "ws_aligned", "ws_tag", "ws_buf", "seconds", "dram_nbytes",
+                 "releases", "y_owner", "has_weight",
+                 "grad_write_candidates")
 
     def __init__(self, index: int, name: str):
         self.index = index
@@ -116,6 +121,7 @@ class BackwardStep:
         self.required: Tuple[StorageRecord, ...] = ()
         self.grad_allocs: Tuple[StorageRecord, ...] = ()
         self.ws_bytes = 0
+        self.ws_aligned = 0
         self.ws_tag = ""
         self.ws_buf = ""
         self.seconds = 0.0
@@ -129,11 +135,13 @@ class BackwardStep:
 class PersistentAlloc:
     """One feature-extraction layer's weight + weight-gradient blocks."""
 
-    __slots__ = ("index", "nbytes", "w_tag", "dw_tag", "w_buf", "dw_buf")
+    __slots__ = ("index", "nbytes", "aligned", "w_tag", "dw_tag", "w_buf",
+                 "dw_buf")
 
     def __init__(self, index: int, nbytes: int, name: str):
         self.index = index
         self.nbytes = nbytes
+        self.aligned = footprint(nbytes)
         self.w_tag = f"W[{name}]"
         self.dw_tag = f"dW[{name}]"
         self.w_buf = f"W{index}"
@@ -149,7 +157,8 @@ class CompiledPlan:
 
     __slots__ = ("network_name", "forward", "backward", "persistent",
                  "external_bytes", "persistent_bytes", "classifier_indices",
-                 "records", "baseline_breakdown", "_offload_sets")
+                 "conv_floor", "records", "baseline_breakdown",
+                 "_offload_sets")
 
     def __init__(self, network: Network, system: SystemConfig,
                  algos: AlgoConfig):
@@ -194,6 +203,8 @@ class CompiledPlan:
         self.persistent_bytes = total
         self.classifier_indices = frozenset(
             n.index for n in network.classifier_nodes)
+        # The Fig. 10 search window's CONV floor (see core.prefetcher).
+        self.conv_floor = conv_floor(network)
 
         # -- forward steps ---------------------------------------------
         forward: List[ForwardStep] = []
@@ -211,6 +222,7 @@ class CompiledPlan:
                 continue
             step.ws_bytes = algos.workspace_bytes(node)
             if step.ws_bytes:
+                step.ws_aligned = footprint(step.ws_bytes)
                 step.ws_tag = f"WS[{node.name}]"
                 step.ws_buf = f"WSf{index}"
             timing = latency.forward(network, node, algos.profile(node))
@@ -277,6 +289,7 @@ class CompiledPlan:
 
             step.ws_bytes = algos.workspace_bytes(node)
             if step.ws_bytes:
+                step.ws_aligned = footprint(step.ws_bytes)
                 step.ws_tag = f"WS[{node.name}]"
                 step.ws_buf = f"WSb{index}"
             timing = latency.backward(network, node, algos.profile(node))

@@ -1,4 +1,4 @@
-"""The vDNN prefetch-candidate search (paper Figure 10, verbatim).
+"""The vDNN prefetch-candidate search (paper Figure 10), indexed.
 
 Before ``stream_compute`` starts a layer's backward computation, vDNN
 searches the *preceding* layers (lower indices) for the closest one that
@@ -7,41 +7,90 @@ search window is deliberately bounded: it stops at the first CONV layer
 that does not itself need prefetching, "guaranteeing that the prefetched
 X will not end up being used too far away in the future".
 
-The per-layer ``offloaded`` / ``prefetched`` flags live in
-:class:`PrefetchState`; the executor sets ``offloaded`` during forward
-propagation and calls :func:`find_prefetch_layer` before every backward
-kernel, exactly as the pseudo code prescribes.
+The paper's ``findPrefetchLayer`` walks layer ids down one at a time.
+This module answers the same question in O(log L) from two indexes:
+
+* :attr:`PrefetchState.waiting` — the ascending ids that are offloaded
+  and not yet prefetched, kept in step with the ``offloaded`` /
+  ``prefetched`` flags by every mutator;
+* the CONV floor — ``floor[c]`` is the highest CONV id below ``c`` (or
+  −1), a network fact compiled once into
+  :class:`~repro.core.plan.CompiledPlan`.
+
+The downward walk claims the largest waiting id ``p`` below the current
+layer unless it first meets a CONV layer that is not waiting; the
+first CONV it meets is ``floor[current]``, so the walk claims ``p``
+exactly when ``p >= floor[current]``.  The executor, the static plan
+interpreter and the numpy runtime all call :func:`find_prefetch_layer`,
+so they agree by construction.  The verbatim transcription of Fig. 10
+lives on in ``tests/test_prefetcher.py`` as the oracle this search is
+checked against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..graph.layer import LayerKind
 from ..graph.network import Network
 from ..obs import Instrumentation
 
 
+def conv_floor(network: Network) -> Tuple[int, ...]:
+    """``floor[c]``: the highest CONV layer id below ``c``, or −1."""
+    floor: List[int] = []
+    last = -1
+    for node in network:
+        floor.append(last)
+        if node.kind is LayerKind.CONV:
+            last = node.index
+    return tuple(floor)
+
+
 @dataclass
 class PrefetchState:
-    """The ``layers[n]->offloaded`` / ``->prefetched`` flags of Fig. 10."""
+    """The ``layers[n]->offloaded`` / ``->prefetched`` flags of Fig. 10,
+    plus the ``waiting`` index and CONV ``floor`` the search reads."""
 
     offloaded: Dict[int, bool] = field(default_factory=dict)
     prefetched: Dict[int, bool] = field(default_factory=dict)
+    floor: Sequence[int] = ()
+    waiting: List[int] = field(default_factory=list)
 
     @classmethod
-    def for_network(cls, network: Network) -> "PrefetchState":
+    def for_network(cls, network: Network,
+                    floor: Optional[Sequence[int]] = None
+                    ) -> "PrefetchState":
+        """Fresh flags; ``floor`` comes from the plan when the caller
+        has one (:attr:`CompiledPlan.conv_floor`), else one O(L) pass."""
+        layers = range(len(network))
         return cls(
-            offloaded={n.index: False for n in network},
-            prefetched={n.index: False for n in network},
+            offloaded=dict.fromkeys(layers, False),
+            prefetched=dict.fromkeys(layers, False),
+            floor=conv_floor(network) if floor is None else floor,
         )
 
+    def _check(self, layer_index: int) -> None:
+        if layer_index not in self.offloaded:
+            raise ValueError(
+                f"layer id {layer_index} is out of range for a network "
+                f"of {len(self.offloaded)} layers")
+
     def mark_offloaded(self, layer_index: int) -> None:
-        self.offloaded[layer_index] = True
+        self._check(layer_index)
+        if not self.offloaded[layer_index]:
+            self.offloaded[layer_index] = True
+            if not self.prefetched[layer_index]:
+                insort(self.waiting, layer_index)
 
     def claim(self, layer_index: int) -> None:
         """Mark a layer as prefetched so the search skips it from now on."""
+        self._check(layer_index)
+        if self.offloaded[layer_index] and not self.prefetched[layer_index]:
+            waiting = self.waiting
+            del waiting[bisect_left(waiting, layer_index)]
         self.prefetched[layer_index] = True
 
     def unclaim(self, layer_index: int) -> None:
@@ -52,14 +101,14 @@ class PrefetchState:
         in host memory, so it must stay eligible for a later prefetch
         (or the demand-fetch safety net) instead of being silently lost.
         """
+        self._check(layer_index)
+        if self.offloaded[layer_index] and self.prefetched[layer_index]:
+            insort(self.waiting, layer_index)
         self.prefetched[layer_index] = False
 
     def pending(self) -> List[int]:
         """Layers offloaded but not yet prefetched, ascending."""
-        return [
-            i for i, off in sorted(self.offloaded.items())
-            if off and not self.prefetched[i]
-        ]
+        return list(self.waiting)
 
 
 def find_prefetch_layer(
@@ -71,12 +120,13 @@ def find_prefetch_layer(
 ) -> Optional[int]:
     """Pick the layer whose offloaded X should be prefetched now.
 
-    Transcription of the paper's ``Network::findPrefetchLayer``: walk
-    layer ids downward from ``current_layer_id - 1``; the first layer
-    that is offloaded-and-not-prefetched is claimed (its ``prefetched``
-    flag is set, so each layer is prefetched exactly once) and returned.
-    Hitting a CONV layer that does not need prefetching ends the search
-    window (line 14 of Fig. 10).
+    Answers the paper's ``Network::findPrefetchLayer``: the first layer
+    below ``current_layer_id`` that is offloaded-and-not-prefetched is
+    claimed (its ``prefetched`` flag is set, so each layer is
+    prefetched exactly once) and returned, unless a CONV layer that
+    does not need prefetching lies in between (line 14 of Fig. 10
+    ends the search window there).  One bisect into ``state.waiting``
+    and one floor lookup replace the paper's downward walk.
 
     The claim is made through :meth:`PrefetchState.claim`; a caller
     whose subsequent allocation or DMA fails must call
@@ -93,17 +143,24 @@ def find_prefetch_layer(
     Returns:
         The layer id to prefetch, or None when nothing (suitable) is
         pending.
+
+    Raises:
+        ValueError: ``current_layer_id`` is not a layer of the network.
     """
-    for layer_id in range(current_layer_id - 1, -1, -1):
-        if state.offloaded[layer_id] and not state.prefetched[layer_id]:
-            state.claim(layer_id)
+    floor = state.floor
+    if not 0 <= current_layer_id < len(floor):
+        raise ValueError(
+            f"layer id {current_layer_id} is out of range for a network "
+            f"of {len(floor)} layers")
+    waiting = state.waiting
+    position = bisect_left(waiting, current_layer_id)
+    if position:
+        target = waiting[position - 1]
+        if not bounded_window or target >= floor[current_layer_id]:
+            state.claim(target)
             if obs is not None:
                 obs.prefetch_claimed()
-            return layer_id
-        if bounded_window and network[layer_id].kind is LayerKind.CONV:
-            if obs is not None:
-                obs.prefetch_search(False)
-            return None
+            return target
     if obs is not None:
         obs.prefetch_search(False)
     return None

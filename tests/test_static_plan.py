@@ -35,6 +35,7 @@ from repro.analysis.static_plan import (
     verify_zoo_static,
 )
 from repro.analysis.diagnostics import Report, Severity
+from repro.analysis.trace import OpKind
 from repro.analysis.verify import analyze_trace, verify_point, verify_zoo
 from repro.core.algo_config import AlgoConfig
 from repro.core.dynamic import plan_dynamic
@@ -43,6 +44,7 @@ from repro.core.liveness import LivenessAnalysis
 from repro.core.plan import CompiledPlan, compiled_plan
 from repro.core.policy import TransferPolicy
 from repro.core.recompute import CheckpointPlan, checkpoint_plan
+from repro.graph import LayerKind
 from repro.hw import PAPER_SYSTEM
 from repro.serve.layering import RESIDENCY_POLICIES, plan_service
 from repro.zoo import build
@@ -214,6 +216,41 @@ class TestMutationParity:
         assert all(d.severity is Severity.WARNING for d in sp403)
         # Warnings, not errors: both reports still pass the gate.
         assert static.ok and dynamic.ok
+
+    @pytest.mark.parametrize("name,policy", [("alexnet", "all"),
+                                             ("resnet18", "conv")])
+    def test_window_warnings_name_the_lowest_violating_conv(self, name,
+                                                            policy):
+        """Both window checks visit CONV ids only; each warning still
+        names the lowest violating CONV, as a scan of every layer in
+        the window does.  Most of these windows hold several."""
+        network = build(name, 8)
+        algos = algos_for(network)
+        transfer = getattr(TransferPolicy, f"vdnn_{policy}")()
+        static = verify_plan(network, PAPER_SYSTEM, transfer, algos,
+                             bounded_prefetch_window=False)
+        result = simulate_vdnn(network, PAPER_SYSTEM, transfer, algos,
+                               verify=True, bounded_prefetch_window=False)
+        dynamic = analyze_trace(result.schedule_trace, network=network,
+                                liveness=LivenessAnalysis(network))
+        trace = result.schedule_trace
+        triggers = {op.target_layer for op in trace.of_kind(OpKind.OFFLOAD)}
+        expected, prefetched = [], set()
+        for op in trace.of_kind(OpKind.PREFETCH):
+            target, issue = op.target_layer, op.layer_index
+            for between in range(target + 1, issue):
+                if network[between].kind is LayerKind.CONV and (
+                        between not in triggers or between in prefetched):
+                    expected.append(
+                        f"prefetch of layer {target}'s X during backward "
+                        f"of layer {issue} skips past CONV layer {between} "
+                        f"({network[between].name}): outside the Fig. 10 "
+                        f"search window")
+                    break
+            prefetched.add(target)
+        assert len(expected) > 1
+        assert [d.message for d in dynamic.by_rule("HB004")] == expected
+        assert [d.message for d in static.by_rule("SP403")] == expected
 
     def test_moved_dead_release_fires_sp402_and_ms105(self):
         # resnet18's Y22 becomes dead at forward step 26; releasing it
