@@ -28,15 +28,17 @@ Rules (catalog in :mod:`repro.analysis.diagnostics`):
   HB004).
 * **SP404** — release lists free every allocation exactly once: static
   leak, double free, or a release at the wrong backward step.
-* **SP405** — recompute/checkpoint plans re-materialize every dropped
-  storage before its consumer.
+* **SP405** — recompute/checkpoint plans, and the drops of a joint
+  plan, re-materialize every dropped storage before its consumer.
 * **SP406** — serve :class:`~repro.serve.layering.ServicePlan`
   accounting is internally consistent.
 
-The walk mirrors :class:`repro.core.executor._VDNNSimulation` step for
-step (same allocation order, same ``find_prefetch_layer`` state
-machine, same pinned-exhaustion abort point), so on a clean plan the
-statically computed peak equals the simulated ``managed_max_bytes``
+One walk serves every vDNN point, plain or joint: a joint point's
+drop set is data on it, exactly as on the executor.  It follows
+:class:`repro.core.executor._VDNNSimulation` step for step (same
+allocation order, same ``find_prefetch_layer`` state machine, same
+drop replays, same pinned-exhaustion abort point), so on a clean plan
+the statically computed peak equals the simulated ``managed_max_bytes``
 *exactly* — the differential tests assert bit-equality, not closeness.
 No simulation runs anywhere in this module: the whole 140-point zoo grid
 verifies in a few seconds, dominated by plan compilation that
@@ -114,6 +116,12 @@ class _PlanInterpreter:
     the ``synced_through`` watermark; an operation that reads or
     reuses a buffer is safe iff the covering transfer's position is at
     or below the watermark.
+
+    ``drop`` is a joint point's drop set, walked exactly as the
+    executor walks it: drop triggers discard their candidates with no
+    DMA and no pinned staging, and backward replays producer chains
+    abstractly (allocate Y, workspace alloc/free per chain member) for
+    the buffers those drops freed — and only for those.
     """
 
     def __init__(
@@ -129,6 +137,7 @@ class _PlanInterpreter:
         report: Optional[Report] = None,
         flagged: FrozenSet[int] = frozenset(),
         subject: str = "",
+        drop: FrozenSet[int] = frozenset(),
     ):
         self.network = network
         self.system = system
@@ -170,6 +179,13 @@ class _PlanInterpreter:
         self.offload_bytes = 0
         self.prefetch_bytes = 0
 
+        self.drops = drop
+        # Owners the drops freed: the only buffers backward replays.
+        self.dropped: Set[int] = set()
+        self._dead_resident: Set[int] = set()
+        self._protected = plan.input_owners if drop else frozenset()
+        self._sp405_seen: Set[int] = set()
+
     # -- pool abstraction ----------------------------------------------
     def _alloc(self, aligned: int, label: str, *args) -> None:
         """Charge one footprint.  The step is named by
@@ -203,7 +219,8 @@ class _PlanInterpreter:
             self._alloc(step.ws_aligned, "fwd {}: workspace", step.name)
 
         for dead in step.dead_releases:
-            self._dead_release(step, dead)
+            if dead.owner not in self._protected:
+                self._dead_release(step, dead)
 
         if step.offload_candidates and index in self.wants:
             self._offload(step)
@@ -247,6 +264,21 @@ class _PlanInterpreter:
 
     def _offload(self, step) -> None:
         index = step.index
+        if index in self.drops:
+            # Drop: free now, regenerate from producers in backward.
+            for rec in step.offload_candidates:
+                self.dropped.add(rec.owner)
+                aligned = self.device.pop(rec.owner, None)
+                if aligned is None:
+                    if rec.owner not in self.flagged:
+                        self.report.add(
+                            "SP404",
+                            f"fwd {step.name}: drop of Y{rec.owner} "
+                            f"targets nothing (buffer not on device)",
+                            refs=(f"fwd#{index}",))
+                    continue
+                self._free(aligned)
+            return
         compress = self.policy.compresses(index)
         completed: List[StorageRecord] = []
         for rec in step.offload_candidates:
@@ -318,8 +350,16 @@ class _PlanInterpreter:
                 continue
             if rec.owner in self.host:
                 self._demand_restore(step, rec)
-                continue
-            self._missing_required(step, rec)
+            elif rec.owner in self.dropped:
+                self._remat(rec.owner, step)
+            elif rec.owner not in self.flagged:
+                self.report.add(
+                    "SP404",
+                    f"bwd {step.name}: kernel needs Y{rec.owner} but it "
+                    f"is neither on device nor staged in host memory — "
+                    f"a release list freed it too early "
+                    f"(use-after-free)",
+                    refs=(f"bwd#{index}",))
 
         for rec in step.grad_allocs:
             if rec.owner not in self.gradients:
@@ -392,6 +432,13 @@ class _PlanInterpreter:
         if step.ws_bytes:
             self._free(step.ws_aligned)
 
+        if self._dead_resident:
+            for owner in sorted(self._dead_resident):
+                aligned = self.device.pop(owner, None)
+                if aligned is not None:
+                    self._free(aligned)
+            self._dead_resident.clear()
+
     def _demand_restore(self, step, rec) -> None:
         # Demand fetch: blocking, so it synchronizes everything
         # issued so far — it can never race (emits nothing).
@@ -405,15 +452,51 @@ class _PlanInterpreter:
         self.pinned_live -= wire
         self.restored.add(rec.owner)
 
-    def _missing_required(self, step, rec) -> None:
-        if rec.owner not in self.flagged:
+    def _ensure(self, owner: int, step) -> None:
+        """Make a replay's input resident: from the host, or replayed."""
+        if owner in self.device:
+            return
+        if owner in self.host:
+            self._demand_restore(step, self.plan.records[owner])
+            return
+        self._remat(owner, step)
+
+    def _remat(self, owner: int, step) -> None:
+        """Regenerate a freed storage by replaying its producers."""
+        # Inputs cannot be recomputed from anything: the replay would
+        # allocate Y and run zero kernels — garbage data.
+        if owner in self.plan.input_owners and owner not in self.flagged \
+                and owner not in self._sp405_seen:
+            self._sp405_seen.add(owner)
             self.report.add(
-                "SP404",
-                f"bwd {step.name}: kernel needs Y{rec.owner} but it "
-                f"is neither on device nor staged in host memory — "
-                f"a release list freed it too early "
-                f"(use-after-free)",
+                "SP405",
+                f"bwd {step.name}: re-materialization of Y{owner} "
+                f"bottoms out at the freed INPUT batch — inputs "
+                f"cannot be recomputed",
                 refs=(f"bwd#{step.index}",))
+        rec = self.plan.records[owner]
+        info = rec.info
+        if not info.needed_backward:
+            self._dead_resident.add(owner)
+        for member in info.chain:
+            for producer in self.network[member].producers:
+                source = self.network[producer].storage_index
+                if source != owner and source not in self.device:
+                    self._ensure(source, step)
+        self.device[owner] = rec.aligned
+        self._alloc(rec.aligned, "bwd {}: remat Y{} ({})", step.name, owner,
+                    rec.name)
+        for member in info.chain:
+            fstep = self.plan.forward_at[member]
+            if fstep.is_input:
+                continue
+            if fstep.ws_bytes:
+                # alloc → replay kernel → free: same peak as the
+                # executor's transient replay workspace.
+                self._alloc(fstep.ws_aligned,
+                            "bwd {}: remat workspace {}(re)", step.name,
+                            fstep.name)
+                self._free(fstep.ws_aligned)
 
     def _check_window(self, target: int, issue: int) -> None:
         """SP403 warning: the Fig. 10 CONV-bounded window (HB004 twin).
@@ -444,6 +527,12 @@ class _PlanInterpreter:
     # -- end of iteration ----------------------------------------------
     def _finish(self) -> None:
         """The executor's end sweep, plus the static leak check."""
+        # The protected input survives forward by design when anything
+        # drops; free it silently so the leak sweep stays meaningful.
+        for owner in self._protected:
+            aligned = self.device.pop(owner, None)
+            if aligned is not None:
+                self._free(aligned)
         for owner, aligned in list(self.device.items()):
             self._free(aligned)
             rec = self.plan.records.get(owner)
@@ -524,133 +613,6 @@ def interpret_plan(
     ).run()
 
 
-# ----------------------------------------------------------------------
-# Abstract interpretation of a joint (keep/offload/compress/recompute)
-# configuration — mirrors core.joint._JointSimulation the same way the
-# base interpreter mirrors _VDNNSimulation
-# ----------------------------------------------------------------------
-class _JointInterpreter(_PlanInterpreter):
-    """Symbolic walk of one compiled plan under a joint decision set.
-
-    Offload and compressed-offload triggers reuse the inherited walk
-    verbatim (the config's policy carries the compress set).  Drop
-    triggers discard their candidates with no DMA and no pinned
-    staging; the backward ``_missing_required`` hook — a hard SP404 in
-    the base walk — becomes the re-materialization recursion here,
-    replaying producer chains abstractly (allocate Y, workspace
-    alloc/free per chain member) in the exact order the executor
-    replays them, so peak bytes still match the simulation bit for bit.
-    """
-
-    def __init__(self, network: Network, system: SystemConfig,
-                 plan: CompiledPlan, config, **kwargs):
-        super().__init__(network, system, plan, config.policy(), **kwargs)
-        self.config = config
-        self.drops = config.drop
-        self.dropped: Set[int] = set()
-        self._dead_resident: Set[int] = set()
-        self._fwd_steps = {step.index: step for step in plan.forward}
-        self._protected = frozenset(
-            node.storage_index for node in network
-            if node.kind is LayerKind.INPUT) if config.drop \
-            else frozenset()
-        self._sp405_seen: Set[int] = set()
-
-    # -- forward --------------------------------------------------------
-    def _dead_release(self, step, dead) -> None:
-        if dead.owner in self._protected:
-            return  # replays may need the input batch
-        super()._dead_release(step, dead)
-
-    def _offload(self, step) -> None:
-        if step.index not in self.drops:
-            super()._offload(step)
-            return
-        # RECOMPUTE: free now, regenerate from producers in backward.
-        for rec in step.offload_candidates:
-            self.dropped.add(rec.owner)
-            aligned = self.device.pop(rec.owner, None)
-            if aligned is None:
-                if rec.owner not in self.flagged:
-                    self.report.add(
-                        "SP404",
-                        f"fwd {step.name}: drop of Y{rec.owner} targets "
-                        f"nothing (buffer not on device)",
-                        refs=(f"fwd#{step.index}",))
-                continue
-            self._free(aligned)
-
-    # -- backward -------------------------------------------------------
-    def _missing_required(self, step, rec) -> None:
-        self._ensure(rec.owner, step)
-
-    def _ensure(self, owner: int, step) -> None:
-        if owner in self.device:
-            return
-        if owner in self.host:
-            self._demand_restore(step, self.plan.records[owner])
-            return
-        self._remat(owner, step)
-
-    def _remat(self, owner: int, step) -> None:
-        rec = self.plan.records.get(owner)
-        if rec is None or self.network[owner].kind is LayerKind.INPUT:
-            # Inputs cannot be recomputed from anything: the replay
-            # would allocate Y and run zero kernels — garbage data.
-            if owner not in self.flagged \
-                    and owner not in self._sp405_seen:
-                self._sp405_seen.add(owner)
-                self.report.add(
-                    "SP405",
-                    f"bwd {step.name}: re-materialization of Y{owner} "
-                    f"bottoms out at the freed INPUT batch — inputs "
-                    f"cannot be recomputed",
-                    refs=(f"bwd#{step.index}",))
-            if rec is None:
-                return
-        info = rec.info
-        if not info.needed_backward:
-            self._dead_resident.add(owner)
-        for member in info.chain:
-            for producer in self.network[member].producers:
-                source = self.network[producer].storage_index
-                if source != owner and source not in self.device:
-                    self._ensure(source, step)
-        self.device[owner] = rec.aligned
-        self._alloc(rec.aligned, "bwd {}: remat Y{} ({})", step.name, owner,
-                    rec.name)
-        for member in info.chain:
-            fstep = self._fwd_steps[member]
-            if fstep.is_input:
-                continue
-            if fstep.ws_bytes:
-                # alloc → replay kernel → free: same peak as the
-                # executor's transient replay workspace.
-                self._alloc(fstep.ws_aligned,
-                            "bwd {}: remat workspace {}(re)", step.name,
-                            fstep.name)
-                self._free(fstep.ws_aligned)
-
-    def _backward(self, step) -> None:
-        super()._backward(step)
-        if self._dead_resident:
-            for owner in sorted(self._dead_resident):
-                aligned = self.device.pop(owner, None)
-                if aligned is not None:
-                    self._free(aligned)
-            self._dead_resident.clear()
-
-    # -- end of iteration ----------------------------------------------
-    def _finish(self) -> None:
-        # The protected input survives forward by design when anything
-        # drops; free it silently so the leak sweep stays meaningful.
-        for owner in self._protected:
-            aligned = self.device.pop(owner, None)
-            if aligned is not None:
-                self._free(aligned)
-        super()._finish()
-
-
 def interpret_joint_plan(
     network: Network,
     system: SystemConfig,
@@ -661,10 +623,11 @@ def interpret_joint_plan(
     flagged: FrozenSet[int] = frozenset(),
     subject: str = "",
 ) -> PlanInterpretation:
-    """Abstractly execute one (plan, joint config) point."""
-    return _JointInterpreter(
-        network, system, plan, config,
-        report=report, flagged=flagged, subject=subject,
+    """Abstractly execute one (plan, joint config) point: the
+    :func:`interpret_plan` walk with the config's drop set."""
+    return _PlanInterpreter(
+        network, system, plan, config.policy(),
+        report=report, flagged=flagged, subject=subject, drop=config.drop,
     ).run()
 
 
@@ -852,6 +815,28 @@ def audit_compression(network: Network, system: SystemConfig,
 # ----------------------------------------------------------------------
 # Entry points for training plans
 # ----------------------------------------------------------------------
+def _ledger(network: Network, system: SystemConfig, plan: CompiledPlan,
+            report: Report, liveness: Optional[LivenessAnalysis],
+            walk) -> Report:
+    """The structural audit, SP407, one abstract walk and the SP401
+    tail; ``walk(flagged)`` interprets the plan into ``report``."""
+    flagged = frozenset(audit_plan(network, plan, report,
+                                   liveness=liveness))
+    audit_compression(network, system, plan, report)
+    interp = walk(flagged)
+    if interp.aborted is not None:
+        report.add("SP401",
+                   f"plan aborts before completing: {interp.aborted}",
+                   refs=("pinned-host budget",))
+    elif interp.first_over_budget is not None:
+        report.add("SP401",
+                   f"statically computed peak {interp.max_usage_bytes} "
+                   f"bytes exceeds GPU capacity {interp.budget_bytes} "
+                   f"bytes; first over-budget allocation: "
+                   f"{interp.first_over_budget}")
+    return report
+
+
 def verify_compiled_plan(
     network: Network,
     system: SystemConfig,
@@ -867,26 +852,14 @@ def verify_compiled_plan(
     """Prove (or refute) the SP4xx rules for one compiled plan."""
     report = Report(subject=subject or
                     f"{plan.network_name} {policy.describe()} [static]")
-    flagged = frozenset(audit_plan(network, plan, report,
-                                   liveness=liveness))
-    audit_compression(network, system, plan, report)
-    interp = interpret_plan(
-        network, system, plan, policy,
-        bounded_prefetch_window=bounded_prefetch_window,
-        sync_after_offload=sync_after_offload,
-        sync_after_prefetch=sync_after_prefetch,
-        report=report, flagged=flagged, subject=report.subject)
-    if interp.aborted is not None:
-        report.add("SP401",
-                   f"plan aborts before completing: {interp.aborted}",
-                   refs=("pinned-host budget",))
-    elif interp.first_over_budget is not None:
-        report.add("SP401",
-                   f"statically computed peak {interp.max_usage_bytes} "
-                   f"bytes exceeds GPU capacity {interp.budget_bytes} "
-                   f"bytes; first over-budget allocation: "
-                   f"{interp.first_over_budget}")
-    return report
+    return _ledger(
+        network, system, plan, report, liveness,
+        lambda flagged: interpret_plan(
+            network, system, plan, policy,
+            bounded_prefetch_window=bounded_prefetch_window,
+            sync_after_offload=sync_after_offload,
+            sync_after_prefetch=sync_after_prefetch,
+            report=report, flagged=flagged, subject=report.subject))
 
 
 def verify_plan(
@@ -921,33 +894,20 @@ def verify_joint_plan(
 ) -> Report:
     """Prove the SP4xx rules for one joint configuration.
 
-    Same ledger as :func:`verify_compiled_plan` (structural audit,
-    SP407 compression consistency, the abstract walk, the SP401 tail),
-    plus the SP405 obligation every drop trigger adds: each dropped
+    Same ledger as :func:`verify_compiled_plan`; the walk's drop set
+    adds the SP405 obligation every drop trigger carries: each dropped
     storage must be re-materializable from state the mixed schedule
-    actually keeps resident — which the joint walk itself discharges,
-    reporting any replay that bottoms out at the freed INPUT batch.
+    actually keeps resident, and a replay that bottoms out at the
+    freed INPUT batch is reported.
     """
     report = Report(subject=subject or
                     f"{network.name} {config.describe()} [static]")
     plan = compiled_plan(network, system, algos)
-    flagged = frozenset(audit_plan(network, plan, report,
-                                   liveness=liveness))
-    audit_compression(network, system, plan, report)
-    interp = interpret_joint_plan(
-        network, system, plan, config,
-        report=report, flagged=flagged, subject=report.subject)
-    if interp.aborted is not None:
-        report.add("SP401",
-                   f"plan aborts before completing: {interp.aborted}",
-                   refs=("pinned-host budget",))
-    elif interp.first_over_budget is not None:
-        report.add("SP401",
-                   f"statically computed peak {interp.max_usage_bytes} "
-                   f"bytes exceeds GPU capacity {interp.budget_bytes} "
-                   f"bytes; first over-budget allocation: "
-                   f"{interp.first_over_budget}")
-    return report
+    return _ledger(
+        network, system, plan, report, liveness,
+        lambda flagged: interpret_joint_plan(
+            network, system, plan, config,
+            report=report, flagged=flagged, subject=report.subject))
 
 
 # ----------------------------------------------------------------------
@@ -1001,9 +961,9 @@ def plan_joint_static(
 
     The joint analogue of :func:`plan_dynamic_static`: replays
     :func:`repro.core.joint.run_joint_ladder` probe for probe, each an
-    abstract walk under :class:`_JointInterpreter`.  The ladder adopts
-    by trainability and the deterministic plan-derived cost model only
-    — never by simulated time — so this and
+    abstract walk of the plan under the config's drop set.  The ladder
+    adopts by trainability and the deterministic plan-derived cost
+    model only — never by simulated time — so this and
     :func:`repro.core.joint.plan_joint` always settle on the identical
     configuration (the parity differential test pins it).
     """

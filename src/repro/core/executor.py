@@ -25,7 +25,7 @@ configurations still report the memory they would have needed (the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from ..alloc.pinned import PinnedHostAllocator, PinnedMemoryError
 from ..alloc.pool import Allocation, PoolAllocator
@@ -255,6 +255,10 @@ class _VDNNSimulation:
     :class:`~repro.core.plan.CompiledPlan` — the walk itself is a tight
     loop over plan steps that only tracks the *dynamic* state: stream
     clocks, pool occupancy, the prefetch flags and any injected faults.
+
+    ``drop`` holds a joint point's drop triggers (:mod:`repro.core.joint`):
+    they free their candidates with no DMA, and backward replays the
+    producers of exactly what they freed.  ``label`` names the run.
     """
 
     def __init__(
@@ -270,10 +274,13 @@ class _VDNNSimulation:
         verify: bool = False,
         faults: Optional[FaultInjector] = None,
         obs: Optional[Instrumentation] = None,
+        drop: FrozenSet[int] = frozenset(),
+        label: str = "",
     ):
         self.network = network
         self.system = system
         self.policy = policy
+        self.label = label or policy.describe()
         self.algos = algos
         self.plan = plan
         self.wants = plan.offload_indices(policy, network)
@@ -316,6 +323,12 @@ class _VDNNSimulation:
         self.host_wire_seconds: Dict[int, float] = {}
         # storage owner -> True once restored by a prefetch
         self.restored: Dict[int, bool] = {}
+        # Drops: owners they freed, replayed intermediates backward does
+        # not need, and the input storages dead releases must keep.
+        self.drops = drop
+        self.dropped: Set[int] = set()
+        self._dead_resident: Set[int] = set()
+        self._protected = plan.input_owners if drop else frozenset()
 
         self.stall_seconds = 0.0
         self.offload_bytes = 0
@@ -482,7 +495,7 @@ class _VDNNSimulation:
                     "forward", "phase", start,
                     max(self.compute.ready_time, self.memory.ready_time),
                     category="phase", network=self.network.name,
-                    policy=self.policy.describe())
+                    policy=self.label)
 
     def _forward_layer(self, step: ForwardStep) -> None:  # repro: hot
         index = step.index
@@ -520,6 +533,8 @@ class _VDNNSimulation:
         # is dead after forward: no transfer needed (the black-X arrows
         # of Figure 7).
         for rec in step.dead_releases:
+            if rec.owner in self._protected:
+                continue  # replays may need the input batch
             self._free(self.device.pop(rec.owner), layer=index, phase="fwd")
 
         # Offload the rest of the last-consumed inputs if the policy
@@ -533,6 +548,16 @@ class _VDNNSimulation:
     def _offload_inputs(self, step: ForwardStep, fwd_start: float,
                         fwd_op) -> None:
         index = step.index
+        if index in self.drops:
+            # Drop: discard now, replay later.  The "drop" phase keeps
+            # the sanitizer's refcount gate (MS105) out of the way — the
+            # gate judges forward frees, and this free is the checkpoint
+            # discipline's, covered by SP405 and the remat walk instead.
+            for rec in step.offload_candidates:
+                self.dropped.add(rec.owner)
+                self._free(self.device.pop(rec.owner),
+                           layer=index, phase="drop")
+            return
         compress = self.policy.compresses(index)
         completed: List[StorageRecord] = []
         for rec in step.offload_candidates:
@@ -627,7 +652,7 @@ class _VDNNSimulation:
                     "backward", "phase", start,
                     max(self.compute.ready_time, self.memory.ready_time),
                     category="phase", network=self.network.name,
-                    policy=self.policy.describe())
+                    policy=self.label)
 
     def _restore_on_demand(self, rec: StorageRecord, index: int) -> None:
         """Blocking prefetch for data the scheduler failed to stage."""
@@ -682,15 +707,75 @@ class _VDNNSimulation:
         self.pinned.free(self.host_buffers.pop(rec.owner))
         self.restored[rec.owner] = True
 
+    def _ensure(self, owner: int, index: int) -> None:
+        """Make a replay's input resident: from the host, or replayed."""
+        if owner in self.device:
+            return
+        if owner in self.host_buffers:
+            self._restore_on_demand(self.plan.records[owner], index)
+            return
+        self._rematerialize(owner, index)
+
+    def _rematerialize(self, owner: int, index: int) -> None:
+        """Regenerate a freed storage by replaying its producers."""
+        rec = self.plan.records[owner]
+        info = rec.info
+        if not info.needed_backward:
+            # A dead intermediate the replay flows through; discard it
+            # again after the current backward step.
+            self._dead_resident.add(owner)
+        for member in info.chain:
+            for producer in self.network[member].producers:
+                source = self.network[producer].storage_index
+                if source != owner and source not in self.device:
+                    self._ensure(source, index)
+        self.device[owner] = self._alloc(
+            owner, rec.nbytes, f"Y[{rec.name}](re)",
+            buffer=rec.y_buf, layer=index, towner=owner,
+        )
+        for member in info.chain:
+            fstep = self.plan.forward_at[member]
+            if fstep.is_input:
+                continue
+            workspace = None
+            if fstep.ws_bytes:
+                workspace = self._alloc(member, fstep.ws_bytes,
+                                        fstep.ws_tag,
+                                        buffer=fstep.ws_buf, layer=index)
+            start, end = self.compute.push(
+                _FORWARD, fstep.name + "(re)", fstep.seconds,
+                nbytes=fstep.dram_nbytes, layer_index=member,
+            )
+            if self.trace is not None:
+                self.trace.kernel(
+                    fstep.name + "(re)", self.compute.name,
+                    reads=fstep.trace_reads, writes=fstep.trace_writes,
+                    layer=member, phase="bwd", start=start, end=end,
+                )
+            if workspace is not None:
+                self._free(workspace, layer=index, phase="bwd")
+
+    def _discard_dead_resident(self, index: int) -> None:
+        """Free the replayed intermediates backward does not need."""
+        for owner in sorted(self._dead_resident):
+            allocation = self.device.pop(owner, None)
+            if allocation is not None:
+                self._free(allocation, layer=index, phase="bwd")
+        self._dead_resident.clear()
+
     def _backward_layer(self, step: BackwardStep) -> None:  # repro: hot
         index = step.index
         device = self.device
         gradients = self.gradients
 
-        # Safety net: anything this kernel reads must be on-device.
+        # Safety net: anything this kernel reads must be on-device —
+        # replayed if a drop freed it, else fetched from the host.
         for rec in step.required:
             if rec.owner not in device:
-                self._restore_on_demand(rec, index)
+                if rec.owner in self.dropped:
+                    self._rematerialize(rec.owner, index)
+                else:
+                    self._restore_on_demand(rec, index)
 
         # Gradient twins born at this backward step.
         for rec in step.grad_allocs:
@@ -815,6 +900,9 @@ class _VDNNSimulation:
         if workspace is not None:
             self._free(workspace, layer=index, phase="bwd")
 
+        if self._dead_resident:
+            self._discard_dead_resident(index)
+
     def _release_remaining(self) -> None:
         """Free anything still live (e.g. the input batch's storage)."""
         for allocation in list(self.device.values()):
@@ -884,6 +972,12 @@ def simulate_vdnn(
         faults=injector,
         obs=obs,
     )
+    return _run_iteration(sim)
+
+
+def _run_iteration(sim: _VDNNSimulation) -> IterationResult:
+    """Walk one iteration and assemble its :class:`IterationResult`."""
+    network, system, obs = sim.network, sim.system, sim.obs
     failure: Optional[str] = None
     persistent = sim.allocate_persistent()
     try:
@@ -909,7 +1003,7 @@ def simulate_vdnn(
                          (sim.memory.name, sim.memory.busy_seconds)))
         obs.span("iteration", "phase", 0.0, sim.timeline.end_time,
                  category="phase", network=network.name,
-                 policy=policy.describe(), algo=algos.label)
+                 policy=sim.label, algo=sim.algos.label)
 
     peak = sim.usage.max_bytes
     total_peak = peak + sim.external_bytes
@@ -921,8 +1015,8 @@ def simulate_vdnn(
     trainable = failure is None
     return IterationResult(
         network_name=network.name,
-        policy_label=policy.describe(),
-        algo_label=algos.label,
+        policy_label=sim.label,
+        algo_label=sim.algos.label,
         trainable=trainable,
         failure=failure,
         timeline=sim.timeline,
@@ -933,7 +1027,7 @@ def simulate_vdnn(
         persistent_bytes=persistent,
         total_time=sim.timeline.span,
         feature_extraction_time=_feature_extraction_time(
-            network, sim.timeline, classifier=plan.classifier_indices),
+            network, sim.timeline, classifier=sim.plan.classifier_indices),
         offload_bytes=sim.offload_bytes,
         prefetch_bytes=sim.prefetch_bytes,
         pinned_peak_bytes=sim.pinned.peak_bytes,
@@ -941,5 +1035,5 @@ def simulate_vdnn(
         offload_raw_bytes=sim.offload_raw_bytes,
         offloaded_layers=sim.offloaded_layers,
         schedule_trace=sim.trace,
-        fault_report=injector.report if injector is not None else None,
+        fault_report=sim.faults.report if sim.faults is not None else None,
     )

@@ -7,35 +7,35 @@ answer for *some* layers: a cheap-to-replay tail storage wastes PCIe
 bandwidth a heavyweight early CONV output needs, while a highly sparse
 ReLU output compresses so well that offloading it is nearly free.  This
 module decides among all four choices **per trigger layer** under one
-deterministic plan-derived cost model and executes the mixed schedule
-on the vDNN executor substrate.
+deterministic plan-derived cost model.  A decision set is plain data
+(:class:`JointConfig`): the vDNN walk itself runs it, offloading or
+compressing through the policy and dropping the triggers in
+``config.drop``, so no walk code lives here.
 
-Structure mirrors :mod:`repro.core.dynamic`: a probe-abstracted ladder
-(:func:`run_joint_ladder`) whose adoption depends only on trainability
-and on modeled costs — never on simulated time — so the static verifier
-can replay the identical ladder by abstract interpretation and prove
-both sides adopt the same configuration (the parity differential
-tests in ``tests/test_joint.py``).
+Like :mod:`repro.core.dynamic`, the ladder (:func:`run_joint_ladder`)
+is probe-abstracted and adopts by trainability and modeled costs only
+— never by simulated time — so the static verifier can replay the
+identical ladder by abstract interpretation and prove both sides adopt
+the same configuration (the parity differential tests in
+``tests/test_joint_differential.py``).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ..alloc.pinned import PinnedMemoryError
-from ..graph.layer import LayerKind
 from ..graph.network import Network
 from ..hw.config import SystemConfig
 from ..perf.cache import cache_enabled, get_cache
 from ..perf.fingerprint import fingerprint_point
 from .algo_config import AlgoConfig
 from .dynamic import ProfilingPass, UntrainableError
-from .executor import IterationResult, _FORWARD, _VDNNSimulation, \
-    _feature_extraction_time
+from .executor import IterationResult, _VDNNSimulation, _run_iteration
 from .plan import CompiledPlan, compiled_plan
 from .policy import TransferPolicy
+from .recompute import droppable
 
 
 class JointDecision(enum.Enum):
@@ -66,7 +66,7 @@ class JointConfig:
     candidates resident (KEEP).  ``policy()`` lowers the config to the
     executor's :class:`~repro.core.policy.TransferPolicy`: drop
     triggers ride the offload wants-set so the forward walk visits
-    them, and :class:`_JointSimulation` intercepts them before any DMA.
+    them, and the walk's drop set intercepts them before any DMA.
     """
 
     offload: FrozenSet[int] = field(default_factory=frozenset)
@@ -100,17 +100,10 @@ class JointPlan:
 # Deterministic cost model
 # ----------------------------------------------------------------------
 def droppable_owners(network: Network, plan: CompiledPlan) -> FrozenSet[int]:
-    """Storages a joint plan may drop: recomputable feature maps.
-
-    Same eligibility as :func:`repro.core.recompute.checkpoint_plan` —
-    needed backward, produced by a feature-extraction layer, and not
-    the INPUT batch (inputs cannot be recomputed from anything).
-    """
-    return frozenset(
-        rec.owner for rec in plan.records.values()
-        if rec.info.needed_backward
-        and network[rec.owner].is_feature_extraction
-        and network[rec.owner].kind is not LayerKind.INPUT)
+    """Storages a joint plan may drop: the checkpointing eligibility of
+    :func:`repro.core.recompute.droppable`."""
+    return frozenset(info.owner for info in droppable(
+        network, (rec.info for rec in plan.records.values())))
 
 
 def trigger_costs(
@@ -129,8 +122,7 @@ def trigger_costs(
       chain — only offered when *all* of a trigger's candidates are
       recomputable (the INPUT batch never is).
     """
-    droppable = droppable_owners(network, plan)
-    fwd = {step.index: step for step in plan.forward}
+    recomputable = droppable_owners(network, plan)
     costs: Dict[int, Dict[JointDecision, float]] = {}
     for step in plan.forward:
         if not step.offload_candidates:
@@ -142,11 +134,12 @@ def trigger_costs(
                    for rec in step.offload_candidates)
         table = {JointDecision.OFFLOAD: off,
                  JointDecision.OFFLOAD_COMP: comp}
-        if all(rec.owner in droppable for rec in step.offload_candidates):
+        if all(rec.owner in recomputable
+               for rec in step.offload_candidates):
             replay = 0.0
             for rec in step.offload_candidates:
                 for member in rec.info.chain:
-                    mstep = fwd.get(member)
+                    mstep = plan.forward_at.get(member)
                     if mstep is not None and not mstep.is_input:
                         replay += mstep.seconds
             table[JointDecision.RECOMPUTE] = replay
@@ -320,156 +313,6 @@ def run_joint_ladder(
     return fallback
 
 
-# ----------------------------------------------------------------------
-# Executor: the vDNN walk with joint decisions layered on
-# ----------------------------------------------------------------------
-class _JointSimulation(_VDNNSimulation):
-    """One iteration under an explicit joint decision set.
-
-    OFFLOAD and OFFLOAD_COMP triggers ride the inherited machinery
-    unchanged (the policy's compress set picks each wire format);
-    RECOMPUTE triggers free their candidates with ``phase="drop"`` —
-    no DMA, no pinned staging — and the backward safety net regenerates
-    them by replaying producer forward kernels, the same recursion
-    :class:`~repro.core.recompute._RecomputeSimulation` performs.
-
-    ``_forward_layer`` is a near-verbatim copy of the parent's hot walk
-    with one added guard (the input batch survives forward when
-    anything drops, because replays may need it); the static
-    :class:`~repro.analysis.static_plan._JointInterpreter` mirrors both
-    byte for byte, and the differential tests pin that equality.
-    """
-
-    def __init__(self, network: Network, system: SystemConfig,
-                 config: JointConfig, algos: AlgoConfig,
-                 plan: CompiledPlan, **kwargs):
-        super().__init__(network, system, config.policy(), algos, plan,
-                         **kwargs)
-        self.config = config
-        self.drops = config.drop
-        self.dropped_owners: Set[int] = set()
-        self._dead_resident: Set[int] = set()
-        self._fwd_steps = {step.index: step for step in plan.forward}
-        self._protected = frozenset(
-            node.storage_index for node in network
-            if node.kind is LayerKind.INPUT) if config.drop \
-            else frozenset()
-        self.recompute_seconds = 0.0
-
-    # -- forward --------------------------------------------------------
-    def _forward_layer(self, step) -> None:
-        index = step.index
-        rec = step.alloc_rec
-        if rec is not None:
-            self.device[rec.owner] = self._alloc(
-                rec.owner, rec.nbytes, step.y_tag,
-                buffer=rec.y_buf, layer=index, towner=rec.owner,
-            )
-        if step.is_input:
-            return
-        workspace = None
-        if step.ws_bytes:
-            workspace = self._alloc(index, step.ws_bytes, step.ws_tag,
-                                    buffer=step.ws_buf, layer=index)
-        fwd_start, fwd_end = self.compute.push(
-            _FORWARD, step.name, step.seconds,
-            nbytes=step.dram_nbytes, layer_index=index,
-        )
-        fwd_op = None
-        if self.trace is not None:
-            fwd_op = self.trace.kernel(
-                step.name, self.compute.name, reads=step.trace_reads,
-                writes=step.trace_writes, layer=index, phase="fwd",
-                start=fwd_start, end=fwd_end,
-            )
-        for rec in step.dead_releases:
-            if rec.owner in self._protected:
-                continue  # replays may need the input batch
-            self._free(self.device.pop(rec.owner), layer=index,
-                       phase="fwd")
-        if step.offload_candidates and index in self.wants:
-            self._offload_inputs(step, fwd_start, fwd_op)
-        if workspace is not None:
-            self._free(workspace, layer=index, phase="fwd")
-
-    def _offload_inputs(self, step, fwd_start, fwd_op) -> None:
-        if step.index not in self.drops:
-            super()._offload_inputs(step, fwd_start, fwd_op)
-            return
-        # RECOMPUTE: discard now, replay later.  The "drop" phase keeps
-        # the sanitizer's refcount gate (MS105) out of the way — the
-        # gate judges forward frees, and this free is the checkpoint
-        # discipline's, covered by SP405 and the remat walk instead.
-        for rec in step.offload_candidates:
-            self.dropped_owners.add(rec.owner)
-            self._free(self.device.pop(rec.owner),
-                       layer=step.index, phase="drop")
-
-    # -- backward -------------------------------------------------------
-    def _restore_on_demand(self, rec, index: int) -> None:
-        if rec.owner in self.host_buffers:
-            super()._restore_on_demand(rec, index)
-            return
-        self._rematerialize(rec.owner, index)
-
-    def _ensure(self, owner: int, index: int) -> None:
-        if owner in self.device:
-            return
-        if owner in self.host_buffers:
-            super()._restore_on_demand(self.plan.records[owner], index)
-            return
-        self._rematerialize(owner, index)
-
-    def _rematerialize(self, owner: int, index: int) -> None:
-        """Regenerate a dropped storage by replaying its producers."""
-        rec = self.plan.records[owner]
-        info = rec.info
-        if not info.needed_backward:
-            # A dead intermediate the replay flows through; discard it
-            # again after the current backward step.
-            self._dead_resident.add(owner)
-        for member in info.chain:
-            for producer in self.network[member].producers:
-                source = self.network[producer].storage_index
-                if source != owner and source not in self.device:
-                    self._ensure(source, index)
-        self.device[owner] = self._alloc(
-            owner, rec.nbytes, f"Y[{rec.name}](re)",
-            buffer=rec.y_buf, layer=index, towner=owner,
-        )
-        for member in info.chain:
-            fstep = self._fwd_steps[member]
-            if fstep.is_input:
-                continue
-            workspace = None
-            if fstep.ws_bytes:
-                workspace = self._alloc(member, fstep.ws_bytes,
-                                        fstep.ws_tag,
-                                        buffer=fstep.ws_buf, layer=index)
-            start, end = self.compute.push(
-                _FORWARD, fstep.name + "(re)", fstep.seconds,
-                nbytes=fstep.dram_nbytes, layer_index=member,
-            )
-            self.recompute_seconds += fstep.seconds
-            if self.trace is not None:
-                self.trace.kernel(
-                    fstep.name + "(re)", self.compute.name,
-                    reads=fstep.trace_reads, writes=fstep.trace_writes,
-                    layer=member, phase="bwd", start=start, end=end,
-                )
-            if workspace is not None:
-                self._free(workspace, layer=index, phase="bwd")
-
-    def _backward_layer(self, step) -> None:
-        super()._backward_layer(step)
-        if self._dead_resident:
-            for owner in sorted(self._dead_resident):
-                allocation = self.device.pop(owner, None)
-                if allocation is not None:
-                    self._free(allocation, layer=step.index, phase="bwd")
-            self._dead_resident.clear()
-
-
 def simulate_joint_config(
     network: Network,
     system: SystemConfig,
@@ -480,65 +323,14 @@ def simulate_joint_config(
 ) -> IterationResult:
     """One training iteration under an explicit joint decision set.
 
-    The joint analogue of :func:`~repro.core.executor.simulate_vdnn`
-    (no fault injection: the joint executor's DMA legs inherit the
-    fault machinery, but planning under faults is out of scope).
+    The vDNN walk of :func:`~repro.core.executor.simulate_vdnn` with
+    the config's drop set as data (no fault injection: planning under
+    faults is out of scope).
     """
     plan = compiled_plan(network, system, algos)
-    sim = _JointSimulation(network, system, config, algos, plan,
-                           verify=verify, obs=obs)
-    failure: Optional[str] = None
-    persistent = sim.allocate_persistent()
-    try:
-        sim.run_forward()
-        sim.run_backward()
-    except PinnedMemoryError as error:
-        failure = f"host pinned memory exhausted: {error}"
-    sim.usage.record(sim.timeline.end_time, sim.pool.live_bytes)
-    if obs is not None:
-        obs.pool_sample(sim.pool.live_bytes, system.gpu.memory_bytes,
-                        sim.pool.fragmentation)
-        obs.pool_peak(sim.pool.peak_bytes)
-        obs.pinned_peak(sim.pinned.peak_bytes)
-        obs.prefetch_searches(sim.prefetch_hits, sim.prefetch_misses)
-        obs.stream_busy(sim.timeline.span,
-                        ((sim.compute.name, sim.compute.busy_seconds),
-                         (sim.memory.name, sim.memory.busy_seconds)))
-        obs.span("iteration", "phase", 0.0, sim.timeline.end_time,
-                 category="phase", network=network.name,
-                 policy=config.describe(), algo=algos.label)
-
-    peak = sim.usage.max_bytes
-    total_peak = peak + sim.external_bytes
-    if failure is None and total_peak > system.gpu.memory_bytes:
-        failure = (
-            f"peak usage {total_peak} bytes exceeds GPU capacity "
-            f"{system.gpu.memory_bytes} bytes"
-        )
-    trainable = failure is None
-    return IterationResult(
-        network_name=network.name,
-        policy_label=config.describe(),
-        algo_label=algos.label,
-        trainable=trainable,
-        failure=failure,
-        timeline=sim.timeline,
-        usage=sim.usage,
-        managed_max_bytes=peak,
-        managed_avg_bytes=sim.usage.average_bytes,
-        external_bytes=sim.external_bytes,
-        persistent_bytes=persistent,
-        total_time=sim.timeline.span,
-        feature_extraction_time=_feature_extraction_time(
-            network, sim.timeline, classifier=plan.classifier_indices),
-        offload_bytes=sim.offload_bytes,
-        prefetch_bytes=sim.prefetch_bytes,
-        pinned_peak_bytes=sim.pinned.peak_bytes,
-        compute_stall_seconds=sim.stall_seconds,
-        offload_raw_bytes=sim.offload_raw_bytes,
-        offloaded_layers=sim.offloaded_layers,
-        schedule_trace=sim.trace,
-    )
+    return _run_iteration(_VDNNSimulation(
+        network, system, config.policy(), algos, plan, verify=verify,
+        obs=obs, drop=config.drop, label=config.describe()))
 
 
 # ----------------------------------------------------------------------

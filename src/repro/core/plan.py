@@ -157,8 +157,8 @@ class CompiledPlan:
 
     __slots__ = ("network_name", "forward", "backward", "persistent",
                  "external_bytes", "persistent_bytes", "classifier_indices",
-                 "conv_floor", "records", "baseline_breakdown",
-                 "_offload_sets")
+                 "conv_floor", "input_owners", "forward_at", "records",
+                 "baseline_breakdown", "_offload_sets")
 
     def __init__(self, network: Network, system: SystemConfig,
                  algos: AlgoConfig):
@@ -208,6 +208,7 @@ class CompiledPlan:
 
         # -- forward steps ---------------------------------------------
         forward: List[ForwardStep] = []
+        input_owners = set()
         for index in network.forward_schedule():
             node = network[index]
             step = ForwardStep(index, node.name)
@@ -218,6 +219,7 @@ class CompiledPlan:
                 step.y_tag = f"Y[{node.name}]"
             if node.kind is LayerKind.INPUT:
                 step.is_input = True
+                input_owners.add(node.storage_index)
                 forward.append(step)
                 continue
             step.ws_bytes = algos.workspace_bytes(node)
@@ -247,6 +249,10 @@ class CompiledPlan:
             step.trace_writes = tuple(writes)
             forward.append(step)
         self.forward = tuple(forward)
+        # The input batch's storages (no producer a replay could rerun)
+        # and the forward steps by layer, for drop-and-recompute walks.
+        self.input_owners = frozenset(input_owners)
+        self.forward_at = {step.index: step for step in forward}
 
         # -- backward steps --------------------------------------------
         # One pass over the storages (in owner order) buckets every

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..alloc.pool import Allocation, PoolAllocator
 from ..alloc.stats import UsageTracker
@@ -51,31 +51,39 @@ class CheckpointPlan:
     droppable_order: Tuple[int, ...]
 
 
+def droppable(network: Network,
+              storages: Iterable[StorageInfo]) -> List[StorageInfo]:
+    """The storages a checkpoint or joint plan may drop.
+
+    Needed backward, produced by a feature-extraction layer, and not
+    the INPUT batch (inputs cannot be recomputed from anything).
+    """
+    return [s for s in storages
+            if s.needed_backward
+            and network[s.owner].is_feature_extraction
+            and network[s.owner].kind is not LayerKind.INPUT]
+
+
 def checkpoint_plan(network: Network, liveness: LivenessAnalysis,
                     segment_count: Optional[int] = None) -> CheckpointPlan:
     """sqrt(L) checkpoint selection over the droppable storages.
 
-    Orders the droppable feature-extraction storages (needed backward,
-    not the INPUT batch) by owner and keeps every segment boundary:
-    ``segment_count`` segments when given, else ``isqrt(count)``.
+    Orders the :func:`droppable` storages by owner and keeps every
+    segment boundary: ``segment_count`` segments when given, else
+    ``isqrt(count)``.
     """
-    droppable = [
-        s for s in liveness.all_storages()
-        if s.needed_backward
-        and network[s.owner].is_feature_extraction
-        and network[s.owner].kind is not LayerKind.INPUT
-    ]
-    droppable.sort(key=lambda s: s.owner)
-    count = len(droppable)
+    order = sorted(droppable(network, liveness.all_storages()),
+                   key=lambda s: s.owner)
+    count = len(order)
     segments = segment_count or max(1, math.isqrt(count))
     stride = max(1, math.ceil(count / segments))
     checkpoints = frozenset(
-        s.owner for i, s in enumerate(droppable) if i % stride == 0)
+        s.owner for i, s in enumerate(order) if i % stride == 0)
     return CheckpointPlan(
         checkpoints=checkpoints,
         dropped=frozenset(
-            s.owner for s in droppable if s.owner not in checkpoints),
-        droppable_order=tuple(s.owner for s in droppable),
+            s.owner for s in order if s.owner not in checkpoints),
+        droppable_order=tuple(s.owner for s in order),
     )
 
 
@@ -281,11 +289,7 @@ def droppable_count(network: Network,
                     liveness: Optional[LivenessAnalysis] = None) -> int:
     """How many storages a checkpoint plan may drop (Chen et al.'s L)."""
     liveness = liveness or LivenessAnalysis(network)
-    return sum(
-        1 for s in liveness.all_storages()
-        if s.needed_backward
-        and network[s.owner].is_feature_extraction
-        and network[s.owner].kind is not LayerKind.INPUT)
+    return len(droppable(network, liveness.all_storages()))
 
 
 @dataclass(frozen=True)

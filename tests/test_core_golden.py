@@ -22,14 +22,16 @@ import os
 
 import pytest
 
-from repro.core import evaluate
+from repro.core import AlgoConfig, evaluate, simulate_recompute
 from repro.hw import PAPER_SYSTEM
 from repro.zoo import build
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 #: The headline grid: networks x {baseline, vDNN_all(m), vDNN_dyn},
-#: plus the compressed-DMA policy and the joint planner.  Entries are
+#: plus the compressed-DMA policy, the joint planner and sqrt(L)
+#: checkpointing (``recompute`` is not an ``evaluate`` policy, so
+#: :func:`_simulate` runs it directly, memory-optimal).  Entries are
 #: (network, batch, policy, algo) with an optional fifth element: a GPU
 #: memory budget in GiB (joint fixtures run under tight budgets so the
 #: ladder actually mixes strategies instead of adopting keep-all).
@@ -49,6 +51,9 @@ CONFIGS = {
     "core_alexnet_joint": ("alexnet", 64, "joint", None),
     "core_googlenet_joint": ("googlenet", 128, "joint", None, 2.0),
     "core_resnet50_joint": ("resnet50", 32, "joint", None, 1.2),
+    "core_alexnet_recompute": ("alexnet", 64, "recompute", "m"),
+    "core_googlenet_recompute": ("googlenet", 64, "recompute", "m"),
+    "core_vgg16_recompute": ("vgg16", 64, "recompute", "m"),
 }
 
 _REGEN = os.environ.get("REPRO_REGEN_GOLDEN", "") not in ("", "0")
@@ -121,6 +126,9 @@ def _simulate(config):
     if len(config) > 4:
         system = system.with_gpu_memory(int(config[4] * (1 << 30)))
     network = build(name, batch)
+    if policy == "recompute":
+        return simulate_recompute(network, system,
+                                  AlgoConfig.memory_optimal(network))
     kwargs = {} if algo is None else {"algo": algo}
     return evaluate(network, system, policy=policy,
                     use_cache=False, **kwargs)

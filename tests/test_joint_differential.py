@@ -55,6 +55,12 @@ def _assert_identical(plain, instrumented):
     assert instrumented.usage.curve() == plain.usage.curve()
 
 
+def _phase_labels(obs):
+    """Phase span name -> the policy label it carries."""
+    return {span.name: span.attrs["policy"]
+            for span in obs.spans.on_lane("phase")}
+
+
 # ----------------------------------------------------------------------
 # Instrumentation is bit-neutral for the new policies
 # ----------------------------------------------------------------------
@@ -80,6 +86,12 @@ class TestObsBitNeutral:
                                 use_cache=False, obs=obs)
         _assert_identical(plain, instrumented)
         assert len(obs.registry) > 0
+        # One label on the walk: the phase spans name the joint point
+        # the iteration span names, not its lowered custom policy.
+        labels = _phase_labels(obs)
+        assert sorted(labels) == ["backward", "forward", "iteration"]
+        assert len(set(labels.values())) == 1
+        assert labels["iteration"].startswith("joint(")
 
     def test_mixed_config_bit_neutral(self):
         name, batch, budget = MIXED_POINTS[-1]
@@ -92,6 +104,8 @@ class TestObsBitNeutral:
         instrumented = simulate_joint_config(network, system, config,
                                              algos, obs=obs)
         _assert_identical(plain, instrumented)
+        assert set(_phase_labels(obs).values()) \
+            == {instrumented.policy_label}
 
 
 # ----------------------------------------------------------------------
@@ -211,6 +225,21 @@ class TestMutations:
         assert rules.count("MS101") == 1
         mine = [d for d in findings if remat.buffer in d.message]
         assert any(d.rule == "MS101" for d in mine)
+
+    def test_dropping_the_input_batch_fires_sp405(self):
+        """A drop set reaching the INPUT batch: its replay would run no
+        kernel, so the walk reports SP405 instead of certifying it."""
+        network = build("alexnet", 64)
+        plan = compiled_plan(network, PAPER_SYSTEM,
+                             AlgoConfig.memory_optimal(network))
+        trigger = next(step.index for step in plan.forward
+                       if any(rec.owner in plan.input_owners
+                              for rec in step.offload_candidates))
+        report = Report(subject="drop input")
+        interpret_joint_plan(network, PAPER_SYSTEM, plan,
+                             JointConfig(drop=frozenset({trigger})),
+                             report=report)
+        assert [d.rule for d in report.diagnostics] == ["SP405"]
 
     def test_overstating_compression_fires_sp407(self):
         """A plan claiming a better wire ratio than the engine model

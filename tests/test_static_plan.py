@@ -25,6 +25,7 @@ import pytest
 from conftest import make_deep_cnn, make_fork_join_cnn, make_linear_cnn
 from repro.analysis.static_plan import (
     audit_plan,
+    interpret_joint_plan,
     interpret_plan,
     plan_dynamic_static,
     verify_compiled_plan,
@@ -40,6 +41,7 @@ from repro.analysis.verify import analyze_trace, verify_point, verify_zoo
 from repro.core.algo_config import AlgoConfig
 from repro.core.dynamic import plan_dynamic
 from repro.core.executor import _VDNNSimulation, simulate_vdnn
+from repro.core.joint import JointConfig
 from repro.core.liveness import LivenessAnalysis
 from repro.core.plan import CompiledPlan, compiled_plan
 from repro.core.policy import TransferPolicy
@@ -354,6 +356,20 @@ class TestKnownBadFixtures:
                                       TransferPolicy.vdnn_all())
         assert rules(report) == ["SP404"]
         assert "use-after-free" in report.diagnostics[0].message
+        # The walks' own findings (no audit): a joint point that drops
+        # nothing must report the plain walk's use-after-free, not
+        # replay the freed buffer and end in a static leak.
+        policy = TransferPolicy.vdnn_all()
+        triggers = plan.offload_indices(policy, network)
+        plain, joint = Report(subject="plain"), Report(subject="joint")
+        interpret_plan(network, PAPER_SYSTEM, plan, policy, report=plain)
+        interpret_joint_plan(network, PAPER_SYSTEM, plan,
+                             JointConfig(offload=triggers), report=joint)
+        assert any(d.message.startswith("bwd ")
+                   and "use-after-free" in d.message
+                   for d in plain.diagnostics)
+        assert [d.message for d in joint.diagnostics] \
+            == [d.message for d in plain.diagnostics]
 
     def test_sp405_checkpoint_overlap_fires_once(self):
         network = make_deep_cnn()
