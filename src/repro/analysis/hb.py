@@ -1,8 +1,8 @@
 """Happens-before race detection over schedule traces (pass 1).
 
 Builds the happens-before relation of one :class:`ScheduleTrace` with a
-single forward scan (vector clocks keyed by stream), then checks the
-ordering invariants vDNN's correctness rests on:
+single forward scan over its columns (vector clocks indexed by stream
+id), then checks the ordering invariants vDNN's correctness rests on:
 
 * **HB001** — generic race: two accesses to one buffer epoch on
   different streams, at least one a write (or the epoch's release), with
@@ -38,80 +38,92 @@ from ..graph.network import Network
 from .diagnostics import Diagnostic
 from .trace import OpKind, ScheduleTrace, TraceOp
 
+_ALLOC, _FREE, _KERNEL = OpKind.ALLOC, OpKind.FREE, OpKind.KERNEL
+_OFFLOAD, _PREFETCH, _SYNC = OpKind.OFFLOAD, OpKind.PREFETCH, OpKind.SYNC
+
 
 class HBGraph:
     """The happens-before relation of one trace, as per-op vector clocks.
 
-    ``clock[i][stream]`` is the highest position on ``stream`` whose op
-    is guaranteed complete before op ``i`` *starts*; ``a`` happens-before
-    ``b`` iff ``clock[b][a.stream] >= a.pos``.
+    ``clock[i][sid]`` is the highest position on the stream numbered
+    ``sid`` (``trace.streams[sid]``) whose op is guaranteed complete
+    before op ``i`` *starts*; ``a`` happens-before ``b`` iff
+    ``clock[b][a's stream id] >= a.pos``.
     """
 
     def __init__(self, trace: ScheduleTrace):
         self.trace = trace
-        self.clock: List[Dict[str, int]] = []
-        self._by_position: Dict[Tuple[str, int], int] = {
-            (op.stream, op.pos): op.seq for op in trace.ops
-        }
-        self._build()
-
-    def _build(self) -> None:
-        host: Dict[str, int] = {}      # completions the host has observed
-        last_on: Dict[str, int] = {}   # stream -> seq of its latest op
-        for op in self.trace.ops:
-            clock = dict(host)
-            if not op.kind.host_synchronous:
+        self.clock: List[List[int]] = []
+        streams = len(trace.streams)
+        clocks = self.clock
+        host = [-1] * streams       # completions the host has observed
+        # stream id -> seq of the op at each position, filled as issued:
+        # a wait can only name an op already in it.
+        issued: List[List[int]] = [[] for _ in range(streams)]
+        for seq, (kind, sid, pos, wait_sid, wait_pos) in enumerate(zip(
+                trace.kinds, trace.stream_ids, trace.positions,
+                trace.wait_stream_ids, trace.wait_positions)):
+            synchronous = kind is _ALLOC or kind is _SYNC
+            if synchronous or not pos:
+                clock = host[:]
+            else:
                 # In-order stream: the previous op on this stream (and
                 # everything it saw) completes before this one starts.
-                prev = last_on.get(op.stream)
-                if prev is not None:
-                    self._merge(clock, self.clock[prev])
-                    prev_op = self.trace.ops[prev]
-                    clock[op.stream] = max(clock.get(op.stream, -1),
-                                           prev_op.pos)
-            if op.wait_stream and op.wait_pos >= 0:
+                # A clock only names issued positions, so pos - 1 (the
+                # previous op) is already the highest on this stream.
+                clock = [a if a > b else b
+                         for a, b in zip(host, clocks[issued[sid][-1]])]
+                clock[sid] = pos - 1
+            if wait_sid >= 0 and wait_pos >= 0:
                 # SYNC, or an async op gated on an event ("everything on
-                # wait_stream through wait_pos has completed").
-                clock[op.wait_stream] = max(clock.get(op.wait_stream, -1),
-                                            op.wait_pos)
-                waited = self._by_position.get((op.wait_stream, op.wait_pos))
-                if waited is None or waited >= op.seq:
+                # the waited stream through wait_pos has completed").
+                waited = issued[wait_sid]
+                if wait_pos >= len(waited):
                     raise ValueError(
-                        f"{op.ref()} waits on {op.wait_stream}:"
-                        f"{op.wait_pos}, which is not issued before it")
-                self._merge(clock, self.clock[waited])
-            self.clock.append(clock)
-            last_on[op.stream] = op.seq
-            if op.kind.host_synchronous:
+                        f"{trace.ref(seq)} waits on "
+                        f"{trace.streams[wait_sid]}:{wait_pos}, which is "
+                        f"not issued before it")
+                clock = [a if a > b else b
+                         for a, b in zip(clock, clocks[waited[wait_pos]])]
+                if clock[wait_sid] < wait_pos:
+                    clock[wait_sid] = wait_pos
+            clocks.append(clock)
+            issued[sid].append(seq)
+            if synchronous:
                 # Completes at issue: the host observes it (and its
-                # whole past) immediately.
-                self._merge(host, clock)
-                host[op.stream] = max(host.get(op.stream, -1), op.pos)
-
-    @staticmethod
-    def _merge(into: Dict[str, int], other: Dict[str, int]) -> None:
-        for stream, pos in other.items():
-            if into.get(stream, -1) < pos:
-                into[stream] = pos
+                # whole past, which already includes the host's) now.
+                host = clock[:]
+                host[sid] = pos
 
     # ------------------------------------------------------------------
+    def before(self, a: int, b: int) -> bool:
+        """``happens_before`` on op seqs."""
+        trace = self.trace
+        return self.clock[b][trace.stream_ids[a]] >= trace.positions[a]
+
     def happens_before(self, a: TraceOp, b: TraceOp) -> bool:
         """True when ``a`` is guaranteed complete before ``b`` starts."""
-        return self.clock[b.seq].get(a.stream, -1) >= a.pos
+        return self.before(a.seq, b.seq)
 
     def ordered(self, a: TraceOp, b: TraceOp) -> bool:
         """True when the pair is ordered in either direction."""
-        return self.happens_before(a, b) or self.happens_before(b, a)
+        return self.before(a.seq, b.seq) or self.before(b.seq, a.seq)
 
 
 @dataclass
 class _Epoch:
-    """One buffer lifetime: ALLOC .. FREE with the accesses in between."""
+    """One buffer lifetime: ALLOC .. FREE with the accesses in between.
+
+    ``alloc``/``free`` are op seqs (-1: none); ``accesses`` and
+    ``writes`` are parallel: the seq of each access, in issue order
+    (an op's reads before its writes), and whether it writes.
+    """
 
     buffer: str
-    alloc: Optional[TraceOp]
-    free: Optional[TraceOp] = None
-    accesses: List[Tuple[TraceOp, str]] = field(default_factory=list)  # op, "r"/"w"
+    alloc: int = -1
+    free: int = -1
+    accesses: List[int] = field(default_factory=list)
+    writes: List[bool] = field(default_factory=list)
 
 
 def _collect_epochs(trace: ScheduleTrace) -> List[_Epoch]:
@@ -124,25 +136,29 @@ def _collect_epochs(trace: ScheduleTrace) -> List[_Epoch]:
             # Access to a buffer with no open lifetime: safety pass
             # reports it (MS101/MS102); keep an implicit epoch so the
             # ordering rules still apply to whatever else touches it.
-            epoch = _Epoch(buffer=buffer, alloc=None)
+            epoch = _Epoch(buffer=buffer)
             open_epochs[buffer] = epoch
             epochs.append(epoch)
         return epoch
 
-    for op in trace.ops:
-        if op.kind is OpKind.ALLOC:
-            epoch = _Epoch(buffer=op.buffer, alloc=op)
-            open_epochs[op.buffer] = epoch
+    for seq, (kind, buffer, reads, writes) in enumerate(zip(
+            trace.kinds, trace.buffers, trace.reads, trace.writes)):
+        if kind is _ALLOC:
+            epoch = _Epoch(buffer=buffer, alloc=seq)
+            open_epochs[buffer] = epoch
             epochs.append(epoch)
-        elif op.kind is OpKind.FREE:
-            epoch = epoch_for(op.buffer)
-            epoch.free = op
-            del open_epochs[op.buffer]
+        elif kind is _FREE:
+            epoch_for(buffer).free = seq
+            del open_epochs[buffer]
         else:
-            for buffer in op.reads:
-                epoch_for(buffer).accesses.append((op, "r"))
-            for buffer in op.writes:
-                epoch_for(buffer).accesses.append((op, "w"))
+            for buffer in reads:
+                epoch = epoch_for(buffer)
+                epoch.accesses.append(seq)
+                epoch.writes.append(False)
+            for buffer in writes:
+                epoch = epoch_for(buffer)
+                epoch.accesses.append(seq)
+                epoch.writes.append(True)
     return epochs
 
 
@@ -154,77 +170,119 @@ def check_races(
 ) -> List[Diagnostic]:
     """Run the HB001-HB004 rules; returns the diagnostics found."""
     hb = hb or HBGraph(trace)
+    clock = hb.clock
+    kinds, sids, positions = trace.kinds, trace.stream_ids, trace.positions
     diagnostics: List[Diagnostic] = []
     reported: Set[Tuple[int, int]] = set()
 
-    def report(rule: str, message: str, *ops: TraceOp) -> None:
-        if len(ops) == 2:
-            reported.add((ops[0].seq, ops[1].seq))
-            reported.add((ops[1].seq, ops[0].seq))
+    def report(rule: str, message: str, *seqs: int) -> None:
+        if len(seqs) == 2:
+            reported.add((seqs[0], seqs[1]))
+            reported.add((seqs[1], seqs[0]))
         diagnostics.append(Diagnostic.make(
             rule, message, subject=subject,
-            refs=[op.ref() for op in ops]))
+            refs=[trace.ref(seq) for seq in seqs]))
 
-    epochs = _collect_epochs(trace)
-    for epoch in epochs:
-        if epoch.free is not None:
+    for epoch in _collect_epochs(trace):
+        accesses = epoch.accesses
+        free = epoch.free
+        if free >= 0:
+            free_sid = sids[free]
+            free_clock = clock[free]
             # HB002: every offload of this lifetime must complete before
             # the release recycles its bytes.
-            for op, _mode in epoch.accesses:
-                if op.kind is OpKind.OFFLOAD and \
-                        not hb.happens_before(op, epoch.free):
+            for seq in accesses:
+                if kinds[seq] is _OFFLOAD and \
+                        free_clock[sids[seq]] < positions[seq]:
                     report(
                         "HB002",
                         f"{epoch.buffer} released while its offload may "
                         f"still be reading device memory",
-                        op, epoch.free)
+                        seq, free)
             # Release racing any other access (reads included: freeing a
-            # buffer a kernel may still be reading is a race).
-            for op, _mode in epoch.accesses:
-                if (op.seq, epoch.free.seq) in reported:
-                    continue
-                if op.stream != epoch.free.stream and \
-                        not hb.ordered(op, epoch.free):
+            # buffer a kernel may still be reading is a race).  Every
+            # access was issued before the release, so only the access
+            # can be ordered first.
+            for seq in accesses:
+                sid = sids[seq]
+                if sid != free_sid and (seq, free) not in reported \
+                        and free_clock[sid] < positions[seq]:
                     report(
                         "HB001",
                         f"{epoch.buffer} released concurrently with an "
-                        f"unordered {op.kind.value} access",
-                        op, epoch.free)
+                        f"unordered {kinds[seq].value} access",
+                        seq, free)
 
         # HB003: prefetched data must land before any kernel reads it.
-        transfers_in = [op for op, mode in epoch.accesses
-                        if op.kind is OpKind.PREFETCH]
-        for transfer in transfers_in:
-            for op, mode in epoch.accesses:
-                if op.kind is OpKind.KERNEL and mode == "r" \
-                        and op.seq > transfer.seq \
-                        and not hb.happens_before(transfer, op):
+        for transfer in accesses:
+            if kinds[transfer] is not _PREFETCH:
+                continue
+            transfer_sid, transfer_pos = sids[transfer], positions[transfer]
+            for seq, write in zip(accesses, epoch.writes):
+                if kinds[seq] is _KERNEL and not write \
+                        and seq > transfer \
+                        and clock[seq][transfer_sid] < transfer_pos:
                     report(
                         "HB003",
-                        f"{epoch.buffer} read by {op.label or 'a kernel'} "
-                        f"before its prefetch is guaranteed complete",
-                        transfer, op)
+                        f"{epoch.buffer} read by "
+                        f"{trace.labels[seq] or 'a kernel'} before its "
+                        f"prefetch is guaranteed complete",
+                        transfer, seq)
                     break  # one finding per unsynchronized transfer
 
-        # HB001: remaining unordered conflicting access pairs.
-        for i, (a, mode_a) in enumerate(epoch.accesses):
-            for b, mode_b in epoch.accesses[i + 1:]:
-                if a.stream == b.stream:
-                    continue
-                if mode_a == "r" and mode_b == "r":
-                    continue
-                if (a.seq, b.seq) in reported:
-                    continue
-                if not hb.ordered(a, b):
-                    report(
-                        "HB001",
-                        f"unordered {mode_a}/{mode_b} accesses to "
-                        f"{epoch.buffer} on different streams",
-                        a, b)
+        _check_access_pairs(trace, clock, epoch, reported, report)
 
     if network is not None:
         diagnostics.extend(_check_prefetch_window(trace, network, subject))
     return diagnostics
+
+
+def _check_access_pairs(trace: ScheduleTrace, clock: List[List[int]],
+                        epoch: _Epoch, reported: Set[Tuple[int, int]],
+                        report) -> None:
+    """HB001: the remaining unordered conflicting access pairs.
+
+    Only accesses on different streams can race, so the accesses are
+    bucketed by stream and each is paired only with the later accesses
+    of the other buckets, in access order: a single-stream epoch (the
+    baseline's network-wide blob) costs one pass, not a pair scan.  A
+    later access on another stream was issued later, so it cannot be
+    ordered before the earlier one: one clock lookup decides the pair.
+    """
+    sids, positions = trace.stream_ids, trace.positions
+    accesses, writes = epoch.accesses, epoch.writes
+    buckets: Dict[int, List[int]] = {}    # stream id -> access indices
+    for i, seq in enumerate(accesses):
+        bucket = buckets.get(sids[seq])
+        if bucket is None:
+            buckets[sids[seq]] = [i]
+        else:
+            bucket.append(i)
+    if len(buckets) < 2:
+        return
+    for i, a in enumerate(accesses):
+        a_sid = sids[a]
+        others = [bucket[bisect_right(bucket, i):]
+                  for sid, bucket in buckets.items() if sid != a_sid]
+        later = others[0] if len(others) == 1 else \
+            sorted(j for bucket in others for j in bucket)
+        write_a = writes[i]
+        a_pos = positions[a]
+        for j in later:
+            write_b = writes[j]
+            if not (write_a or write_b):
+                continue
+            b = accesses[j]
+            if (a, b) in reported:
+                continue
+            if clock[b][a_sid] < a_pos:
+                mode_a = "w" if write_a else "r"
+                mode_b = "w" if write_b else "r"
+                report(
+                    "HB001",
+                    f"unordered {mode_a}/{mode_b} accesses to "
+                    f"{epoch.buffer} on different streams",
+                    a, b)
 
 
 def _check_prefetch_window(
@@ -241,14 +299,16 @@ def _check_prefetch_window(
     lowest first, so the reported CONV is the lowest violating one.
     """
     diagnostics: List[Diagnostic] = []
-    offload_triggers = {op.target_layer
-                        for op in trace.of_kind(OpKind.OFFLOAD)
-                        if op.target_layer >= 0}
+    offload_triggers = {target for kind, target
+                        in zip(trace.kinds, trace.target_layers)
+                        if kind is _OFFLOAD and target >= 0}
     convs = [node.index for node in network if node.kind is LayerKind.CONV]
     prefetched: Set[int] = set()
-    for op in trace.of_kind(OpKind.PREFETCH):
-        target, issue = op.target_layer, op.layer_index
-        if op.demand or target < 0 or issue < 0:
+    for seq, (kind, target, issue, demand) in enumerate(zip(
+            trace.kinds, trace.target_layers, trace.layers, trace.demands)):
+        if kind is not _PREFETCH:
+            continue
+        if demand or target < 0 or issue < 0:
             continue
         for position in range(bisect_right(convs, target), len(convs)):
             between = convs[position]
@@ -261,7 +321,7 @@ def _check_prefetch_window(
                     f"layer {issue} skips past CONV layer {between} "
                     f"({network[between].name}): outside the Fig. 10 "
                     f"search window",
-                    subject=subject, refs=[op.ref()]))
+                    subject=subject, refs=[trace.ref(seq)]))
                 break
         prefetched.add(target)
     return diagnostics

@@ -24,40 +24,44 @@ the pool itself observes.  Rules:
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..core.liveness import LivenessAnalysis
 from .diagnostics import Diagnostic
 from .hb import HBGraph
-from .trace import OpKind, ScheduleTrace, TraceOp
+from .trace import OpKind, ScheduleTrace
+
+_ALLOC, _FREE, _KERNEL = OpKind.ALLOC, OpKind.FREE, OpKind.KERNEL
+_OFFLOAD, _PREFETCH, _SYNC = OpKind.OFFLOAD, OpKind.PREFETCH, OpKind.SYNC
 
 
-@dataclass
 class _LiveBlock:
     """One open buffer lifetime during the replay."""
 
-    buffer: str
-    alloc: TraceOp
-    offloads: List[TraceOp]
+    __slots__ = ("buffer", "alloc", "lo", "hi", "offloads")
 
-    @property
-    def has_range(self) -> bool:
-        return self.alloc.offset >= 0 and self.alloc.size > 0
+    def __init__(self, buffer: str, alloc: int, offset: int,
+                 size: int) -> None:
+        self.buffer = buffer
+        self.alloc = alloc          # seq of the ALLOC that opened it
+        # Placed byte range [lo, hi); empty when the trace does not
+        # model the placement.
+        placed = offset >= 0 and size > 0
+        self.lo = offset if placed else 0
+        self.hi = offset + size if placed else 0
+        self.offloads: List[int] = []   # seqs of its offload transfers
 
-    @property
-    def range(self) -> Tuple[int, int]:
-        return (self.alloc.offset, self.alloc.offset + self.alloc.size)
 
-
-@dataclass
 class _HotRange:
     """Released bytes an unsynchronized offload may still be reading."""
 
-    lo: int
-    hi: int
-    buffer: str
-    transfer: TraceOp
+    __slots__ = ("lo", "hi", "buffer", "transfer", "sid", "pos")
+
+    def __init__(self, lo: int, hi: int, buffer: str, transfer: int,
+                 sid: int, pos: int) -> None:
+        self.lo, self.hi, self.buffer = lo, hi, buffer
+        # The transfer's seq and its (stream id, position).
+        self.transfer, self.sid, self.pos = transfer, sid, pos
 
 
 class _OffsetIndex:
@@ -104,135 +108,145 @@ def check_memory_safety(
 ) -> List[Diagnostic]:
     """Replay the trace's allocation schedule; returns MS1xx findings."""
     hb = hb or HBGraph(trace)
+    clock = hb.clock
+    sids, positions = trace.stream_ids, trace.positions
     diagnostics: List[Diagnostic] = []
 
-    def report(rule: str, message: str, *ops: TraceOp) -> None:
+    def report(rule: str, message: str, *seqs: int) -> None:
         diagnostics.append(Diagnostic.make(
-            rule, message, subject=subject, refs=[op.ref() for op in ops]))
+            rule, message, subject=subject,
+            refs=[trace.ref(seq) for seq in seqs]))
 
     live: Dict[str, _LiveBlock] = {}
     hot: List[_HotRange] = []
     index = _OffsetIndex()
-    issued_kernels: Set[Tuple[int, str]] = set()  # (layer_index, phase)
+    fwd_kernels: Set[int] = set()   # layers whose forward kernel issued
     flagged_missing: Set[str] = set()
 
-    for op in trace.ops:
-        if op.kind is OpKind.ALLOC:
-            _replay_alloc(op, live, hot, index, report)
-        elif op.kind is OpKind.FREE:
-            _replay_free(op, live, hot, index, hb, liveness, issued_kernels,
-                         report)
-        elif op.kind is OpKind.SYNC:
-            # The join guarantees every op on wait_stream through
+    for seq, (kind, buffer, offset, size, reads, writes, layer, phase,
+              owner, wait_sid, wait_pos) in enumerate(zip(
+            trace.kinds, trace.buffers, trace.offsets, trace.sizes,
+            trace.reads, trace.writes, trace.layers, trace.phases,
+            trace.owners, trace.wait_stream_ids, trace.wait_positions)):
+        if kind is _ALLOC:
+            _replay_alloc(_LiveBlock(buffer, seq, offset, size), live, hot,
+                          index, report)
+        elif kind is _FREE:
+            block = live.pop(buffer, None)
+            if block is None:
+                report(
+                    "MS102",
+                    f"{buffer} freed while not live (double free)",
+                    seq)
+                continue
+            # Bytes released under an in-flight, unsynchronized offload
+            # stay "hot": a later allocation landing on them is real
+            # corruption.
+            if block.lo < block.hi:
+                if index.usable:
+                    index.release(block.lo)
+                free_clock = clock[seq]
+                for transfer in block.offloads:
+                    if free_clock[sids[transfer]] < positions[transfer]:
+                        hot.append(_HotRange(
+                            block.lo, block.hi, buffer, transfer,
+                            sids[transfer], positions[transfer]))
+            if liveness is not None and phase == "fwd" and owner >= 0:
+                _check_refcount_gate(trace, seq, block, liveness,
+                                     fwd_kernels, report)
+        elif kind is _SYNC:
+            # The join guarantees every op on the waited stream through
             # wait_pos completed: their reads of released bytes are over.
-            hot[:] = [h for h in hot
-                      if not (h.transfer.stream == op.wait_stream
-                              and h.transfer.pos <= op.wait_pos)]
+            if hot:
+                hot[:] = [h for h in hot
+                          if not (h.sid == wait_sid and h.pos <= wait_pos)]
         else:
-            if op.kind is OpKind.KERNEL and op.layer_index >= 0:
-                issued_kernels.add((op.layer_index, op.phase))
-            for buffer in op.touched:
-                block = live.get(buffer)
+            if kind is _KERNEL and layer >= 0 and phase == "fwd":
+                fwd_kernels.add(layer)
+            touched = reads
+            if writes:
+                touched = reads + tuple(w for w in writes if w not in reads)
+            if buffer and (kind is _OFFLOAD or kind is _PREFETCH) \
+                    and buffer not in touched:
+                touched += (buffer,)
+            for name in touched:
+                block = live.get(name)
                 if block is None:
-                    if buffer not in flagged_missing:
-                        flagged_missing.add(buffer)
+                    if name not in flagged_missing:
+                        flagged_missing.add(name)
                         report(
                             "MS101",
-                            f"{buffer} accessed by {op.kind.value} "
-                            f"{op.label or ''} with no live allocation "
-                            f"(use after release, or never allocated)",
-                            op)
-                elif op.kind is OpKind.OFFLOAD and buffer == op.buffer:
-                    block.offloads.append(op)
+                            f"{name} accessed by {kind.value} "
+                            f"{trace.labels[seq] or ''} with no live "
+                            f"allocation (use after release, or never "
+                            f"allocated)",
+                            seq)
+                elif kind is _OFFLOAD and name == buffer:
+                    block.offloads.append(seq)
 
     for buffer, block in sorted(live.items()):
-        if not block.alloc.persistent:
+        if not trace.persistents[block.alloc]:
             report(
                 "MS103",
-                f"{buffer} ({block.alloc.nbytes} bytes) still live at "
-                f"iteration end: leaked",
+                f"{buffer} ({trace.nbytes[block.alloc]} bytes) still live "
+                f"at iteration end: leaked",
                 block.alloc)
     return diagnostics
 
 
-def _replay_alloc(op: TraceOp, live: Dict[str, _LiveBlock],
+def _replay_alloc(block: _LiveBlock, live: Dict[str, _LiveBlock],
                   hot: List[_HotRange], index: _OffsetIndex,
                   report) -> None:
-    if op.buffer in live:
+    buffer, seq = block.buffer, block.alloc
+    if buffer in live:
         report(
             "MS104",
-            f"{op.buffer} allocated twice without an intervening free",
-            live[op.buffer].alloc, op)
+            f"{buffer} allocated twice without an intervening free",
+            live[buffer].alloc, seq)
         index.usable = False
-    block = _LiveBlock(buffer=op.buffer, alloc=op, offloads=[])
-    if block.has_range:
-        lo, hi = block.range
+    lo, hi = block.lo, block.hi
+    if lo < hi:
         if not (index.usable and index.claim(lo, hi)):
             # The index cannot say which blocks overlap, nor in what
             # order to report them: scan the live set from here on.
             index.usable = False
             for other in live.values():
-                if other.buffer != op.buffer and other.has_range and \
-                        _overlaps(lo, hi, *other.range):
+                if other.buffer != buffer and other.lo < other.hi and \
+                        _overlaps(lo, hi, other.lo, other.hi):
                     report(
                         "MS104",
-                        f"{op.buffer} at [{lo}, {hi}) overlaps live "
+                        f"{buffer} at [{lo}, {hi}) overlaps live "
                         f"buffer {other.buffer} at "
-                        f"[{other.range[0]}, {other.range[1]})",
-                        op, other.alloc)
+                        f"[{other.lo}, {other.hi})",
+                        seq, other.alloc)
         for entry in hot:
             if _overlaps(lo, hi, entry.lo, entry.hi):
                 report(
                     "MS104",
-                    f"{op.buffer} at [{lo}, {hi}) reuses bytes of "
+                    f"{buffer} at [{lo}, {hi}) reuses bytes of "
                     f"{entry.buffer} while its offload may still be "
                     f"reading them",
-                    op, entry.transfer)
-    live[op.buffer] = block
+                    seq, entry.transfer)
+    live[buffer] = block
 
 
-def _replay_free(op: TraceOp, live: Dict[str, _LiveBlock],
-                 hot: List[_HotRange], index: _OffsetIndex, hb: HBGraph,
-                 liveness: Optional[LivenessAnalysis],
-                 issued_kernels: Set[Tuple[int, str]], report) -> None:
-    block = live.pop(op.buffer, None)
-    if block is None:
-        report(
-            "MS102",
-            f"{op.buffer} freed while not live (double free)",
-            op)
-        return
-    # Bytes released under an in-flight, unsynchronized offload stay
-    # "hot": a later allocation landing on them is real corruption.
-    if block.has_range:
-        lo, hi = block.range
-        if index.usable:
-            index.release(lo)
-        for transfer in block.offloads:
-            if not hb.happens_before(transfer, op):
-                hot.append(_HotRange(lo=lo, hi=hi, buffer=op.buffer,
-                                     transfer=transfer))
-    if liveness is not None and op.phase == "fwd" and op.owner >= 0:
-        _check_refcount_gate(op, block, liveness, issued_kernels, report)
-
-
-def _check_refcount_gate(op: TraceOp, block: _LiveBlock,
-                         liveness: LivenessAnalysis,
-                         issued_kernels: Set[Tuple[int, str]],
+def _check_refcount_gate(trace: ScheduleTrace, seq: int, block: _LiveBlock,
+                         liveness: LivenessAnalysis, fwd_kernels: Set[int],
                          report) -> None:
-    storage = liveness.storages.get(op.owner)
+    storage = liveness.storages.get(trace.owners[seq])
     if storage is None:
         return
+    buffer = trace.buffers[seq]
     gate = storage.forward_release_at
-    if (gate, "fwd") not in issued_kernels:
+    if gate not in fwd_kernels:
         report(
             "MS105",
-            f"{op.buffer} released before its last forward consumer "
+            f"{buffer} released before its last forward consumer "
             f"(layer {gate}) was issued: refcount gate violated",
-            op)
+            seq)
     elif storage.needed_backward and not block.offloads:
         report(
             "MS105",
-            f"{op.buffer} discarded without offload although backward "
+            f"{buffer} discarded without offload although backward "
             f"layers {storage.backward_users} still need it",
-            op)
+            seq)

@@ -4,27 +4,23 @@ Known-bad fixtures, one per MS1xx rule, each asserting the rule fires
 exactly once (and nothing else fires that the defect doesn't imply).
 The offset-indexed replay is then held to the linear live-set scan it
 replaced, diagnostic for diagnostic, on executor traces, their
-single-op mutants and generated traces.
+single-op mutants and generated traces; the scan runs inside the
+op-at-a-time reference replay of ``analysis_reference``.
 """
 
-import functools
 from unittest import mock
 
+import analysis_reference as reference
 import pytest
+from analysis_reference import ORACLE_NETWORKS, ORACLE_POLICIES, zoo_trace
 from conftest import make_linear_cnn
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import safety
 from repro.analysis.hb import HBGraph
 from repro.analysis.safety import check_memory_safety
 from repro.analysis.trace import ScheduleTrace
-from repro.core.algo_config import AlgoConfig
-from repro.core.executor import simulate_vdnn
 from repro.core.liveness import LivenessAnalysis
-from repro.core.policy import TransferPolicy
-from repro.hw import PAPER_SYSTEM
 from repro.sim.stream import COMPUTE_STREAM, MEMORY_STREAM
-from repro.zoo import build
 
 
 def rules(findings):
@@ -158,19 +154,20 @@ class TestRefcountGate:
 # The linear scan the offset index replaced, kept as the oracle
 # ----------------------------------------------------------------------
 def reference_replay_alloc(op, live, hot, report):
-    """The replay's ALLOC step before the offset index: test the new
-    range against every live block, in the live set's insertion order."""
+    """The reference replay's ALLOC step before the offset index: test
+    the new range against every live block, in the live set's insertion
+    order."""
     if op.buffer in live:
         report(
             "MS104",
             f"{op.buffer} allocated twice without an intervening free",
             live[op.buffer].alloc, op)
-    block = safety._LiveBlock(buffer=op.buffer, alloc=op, offloads=[])
+    block = reference.LiveBlock(buffer=op.buffer, alloc=op, offloads=[])
     if block.has_range:
         lo, hi = block.range
         for other in live.values():
             if other.buffer != op.buffer and other.has_range and \
-                    safety._overlaps(lo, hi, *other.range):
+                    reference._overlaps(lo, hi, *other.range):
                 report(
                     "MS104",
                     f"{op.buffer} at [{lo}, {hi}) overlaps live buffer "
@@ -178,7 +175,7 @@ def reference_replay_alloc(op, live, hot, report):
                     f"[{other.range[0]}, {other.range[1]})",
                     op, other.alloc)
         for entry in hot:
-            if safety._overlaps(lo, hi, entry.lo, entry.hi):
+            if reference._overlaps(lo, hi, entry.lo, entry.hi):
                 report(
                     "MS104",
                     f"{op.buffer} at [{lo}, {hi}) reuses bytes of "
@@ -189,12 +186,14 @@ def reference_replay_alloc(op, live, hot, report):
 
 
 def reference_findings(trace, hb, liveness=None):
+    """The op-at-a-time replay of ``analysis_reference``, with its ALLOC
+    step swapped for the linear scan."""
     def replay(op, live, hot, index, report):
         index.usable = False   # so the FREE step leaves the index alone
         reference_replay_alloc(op, live, hot, report)
 
-    with mock.patch.object(safety, "_replay_alloc", replay):
-        return check_memory_safety(trace, hb, liveness=liveness)
+    with mock.patch.object(reference, "_replay_alloc", replay):
+        return reference.check_memory_safety(trace, hb, liveness=liveness)
 
 
 def assert_matches_oracle(trace, liveness=None):
@@ -205,30 +204,16 @@ def assert_matches_oracle(trace, liveness=None):
     return findings
 
 
-ORACLE_NETWORKS = ("alexnet", "googlenet", "resnet18", "lstm")
-ORACLE_POLICIES = ("all", "conv", "comp")
-
-
-@functools.lru_cache(maxsize=None)
-def zoo_trace(name, policy):
-    network = build(name, 8)
-    transfer = getattr(TransferPolicy, f"vdnn_{policy}")()
-    result = simulate_vdnn(network, PAPER_SYSTEM, transfer,
-                           AlgoConfig.performance_optimal(network),
-                           verify=True)
-    return result.schedule_trace, LivenessAnalysis(network)
-
-
 class TestOffsetIndexOracle:
     @pytest.mark.parametrize("policy", ORACLE_POLICIES)
     @pytest.mark.parametrize("name", ORACLE_NETWORKS)
     def test_executor_traces_match_the_linear_scan(self, name, policy):
-        trace, liveness = zoo_trace(name, policy)
+        trace, _, liveness = zoo_trace(name, policy)
         assert assert_matches_oracle(trace, liveness) == []
 
     @pytest.mark.parametrize("policy", ORACLE_POLICIES)
     def test_every_single_op_mutant_matches_the_linear_scan(self, policy):
-        trace, liveness = zoo_trace("alexnet", policy)
+        trace, _, liveness = zoo_trace("alexnet", policy)
         overlaps = 0
         for op in trace.ops:
             findings = assert_matches_oracle(trace.without(op.seq), liveness)
