@@ -21,9 +21,10 @@ topology of virtualized GPUs:
   so a gang's ring-allreduce and its neighbours' vDNN offload/prefetch
   DMA contend per physical link of the topology.
 
-The run is a deterministic fluid event simulation: identical inputs
-(and an identical arrival seed, see :func:`stagger_arrivals`) replay to
-the bit.
+The run is the single-GPU scheduler's fluid event loop
+(:class:`~repro.sched.scheduler._FluidScheduler`) with per-GPU capacity,
+placement and per-link contention plugged in: identical inputs (and an
+identical arrival seed, see :func:`stagger_arrivals`) replay to the bit.
 """
 
 from __future__ import annotations
@@ -35,13 +36,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..hw.interconnects import ClusterTopology, make_topology
 from ..obs import Instrumentation
 from ..sched.admission import AdmissionController, RungEval
-from ..sched.job import Job, JobRecord, JobState
-from ..sim.timeline import EventKind, Timeline
+from ..sched.job import Job, JobRecord
+from ..sched.scheduler import _FluidScheduler, _Resident, _RunResult
+from ..sim.timeline import Timeline
 from .contention import FleetContention, PlacedGang
-
-#: Iteration-count slack absorbing float progress arithmetic (same
-#: constant as the single-GPU scheduler).
-_EPSILON = 1e-9
 
 
 def _gang_size(job: Job) -> int:
@@ -137,26 +135,7 @@ def available_placements() -> List[str]:
 
 # ----------------------------------------------------------------------
 @dataclass
-class _FleetResident:
-    """One placed job holding bytes on its gang's GPUs."""
-
-    record: JobRecord
-    rung: RungEval
-    gpus: Tuple[int, ...]
-    weight_bytes: int
-    remaining_iterations: float
-
-    def as_gang(self) -> PlacedGang:
-        return PlacedGang(
-            name=self.record.job.name,
-            gpus=self.gpus,
-            rung=self.rung,
-            weight_bytes=self.weight_bytes if len(self.gpus) > 1 else 0,
-        )
-
-
-@dataclass
-class ClusterResult:
+class ClusterResult(_RunResult):
     """Everything one fleet-scheduler run produces."""
 
     topology: str
@@ -172,30 +151,6 @@ class ClusterResult:
     preemptions: int = 0
     #: Per-job GPU-seconds actually occupied: residency x gang width.
     gpu_seconds: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def finished(self) -> List[JobRecord]:
-        return [r for r in self.records if r.state is JobState.FINISHED]
-
-    @property
-    def rejected(self) -> List[JobRecord]:
-        return [r for r in self.records if r.state is JobState.REJECTED]
-
-    @property
-    def makespan(self) -> float:
-        """First submit to last completion across finished jobs."""
-        done = self.finished
-        if not done:
-            return 0.0
-        start = min(r.job.submit_time for r in done)
-        return max(r.finish_time for r in done) - start
-
-    @property
-    def aggregate_throughput(self) -> float:
-        """Completed training iterations per second across the fleet."""
-        span = self.makespan
-        iters = sum(r.job.iterations for r in self.finished)
-        return iters / span if span > 0 else 0.0
 
     @property
     def fleet_utilization(self) -> float:
@@ -232,8 +187,13 @@ class ClusterResult:
         )
 
 
-class FleetScheduler:
-    """Places and runs jobs across every GPU of a cluster topology."""
+class FleetScheduler(_FluidScheduler):
+    """Places and runs jobs across every GPU of a cluster topology.
+
+    Runs the single-GPU scheduler's event loop; capacity is per-GPU
+    free bytes, the queue is priority-ordered with placement and
+    preemption, and contention is per physical link.
+    """
 
     def __init__(
         self,
@@ -260,13 +220,10 @@ class FleetScheduler:
         if budget_bytes <= 0:
             raise ValueError(
                 f"budget_bytes must be positive, got {budget_bytes}")
+        super().__init__(controller or AdmissionController(system),
+                         contention or FleetContention(topology), obs)
         self.budget_bytes = budget_bytes
-        self.controller = controller or AdmissionController(system)
-        self.contention = contention or FleetContention(topology)
         self.preemption = preemption
-        self.obs = obs
-        self.timeline = Timeline()
-        self.records: List[JobRecord] = []
         self.free_bytes: Dict[int, int] = {
             gpu: budget_bytes for gpu in range(topology.num_gpus)
         }
@@ -274,69 +231,44 @@ class FleetScheduler:
         self.gpu_seconds: Dict[str, float] = {}
         self.preemptions = 0
 
-    # ------------------------------------------------------------------
-    def submit(self, job: Job) -> JobRecord:
-        """Enqueue one job; returns its lifecycle record."""
-        if any(r.job.name == job.name for r in self.records):
-            raise ValueError(f"duplicate job name {job.name!r}")
-        record = JobRecord(job=job)
-        self.records.append(record)
-        return record
+    # -- capacity, contention, labels ----------------------------------
+    def _reserve(self, entry: _Resident, clock: float) -> None:
+        for gpu in entry.gpus:
+            self.free_bytes[gpu] -= entry.rung.footprint_bytes
+        self.placements[entry.record.job.name] = entry.gpus
 
-    def submit_all(self, jobs: Sequence[Job]) -> List[JobRecord]:
-        return [self.submit(job) for job in jobs]
+    def _release(self, entry: _Resident, clock: float) -> None:
+        for gpu in entry.gpus:
+            self.free_bytes[gpu] += entry.rung.footprint_bytes
 
-    # ------------------------------------------------------------------
-    def _reject(self, record: JobRecord, clock: float,
-                reason: str) -> None:
-        record.state = JobState.REJECTED
-        record.failure = reason
-        record.finish_time = clock
-        if self.obs is not None:
-            self.obs.job_event("rejected")
+    def _rates(self, resident: List[_Resident]) -> List[float]:
+        return self.contention.iteration_seconds([
+            PlacedGang(name=e.record.job.name, gpus=e.gpus, rung=e.rung,
+                       weight_bytes=e.weight_bytes)
+            for e in resident
+        ])
 
-    def _admit(self, record: JobRecord, rung: RungEval,
-               gpus: Tuple[int, ...], clock: float,
-               resident: List[_FleetResident]) -> None:
-        for gpu in gpus:
-            self.free_bytes[gpu] -= rung.footprint_bytes
-        record.state = JobState.RUNNING
-        record.rung = rung.rung
-        record.footprint_bytes = rung.footprint_bytes * len(gpus)
-        record.solo_iter_seconds = rung.iter_seconds
-        record.pcie_bytes_per_iter = rung.pcie_bytes * len(gpus)
-        record.admit_time = clock
-        ready_since = record.requeued_at if record.requeued_at is not None \
-            else record.job.submit_time
-        if clock > ready_since:
-            self.timeline.record(
-                f"job:{record.job.name}", EventKind.STALL,
-                "requeued" if record.requeued_at is not None else "queued",
-                ready_since, clock,
-            )
-        weight_bytes = 0
-        if len(gpus) > 1:
-            weight_bytes = self.controller.weight_bytes(record.job)
-        resident.append(_FleetResident(
-            record=record,
-            rung=rung,
-            gpus=gpus,
-            weight_bytes=weight_bytes,
-            remaining_iterations=float(record.job.iterations)
-            - record.iterations_done,
-        ))
-        self.placements[record.job.name] = gpus
-        if self.obs is not None:
-            self.obs.job_admitted(max(clock - ready_since, 0.0), rung.rung)
+    def _run_label(self, entry: _Resident, tenants: int) -> str:
+        gpus = ",".join(str(g) for g in entry.gpus)
+        return f"{entry.rung.rung} @gpu[{gpus}] x{tenants}"
 
-    def _place(self, job: Job) -> Optional[Tuple[RungEval, Tuple[int, ...]]]:
-        """Cheapest rung + GPUs the placement policy grants it now."""
-        return self._place_on(job, self.free_bytes)
+    def _account(self, entry: _Resident, seconds: float) -> None:
+        name = entry.record.job.name
+        self.gpu_seconds[name] = self.gpu_seconds.get(name, 0.0) \
+            + seconds * len(entry.gpus)
 
+    def _unfit(self, record: JobRecord) -> str:
+        return (f"needs {_gang_size(record.job)} GPU(s) with "
+                f"{self.controller.min_footprint(record.job)}"
+                f" bytes free; cluster has "
+                f"{self.topology.num_gpus} x {self.budget_bytes} bytes")
+
+    # -- queue order ---------------------------------------------------
     def _place_on(
         self, job: Job, free_bytes: Dict[int, int]
     ) -> Optional[Tuple[RungEval, Tuple[int, ...]]]:
-        """Placement decision against an arbitrary free-bytes map."""
+        """Cheapest rung + GPUs the placement policy grants against a
+        free-bytes map (the live one, or a hypothetical one)."""
         needed = _gang_size(job)
         if needed > self.topology.num_gpus:
             return None
@@ -353,31 +285,9 @@ class FleetScheduler:
         return _gang_size(job) <= self.topology.num_gpus and \
             self.controller.min_footprint(job) <= self.budget_bytes
 
-    def _evict(self, entry: _FleetResident, clock: float,
-               pending: List[JobRecord], resident: List[_FleetResident],
-               reason: str) -> None:
-        """Evict a resident entry, preserving progress for readmission."""
-        resident.remove(entry)
-        for gpu in entry.gpus:
-            self.free_bytes[gpu] += entry.rung.footprint_bytes
-        record = entry.record
-        record.iterations_done = float(record.job.iterations) \
-            - max(entry.remaining_iterations, 0.0)
-        record.state = JobState.PENDING
-        record.evictions += 1
-        record.requeued_at = clock
-        record.rung = None
-        record.footprint_bytes = 0
-        pending.append(record)
-        self.timeline.record(
-            f"job:{record.job.name}", EventKind.FAULT, reason, clock, clock,
-        )
-        if self.obs is not None:
-            self.obs.job_event("evicted")
-
     def _try_preempt(self, record: JobRecord, clock: float,
                      pending: List[JobRecord],
-                     resident: List[_FleetResident]) -> bool:
+                     resident: List[_Resident]) -> bool:
         """Evict lower-priority residents until ``record`` can place.
 
         Victims go lowest priority first (ties: least progress, so the
@@ -394,7 +304,7 @@ class FleetScheduler:
                            - e.remaining_iterations),
         )
         hypothetical = dict(self.free_bytes)
-        chosen: List[_FleetResident] = []
+        chosen: List[_Resident] = []
         for victim in victims:
             if self._place_on(record.job, hypothetical) is not None:
                 break
@@ -410,7 +320,7 @@ class FleetScheduler:
         return True
 
     def _try_admit(self, clock: float, pending: List[JobRecord],
-                   resident: List[_FleetResident]) -> None:
+                   resident: List[_Resident]) -> None:
         """Admit every job placeable at the current instant.
 
         Queue order is priority-desc then submit-order (FIFO within a
@@ -428,26 +338,20 @@ class FleetScheduler:
                 return
             admitted = False
             for record in queue:
-                placed = self._place(record.job)
+                placed = self._place_on(record.job, self.free_bytes)
                 if placed is None:
                     if not self._min_footprint_fits_empty(record.job):
-                        self._reject(
-                            record, clock,
-                            f"needs {_gang_size(record.job)} GPU(s) with "
-                            f"{self.controller.min_footprint(record.job)}"
-                            f" bytes free; cluster has "
-                            f"{self.topology.num_gpus} x "
-                            f"{self.budget_bytes} bytes")
+                        self._reject(record, clock)
                         pending.remove(record)
                         admitted = True
                         break
                     if self.preemption and self._try_preempt(
                             record, clock, pending, resident):
-                        placed = self._place(record.job)
+                        placed = self._place_on(record.job, self.free_bytes)
                     else:
                         continue
                 rung, gpus = placed
-                self._admit(record, rung, gpus, clock, resident)
+                self._admit(record, rung, clock, resident, gpus)
                 pending.remove(record)
                 admitted = True
                 break
@@ -457,92 +361,7 @@ class FleetScheduler:
     # ------------------------------------------------------------------
     def run(self) -> ClusterResult:
         """Run the fleet to completion and return the cluster schedule."""
-        pending = [r for r in self.records if r.state is JobState.PENDING]
-        resident: List[_FleetResident] = []
-        clock = min((r.job.submit_time for r in pending), default=0.0)
-
-        last_snapshot = None
-        while pending or resident:
-            snapshot = (
-                clock, len(pending),
-                tuple((id(r), r.remaining_iterations) for r in resident),
-            )
-            if snapshot == last_snapshot:
-                raise RuntimeError(
-                    f"fleet scheduler made no progress at t={clock} with "
-                    f"{len(resident)} resident / {len(pending)} pending "
-                    f"job(s); aborting instead of spinning"
-                )
-            last_snapshot = snapshot
-
-            self._try_admit(clock, pending, resident)
-            next_arrival = min(
-                (r.job.submit_time for r in pending
-                 if r.job.submit_time > clock),
-                default=None,
-            )
-
-            if not resident:
-                if next_arrival is not None:
-                    clock = max(clock, next_arrival)
-                    continue
-                # Nothing running, nothing admissible, nothing arriving.
-                for record in list(pending):
-                    self._reject(record, clock,
-                                 "unplaceable on an idle cluster")
-                    pending.remove(record)
-                break
-
-            rates = self.contention.iteration_seconds(
-                [r.as_gang() for r in resident]
-            )
-            for entry, iter_seconds in zip(resident, rates):
-                if iter_seconds <= 0:
-                    entry.remaining_iterations = 0.0
-            finish_times = [
-                clock + r.remaining_iterations * iter_seconds
-                for r, iter_seconds in zip(resident, rates)
-            ]
-            horizon = min(finish_times)
-            if next_arrival is not None:
-                horizon = min(horizon, next_arrival)
-
-            tenants = len(resident)
-            for entry, iter_seconds in zip(resident, rates):
-                if horizon > clock and iter_seconds > 0:
-                    entry.remaining_iterations -= \
-                        (horizon - clock) / iter_seconds
-                    gpus = ",".join(str(g) for g in entry.gpus)
-                    self.timeline.record(
-                        f"job:{entry.record.job.name}", EventKind.RUN,
-                        f"{entry.rung.rung} @gpu[{gpus}] x{tenants}",
-                        clock, horizon,
-                        nbytes=entry.rung.footprint_bytes,
-                    )
-                    entry.record.residency.append((clock, horizon, tenants))
-                    name = entry.record.job.name
-                    self.gpu_seconds[name] = self.gpu_seconds.get(name, 0.0) \
-                        + (horizon - clock) * len(entry.gpus)
-            clock = horizon
-
-            for entry, finish in [
-                (e, f) for e, f in zip(resident, finish_times)
-                if e.remaining_iterations <= _EPSILON or f <= clock
-            ]:
-                resident.remove(entry)
-                for gpu in entry.gpus:
-                    self.free_bytes[gpu] += entry.rung.footprint_bytes
-                entry.record.state = JobState.FINISHED
-                entry.record.finish_time = clock
-                entry.record.iterations_done = float(
-                    entry.record.job.iterations
-                )
-                if not entry.record.residency:
-                    entry.record.residency.append((clock, clock, tenants))
-                if self.obs is not None:
-                    self.obs.job_finished(
-                        max(clock - entry.record.job.submit_time, 0.0))
-
+        self._simulate()
         result = ClusterResult(
             topology=self.topology.name,
             num_gpus=self.topology.num_gpus,
@@ -554,20 +373,11 @@ class FleetScheduler:
             preemptions=self.preemptions,
             gpu_seconds=dict(self.gpu_seconds),
         )
+        self._close(result)
         if self.obs is not None:
-            self.obs.sched_makespan(result.makespan)
             self.obs.fleet_summary(
                 result.fleet_utilization, result.fairness,
                 self.topology.num_gpus)
-            for record in result.records:
-                if record.finish_time is None:
-                    continue
-                self.obs.span(
-                    record.job.name, "jobs",
-                    record.job.submit_time,
-                    max(record.finish_time, record.job.submit_time),
-                    category="job", state=record.state.name.lower(),
-                    rung=record.rung or "", evictions=record.evictions)
         return result
 
 

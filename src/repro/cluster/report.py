@@ -5,13 +5,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..reporting.tables import format_table, gb_str, mb_str
-from ..sched.job import JobState
+from ..sched.report import _rejections, _seconds
 from .dataparallel import ClusterIterationReport
 from .fleet import ClusterResult
-
-
-def _seconds(value) -> str:
-    return f"{value:,.3f} s" if value is not None else "-"
 
 
 def topology_table(reports: Sequence[ClusterIterationReport]) -> str:
@@ -94,11 +90,4 @@ def cluster_fleet_table(result: ClusterResult) -> str:
 def cluster_report(result: ClusterResult) -> str:
     """Full plain-text report: per-job table + fleet metrics."""
     parts = [cluster_job_table(result), "", cluster_fleet_table(result)]
-    failures = [
-        f"  {r.job.name}: {r.failure}"
-        for r in result.records
-        if r.state is JobState.REJECTED and r.failure
-    ]
-    if failures:
-        parts += ["", "Rejections:"] + failures
-    return "\n".join(parts)
+    return "\n".join(parts + _rejections(result.records))

@@ -2,13 +2,25 @@
 
 from __future__ import annotations
 
+from typing import List
+
 from ..reporting.tables import format_table, gb_str, mb_str
-from .job import JobState
+from .job import JobRecord, JobState
 from .scheduler import ScheduleResult
 
 
 def _seconds(value) -> str:
     return f"{value:,.3f} s" if value is not None else "-"
+
+
+def _rejections(records: List[JobRecord]) -> List[str]:
+    """A report's "Rejections:" footer, or nothing if none failed."""
+    failures = [
+        f"  {r.job.name}: {r.failure}"
+        for r in records
+        if r.state is JobState.REJECTED and r.failure
+    ]
+    return ["", "Rejections:"] + failures if failures else []
 
 
 def job_table(result: ScheduleResult) -> str:
@@ -74,11 +86,4 @@ def schedule_report(result: ScheduleResult) -> str:
     parts = [job_table(result), "", fleet_table(result)]
     if result.fault_report is not None:
         parts += ["", faults_table(result)]
-    failures = [
-        f"  {r.job.name}: {r.failure}"
-        for r in result.records
-        if r.state is JobState.REJECTED and r.failure
-    ]
-    if failures:
-        parts += ["", "Rejections:"] + failures
-    return "\n".join(parts)
+    return "\n".join(parts + _rejections(result.records))

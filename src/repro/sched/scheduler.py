@@ -21,6 +21,10 @@ simulation:
   residency interval is logged on a per-job ``job:<name>`` timeline lane
   (rendered one row per job by the Chrome-trace exporter).
 
+The event loop itself lives in :class:`_FluidScheduler`, which the
+cluster's :class:`~repro.cluster.fleet.FleetScheduler` runs as well: the
+two schedulers differ only in capacity, queue order and contention.
+
 :class:`ScheduleResult` carries per-job records (JCT, queueing delay,
 chosen rung, slowdown) and fleet metrics (makespan, aggregate
 throughput, memory high-water, PCIe traffic).
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..alloc.pool import Allocation, PoolAllocator
 from ..alloc.stats import UsageTracker
@@ -49,16 +53,52 @@ _EPSILON = 1e-9
 
 @dataclass
 class _Resident:
-    """One job currently holding pool bytes and making progress."""
+    """One admitted job holding capacity and making progress.
+
+    ``gpus`` is where its replicas run (``(0,)`` on a single GPU),
+    ``weight_bytes`` the replica weights a multi-GPU gang ring-allreduces
+    and ``allocation`` its block of the single-GPU scheduler's pool.
+    """
 
     record: JobRecord
     rung: RungEval
-    allocation: Allocation
     remaining_iterations: float
+    gpus: Tuple[int, ...] = (0,)
+    weight_bytes: int = 0
+    allocation: Optional[Allocation] = None
+
+
+class _RunResult:
+    """Per-class views and fleet metrics every scheduler result derives
+    from its ``records``."""
+
+    @property
+    def finished(self) -> List[JobRecord]:
+        return [r for r in self.records if r.state is JobState.FINISHED]
+
+    @property
+    def rejected(self) -> List[JobRecord]:
+        return [r for r in self.records if r.state is JobState.REJECTED]
+
+    @property
+    def makespan(self) -> float:
+        """First submit to last completion across finished jobs."""
+        done = self.finished
+        if not done:
+            return 0.0
+        start = min(r.job.submit_time for r in done)
+        return max(r.finish_time for r in done) - start
+
+    @property
+    def aggregate_throughput(self) -> float:
+        """Completed training iterations per second across the fleet."""
+        span = self.makespan
+        iters = sum(r.job.iterations for r in self.finished)
+        return iters / span if span > 0 else 0.0
 
 
 @dataclass
-class ScheduleResult:
+class ScheduleResult(_RunResult):
     """Everything one scheduler run produces."""
 
     policy: str
@@ -76,15 +116,6 @@ class ScheduleResult:
     budget_timeline: List[Tuple[float, int]] = field(default_factory=list)
     #: Audit trail of injected scheduler faults (None = perfect machine).
     fault_report: Optional[FaultReport] = None
-
-    # -- per-class views -----------------------------------------------
-    @property
-    def finished(self) -> List[JobRecord]:
-        return [r for r in self.records if r.state is JobState.FINISHED]
-
-    @property
-    def rejected(self) -> List[JobRecord]:
-        return [r for r in self.records if r.state is JobState.REJECTED]
 
     @property
     def evicted(self) -> List[JobRecord]:
@@ -104,23 +135,8 @@ class ScheduleResult:
 
     # -- fleet metrics -------------------------------------------------
     @property
-    def makespan(self) -> float:
-        """First submit to last completion across finished jobs."""
-        done = self.finished
-        if not done:
-            return 0.0
-        start = min(r.job.submit_time for r in done)
-        return max(r.finish_time for r in done) - start
-
-    @property
     def total_iterations(self) -> float:
         return sum(r.job.iterations for r in self.finished)
-
-    @property
-    def aggregate_throughput(self) -> float:
-        """Completed training iterations per second across the fleet."""
-        span = self.makespan
-        return self.total_iterations / span if span > 0 else 0.0
 
     @property
     def mean_queueing_delay(self) -> float:
@@ -149,7 +165,258 @@ class ScheduleResult:
         )
 
 
-class GPUScheduler:
+class _FluidScheduler:
+    """The fluid event loop both schedulers run.
+
+    The loop owns submission, admission bookkeeping, eviction, the
+    timed-fault heap, progress and completion.  A subclass supplies the
+    decisions that differ:
+
+    * capacity — :meth:`_reserve` and :meth:`_release`;
+    * queue order — :meth:`_try_admit`, which calls :meth:`_admit`;
+    * contention — :meth:`_rates`;
+    * labels and accounting — :meth:`_run_label`, :meth:`_account` and
+      :meth:`_unfit`, the reason a job is rejected;
+    * the start of a run — :meth:`_begin`, which returns the timed
+      faults.
+    """
+
+    def __init__(self, controller: AdmissionController, contention,
+                 obs: Optional[Instrumentation]):
+        self.controller = controller
+        self.contention = contention
+        self.obs = obs
+        self.timeline = Timeline()
+        self.records: List[JobRecord] = []
+
+    # ------------------------------------------------------------------
+    def submit(self, job: Job) -> JobRecord:
+        """Enqueue one job; returns its lifecycle record."""
+        if any(r.job.name == job.name for r in self.records):
+            raise ValueError(f"duplicate job name {job.name!r}")
+        record = JobRecord(job=job)
+        self.records.append(record)
+        return record
+
+    def submit_all(self, jobs: Sequence[Job]) -> List[JobRecord]:
+        return [self.submit(job) for job in jobs]
+
+    # -- hooks ---------------------------------------------------------
+    def _begin(self, clock: float) -> List[tuple]:
+        """Start a run at ``clock``; returns the timed-fault heap of
+        ``(time, seq, apply, payload)`` entries."""
+        return []
+
+    def _reserve(self, entry: _Resident, clock: float) -> None:
+        raise NotImplementedError
+
+    def _release(self, entry: _Resident, clock: float) -> None:
+        raise NotImplementedError
+
+    def _try_admit(self, clock: float, pending: List[JobRecord],
+                   resident: List[_Resident]) -> None:
+        raise NotImplementedError
+
+    def _rates(self, resident: List[_Resident]) -> List[float]:
+        raise NotImplementedError
+
+    def _run_label(self, entry: _Resident, tenants: int) -> str:
+        raise NotImplementedError
+
+    def _account(self, entry: _Resident, seconds: float) -> None:
+        """Charge ``seconds`` of progress to ``entry`` (default: nothing)."""
+
+    def _unfit(self, record: JobRecord) -> str:
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    def _reject(self, record: JobRecord, clock: float) -> None:
+        record.state = JobState.REJECTED
+        record.failure = self._unfit(record)
+        record.finish_time = clock
+        if self.obs is not None:
+            self.obs.job_event("rejected")
+
+    def _admit(self, record: JobRecord, rung: RungEval, clock: float,
+               resident: List[_Resident],
+               gpus: Tuple[int, ...] = (0,)) -> None:
+        entry = _Resident(
+            record=record,
+            rung=rung,
+            remaining_iterations=float(record.job.iterations)
+            - record.iterations_done,
+            gpus=gpus,
+            weight_bytes=self.controller.weight_bytes(record.job)
+            if len(gpus) > 1 else 0,
+        )
+        self._reserve(entry, clock)
+        record.state = JobState.RUNNING
+        record.rung = rung.rung
+        record.footprint_bytes = rung.footprint_bytes * len(gpus)
+        record.solo_iter_seconds = rung.iter_seconds
+        record.pcie_bytes_per_iter = rung.pcie_bytes * len(gpus)
+        record.admit_time = clock
+        # Readmission after an eviction resumes from where the job left
+        # off and waits only since it re-entered the queue.
+        ready_since = record.requeued_at if record.requeued_at is not None \
+            else record.job.submit_time
+        if clock > ready_since:
+            self.timeline.record(
+                f"job:{record.job.name}", EventKind.STALL,
+                "requeued" if record.requeued_at is not None else "queued",
+                ready_since, clock,
+            )
+        resident.append(entry)
+        if self.obs is not None:
+            self.obs.job_admitted(max(clock - ready_since, 0.0), rung.rung)
+
+    def _evict(self, entry: _Resident, clock: float,
+               pending: List[JobRecord], resident: List[_Resident],
+               reason: str) -> None:
+        """Evict a resident job, preserving its progress for readmission."""
+        resident.remove(entry)
+        self._release(entry, clock)
+        record = entry.record
+        record.iterations_done = float(record.job.iterations) \
+            - max(entry.remaining_iterations, 0.0)
+        record.state = JobState.PENDING
+        record.evictions += 1
+        record.requeued_at = clock
+        record.rung = None
+        record.footprint_bytes = 0
+        pending.append(record)
+        self.timeline.record(
+            f"job:{record.job.name}", EventKind.FAULT, reason, clock, clock,
+        )
+        if self.obs is not None:
+            self.obs.job_event("evicted")
+
+    def _log_run(self, entry: _Resident, start: float, end: float,
+                 tenants: int) -> None:
+        self.timeline.record(
+            f"job:{entry.record.job.name}", EventKind.RUN,
+            self._run_label(entry, tenants), start, end,
+            nbytes=entry.rung.footprint_bytes,
+        )
+        entry.record.residency.append((start, end, tenants))
+
+    # ------------------------------------------------------------------
+    def _simulate(self) -> None:
+        """Run every pending job until it finishes or is rejected."""
+        pending = [r for r in self.records if r.state is JobState.PENDING]
+        resident: List[_Resident] = []
+        clock = min((r.job.submit_time for r in pending), default=0.0)
+        fault_queue = self._begin(clock)
+
+        last_snapshot = None
+        while pending or resident or fault_queue:
+            while fault_queue and fault_queue[0][0] <= clock:
+                _time, _seq, apply, payload = heapq.heappop(fault_queue)
+                apply(payload, clock, pending, resident)
+
+            # Every loop iteration must change *something* — otherwise
+            # the event horizon has collapsed (e.g. float underflow in
+            # the progress arithmetic) and we would spin forever.
+            snapshot = (
+                clock, len(pending), len(fault_queue),
+                tuple((id(r), r.remaining_iterations) for r in resident),
+            )
+            if snapshot == last_snapshot:
+                raise RuntimeError(
+                    f"scheduler made no progress at t={clock} with "
+                    f"{len(resident)} resident / {len(pending)} pending "
+                    f"job(s); aborting instead of spinning"
+                )
+            last_snapshot = snapshot
+
+            self._try_admit(clock, pending, resident)
+            next_arrival = min(
+                (r.job.submit_time for r in pending
+                 if r.job.submit_time > clock),
+                default=None,
+            )
+            next_fault = fault_queue[0][0] if fault_queue else None
+
+            if not resident:
+                next_times = [t for t in (next_arrival, next_fault)
+                              if t is not None]
+                if next_times:
+                    clock = max(clock, min(next_times))
+                    continue
+                # Nothing running, nothing admissible, nothing arriving:
+                # the capacity is idle yet the head does not fit — only
+                # possible transiently; reject the stragglers defensively.
+                for record in list(pending):
+                    self._reject(record, clock)
+                    pending.remove(record)
+                break
+
+            # Fluid progress at contention-adjusted rates.  A zero-cost
+            # rung completes instantly: zero its remaining work *before*
+            # the horizon computation so the completion sweep below
+            # collects it this iteration instead of spinning.
+            rates = self._rates(resident)
+            for entry, iter_seconds in zip(resident, rates):
+                if iter_seconds <= 0:
+                    entry.remaining_iterations = 0.0
+            finish_times = [
+                clock + r.remaining_iterations * iter_seconds
+                for r, iter_seconds in zip(resident, rates)
+            ]
+            horizon = min(finish_times)
+            if next_arrival is not None:
+                horizon = min(horizon, next_arrival)
+            if next_fault is not None:
+                horizon = min(horizon, next_fault)
+
+            tenants = len(resident)
+            for entry, iter_seconds in zip(resident, rates):
+                if horizon > clock and iter_seconds > 0:
+                    entry.remaining_iterations -= \
+                        (horizon - clock) / iter_seconds
+                    self._log_run(entry, clock, horizon, tenants)
+                    self._account(entry, horizon - clock)
+            clock = horizon
+
+            # Completion sweep.  ``finish <= clock`` also collects jobs
+            # whose per-step progress underflowed (clock + tiny == clock)
+            # so the loop cannot spin on unfinishable float arithmetic.
+            for entry, finish in [
+                (e, f) for e, f in zip(resident, finish_times)
+                if e.remaining_iterations <= _EPSILON or f <= clock
+            ]:
+                resident.remove(entry)
+                self._release(entry, clock)
+                record = entry.record
+                record.state = JobState.FINISHED
+                record.finish_time = clock
+                record.iterations_done = float(record.job.iterations)
+                if not record.residency:
+                    # Zero-cost rung: it finished without accruing a RUN
+                    # interval; log a zero-length one so the job's lane
+                    # and residency accounting stay complete.
+                    self._log_run(entry, clock, clock, tenants)
+                if self.obs is not None:
+                    self.obs.job_finished(
+                        max(clock - record.job.submit_time, 0.0))
+
+    def _close(self, result: _RunResult) -> None:
+        """Report the makespan and one span per settled job to ``obs``."""
+        if self.obs is None:
+            return
+        self.obs.sched_makespan(result.makespan)
+        for record in result.records:
+            if record.finish_time is None:
+                continue
+            self.obs.span(
+                record.job.name, "jobs",
+                record.job.submit_time,
+                max(record.finish_time, record.job.submit_time),
+                category="job", state=record.state.name.lower(),
+                rung=record.rung or "", evictions=record.evictions)
+
+
+class GPUScheduler(_FluidScheduler):
     """Packs concurrent training jobs onto one virtualized GPU."""
 
     def __init__(
@@ -168,22 +435,19 @@ class GPUScheduler:
             budget_bytes = self.system.gpu.memory_bytes
         if budget_bytes <= 0:
             raise ValueError(f"budget_bytes must be positive, got {budget_bytes}")
+        super().__init__(controller or AdmissionController(self.system),
+                         contention or ContentionModel(), obs)
         self.budget_bytes = budget_bytes
         self.initial_budget_bytes = budget_bytes
         self.policy = make_policy(policy) if isinstance(policy, str) else policy
-        self.controller = controller or AdmissionController(self.system)
-        self.contention = contention or ContentionModel()
         self.pool = PoolAllocator(self.budget_bytes)
-        self.timeline = Timeline()
         self.usage = UsageTracker()
-        self.records: List[JobRecord] = []
         self.faults = faults
         self.fault_report: Optional[FaultReport] = (
             FaultReport(spec=faults, seed=fault_seed)
             if faults is not None else None
         )
         self.budget_timeline: List[Tuple[float, int]] = []
-        self.obs = obs
         #: (record, FaultEvent) pairs whose outcome depends on the job's
         #: final fate, finalized at the end of :meth:`run`.
         self._eviction_events: List[Tuple[JobRecord, FaultEvent]] = []
@@ -193,62 +457,31 @@ class GPUScheduler:
             self.obs.pool_sample(self.pool.live_bytes, self.budget_bytes,
                                  self.pool.fragmentation)
 
-    # ------------------------------------------------------------------
-    def submit(self, job: Job) -> JobRecord:
-        """Enqueue one job; returns its lifecycle record."""
-        if any(r.job.name == job.name for r in self.records):
-            raise ValueError(f"duplicate job name {job.name!r}")
-        record = JobRecord(job=job)
-        self.records.append(record)
-        return record
-
-    def submit_all(self, jobs: List[Job]) -> List[JobRecord]:
-        return [self.submit(job) for job in jobs]
-
-    # ------------------------------------------------------------------
-    def _reject(self, record: JobRecord, clock: float) -> None:
-        record.state = JobState.REJECTED
-        record.failure = (
-            f"smallest rung needs {self.controller.min_footprint(record.job)}"
-            f" bytes > budget {self.budget_bytes} bytes"
+    # -- capacity, contention, labels ----------------------------------
+    def _reserve(self, entry: _Resident, clock: float) -> None:
+        entry.allocation = self.pool.alloc(
+            entry.rung.footprint_bytes, tag=f"job[{entry.record.job.name}]"
         )
-        record.finish_time = clock
-        if self.obs is not None:
-            self.obs.job_event("rejected")
-
-    def _admit(self, record: JobRecord, rung: RungEval,
-               clock: float, resident: List[_Resident]) -> None:
-        allocation = self.pool.alloc(
-            rung.footprint_bytes, tag=f"job[{record.job.name}]"
-        )
-        record.state = JobState.RUNNING
-        record.rung = rung.rung
-        record.footprint_bytes = rung.footprint_bytes
-        record.solo_iter_seconds = rung.iter_seconds
-        record.pcie_bytes_per_iter = rung.pcie_bytes
-        record.admit_time = clock
-        # Readmission after an eviction resumes from where the job left
-        # off and waits only since it re-entered the queue.
-        ready_since = record.requeued_at if record.requeued_at is not None \
-            else record.job.submit_time
-        if clock > ready_since:
-            self.timeline.record(
-                f"job:{record.job.name}", EventKind.STALL,
-                "requeued" if record.requeued_at is not None else "queued",
-                ready_since, clock,
-            )
-        resident.append(_Resident(
-            record=record,
-            rung=rung,
-            allocation=allocation,
-            remaining_iterations=float(record.job.iterations)
-            - record.iterations_done,
-        ))
         self.usage.record(clock, self.pool.live_bytes)
-        if self.obs is not None:
-            self.obs.job_admitted(max(clock - ready_since, 0.0), rung.rung)
-            self._sample_pool()
+        self._sample_pool()
 
+    def _release(self, entry: _Resident, clock: float) -> None:
+        self.pool.free(entry.allocation)
+        self.usage.record(clock, self.pool.live_bytes)
+        self._sample_pool()
+
+    def _rates(self, resident: List[_Resident]) -> List[float]:
+        return self.contention.iteration_seconds([r.rung for r in resident])
+
+    def _run_label(self, entry: _Resident, tenants: int) -> str:
+        return f"{entry.rung.rung} x{tenants}"
+
+    def _unfit(self, record: JobRecord) -> str:
+        return (f"smallest rung needs "
+                f"{self.controller.min_footprint(record.job)}"
+                f" bytes > budget {self.budget_bytes} bytes")
+
+    # -- queue order ---------------------------------------------------
     def _cheapest_fit_now(self, job: Job) -> Optional[RungEval]:
         """Fastest rung whose footprint fits a contiguous pool hole.
 
@@ -294,28 +527,23 @@ class GPUScheduler:
     # ------------------------------------------------------------------
     # Fault reactions: eviction and mid-run budget shrink
     # ------------------------------------------------------------------
-    def _evict(self, entry: _Resident, clock: float,
-               pending: List[JobRecord], resident: List[_Resident],
-               reason: str) -> None:
-        """Evict a resident job, preserving its progress for readmission."""
-        resident.remove(entry)
-        self.pool.free(entry.allocation)
-        record = entry.record
-        record.iterations_done = float(record.job.iterations) \
-            - max(entry.remaining_iterations, 0.0)
-        record.state = JobState.PENDING
-        record.evictions += 1
-        record.requeued_at = clock
-        record.rung = None
-        record.footprint_bytes = 0
-        pending.append(record)
-        self.timeline.record(
-            f"job:{record.job.name}", EventKind.FAULT, reason, clock, clock,
-        )
+    def _begin(self, clock: float) -> List[tuple]:
         self.usage.record(clock, self.pool.live_bytes)
-        if self.obs is not None:
-            self.obs.job_event("evicted")
-            self._sample_pool()
+        self.budget_timeline = [(clock, self.budget_bytes)]
+        if self.faults is None:
+            return []
+        # Timed faults as a min-heap on (time, seq): seq preserves the
+        # old stable-sort order (shrinks before evictions at equal
+        # timestamps) while replacing the sorted list's O(n) pop(0)
+        # drain with O(log n) heappops.
+        events = [(t, self._apply_shrink, f)
+                  for t, f in self.faults.budget_shrinks]
+        events += [(t, self._apply_eviction, n)
+                   for t, n in self.faults.evictions]
+        fault_queue = [(t, seq, apply, payload)
+                       for seq, (t, apply, payload) in enumerate(events)]
+        heapq.heapify(fault_queue)
+        return fault_queue
 
     def _apply_eviction(self, name: str, clock: float,
                         pending: List[JobRecord],
@@ -416,134 +644,7 @@ class GPUScheduler:
     # ------------------------------------------------------------------
     def run(self) -> ScheduleResult:
         """Run the fleet to completion and return the schedule."""
-        pending = [r for r in self.records if r.state is JobState.PENDING]
-        resident: List[_Resident] = []
-        clock = min((r.job.submit_time for r in pending), default=0.0)
-        self.usage.record(clock, self.pool.live_bytes)
-        self.budget_timeline = [(clock, self.budget_bytes)]
-
-        # Timed faults as a min-heap on (time, seq): seq preserves the
-        # old stable-sort order (shrinks before evictions at equal
-        # timestamps) while replacing the sorted list's O(n) pop(0)
-        # drain with O(log n) heappops.
-        fault_queue: List[Tuple[float, int, str, object]] = []
-        if self.faults is not None:
-            events = [(t, "shrink", f) for t, f in self.faults.budget_shrinks]
-            events += [(t, "evict", n) for t, n in self.faults.evictions]
-            fault_queue = [(t, seq, kind, payload)
-                           for seq, (t, kind, payload) in enumerate(events)]
-            heapq.heapify(fault_queue)
-
-        last_snapshot = None
-        while pending or resident or fault_queue:
-            while fault_queue and fault_queue[0][0] <= clock:
-                _time, _seq, kind, payload = heapq.heappop(fault_queue)
-                if kind == "shrink":
-                    self._apply_shrink(payload, clock, pending, resident)
-                else:
-                    self._apply_eviction(payload, clock, pending, resident)
-
-            # Every loop iteration must change *something* — otherwise
-            # the event horizon has collapsed (e.g. float underflow in
-            # the progress arithmetic) and we would spin forever.
-            snapshot = (
-                clock, len(pending), len(fault_queue),
-                tuple((id(r), r.remaining_iterations) for r in resident),
-            )
-            if snapshot == last_snapshot:
-                raise RuntimeError(
-                    f"scheduler made no progress at t={clock} with "
-                    f"{len(resident)} resident / {len(pending)} pending "
-                    f"job(s); aborting instead of spinning"
-                )
-            last_snapshot = snapshot
-
-            self._try_admit(clock, pending, resident)
-            next_arrival = min(
-                (r.job.submit_time for r in pending
-                 if r.job.submit_time > clock),
-                default=None,
-            )
-            next_fault = fault_queue[0][0] if fault_queue else None
-
-            if not resident:
-                next_times = [t for t in (next_arrival, next_fault)
-                              if t is not None]
-                if next_times:
-                    clock = max(clock, min(next_times))
-                    continue
-                # Nothing running, nothing admissible, nothing arriving:
-                # the pool is idle yet the head does not fit — only
-                # possible transiently; reject the stragglers defensively.
-                for record in list(pending):
-                    self._reject(record, clock)
-                    pending.remove(record)
-                break
-
-            # Fluid progress at contention-adjusted rates.  A zero-cost
-            # rung completes instantly: zero its remaining work *before*
-            # the horizon computation so the completion sweep below
-            # collects it this iteration instead of spinning.
-            rates = self.contention.iteration_seconds(
-                [r.rung for r in resident]
-            )
-            for entry, iter_seconds in zip(resident, rates):
-                if iter_seconds <= 0:
-                    entry.remaining_iterations = 0.0
-            finish_times = [
-                clock + r.remaining_iterations * iter_seconds
-                for r, iter_seconds in zip(resident, rates)
-            ]
-            horizon = min(finish_times)
-            if next_arrival is not None:
-                horizon = min(horizon, next_arrival)
-            if next_fault is not None:
-                horizon = min(horizon, next_fault)
-
-            tenants = len(resident)
-            for entry, iter_seconds in zip(resident, rates):
-                if horizon > clock and iter_seconds > 0:
-                    entry.remaining_iterations -= \
-                        (horizon - clock) / iter_seconds
-                    self.timeline.record(
-                        f"job:{entry.record.job.name}", EventKind.RUN,
-                        f"{entry.rung.rung} x{tenants}",
-                        clock, horizon,
-                        nbytes=entry.rung.footprint_bytes,
-                    )
-                    entry.record.residency.append((clock, horizon, tenants))
-            clock = horizon
-
-            # Completion sweep.  ``finish <= clock`` also collects jobs
-            # whose per-step progress underflowed (clock + tiny == clock)
-            # so the loop cannot spin on unfinishable float arithmetic.
-            for entry, finish in [
-                (e, f) for e, f in zip(resident, finish_times)
-                if e.remaining_iterations <= _EPSILON or f <= clock
-            ]:
-                resident.remove(entry)
-                self.pool.free(entry.allocation)
-                entry.record.state = JobState.FINISHED
-                entry.record.finish_time = clock
-                entry.record.iterations_done = float(
-                    entry.record.job.iterations
-                )
-                if not entry.record.residency:
-                    # Zero-cost rung: it finished without accruing a RUN
-                    # interval; log a zero-length one so the job's lane
-                    # and residency accounting stay complete.
-                    self.timeline.record(
-                        f"job:{entry.record.job.name}", EventKind.RUN,
-                        f"{entry.rung.rung} x{tenants}", clock, clock,
-                        nbytes=entry.rung.footprint_bytes,
-                    )
-                    entry.record.residency.append((clock, clock, tenants))
-                self.usage.record(clock, self.pool.live_bytes)
-                if self.obs is not None:
-                    self.obs.job_finished(
-                        max(clock - entry.record.job.submit_time, 0.0))
-                    self._sample_pool()
-
+        self._simulate()
         self._finalize_fault_outcomes()
         result = ScheduleResult(
             policy=self.policy.name,
@@ -555,17 +656,7 @@ class GPUScheduler:
             budget_timeline=list(self.budget_timeline),
             fault_report=self.fault_report,
         )
-        if self.obs is not None:
-            self.obs.sched_makespan(result.makespan)
-            for record in result.records:
-                if record.finish_time is None:
-                    continue
-                self.obs.span(
-                    record.job.name, "jobs",
-                    record.job.submit_time,
-                    max(record.finish_time, record.job.submit_time),
-                    category="job", state=record.state.name.lower(),
-                    rung=record.rung or "", evictions=record.evictions)
+        self._close(result)
         return result
 
 

@@ -22,7 +22,8 @@ from repro.faults import (
     make_injector,
 )
 from repro.analysis.verify import verify_result, verify_schedule
-from repro.hw import PAPER_SYSTEM
+from repro.cluster import FleetContention, FleetScheduler
+from repro.hw import PAPER_SYSTEM, make_topology
 from repro.sched import (
     ContentionModel,
     GPUScheduler,
@@ -401,15 +402,34 @@ class _FixedContention(ContentionModel):
         return [self._iter_seconds] * len(rungs)
 
 
+class _FixedFleetContention(FleetContention):
+    """Fleet contention pinning every placed gang to one iteration time."""
+
+    def __init__(self, iter_seconds):
+        super().__init__(make_topology("pcie-switch", 1))
+        self._iter_seconds = iter_seconds
+
+    def iteration_seconds(self, entries):
+        return [self._iter_seconds] * len(entries)
+
+
 class TestSchedulerLiveness:
-    def run_with_rate(self, iter_seconds, submit_time=0.0):
-        scheduler = GPUScheduler(
+    """Liveness guards of the shared event loop, on the single GPU."""
+
+    def make_scheduler(self, iter_seconds):
+        return GPUScheduler(
             budget_bytes=16 * GB,
             contention=_FixedContention(iter_seconds),
         )
-        scheduler.submit(Job("j", "alexnet", 8, iterations=100,
-                             submit_time=submit_time))
-        return scheduler.run()
+
+    def held_bytes(self, result):
+        return result.final_pool_live_bytes
+
+    def run_with_rate(self, iter_seconds, submit_time=0.0):
+        self.scheduler = self.make_scheduler(iter_seconds)
+        self.scheduler.submit(Job("j", "alexnet", 8, iterations=100,
+                                  submit_time=submit_time))
+        return self.scheduler.run()
 
     def test_zero_cost_rung_completes_immediately(self):
         # Regression: iter_seconds == 0 used to make the event horizon
@@ -419,7 +439,9 @@ class TestSchedulerLiveness:
         assert record.state is JobState.FINISHED
         assert record.finish_time == 0.0
         assert record.residency == [(0.0, 0.0, 1)]
-        assert result.final_pool_live_bytes == 0
+        assert [(e.start, e.end) for e in result.timeline.on_stream("job:j")
+                if e.kind is EventKind.RUN] == [(0.0, 0.0)]
+        assert self.held_bytes(result) == 0
 
     def test_float_underflow_progress_still_terminates(self):
         # finish == clock + tiny underflows back to clock at a large
@@ -436,6 +458,20 @@ class TestSchedulerLiveness:
             else:
                 assert result.records[0].state in (
                     JobState.FINISHED, JobState.REJECTED)
+
+
+class TestFleetSchedulerLiveness(TestSchedulerLiveness):
+    """The same guards on the fleet scheduler, which runs the same loop."""
+
+    def make_scheduler(self, iter_seconds):
+        return FleetScheduler(
+            num_gpus=1, budget_bytes=16 * GB,
+            contention=_FixedFleetContention(iter_seconds),
+        )
+
+    def held_bytes(self, result):
+        return sum(16 * GB - free
+                   for free in self.scheduler.free_bytes.values())
 
 
 # ----------------------------------------------------------------------
