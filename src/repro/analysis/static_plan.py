@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.algo_config import AlgoConfig
-from ..core.dynamic import run_profiling_ladder
+from ..core.dynamic import ProfilingPass, _recording, run_profiling_ladder
 from ..core.liveness import LivenessAnalysis
 from ..core.plan import CompiledPlan, StorageRecord, compiled_plan
 from ..core.policy import TransferPolicy
@@ -913,42 +913,27 @@ def verify_joint_plan(
 # ----------------------------------------------------------------------
 # Static vDNN_dyn: replay the profiling ladder without simulating
 # ----------------------------------------------------------------------
-@dataclass
-class StaticProbe:
-    """Record of one interpreted (not simulated) ladder probe."""
-
-    description: str
-    policy_label: str
-    algo_label: str
-    trainable: bool
-
-
 def plan_dynamic_static(
     network: Network, system: SystemConfig
-) -> Tuple[TransferPolicy, AlgoConfig, List[StaticProbe]]:
+) -> Tuple[TransferPolicy, AlgoConfig, List[ProfilingPass]]:
     """The vDNN_dyn configuration, chosen by interpretation alone.
 
     Replays :func:`repro.core.dynamic.run_profiling_ladder` — the exact
     probe order and descriptions of :func:`plan_dynamic` — but each
     probe is an abstract walk of the compiled plan instead of a
     simulation, so trainability (peak + external vs budget, pinned
-    abort) is decided without executing anything.  The differential
-    suite asserts both ladders adopt the identical configuration.
+    abort) is decided without executing anything.  The probes are
+    recorded as the same :class:`~repro.core.dynamic.ProfilingPass`
+    records, and the differential suite asserts both histories are
+    equal, probe for probe.
 
     Raises :class:`repro.core.dynamic.UntrainableError` exactly when
     the dynamic planner would.
     """
-    passes: List[StaticProbe] = []
-
-    def probe(policy: TransferPolicy, algos: AlgoConfig,
-              description: str) -> PlanInterpretation:
-        plan = compiled_plan(network, system, algos)
-        interp = interpret_plan(network, system, plan, policy,
-                                subject=description)
-        passes.append(StaticProbe(description, policy.describe(),
-                                  algos.label, interp.trainable))
-        return interp
-
+    probe, passes = _recording(
+        lambda policy, algos, description: interpret_plan(
+            network, system, compiled_plan(network, system, algos), policy,
+            subject=description))
     policy, algos, _adopted = run_profiling_ladder(
         network, probe, system.gpu.memory_bytes)
     return policy, algos, passes
@@ -956,7 +941,7 @@ def plan_dynamic_static(
 
 def plan_joint_static(
     network: Network, system: SystemConfig
-) -> Tuple["JointConfig", AlgoConfig, List[StaticProbe]]:
+) -> Tuple["JointConfig", AlgoConfig, List[ProfilingPass]]:
     """The joint configuration, chosen by interpretation alone.
 
     The joint analogue of :func:`plan_dynamic_static`: replays
@@ -967,19 +952,13 @@ def plan_joint_static(
     :func:`repro.core.joint.plan_joint` always settle on the identical
     configuration (the parity differential test pins it).
     """
-    from ..core.joint import run_joint_ladder
+    from ..core.joint import JointConfig, run_joint_ladder
 
-    passes: List[StaticProbe] = []
-
-    def probe(config, algos: AlgoConfig,
-              description: str) -> PlanInterpretation:
-        plan = compiled_plan(network, system, algos)
-        interp = interpret_joint_plan(network, system, plan, config,
-                                      subject=description)
-        passes.append(StaticProbe(description, config.describe(),
-                                  algos.label, interp.trainable))
-        return interp
-
+    probe, passes = _recording(
+        lambda config, algos, description: interpret_joint_plan(
+            network, system, compiled_plan(network, system, algos), config,
+            subject=description),
+        JointConfig.policy)
     config, algos, _adopted = run_joint_ladder(
         network, system, probe, system.gpu.memory_bytes)
     return config, algos, passes

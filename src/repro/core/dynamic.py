@@ -29,6 +29,7 @@ from typing import List, Optional, Tuple
 
 from ..graph.network import Network
 from ..hw.config import SystemConfig
+from ..perf.cache import cache_enabled, get_cache
 from .algo_config import AlgoConfig
 from .cached import cached_vdnn, dynamic_key
 from .executor import IterationResult
@@ -41,14 +42,17 @@ class UntrainableError(RuntimeError):
 
 @dataclass
 class ProfilingPass:
-    """Record of one configuration probe."""
+    """Record of one configuration probe, simulated or interpreted.
+
+    Only fields both worlds can fill, so a static ladder's records
+    compare with ``==`` against the simulated ladder's.
+    """
 
     description: str
     policy: TransferPolicy
     algo_label: str
     trainable: bool
     max_usage_bytes: int
-    feature_extraction_time: float
 
 
 @dataclass
@@ -65,68 +69,100 @@ class DynamicPlan:
         return f"{self.policy.describe()} + algos[{self.algos.label}]"
 
 
-def _probe(
-    network: Network,
-    system: SystemConfig,
-    policy: TransferPolicy,
-    algos: AlgoConfig,
-    description: str,
-    passes: List[ProfilingPass],
-    use_cache: Optional[bool] = None,
-) -> IterationResult:
-    # Each profiling pass is one content-addressed simulation point:
-    # repeated planning over the same network replays passes as hits.
-    result = cached_vdnn(network, system, policy, algos, use_cache=use_cache)
-    passes.append(ProfilingPass(
-        description=description,
-        policy=policy,
-        algo_label=algos.label,
-        trainable=result.trainable,
-        max_usage_bytes=result.max_usage_bytes,
-        feature_extraction_time=result.feature_extraction_time,
-    ))
-    return result
+# ----------------------------------------------------------------------
+# The ladder toolkit: shared by vDNN_dyn, joint and their static twins
+# ----------------------------------------------------------------------
+#: Probes one greedy algorithm-downgrade loop spends before giving up.
+_DOWNGRADE_PROBES = 64
 
 
-def _greedy_downgrade(
-    network: Network,
-    policy: TransferPolicy,
-    probe,
-    max_probes: int = 64,
-) -> Optional[Tuple[AlgoConfig, object]]:
-    """Pass-3 greedy: shrink the most workspace-hungry layers until fit.
+def _recording(run, policy_of=lambda subject: subject):
+    """A ladder probe that records a :class:`ProfilingPass` per call.
 
-    The paper walks layers in order and downgrades any whose fastest
-    algorithm would overflow the budget; with a simulator per probe we
-    can be slightly smarter and always downgrade the layer contributing
-    the largest live workspace, which reaches the same fixed points.
+    ``run(subject, algos, description)`` simulates or interprets one
+    configuration; ``subject`` is a ``TransferPolicy`` (vDNN_dyn) or a
+    ``JointConfig`` (joint), and ``policy_of`` lowers it to the
+    recorded policy.  Returns ``(probe, passes)``.
+    """
+    passes: List[ProfilingPass] = []
+
+    def probe(subject, algos: AlgoConfig, description: str):
+        result = run(subject, algos, description)
+        passes.append(ProfilingPass(
+            description, policy_of(subject), algos.label,
+            result.trainable, result.max_usage_bytes))
+        return result
+
+    return probe, passes
+
+
+def _greedy_downgrade(network: Network, probe, subject, label: str,
+                      description: str):
+    """Shrink the most workspace-hungry layers until ``subject`` fits.
+
+    Starts from the fastest algorithms (labelled ``label``).  The paper
+    walks layers in order and downgrades any whose fastest algorithm
+    would overflow the budget; with a simulator per probe we can be
+    slightly smarter and always downgrade the layer contributing the
+    largest live workspace, which reaches the same fixed points.
+
+    Returns ``(algos, result)`` for the first fit, or None once every
+    layer is at implicit GEMM or the probe allowance is spent.
     """
     algos = AlgoConfig.performance_optimal(network)
-    algos.label = "dyn"
-    for probe_index in range(max_probes):
-        result = probe(
-            policy, algos, f"greedy[{policy.describe()}] probe {probe_index}"
-        )
+    algos.label = label
+    for probe_index in range(_DOWNGRADE_PROBES):
+        result = probe(subject, algos, f"{description} {probe_index}")
         if result.trainable:
             return algos, result
-        # Downgrade the layer with the largest current workspace.
-        candidates = sorted(
+        hungriest = sorted(
             algos.profiles.items(),
             key=lambda item: item[1].workspace_bytes,
             reverse=True,
         )
-        downgraded = False
-        for layer_index, profile in candidates:
-            if profile.workspace_bytes == 0:
-                break
-            if algos.downgrade(network, layer_index):
-                downgraded = True
-                break
-        if not downgraded:
-            return None  # everything is already at implicit GEMM
+        if not any(algos.downgrade(network, layer_index)
+                   for layer_index, profile in hungriest
+                   if profile.workspace_bytes):
+            break
     return None
 
 
+def _shortfall(result, budget_bytes: int) -> str:
+    """Why a feasibility probe missed: its peak, or pinned host memory."""
+    if result.max_usage_bytes > budget_bytes:
+        return f"needs {result.max_usage_bytes} bytes (> {budget_bytes})"
+    # The peak fits, so the walk stopped on pinned-host exhaustion.
+    return (f"ran out of pinned host memory (peak "
+            f"{result.max_usage_bytes} bytes fits in {budget_bytes})")
+
+
+def _adopted(network: Network, system: SystemConfig,
+             use_cache: Optional[bool], key_of, plan_of, label: str
+             ) -> IterationResult:
+    """A planner's adopted result, relabelled ``label``.
+
+    The relabelled result is itself cached under its own point
+    (``key_of(network, system)``), so a warm ``evaluate`` skips the
+    whole ladder; a cold run still benefits from any previously cached
+    individual probes.
+    """
+    key = key_of(network, system) if cache_enabled(use_cache) else None
+    if key is not None:
+        cached = get_cache().get(key)
+        if cached is not None:
+            return cached
+    plan = plan_of(network, system, use_cache=use_cache)
+    result = plan.result
+    result.policy_label = label
+    result.algo_label = plan.algos.label
+    if key is not None:
+        get_cache().put(key, result)
+    return result
+
+
+# ----------------------------------------------------------------------
+# The vDNN_dyn ladder
+# ----------------------------------------------------------------------
 def run_profiling_ladder(
     network: Network,
     probe,
@@ -156,8 +192,7 @@ def run_profiling_ladder(
     if not feasibility.trainable:
         raise UntrainableError(
             f"{network.name}: even vDNN_all with memory-optimal algorithms "
-            f"needs {feasibility.max_usage_bytes} bytes "
-            f"(> {budget_bytes})"
+            f"{_shortfall(feasibility, budget_bytes)}"
         )
 
     # Pass 2: fastest algorithms, no offloading at all.
@@ -177,7 +212,8 @@ def run_profiling_ladder(
 
     # Pass 3: greedy per-layer algorithm downgrades.
     for policy in (TransferPolicy.vdnn_conv(), TransferPolicy.vdnn_all()):
-        greedy = _greedy_downgrade(network, policy, probe)
+        greedy = _greedy_downgrade(network, probe, policy, "dyn",
+                                   f"greedy[{policy.describe()}] probe")
         if greedy is not None:
             algos, result = greedy
             return policy, algos, result
@@ -192,13 +228,11 @@ def plan_dynamic(
     use_cache: Optional[bool] = None,
 ) -> DynamicPlan:
     """Run the vDNN_dyn profiling passes and return the adopted plan."""
-    passes: List[ProfilingPass] = []
-
-    def probe(policy: TransferPolicy, algos: AlgoConfig,
-              description: str) -> IterationResult:
-        return _probe(network, system, policy, algos, description, passes,
-                      use_cache=use_cache)
-
+    # Each profiling pass is one content-addressed simulation point:
+    # repeated planning over the same network replays passes as hits.
+    probe, passes = _recording(
+        lambda policy, algos, _description: cached_vdnn(
+            network, system, policy, algos, use_cache=use_cache))
     policy, algos, result = run_profiling_ladder(
         network, probe, system.gpu.memory_bytes)
     return DynamicPlan(policy, algos, result, passes)
@@ -211,24 +245,8 @@ def simulate_dynamic(
 ) -> IterationResult:
     """Convenience: run vDNN_dyn and relabel the adopted result.
 
-    The adopted (already relabeled) result is itself cached under a
-    ``dynamic`` point, so a warm ``evaluate(..., policy="dyn")`` skips
-    the whole profiling ladder; a cold run still benefits from any
-    previously cached individual passes.
+    The adopted result is cached under a ``dynamic`` point, so a warm
+    ``evaluate(..., policy="dyn")`` skips the whole profiling ladder.
     """
-    from ..perf.cache import cache_enabled, get_cache
-
-    enabled = cache_enabled(use_cache)
-    key = dynamic_key(network, system) if enabled else None
-    if enabled:
-        cached = get_cache().get(key)
-        if cached is not None:
-            return cached
-
-    plan = plan_dynamic(network, system, use_cache=use_cache)
-    result = plan.result
-    result.policy_label = "vDNN_dyn"
-    result.algo_label = plan.algos.label
-    if enabled:
-        get_cache().put(key, result)
-    return result
+    return _adopted(network, system, use_cache, dynamic_key, plan_dynamic,
+                    "vDNN_dyn")

@@ -31,7 +31,8 @@ from ..hw.config import SystemConfig
 from ..perf.cache import cache_enabled, get_cache
 from ..perf.fingerprint import fingerprint_point
 from .algo_config import AlgoConfig
-from .dynamic import ProfilingPass, UntrainableError
+from .dynamic import (ProfilingPass, UntrainableError, _adopted,
+                      _greedy_downgrade, _recording, _shortfall)
 from .executor import IterationResult, _VDNNSimulation, _run_iteration
 from .plan import CompiledPlan, compiled_plan
 from .policy import TransferPolicy
@@ -186,7 +187,6 @@ def run_joint_ladder(
     system: SystemConfig,
     probe,
     budget_bytes: int,
-    max_probes: int = 64,
 ):
     """The joint planning ladder, abstracted over how probes run.
 
@@ -243,10 +243,9 @@ def run_joint_ladder(
         if not drop_feasibility.trainable:
             raise UntrainableError(
                 f"{network.name}: neither all-offload nor all-recompute "
-                f"fits with memory-optimal algorithms "
-                f"({feasibility.max_usage_bytes} and "
-                f"{drop_feasibility.max_usage_bytes} bytes "
-                f"> {budget_bytes})")
+                f"fits with memory-optimal algorithms: all-offload "
+                f"{_shortfall(feasibility, budget_bytes)}, all-recompute "
+                f"{_shortfall(drop_feasibility, budget_bytes)}")
         fallback = (all_drop, memory_optimal, drop_feasibility)
 
     # Pass 2: keep everything on device, fastest algorithms.
@@ -287,27 +286,11 @@ def run_joint_ladder(
     # Pass 5: greedy per-layer algorithm downgrades, cheapest decisions.
     cheapest = _config_of(
         {t: _best_action(costs[t])[0] for t in triggers})
-    algos = AlgoConfig.performance_optimal(network)
-    algos.label = "joint"
-    for probe_index in range(max_probes):
-        result = probe(cheapest, algos,
-                       f"pass5: joint downgrade probe {probe_index}")
-        if result.trainable:
-            return cheapest, algos, result
-        hungriest = sorted(
-            algos.profiles.items(),
-            key=lambda item: item[1].workspace_bytes,
-            reverse=True,
-        )
-        downgraded = False
-        for layer_index, profile in hungriest:
-            if profile.workspace_bytes == 0:
-                break
-            if algos.downgrade(network, layer_index):
-                downgraded = True
-                break
-        if not downgraded:
-            break
+    greedy = _greedy_downgrade(network, probe, cheapest, "joint",
+                               "pass5: joint downgrade probe")
+    if greedy is not None:
+        algos, result = greedy
+        return cheapest, algos, result
 
     # Pass 6: the known-feasible configuration from pass 1.
     return fallback
@@ -372,22 +355,10 @@ def plan_joint(
     use_cache: Optional[bool] = None,
 ) -> JointPlan:
     """Run the joint planning ladder and return the adopted plan."""
-    passes: List[ProfilingPass] = []
-
-    def probe(config: JointConfig, algos: AlgoConfig,
-              description: str) -> IterationResult:
-        result = cached_joint(network, system, config, algos,
-                              use_cache=use_cache)
-        passes.append(ProfilingPass(
-            description=description,
-            policy=config.policy(),
-            algo_label=algos.label,
-            trainable=result.trainable,
-            max_usage_bytes=result.max_usage_bytes,
-            feature_extraction_time=result.feature_extraction_time,
-        ))
-        return result
-
+    probe, passes = _recording(
+        lambda config, algos, _description: cached_joint(
+            network, system, config, algos, use_cache=use_cache),
+        JointConfig.policy)
     config, algos, result = run_joint_ladder(
         network, system, probe, system.gpu.memory_bytes)
     return JointPlan(config, algos, result, passes)
@@ -400,20 +371,8 @@ def simulate_joint(
 ) -> IterationResult:
     """Convenience: run the joint planner and relabel the adopted result.
 
-    Mirrors :func:`~repro.core.dynamic.simulate_dynamic`: the adopted
-    (relabeled) result is cached under its own ``joint-adopted`` point,
+    The adopted result is cached under its own ``joint-adopted`` point,
     so a warm ``evaluate(..., policy="joint")`` skips the ladder.
     """
-    enabled = cache_enabled(use_cache)
-    key = adopted_joint_key(network, system) if enabled else None
-    if enabled:
-        cached = get_cache().get(key)
-        if cached is not None:
-            return cached
-    plan = plan_joint(network, system, use_cache=use_cache)
-    result = plan.result
-    result.policy_label = "vDNN_joint"
-    result.algo_label = plan.algos.label
-    if enabled:
-        get_cache().put(key, result)
-    return result
+    return _adopted(network, system, use_cache, adopted_joint_key,
+                    plan_joint, "vDNN_joint")

@@ -165,9 +165,7 @@ class TestStaticDynamicParity:
         config, algos, passes = plan_joint_static(network, system)
         assert config == dynamic.config
         assert algos.label == dynamic.algos.label
-        assert len(passes) == len(dynamic.passes)
-        assert [p.description for p in passes] \
-            == [p.description for p in dynamic.passes]
+        assert passes == dynamic.passes
 
     @pytest.mark.parametrize("name,batch,budget", MIXED_POINTS)
     def test_abstract_walk_matches_simulation_bitwise(self, name, batch,

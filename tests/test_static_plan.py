@@ -28,6 +28,7 @@ from repro.analysis.static_plan import (
     interpret_joint_plan,
     interpret_plan,
     plan_dynamic_static,
+    plan_joint_static,
     verify_compiled_plan,
     verify_plan,
     verify_point_static,
@@ -39,9 +40,9 @@ from repro.analysis.diagnostics import Report, Severity
 from repro.analysis.trace import OpKind
 from repro.analysis.verify import analyze_trace, verify_point, verify_zoo
 from repro.core.algo_config import AlgoConfig
-from repro.core.dynamic import plan_dynamic
+from repro.core.dynamic import UntrainableError, plan_dynamic
 from repro.core.executor import _VDNNSimulation, simulate_vdnn
-from repro.core.joint import JointConfig
+from repro.core.joint import JointConfig, plan_joint
 from repro.core.liveness import LivenessAnalysis
 from repro.core.plan import CompiledPlan, compiled_plan
 from repro.core.policy import TransferPolicy
@@ -153,16 +154,49 @@ class TestStaticImpliesDynamic:
         # Subjects pair up so the sweeps zip together point for point.
         assert static.subject == dynamic.subject
 
-    def test_dyn_ladder_adopts_identical_configuration(self):
-        network = build("alexnet")
-        policy, algos, probes = plan_dynamic_static(network, PAPER_SYSTEM)
-        simulated = plan_dynamic(network, PAPER_SYSTEM)
-        assert policy.describe() == simulated.policy.describe()
+    @pytest.mark.parametrize("name,batch,budget_gib", [
+        ("alexnet", None, 12.0),    # pass 2 fits: 2 probes
+        ("vgg16", 64, 4.0),         # greedy vDNN_conv: 15 probes
+        ("vgg16", 128, 8.0),        # greedy: 6 probes
+        ("googlenet", 128, 2.0),    # pass 2b all(p): 4 probes
+        ("resnet50", 32, 1.2),
+        ("vgg16", 64, 3.0),         # untrainable: both sides raise
+    ])
+    def test_dyn_ladder_adopts_identical_configuration(self, name, batch,
+                                                       budget_gib):
+        network = build(name, batch)
+        system = PAPER_SYSTEM.with_gpu_memory(int(budget_gib * (1 << 30)))
+        try:
+            simulated = plan_dynamic(network, system)
+        except UntrainableError:
+            with pytest.raises(UntrainableError):
+                plan_dynamic_static(network, system)
+            return
+        policy, algos, probes = plan_dynamic_static(network, system)
+        assert policy == simulated.policy
         assert algos.label == simulated.algos.label
-        assert [p.description for p in probes] \
-            == [p.description for p in simulated.passes]
-        assert [p.trainable for p in probes] \
-            == [p.trainable for p in simulated.passes]
+        assert probes == simulated.passes
+
+    @pytest.mark.parametrize("simulated,static", [
+        (plan_dynamic, plan_dynamic_static),
+        (plan_joint, plan_joint_static),
+    ])
+    def test_pinned_abort_is_not_reported_over_budget(self, simulated,
+                                                      static):
+        # 687,194 pinned bytes: the feasibility probe's peak fits the
+        # 12 GiB device, but its offloads exhaust pinned host memory.
+        host = dataclasses.replace(PAPER_SYSTEM.host,
+                                   max_pinned_fraction=1e-5)
+        system = dataclasses.replace(PAPER_SYSTEM, host=host)
+        network = build("alexnet", 32)
+        with pytest.raises(UntrainableError) as simulated_error:
+            simulated(network, system, use_cache=False)
+        with pytest.raises(UntrainableError) as static_error:
+            static(network, system)
+        message = str(simulated_error.value)
+        assert "ran out of pinned host memory" in message
+        assert f"> {system.gpu.memory_bytes}" not in message
+        assert str(static_error.value) == message
 
 
 # ----------------------------------------------------------------------
