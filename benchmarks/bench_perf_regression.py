@@ -4,8 +4,9 @@ Times the three hot paths this repo optimizes and asserts their floors:
 
 1. **evaluate warm vs cold** — a cache hit must replay a simulation at
    least 5x faster than simulating it;
-2. **vDNN_dyn profiling** — the dynamic planner's probe ladder must run
-   at least 2x faster once its vDNN probes are cache hits;
+2. **vDNN_dyn profiling** — planning again over the same network must
+   run at least 2x faster once its compiled plans and adopted point
+   are cached;
 3. **multi-tenant schedule warm vs cold** — repeated scheduler runs over
    one workload reuse the admission ladder's cached simulations;
 4. **allocator at 10k live blocks** — the bisect-indexed
@@ -53,7 +54,7 @@ def _flush_results() -> None:
     key                 owner
     ==================  =============================================
     ``evaluate``        this bench (warm vs cold cache hit)
-    ``dynamic``         this bench (vDNN_dyn probe-ladder reuse)
+    ``dynamic``         this bench (vDNN_dyn warm re-planning)
     ``schedule``        this bench (admission-ladder cache reuse)
     ``allocator``       this bench (bisect pool vs linear scan)
     ``cache``           this bench (sweep-cache hit statistics)
@@ -118,7 +119,7 @@ def test_evaluate_warm_cache_speedup():
 
 
 # ----------------------------------------------------------------------
-# 2. vDNN_dyn: profiling ladder with cold vs warmed probe cache
+# 2. vDNN_dyn: planning cold vs warm
 # ----------------------------------------------------------------------
 def measure_dynamic() -> dict:
     from repro.core.dynamic import plan_dynamic
@@ -130,7 +131,9 @@ def measure_dynamic() -> dict:
     cold_plan = plan_dynamic(network, PAPER_SYSTEM)
     cold = time.perf_counter() - start
 
-    # Second planning run: every probe the ladder issues is now a hit.
+    # Second planning run: the interpreted probes walk again, but over
+    # the compiled plans the first run built, and the adopted point's
+    # simulation replays from the cache.
     start = time.perf_counter()
     warm_plan = plan_dynamic(network, PAPER_SYSTEM)
     warm = time.perf_counter() - start

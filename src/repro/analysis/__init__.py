@@ -47,10 +47,11 @@ _EXPORTS = {
     "lint_file": "lint",
     "PlanInterpretation": "static_plan",
     "interpret_plan": "static_plan",
+    "interpret_joint_plan": "static_plan",
     "audit_plan": "static_plan",
     "verify_compiled_plan": "static_plan",
     "verify_plan": "static_plan",
-    "plan_dynamic_static": "static_plan",
+    "verify_joint_plan": "static_plan",
     "verify_point_static": "static_plan",
     "verify_zoo_static": "static_plan",
     "verify_recompute_plan": "static_plan",

@@ -25,7 +25,7 @@ from itertools import groupby
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.algo_config import AlgoConfig
-from ..core.dynamic import UntrainableError, plan_dynamic
+from ..core.dynamic import UntrainableError, adopt_dynamic
 from ..core.executor import IterationResult, simulate_baseline, simulate_vdnn
 from ..core.liveness import LivenessAnalysis
 from ..core.policy import TransferPolicy
@@ -117,23 +117,22 @@ def _verify_point(network: Network, policy: str, algo: str,
     elif policy == "dyn":
         subject = f"{network.name} dyn"
         try:
-            plan = plan_dynamic(network, system)
+            transfer, algos, _passes = adopt_dynamic(network, system)
         except UntrainableError:
             # Nothing to verify: the planner found no feasible schedule,
             # so no schedule exists to be racy or unsafe.
             return Report(subject=f"{subject} (untrainable, skipped)")
-        result = simulate_vdnn(network, system, plan.policy, plan.algos,
-                               verify=True)
+        result = simulate_vdnn(network, system, transfer, algos, verify=True)
     elif policy == "joint":
         subject = f"{network.name} joint"
-        from ..core.joint import plan_joint, simulate_joint_config
+        from ..core.joint import adopt_joint, simulate_joint_config
 
         try:
-            jplan = plan_joint(network, system)
+            config, algos, _passes = adopt_joint(network, system)
         except UntrainableError:
             return Report(subject=f"{subject} (untrainable, skipped)")
-        result = simulate_joint_config(network, system, jplan.config,
-                                       jplan.algos, verify=True)
+        result = simulate_joint_config(network, system, config, algos,
+                                       verify=True)
     else:
         transfer = {
             "all": TransferPolicy.vdnn_all,

@@ -81,7 +81,7 @@ def evaluate(
     if policy not in _POLICIES:
         raise ValueError(f"policy must be one of {_POLICIES}, got {policy!r}")
     if faults is not None or verify or obs is not None:
-        from .dynamic import plan_dynamic
+        from .dynamic import adopt_dynamic
         from .executor import simulate_baseline, simulate_vdnn
 
         if policy == "base":
@@ -94,14 +94,14 @@ def evaluate(
                 network, system, _algo_config(network, algo), verify=verify,
                 obs=obs)
         if policy == "dyn":
-            plan = plan_dynamic(network, system, use_cache=use_cache)
+            transfer, algos, _passes = adopt_dynamic(network, system)
             result = simulate_vdnn(
-                network, system, plan.policy, plan.algos, verify=verify,
+                network, system, transfer, algos, verify=verify,
                 faults=faults, fault_seed=fault_seed, obs=obs)
             # Match simulate_dynamic's relabeling so fresh (verified,
             # faulted, instrumented) dyn runs compare equal to cached ones.
             result.policy_label = "vDNN_dyn"
-            result.algo_label = plan.algos.label
+            result.algo_label = algos.label
             return result
         if policy == "joint":
             if faults is not None:
@@ -109,15 +109,14 @@ def evaluate(
                     "joint planning under fault injection is not "
                     "supported; fault injection applies to the vDNN "
                     "transfer policies (all, conv, comp, dyn)")
-            from .joint import plan_joint, simulate_joint_config
+            from .joint import adopt_joint, simulate_joint_config
 
-            jplan = plan_joint(network, system, use_cache=use_cache)
+            config, algos, _passes = adopt_joint(network, system)
             result = simulate_joint_config(
-                network, system, jplan.config, jplan.algos,
-                verify=verify, obs=obs)
+                network, system, config, algos, verify=verify, obs=obs)
             # Same relabeling contract as dyn above.
             result.policy_label = "vDNN_joint"
-            result.algo_label = jplan.algos.label
+            result.algo_label = algos.label
             return result
         transfer = {
             "all": TransferPolicy.vdnn_all,

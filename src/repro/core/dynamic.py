@@ -18,8 +18,11 @@ one that is trainable:
 4. Fallback: ``vDNN_all`` with memory-optimal algorithms (known to fit
    from step 1).
 
-Each probe here is one run of the iteration simulator — the analogue of
-the paper's single profiled training pass.
+The paper profiles each configuration by running it.  Here a probe is
+an abstract walk of the compiled plan (:mod:`repro.core.interpret`): the
+ladder reads only whether a configuration is trainable and its peak
+usage, and the interpreter computes both exactly as the simulator
+would.  Only the adopted point is simulated, once.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from ..perf.cache import cache_enabled, get_cache
 from .algo_config import AlgoConfig
 from .cached import cached_vdnn, dynamic_key
 from .executor import IterationResult
+from .interpret import interpret_plan
+from .plan import compiled_plan
 from .policy import TransferPolicy
 
 
@@ -42,10 +47,10 @@ class UntrainableError(RuntimeError):
 
 @dataclass
 class ProfilingPass:
-    """Record of one configuration probe, simulated or interpreted.
+    """Record of one configuration probe.
 
-    Only fields both worlds can fill, so a static ladder's records
-    compare with ``==`` against the simulated ladder's.
+    Only fields an interpreted and a simulated probe both fill, so the
+    two histories of one ladder compare with ``==``.
     """
 
     description: str
@@ -70,7 +75,7 @@ class DynamicPlan:
 
 
 # ----------------------------------------------------------------------
-# The ladder toolkit: shared by vDNN_dyn, joint and their static twins
+# The ladder toolkit: shared by the vDNN_dyn and joint ladders
 # ----------------------------------------------------------------------
 #: Probes one greedy algorithm-downgrade loop spends before giving up.
 _DOWNGRADE_PROBES = 64
@@ -79,10 +84,10 @@ _DOWNGRADE_PROBES = 64
 def _recording(run, policy_of=lambda subject: subject):
     """A ladder probe that records a :class:`ProfilingPass` per call.
 
-    ``run(subject, algos, description)`` simulates or interprets one
-    configuration; ``subject`` is a ``TransferPolicy`` (vDNN_dyn) or a
-    ``JointConfig`` (joint), and ``policy_of`` lowers it to the
-    recorded policy.  Returns ``(probe, passes)``.
+    ``run(subject, algos, description)`` evaluates one configuration;
+    ``subject`` is a ``TransferPolicy`` (vDNN_dyn) or a ``JointConfig``
+    (joint), and ``policy_of`` lowers it to the recorded policy.
+    Returns ``(probe, passes)``.
     """
     passes: List[ProfilingPass] = []
 
@@ -102,7 +107,7 @@ def _greedy_downgrade(network: Network, probe, subject, label: str,
 
     Starts from the fastest algorithms (labelled ``label``).  The paper
     walks layers in order and downgrades any whose fastest algorithm
-    would overflow the budget; with a simulator per probe we can be
+    would overflow the budget; with a whole walk per probe we can be
     slightly smarter and always downgrade the layer contributing the
     largest live workspace, which reaches the same fixed points.
 
@@ -143,8 +148,8 @@ def _adopted(network: Network, system: SystemConfig,
 
     The relabelled result is itself cached under its own point
     (``key_of(network, system)``), so a warm ``evaluate`` skips the
-    whole ladder; a cold run still benefits from any previously cached
-    individual probes.
+    whole ladder; a cold run still replays the adopted point's own
+    simulation when anything simulated it before.
     """
     key = key_of(network, system) if cache_enabled(use_cache) else None
     if key is not None:
@@ -172,11 +177,9 @@ def run_profiling_ladder(
 
     ``probe(policy, algos, description)`` evaluates one configuration
     and returns an object with ``trainable`` and ``max_usage_bytes``
-    attributes.  :func:`plan_dynamic` probes by *simulating* (via the
-    result cache); the static verifier probes by *interpreting* the
-    compiled plan, replaying the identical probe sequence without a
-    single simulation — both walk this one ladder, so their adopted
-    configurations can never drift apart.
+    attributes.  :func:`adopt_dynamic` probes by interpreting the
+    compiled plan; a test oracle substitutes a probe that also
+    simulates and checks that both agree.
 
     Returns the adopted ``(policy, algos, probe_result)``; raises
     :class:`UntrainableError` when the pass-1 feasibility probe fails.
@@ -222,19 +225,30 @@ def run_profiling_ladder(
     return TransferPolicy.vdnn_all(), memory_optimal, feasibility
 
 
+def adopt_dynamic(
+    network: Network, system: SystemConfig
+) -> Tuple[TransferPolicy, AlgoConfig, List[ProfilingPass]]:
+    """The vDNN_dyn ladder alone: the adopted ``(policy, algos, passes)``.
+
+    Every probe is an abstract walk of the compiled plan; nothing is
+    simulated.  Raises :class:`UntrainableError` when pass 1 fails.
+    """
+    probe, passes = _recording(
+        lambda policy, algos, _description: interpret_plan(
+            network, system, compiled_plan(network, system, algos), policy))
+    policy, algos, _probe = run_profiling_ladder(
+        network, probe, system.gpu.memory_bytes)
+    return policy, algos, passes
+
+
 def plan_dynamic(
     network: Network,
     system: SystemConfig,
     use_cache: Optional[bool] = None,
 ) -> DynamicPlan:
-    """Run the vDNN_dyn profiling passes and return the adopted plan."""
-    # Each profiling pass is one content-addressed simulation point:
-    # repeated planning over the same network replays passes as hits.
-    probe, passes = _recording(
-        lambda policy, algos, _description: cached_vdnn(
-            network, system, policy, algos, use_cache=use_cache))
-    policy, algos, result = run_profiling_ladder(
-        network, probe, system.gpu.memory_bytes)
+    """Run the vDNN_dyn ladder, then simulate the adopted point once."""
+    policy, algos, passes = adopt_dynamic(network, system)
+    result = cached_vdnn(network, system, policy, algos, use_cache=use_cache)
     return DynamicPlan(policy, algos, result, passes)
 
 

@@ -14,10 +14,10 @@ compressing through the policy and dropping the triggers in
 
 Like :mod:`repro.core.dynamic`, the ladder (:func:`run_joint_ladder`)
 is probe-abstracted and adopts by trainability and modeled costs only
-— never by simulated time — so the static verifier can replay the
-identical ladder by abstract interpretation and prove both sides adopt
-the same configuration (the parity differential tests in
-``tests/test_joint_differential.py``).
+— never by simulated time.  :func:`adopt_joint` probes by abstract
+interpretation of the compiled plan, and only the adopted point is
+simulated; a per-probe oracle in the tests checks the interpreter
+against the simulator on every probe a ladder issues.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .algo_config import AlgoConfig
 from .dynamic import (ProfilingPass, UntrainableError, _adopted,
                       _greedy_downgrade, _recording, _shortfall)
 from .executor import IterationResult, _VDNNSimulation, _run_iteration
+from .interpret import interpret_joint_plan
 from .plan import CompiledPlan, compiled_plan
 from .policy import TransferPolicy
 from .recompute import droppable
@@ -112,8 +113,7 @@ def trigger_costs(
 ) -> Dict[int, Dict[JointDecision, float]]:
     """Modeled exposed seconds of each action, per trigger layer.
 
-    Pure plan arithmetic — no simulation — so the dynamic and static
-    ladders rank flips identically:
+    Pure plan arithmetic, no simulation:
 
     * OFFLOAD / OFFLOAD_COMP: the transfer time not hidden behind the
       trigger kernel, paid once out and once back (``2 * max(0,
@@ -192,11 +192,10 @@ def run_joint_ladder(
 
     ``probe(config, algos, description)`` evaluates one joint
     configuration and returns an object with ``trainable`` and
-    ``max_usage_bytes`` attributes.  :func:`plan_joint` probes by
-    simulating (through the result cache); the static verifier probes
-    by interpreting the compiled plan — adoption depends only on
-    trainability and the deterministic cost model, so both ladders
-    always agree.
+    ``max_usage_bytes`` attributes.  :func:`adopt_joint` probes by
+    interpreting the compiled plan.  Adoption depends only on
+    trainability and the deterministic cost model, so any probe that
+    agrees on those two facts adopts the same configuration.
 
     1. Feasibility with memory-optimal algorithms: everything
        offloaded; if that misses, everything recomputable dropped.
@@ -349,18 +348,32 @@ def cached_joint(
         lambda: simulate_joint_config(network, system, config, algos))
 
 
+def adopt_joint(
+    network: Network, system: SystemConfig
+) -> Tuple[JointConfig, AlgoConfig, List[ProfilingPass]]:
+    """The joint ladder alone: the adopted ``(config, algos, passes)``.
+
+    Every probe is an abstract walk of the compiled plan under the
+    config's drop set; nothing is simulated.  Raises
+    :class:`~repro.core.dynamic.UntrainableError` when pass 1 fails.
+    """
+    probe, passes = _recording(
+        lambda config, algos, _description: interpret_joint_plan(
+            network, system, compiled_plan(network, system, algos), config),
+        JointConfig.policy)
+    config, algos, _probe = run_joint_ladder(
+        network, system, probe, system.gpu.memory_bytes)
+    return config, algos, passes
+
+
 def plan_joint(
     network: Network,
     system: SystemConfig,
     use_cache: Optional[bool] = None,
 ) -> JointPlan:
-    """Run the joint planning ladder and return the adopted plan."""
-    probe, passes = _recording(
-        lambda config, algos, _description: cached_joint(
-            network, system, config, algos, use_cache=use_cache),
-        JointConfig.policy)
-    config, algos, result = run_joint_ladder(
-        network, system, probe, system.gpu.memory_bytes)
+    """Run the joint ladder, then simulate the adopted point once."""
+    config, algos, passes = adopt_joint(network, system)
+    result = cached_joint(network, system, config, algos, use_cache=use_cache)
     return JointPlan(config, algos, result, passes)
 
 

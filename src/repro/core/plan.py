@@ -341,7 +341,7 @@ class CompiledPlan:
 
     # -- invariant-relevant views (static verifier) --------------------
     # These flip the per-step schedules into per-storage maps so
-    # :mod:`repro.analysis.static_plan` can audit each allocation's
+    # the static plan verifier can audit each allocation's
     # whole lifecycle in one lookup.  Verification-path only: built on
     # demand, never cached, never touched by the executor's hot loop.
 

@@ -43,7 +43,7 @@ class CheckpointPlan:
     plus the droppable order the segment walk-back follows.  Built by
     :func:`checkpoint_plan`; consumed by :class:`_RecomputeSimulation`
     and audited statically by
-    :func:`repro.analysis.static_plan.verify_recompute_plan` (SP405).
+    :func:`repro.analysis.verify_recompute_plan` (SP405).
     """
 
     checkpoints: FrozenSet[int]

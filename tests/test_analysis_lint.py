@@ -1,5 +1,6 @@
 """AST lint rules over synthetic snippets, plus the repo-clean gate."""
 
+import ast
 from pathlib import Path
 
 import repro
@@ -291,3 +292,41 @@ class TestRepoGate:
         path.write_text("def broken(:\n")
         findings = lint_file(path, tmp_path)
         assert len(findings) == 1 and "does not parse" in findings[0].message
+
+
+def _imported_modules(path):
+    """Every module a file under ``repro/core`` imports, resolved."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                parent = ["repro", "core"][:3 - node.level]
+                module = ".".join(parent + ([module] if module else []))
+            for alias in node.names:
+                # `from repro.analysis import hb` imports a module too.
+                yield (f"{module}.{alias.name}"
+                       if module in ("repro", "repro.analysis") else module)
+
+
+class TestImportDirection:
+    """``repro.core`` sits below ``repro.analysis``: it may import only
+    the analysis leaves, which import nothing from the package."""
+
+    LEAVES = {"repro.analysis.trace", "repro.analysis.diagnostics"}
+
+    def test_core_imports_only_analysis_leaves(self):
+        core = Path(repro.__file__).parent / "core"
+        imports = {(path.name, module)
+                   for path in sorted(core.glob("*.py"))
+                   for module in _imported_modules(path)}
+        # The scan sees the imports it is meant to allow.
+        assert ("executor.py", "repro.analysis.trace") in imports
+        assert ("interpret.py", "repro.analysis.diagnostics") in imports
+        offenders = sorted(
+            (name, module) for name, module in imports
+            if (module == "repro.analysis"
+                or module.startswith("repro.analysis."))
+            and module not in self.LEAVES)
+        assert offenders == []

@@ -8,10 +8,11 @@ Four layers of pinning, mirroring the repo's existing walls:
 * **Sanitizer-clean** — every joint schedule (mixed offload + compress
   + drop) replays clean through the race and memory-safety passes, and
   recording the trace does not perturb the simulation.
-* **Static/dynamic parity** — the static joint ladder adopts the exact
-  configuration the simulating ladder adopts, and the abstract walk's
-  accounting matches the simulator bit-for-bit on every metric the
-  planner decides by.
+* **Static/dynamic parity** — every probe of the interpreted joint
+  ladder agrees with its simulation (``ladder_reference``), so
+  ``plan_joint`` adopts the configuration a simulating ladder adopts,
+  and the abstract walk's accounting matches the simulator bit-for-bit
+  on every metric the planner decides by.
 * **Mutations** — surgically corrupting a known-good artifact (drop a
   rematerialization ALLOC from a traced schedule, overstate a record's
   compression ratio) makes the matching verifier rule fire; the wall
@@ -22,10 +23,10 @@ import pytest
 
 from repro.analysis.diagnostics import Report
 from repro.analysis.safety import check_memory_safety
+from ladder_reference import checked_ladder
 from repro.analysis.static_plan import (
     audit_compression,
     interpret_joint_plan,
-    plan_joint_static,
     verify_joint_plan,
 )
 from repro.analysis.trace import OpKind
@@ -154,18 +155,21 @@ class TestStaticDynamicParity:
                              + (("alexnet", 64, 12.0),
                                 ("vgg16", 64, 8.0)))
     def test_ladders_adopt_identical_configs(self, name, batch, budget):
+        # Each probe of the checked ladder is interpreted and simulated,
+        # and the two must agree; plan_joint must adopt what it adopts.
         network = build(name, batch)
         system = _system(budget)
         try:
-            dynamic = plan_joint(network, system, use_cache=False)
+            config, algos, _interp, passes = checked_ladder(
+                "joint", network, system)
         except UntrainableError:
             with pytest.raises(UntrainableError):
-                plan_joint_static(network, system)
+                plan_joint(network, system, use_cache=False)
             return
-        config, algos, passes = plan_joint_static(network, system)
-        assert config == dynamic.config
-        assert algos.label == dynamic.algos.label
-        assert passes == dynamic.passes
+        planned = plan_joint(network, system, use_cache=False)
+        assert planned.config == config
+        assert planned.algos.label == algos.label
+        assert planned.passes == passes
 
     @pytest.mark.parametrize("name,batch,budget", MIXED_POINTS)
     def test_abstract_walk_matches_simulation_bitwise(self, name, batch,

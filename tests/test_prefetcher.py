@@ -14,11 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import static_plan
 from repro.analysis.trace import OpKind
 from repro.core import (AlgoConfig, PrefetchState, TransferPolicy,
                         find_prefetch_layer)
-from repro.core import executor
+from repro.core import executor, interpret
 from repro.core.plan import compiled_plan
 from repro.graph import LayerKind, Network
 from repro.hw import PAPER_SYSTEM
@@ -287,8 +286,8 @@ class TestWalkersAgree:
             op.target_layer
             for op in result.schedule_trace.of_kind(OpKind.PREFETCH)
             if not op.demand))
-        interpreted = _recording(monkeypatch, static_plan)
-        static_plan.interpret_plan(
+        interpreted = _recording(monkeypatch, interpret)
+        interpret.interpret_plan(
             network, PAPER_SYSTEM,
             compiled_plan(network, PAPER_SYSTEM, algos), transfer)
         assert traced

@@ -1,6 +1,7 @@
 """The static plan verifier: differential proofs and SP4xx fixtures.
 
-Three layers of evidence that ``repro verify --static`` is sound:
+Three layers of evidence that ``repro verify --static``, and the
+interpreted vDNN_dyn ladder, are sound:
 
 * **bit-equality** — on clean plans the abstract walk reproduces the
   simulator's accounting exactly (peak == ``managed_max_bytes``, same
@@ -8,7 +9,9 @@ Three layers of evidence that ``repro verify --static`` is sound:
 * **differential parity** — static-clean implies dynamic-clean, and
   each ablation that fires HB00x/MS10x dynamically fires the
   corresponding SP4xx statically (same finding counts where the rules
-  are one-to-one twins);
+  are one-to-one twins), and every probe of the vDNN_dyn ladder
+  interprets as it simulates (``ladder_reference``), on zoo points and
+  random fork/join graphs;
 * **known-bad fixtures** — one per SP4xx rule, each firing exactly
   once, including the release-list corruption the mutation test
   demands.
@@ -21,14 +24,14 @@ process-wide plan cache is never poisoned for other tests.
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_deep_cnn, make_fork_join_cnn, make_linear_cnn
+from ladder_reference import checked_ladder, simulated_ladder
 from repro.analysis.static_plan import (
     audit_plan,
     interpret_joint_plan,
     interpret_plan,
-    plan_dynamic_static,
-    plan_joint_static,
     verify_compiled_plan,
     verify_plan,
     verify_point_static,
@@ -51,6 +54,7 @@ from repro.graph import LayerKind
 from repro.hw import PAPER_SYSTEM
 from repro.serve.layering import RESIDENCY_POLICIES, plan_service
 from repro.zoo import build
+from test_properties import random_dag_network
 
 
 def rules(report):
@@ -164,25 +168,28 @@ class TestStaticImpliesDynamic:
     ])
     def test_dyn_ladder_adopts_identical_configuration(self, name, batch,
                                                        budget_gib):
+        # The checked ladder holds every probe's interpretation to its
+        # simulation; plan_dynamic must adopt what it adopts, with the
+        # adopted point simulated exactly as the probe simulated it.
         network = build(name, batch)
         system = PAPER_SYSTEM.with_gpu_memory(int(budget_gib * (1 << 30)))
         try:
-            simulated = plan_dynamic(network, system)
+            policy, algos, _interp, probes = checked_ladder(
+                "dyn", network, system)
         except UntrainableError:
             with pytest.raises(UntrainableError):
-                plan_dynamic_static(network, system)
+                plan_dynamic(network, system)
             return
-        policy, algos, probes = plan_dynamic_static(network, system)
-        assert policy == simulated.policy
-        assert algos.label == simulated.algos.label
-        assert probes == simulated.passes
+        plan = plan_dynamic(network, system)
+        assert plan.policy == policy
+        assert plan.algos.label == algos.label
+        assert plan.passes == probes
+        assert plan.result == simulated_ladder("dyn", network, system)[2]
 
-    @pytest.mark.parametrize("simulated,static", [
-        (plan_dynamic, plan_dynamic_static),
-        (plan_joint, plan_joint_static),
-    ])
-    def test_pinned_abort_is_not_reported_over_budget(self, simulated,
-                                                      static):
+    @pytest.mark.parametrize("kind,planner", [
+        ("dyn", plan_dynamic), ("joint", plan_joint),
+    ], ids=["plan_dynamic", "plan_joint"])
+    def test_pinned_abort_is_not_reported_over_budget(self, kind, planner):
         # 687,194 pinned bytes: the feasibility probe's peak fits the
         # 12 GiB device, but its offloads exhaust pinned host memory.
         host = dataclasses.replace(PAPER_SYSTEM.host,
@@ -190,13 +197,56 @@ class TestStaticImpliesDynamic:
         system = dataclasses.replace(PAPER_SYSTEM, host=host)
         network = build("alexnet", 32)
         with pytest.raises(UntrainableError) as simulated_error:
-            simulated(network, system, use_cache=False)
-        with pytest.raises(UntrainableError) as static_error:
-            static(network, system)
+            simulated_ladder(kind, network, system, use_cache=False)
+        # The checking probe asserts the interpreter aborts exactly
+        # where the simulated walk ran out of pinned memory.
+        with pytest.raises(UntrainableError) as checked_error:
+            checked_ladder(kind, network, system)
+        with pytest.raises(UntrainableError) as planned_error:
+            planner(network, system, use_cache=False)
         message = str(simulated_error.value)
         assert "ran out of pinned host memory" in message
         assert f"> {system.gpu.memory_bytes}" not in message
-        assert str(static_error.value) == message
+        assert str(checked_error.value) == message
+        assert str(planned_error.value) == message
+
+
+@st.composite
+def _dag_and_budget(draw):
+    """A random fork/join network and a budget between its interpreted
+    vDNN_all(m) and no-offload(p) peaks.  Half the draws land exactly
+    on a probe's peak (those two, vDNN_conv(p), vDNN_all(p)), where
+    uniform draws seldom fall, so every ladder pass is reachable."""
+    network = draw(random_dag_network())
+    fastest = AlgoConfig.performance_optimal(network)
+
+    def peak(policy, algos):
+        plan = compiled_plan(network, PAPER_SYSTEM, algos)
+        return interpret_plan(network, PAPER_SYSTEM, plan,
+                              policy).max_usage_bytes
+
+    floor = peak(TransferPolicy.vdnn_all(),
+                 AlgoConfig.memory_optimal(network))
+    ceiling = peak(TransferPolicy.none(), fastest)
+    marks = [floor, ceiling] + [
+        mark for mark in (peak(TransferPolicy.vdnn_conv(), fastest),
+                          peak(TransferPolicy.vdnn_all(), fastest))
+        if floor <= mark <= ceiling]
+    budget = draw(st.one_of(st.integers(floor, ceiling),
+                            st.sampled_from(marks)))
+    return network, PAPER_SYSTEM.with_gpu_memory(budget)
+
+
+@settings(max_examples=25, deadline=None)
+@given(point=_dag_and_budget())
+def test_ladder_probes_match_simulation_on_random_dags(point):
+    """Every probe both ladders issue interprets as it simulates."""
+    network, system = point
+    for kind in ("dyn", "joint"):
+        try:
+            checked_ladder(kind, network, system)
+        except UntrainableError:
+            pass
 
 
 # ----------------------------------------------------------------------
