@@ -39,7 +39,7 @@ import time
 from pathlib import Path
 from typing import Dict
 
-from repro.core.api import PAPER_SYSTEM, _algo_config
+from repro.core.api import PAPER_SYSTEM, algo_config
 from repro.core.executor import simulate_vdnn
 from repro.core.policy import TransferPolicy
 from repro.obs import Instrumentation, NullInstrumentation
@@ -92,7 +92,7 @@ def _flush_results() -> None:
 def measure_config(name: str, batch: int, policy_factory, algo: str):
     network = build(name, batch)
     policy = policy_factory()
-    algos = _algo_config(network, algo)
+    algos = algo_config(network, algo)
 
     # One Instrumentation per variant, constructed OUTSIDE the timed
     # region: real callers (the CLI, the differential suite) build the
@@ -194,7 +194,7 @@ def test_obs_results_identical_across_variants():
     """The gate would be meaningless if the variants diverged."""
     network = build("vgg16", 64)
     policy = TransferPolicy.vdnn_all()
-    algos = _algo_config(network, "m")
+    algos = algo_config(network, "m")
     plain = simulate_vdnn(network, PAPER_SYSTEM, policy, algos)
     null = simulate_vdnn(network, PAPER_SYSTEM, policy, algos,
                          obs=NullInstrumentation())

@@ -46,11 +46,11 @@ import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.algo_config import AlgoConfig
-from ..core.dynamic import UntrainableError, adopt_dynamic
+from ..core.api import point_label, resolve_point
+from ..core.dynamic import UntrainableError
 # The walk is re-exported: callers and tests bind it by this module.
 from ..core.interpret import (PlanInterpretation, interpret_joint_plan,
                               interpret_plan)
-from ..core.joint import adopt_joint
 from ..core.liveness import LivenessAnalysis
 from ..core.plan import CompiledPlan, compiled_plan
 from ..core.policy import TransferPolicy
@@ -344,12 +344,6 @@ def verify_joint_plan(
 # Point / zoo drivers (mirror verify.verify_point's subjects, so the
 # differential harness can pair static and dynamic reports by subject)
 # ----------------------------------------------------------------------
-def _algos(network: Network, algo: str) -> AlgoConfig:
-    if algo == "m":
-        return AlgoConfig.memory_optimal(network)
-    return AlgoConfig.performance_optimal(network)
-
-
 def verify_point_static(
     network: Network,
     policy: str = "all",
@@ -366,11 +360,15 @@ def verify_point_static(
     :func:`audit_plan`).
     """
     system = system or PAPER_SYSTEM
-    subject = f"{network.name} {policy}({algo})"
+    subject = f"{network.name} {point_label(policy, algo)}"
+    try:
+        point = resolve_point(network, system, policy, algo)
+    except UntrainableError:
+        return Report(subject=f"{subject} (untrainable, skipped)")
     if policy == "base":
         # Baseline allocates network-wide up front: there is no
         # schedule to prove, only the feasibility bound of §IV-A.
-        plan = compiled_plan(network, system, _algos(network, algo))
+        plan = compiled_plan(network, system, point.algos)
         report = Report(subject=subject)
         total = plan.baseline_breakdown["total"]
         if total > system.gpu.memory_bytes:
@@ -379,29 +377,10 @@ def verify_point_static(
                 f"network-wide allocation of {total} bytes exceeds GPU "
                 f"capacity of {system.gpu.memory_bytes} bytes")
         return report
-    if policy == "dyn":
-        subject = f"{network.name} dyn"
-        try:
-            transfer, algos, _passes = adopt_dynamic(network, system)
-        except UntrainableError:
-            return Report(subject=f"{subject} (untrainable, skipped)")
-        return verify_plan(network, system, transfer, algos,
-                           subject=subject, liveness=liveness)
     if policy == "joint":
-        subject = f"{network.name} joint"
-        try:
-            config, algos, _passes = adopt_joint(network, system)
-        except UntrainableError:
-            return Report(subject=f"{subject} (untrainable, skipped)")
-        return verify_joint_plan(network, system, config, algos,
+        return verify_joint_plan(network, system, point.config, point.algos,
                                  subject=subject, liveness=liveness)
-    transfer = {
-        "all": TransferPolicy.vdnn_all,
-        "conv": TransferPolicy.vdnn_conv,
-        "comp": TransferPolicy.vdnn_comp,
-        "none": TransferPolicy.none,
-    }[policy]()
-    return verify_plan(network, system, transfer, _algos(network, algo),
+    return verify_plan(network, system, point.config, point.algos,
                        subject=subject, liveness=liveness)
 
 

@@ -24,11 +24,10 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import groupby
 from typing import List, Optional, Sequence, Tuple
 
-from ..core.algo_config import AlgoConfig
-from ..core.dynamic import UntrainableError, adopt_dynamic
-from ..core.executor import IterationResult, simulate_baseline, simulate_vdnn
+from ..core.api import point_label, resolve_point
+from ..core.dynamic import UntrainableError
+from ..core.executor import IterationResult
 from ..core.liveness import LivenessAnalysis
-from ..core.policy import TransferPolicy
 from ..graph.network import Network
 from ..hw.config import PAPER_SYSTEM, SystemConfig
 from ..sched.scheduler import ScheduleResult
@@ -110,45 +109,15 @@ def _verify_point(network: Network, policy: str, algo: str,
                   system: Optional[SystemConfig],
                   liveness: Optional[LivenessAnalysis]) -> Report:
     system = system or PAPER_SYSTEM
-    subject = f"{network.name} {policy}({algo})"
-    if policy == "base":
-        algos = _algos(network, algo)
-        result = simulate_baseline(network, system, algos, verify=True)
-    elif policy == "dyn":
-        subject = f"{network.name} dyn"
-        try:
-            transfer, algos, _passes = adopt_dynamic(network, system)
-        except UntrainableError:
-            # Nothing to verify: the planner found no feasible schedule,
-            # so no schedule exists to be racy or unsafe.
-            return Report(subject=f"{subject} (untrainable, skipped)")
-        result = simulate_vdnn(network, system, transfer, algos, verify=True)
-    elif policy == "joint":
-        subject = f"{network.name} joint"
-        from ..core.joint import adopt_joint, simulate_joint_config
-
-        try:
-            config, algos, _passes = adopt_joint(network, system)
-        except UntrainableError:
-            return Report(subject=f"{subject} (untrainable, skipped)")
-        result = simulate_joint_config(network, system, config, algos,
-                                       verify=True)
-    else:
-        transfer = {
-            "all": TransferPolicy.vdnn_all,
-            "conv": TransferPolicy.vdnn_conv,
-            "comp": TransferPolicy.vdnn_comp,
-            "none": TransferPolicy.none,
-        }[policy]()
-        result = simulate_vdnn(network, system, transfer,
-                               _algos(network, algo), verify=True)
-    return _verify_result(result, network, subject, liveness)
-
-
-def _algos(network: Network, algo: str) -> AlgoConfig:
-    if algo == "m":
-        return AlgoConfig.memory_optimal(network)
-    return AlgoConfig.performance_optimal(network)
+    subject = f"{network.name} {point_label(policy, algo)}"
+    try:
+        point = resolve_point(network, system, policy, algo)
+    except UntrainableError:
+        # Nothing to verify: the planner found no feasible schedule,
+        # so no schedule exists to be racy or unsafe.
+        return Report(subject=f"{subject} (untrainable, skipped)")
+    return _verify_result(point.simulate(verify=True), network, subject,
+                          liveness)
 
 
 # ----------------------------------------------------------------------

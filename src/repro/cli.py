@@ -37,6 +37,7 @@ from .core import (
     evaluate,
     oracular_baseline,
 )
+from .core.api import POLICIES
 from .faults import FaultSpec, FaultSpecError
 from .graph import gb
 from .hw import PAPER_SYSTEM
@@ -192,9 +193,7 @@ def _cmd_sweep(args) -> int:
     sweep = compare_policies(network, jobs=args.jobs)
     oracle = oracular_baseline(network)
     rows = []
-    for key in ("all(m)", "all(p)", "conv(m)", "conv(p)", "comp(m)",
-                "comp(p)", "dyn", "joint", "base(m)", "base(p)"):
-        r = sweep[key]
+    for key, r in sweep.items():
         star = "" if r.trainable else "*"
         rows.append([
             key + star,
@@ -272,7 +271,7 @@ def _cmd_figures(args) -> int:
 def _cmd_train_demo(args) -> int:
     import numpy as np
 
-    from .core import TransferPolicy
+    from .core import PolicyKind, TransferPolicy
     from .graph import NetworkBuilder
     from .numerics import TrainingRuntime, make_batch
 
@@ -282,9 +281,7 @@ def _cmd_train_demo(args) -> int:
     builder.pool()
     network = builder.fc(10).softmax().build()
 
-    policy = {"none": TransferPolicy.none,
-              "all": TransferPolicy.vdnn_all,
-              "conv": TransferPolicy.vdnn_conv}[args.policy]()
+    policy = TransferPolicy(PolicyKind(args.policy))
     runtime = TrainingRuntime(network, policy, seed=0, learning_rate=0.02)
     for step in range(args.steps):
         images, labels = make_batch((args.batch, 3, 32, 32), 10, seed=step)
@@ -752,9 +749,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="simulate one configuration")
     p_eval.add_argument("network", choices=available())
     p_eval.add_argument("--batch", type=int, default=None)
-    p_eval.add_argument("--policy", default="dyn",
-                        choices=["all", "conv", "comp", "none", "base",
-                                 "dyn", "joint"])
+    p_eval.add_argument("--policy", default="dyn", choices=POLICIES)
     p_eval.add_argument("--algo", default="p", choices=["m", "p"])
     p_eval.add_argument("--faults", default=None,
                         help="fault spec, e.g. dma=0.1,pcie=0.5,jitter=0.2")
@@ -923,9 +918,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument("network", nargs="?", choices=available(),
                            help="network to evaluate (omit with --schedule)")
     p_metrics.add_argument("--batch", type=int, default=None)
-    p_metrics.add_argument("--policy", default="dyn",
-                           choices=["all", "conv", "comp", "none", "base",
-                                    "dyn", "joint"])
+    p_metrics.add_argument("--policy", default="dyn", choices=POLICIES)
     p_metrics.add_argument("--algo", default="p", choices=["m", "p"])
     p_metrics.add_argument("--faults", default=None,
                            help="fault spec, e.g. dma=0.1,pcie=0.5")
@@ -964,9 +957,7 @@ def make_parser() -> argparse.ArgumentParser:
                           help="verify one network (default: whole sweep "
                                "grid for it)")
     p_verify.add_argument("--batch", type=int, default=None)
-    p_verify.add_argument("--policy", default=None,
-                          choices=["all", "conv", "comp", "none", "base",
-                                   "dyn", "joint"],
+    p_verify.add_argument("--policy", default=None, choices=POLICIES,
                           help="verify one policy point instead of the grid")
     p_verify.add_argument("--algo", default="p", choices=["m", "p"])
     p_verify.add_argument("--all-zoo", action="store_true",

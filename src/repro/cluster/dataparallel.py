@@ -26,10 +26,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..analysis.diagnostics import Report
 from ..analysis.verify import verify_result
-from ..core.algo_config import AlgoConfig
-from ..core.executor import simulate_baseline, simulate_vdnn
-from ..core.policy import TransferPolicy
-from ..sched.admission import LADDER, RungEval, evaluate_ladder
+from ..core.api import resolve_point
+from ..sched.admission import LADDER, LADDER_POINTS, evaluate_ladder
 from ..zoo import build
 from ..hw.interconnects import ClusterTopology
 from .contention import FleetContention, PlacedGang
@@ -76,12 +74,11 @@ class ClusterIterationReport:
         return self.solo_iter_seconds / self.iter_seconds
 
 
-def _select_rung(rungs: List[RungEval], label: str) -> RungEval:
-    for rung in rungs:
-        if rung.rung == label:
-            return rung
-    raise ValueError(
-        f"unknown ladder rung {label!r}; available: {', '.join(LADDER)}")
+def _rung_index(label: str) -> int:
+    if label not in LADDER:
+        raise ValueError(
+            f"unknown ladder rung {label!r}; available: {', '.join(LADDER)}")
+    return LADDER.index(label)
 
 
 def simulate_cluster_iteration(
@@ -103,9 +100,9 @@ def simulate_cluster_iteration(
         raise ValueError(
             f"a {num_gpus}-GPU gang cannot place on a "
             f"{topology.num_gpus}-GPU {topology.name} topology")
+    index = _rung_index(rung)
     replica = build(network, batch_size)
-    chosen = _select_rung(
-        evaluate_ladder(replica, topology.system(0)), rung)
+    chosen = evaluate_ladder(replica, topology.system(0))[index]
     gang = PlacedGang(
         name=f"{network}x{num_gpus}",
         gpus=tuple(range(num_gpus)),
@@ -149,33 +146,18 @@ def worker_results(
     no schedule trace, so — like the verifier's "untrainable" case — it
     is reported as skipped rather than silently passed.
     """
+    policy, algo = LADDER_POINTS[_rung_index(rung)]
     replica = build(network, batch_size)
     reports: List[Report] = []
     for gpu in range(num_gpus):
-        system = topology.system(gpu)
         subject = f"{network} {rung} worker{gpu}/{num_gpus}"
-        if rung == "base(p)":
-            result = simulate_baseline(
-                replica, system,
-                AlgoConfig.performance_optimal(replica), verify=True)
-        elif rung == "conv(p)":
-            result = simulate_vdnn(
-                replica, system, TransferPolicy.vdnn_conv(),
-                AlgoConfig.performance_optimal(replica), verify=True)
-        elif rung == "all(m)":
-            result = simulate_vdnn(
-                replica, system, TransferPolicy.vdnn_all(),
-                AlgoConfig.memory_optimal(replica), verify=True)
-        elif rung == "hybrid":
+        if policy == "hybrid":
             reports.append(Report(
                 subject=f"{subject} (no schedule trace, skipped)"))
             continue
-        else:
-            raise ValueError(
-                f"unknown ladder rung {rung!r}; "
-                f"available: {', '.join(LADDER)}")
-        reports.append(
-            verify_result(result, network=replica, subject=subject))
+        point = resolve_point(replica, topology.system(gpu), policy, algo)
+        reports.append(verify_result(point.simulate(verify=True),
+                                     network=replica, subject=subject))
     return reports
 
 

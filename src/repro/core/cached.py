@@ -1,12 +1,12 @@
 """Cache-aware entry points for the three iteration simulators.
 
 Every caller that can hit the content-addressed cache — ``evaluate``,
-the vDNN_dyn profiling passes, the multi-tenant admission ladder and the
-parallel sweep executor — goes through these wrappers so that one
+the parallel sweep executor and the multi-tenant admission ladder
+(all through :func:`repro.core.api.run_point`), and the planners'
+adopted points — keys through these functions so that one
 (network, system, policy, algos) point maps to exactly one cache key no
 matter which layer asks for it.  N co-tenant jobs over the same network
-therefore reuse one simulation, and a warmed dyn ladder replays its
-profiling passes as cache hits.
+therefore reuse one simulation.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from typing import Dict, Optional
 
 from ..graph.network import Network
 from ..hw.config import SystemConfig
-from .api import evaluate
+from .api import evaluate, point_label
 from .dynamic import UntrainableError
 
 
@@ -90,12 +90,9 @@ def capacity_report(
     and vDNN_dyn.
     """
     policies = policies or {
-        "base(p)": ("base", "p"),
-        "base(m)": ("base", "m"),
-        "conv(p)": ("conv", "p"),
-        "all(m)": ("all", "m"),
-        "dyn": ("dyn", "p"),
-    }
+        point_label(*point): point for point in (
+            ("base", "p"), ("base", "m"), ("conv", "p"), ("all", "m"),
+            ("dyn", "p"))}
     result = {}
     for label, (policy, algo) in policies.items():
         result[label] = max_trainable_batch(

@@ -32,9 +32,8 @@ from typing import List, Optional, Tuple
 
 from ..graph.network import Network
 from ..hw.config import SystemConfig
-from ..perf.cache import cache_enabled, get_cache
 from .algo_config import AlgoConfig
-from .cached import cached_vdnn, dynamic_key
+from .cached import cached_vdnn
 from .executor import IterationResult
 from .interpret import interpret_plan
 from .plan import compiled_plan
@@ -141,30 +140,6 @@ def _shortfall(result, budget_bytes: int) -> str:
             f"{result.max_usage_bytes} bytes fits in {budget_bytes})")
 
 
-def _adopted(network: Network, system: SystemConfig,
-             use_cache: Optional[bool], key_of, plan_of, label: str
-             ) -> IterationResult:
-    """A planner's adopted result, relabelled ``label``.
-
-    The relabelled result is itself cached under its own point
-    (``key_of(network, system)``), so a warm ``evaluate`` skips the
-    whole ladder; a cold run still replays the adopted point's own
-    simulation when anything simulated it before.
-    """
-    key = key_of(network, system) if cache_enabled(use_cache) else None
-    if key is not None:
-        cached = get_cache().get(key)
-        if cached is not None:
-            return cached
-    plan = plan_of(network, system, use_cache=use_cache)
-    result = plan.result
-    result.policy_label = label
-    result.algo_label = plan.algos.label
-    if key is not None:
-        get_cache().put(key, result)
-    return result
-
-
 # ----------------------------------------------------------------------
 # The vDNN_dyn ladder
 # ----------------------------------------------------------------------
@@ -257,10 +232,8 @@ def simulate_dynamic(
     system: SystemConfig,
     use_cache: Optional[bool] = None,
 ) -> IterationResult:
-    """Convenience: run vDNN_dyn and relabel the adopted result.
+    """Convenience: ``evaluate(..., policy="dyn")``, the adopted result
+    relabelled ``vDNN_dyn``; a warm call skips the profiling ladder."""
+    from .api import run_point
 
-    The adopted result is cached under a ``dynamic`` point, so a warm
-    ``evaluate(..., policy="dyn")`` skips the whole profiling ladder.
-    """
-    return _adopted(network, system, use_cache, dynamic_key, plan_dynamic,
-                    "vDNN_dyn")
+    return run_point(network, system, "dyn", use_cache=use_cache)

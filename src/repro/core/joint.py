@@ -31,7 +31,7 @@ from ..hw.config import SystemConfig
 from ..perf.cache import cache_enabled, get_cache
 from ..perf.fingerprint import fingerprint_point
 from .algo_config import AlgoConfig
-from .dynamic import (ProfilingPass, UntrainableError, _adopted,
+from .dynamic import (ProfilingPass, UntrainableError,
                       _greedy_downgrade, _recording, _shortfall)
 from .executor import IterationResult, _VDNNSimulation, _run_iteration
 from .interpret import interpret_joint_plan
@@ -382,10 +382,8 @@ def simulate_joint(
     system: SystemConfig,
     use_cache: Optional[bool] = None,
 ) -> IterationResult:
-    """Convenience: run the joint planner and relabel the adopted result.
+    """Convenience: ``evaluate(..., policy="joint")``, the adopted result
+    relabelled ``vDNN_joint``; a warm call skips the ladder."""
+    from .api import run_point
 
-    The adopted result is cached under its own ``joint-adopted`` point,
-    so a warm ``evaluate(..., policy="joint")`` skips the ladder.
-    """
-    return _adopted(network, system, use_cache, adopted_joint_key,
-                    plan_joint, "vDNN_joint")
+    return run_point(network, system, "joint", use_cache=use_cache)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from ..graph.network import Network
 from ..hw.config import SystemConfig
-from .algo_config import AlgoConfig
+from .api import algo_config
 from .executor import IterationResult, simulate_baseline
 
 
@@ -77,8 +77,7 @@ def simulate_data_parallel(
         )
     per_gpu_batch = global_batch // num_gpus
     replica = network.with_batch_size(per_gpu_batch)
-    algos = (AlgoConfig.performance_optimal(replica) if algo == "p"
-             else AlgoConfig.memory_optimal(replica))
+    algos = algo_config(replica, algo)
     result: IterationResult = simulate_baseline(replica, system, algos)
 
     weight_bytes = network.total_weight_bytes()
@@ -116,8 +115,7 @@ def min_gpus_for_baseline(
         if report.per_gpu_trainable:
             return num_gpus
     tiny = network.with_batch_size(1)
-    algos = (AlgoConfig.performance_optimal(tiny) if algo == "p"
-             else AlgoConfig.memory_optimal(tiny))
-    if not simulate_baseline(tiny, system, algos).trainable:
+    if not simulate_baseline(tiny, system,
+                             algo_config(tiny, algo)).trainable:
         return 0
     return max_gpus

@@ -28,11 +28,6 @@ from .cache import cache_enabled, get_cache
 #: Default worker count for parallel sweeps (1 = serial).
 ENV_JOBS = "REPRO_JOBS"
 
-#: Policies a sweep point accepts: the public ``evaluate`` policies plus
-#: ``hybrid`` (sqrt(L) recompute), the admission ladder's last rung.
-POINT_POLICIES = ("all", "conv", "comp", "dyn", "joint", "base", "none",
-                  "hybrid")
-
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -50,10 +45,9 @@ class SweepPoint:
     system: Optional["object"] = None
 
     def __post_init__(self) -> None:
-        if self.policy not in POINT_POLICIES:
-            raise ValueError(
-                f"policy must be one of {POINT_POLICIES}, got {self.policy!r}"
-            )
+        from ..core.api import POINT_POLICIES, point_label
+
+        point_label(self.policy, self.algo, POINT_POLICIES)
 
     def build_network(self):
         if isinstance(self.network, str):
@@ -76,46 +70,20 @@ def point_key(point: SweepPoint) -> str:
     Computed identically in workers and in the parent, which is the
     parity that lets a parallel warm-up serve later serial reads.
     """
-    from ..core import cached as core_cached
-    from ..core.algo_config import AlgoConfig
-    from ..core.policy import TransferPolicy
+    from ..core.api import point_key as label_key
     from ..hw.config import PAPER_SYSTEM
 
-    network = point.build_network()
-    system = point.system or PAPER_SYSTEM
-    if point.policy == "dyn":
-        return core_cached.dynamic_key(network, system)
-    if point.policy == "joint":
-        from ..core.joint import adopted_joint_key
-
-        return adopted_joint_key(network, system)
-    if point.policy == "hybrid":
-        return core_cached.recompute_key(
-            network, system, AlgoConfig.memory_optimal(network))
-    algos = (AlgoConfig.memory_optimal(network) if point.algo == "m"
-             else AlgoConfig.performance_optimal(network))
-    if point.policy == "base":
-        return core_cached.baseline_key(network, system, algos)
-    policy = {"all": TransferPolicy.vdnn_all,
-              "conv": TransferPolicy.vdnn_conv,
-              "comp": TransferPolicy.vdnn_comp,
-              "none": TransferPolicy.none}[point.policy]()
-    return core_cached.vdnn_key(network, system, policy, algos)
+    return label_key(point.build_network(), point.system or PAPER_SYSTEM,
+                     point.policy, point.algo)
 
 
 def _simulate_point(point: SweepPoint):
     """Run one point through the (cache-aware) simulators."""
-    from ..core.algo_config import AlgoConfig
-    from ..core.api import evaluate
-    from ..core.cached import cached_recompute
+    from ..core.api import run_point
     from ..hw.config import PAPER_SYSTEM
 
-    network = point.build_network()
-    system = point.system or PAPER_SYSTEM
-    if point.policy == "hybrid":
-        return cached_recompute(
-            network, system, AlgoConfig.memory_optimal(network))
-    return evaluate(network, system, point.policy, point.algo)
+    return run_point(point.build_network(), point.system or PAPER_SYSTEM,
+                     point.policy, point.algo)
 
 
 def _worker_run_point(point: SweepPoint) -> Tuple[str, bytes]:

@@ -190,11 +190,6 @@ def fig09_timeline(
     return result
 
 
-def _sweep_order() -> List[str]:
-    return ["all(m)", "all(p)", "conv(m)", "conv(p)", "comp(m)",
-            "comp(p)", "dyn", "joint", "base(m)", "base(p)"]
-
-
 def _warm_policy_sweep(
     networks: Sequence[Network],
     system: SystemConfig,
@@ -208,7 +203,7 @@ def _warm_policy_sweep(
     the content-addressed cache; the serial table assembly that follows
     then reads pure cache hits, so output is bit-identical to serial.
     """
-    from ..core.api import cache_is_on
+    from ..core.api import SWEEP_COLUMNS, cache_is_on
     from ..perf.sweep import SweepPoint, resolve_jobs, sweep
 
     if resolve_jobs(jobs) <= 1 or not cache_is_on():
@@ -217,10 +212,8 @@ def _warm_policy_sweep(
     for network in networks:
         points += [
             SweepPoint(network=network, policy=policy, algo=algo, system=system)
-            for policy in ("all", "conv", "comp", "base") for algo in ("m", "p")
+            for policy, algo in SWEEP_COLUMNS
         ]
-        points.append(SweepPoint(network=network, policy="dyn", system=system))
-        points.append(SweepPoint(network=network, policy="joint", system=system))
         if with_oracle:
             points.append(SweepPoint(
                 network=network, policy="base", algo="p",
@@ -247,8 +240,7 @@ def fig11_memory_usage(
     for network in networks:
         sweep = compare_policies(network, system)
         base = sweep["base(p)"]
-        for key in _sweep_order():
-            r = sweep[key]
+        for key, r in sweep.items():
             savings = 1.0 - (r.managed_avg_bytes + (
                 r.external_bytes if r.policy_label == "base" else 0
             )) / base.max_usage_bytes
@@ -335,8 +327,7 @@ def fig14_performance(
     for network in networks:
         sweep = compare_policies(network, system)
         oracle = oracular_baseline(network, system)
-        for key in _sweep_order():
-            r = sweep[key]
+        for key, r in sweep.items():
             star = "" if r.trainable else "*"
             normalized = (
                 oracle.feature_extraction_time / r.feature_extraction_time

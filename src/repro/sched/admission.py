@@ -17,13 +17,14 @@ hungriest-first:
    Memory Cost*), which *drops* feature maps instead of moving them —
    the last rung, paying recompute kernels instead of PCIe traffic.
 
-Each rung is evaluated by running the corresponding single-job simulator
-once (``simulate_baseline`` / ``simulate_vdnn`` / ``simulate_recompute``)
-and distilling the :class:`RungEval` the scheduler needs: pool footprint,
-solo iteration time, and the compute/PCIe demands the contention model
-splits across co-resident tenants.  A job is admitted at the first rung
-whose footprint fits the shared pool's *remaining* budget; a job whose
-final rung exceeds even the empty pool is rejected outright.
+Each rung is a ``policy(algo)`` point that
+:func:`repro.core.api.run_point` resolves and simulates once; the result
+is distilled into the :class:`RungEval` the scheduler needs: pool
+footprint, solo iteration time, and the compute/PCIe demands the
+contention model splits across co-resident tenants.  A job is admitted
+at the first rung whose footprint fits the shared pool's *remaining*
+budget; a job whose final rung exceeds even the empty pool is rejected
+outright.
 """
 
 from __future__ import annotations
@@ -31,16 +32,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..core.algo_config import AlgoConfig
-from ..core.cached import cached_baseline, cached_recompute, cached_vdnn
+from ..core.api import POINT_POLICIES, point_label, run_point
 from ..core.executor import IterationResult
-from ..core.policy import TransferPolicy
 from ..hw.config import PAPER_SYSTEM, SystemConfig
 from ..sim.stream import COMPUTE_STREAM, MEMORY_STREAM
 from .job import Job
 
-#: Ladder rung labels, fastest (most memory-hungry) first.
-LADDER = ("base(p)", "conv(p)", "all(m)", "hybrid")
+#: Ladder rungs as ``(policy, algo)`` points, fastest (most
+#: memory-hungry) first.
+LADDER_POINTS = (("base", "p"), ("conv", "p"), ("all", "m"), ("hybrid", "m"))
+#: Ladder rung labels: ``base(p)``, ``conv(p)``, ``all(m)``, ``hybrid``.
+LADDER = tuple(point_label(policy, algo, POINT_POLICIES)
+               for policy, algo in LADDER_POINTS)
 
 
 @dataclass(frozen=True)
@@ -80,20 +83,12 @@ def evaluate_ladder(network, system: SystemConfig) -> List[RungEval]:
     """Run the four rung simulations for one network, ladder order.
 
     Each rung goes through the content-addressed simulation cache
-    (:mod:`repro.core.cached`), so N co-tenant jobs training the same
-    (network, batch) — and repeated scheduler runs over one workload —
-    reuse a single simulation per rung.
+    (:func:`repro.core.api.run_point`), so N co-tenant jobs training the
+    same (network, batch) — and repeated scheduler runs over one
+    workload — reuse a single simulation per rung.
     """
-    performance = AlgoConfig.performance_optimal(network)
-    memory = AlgoConfig.memory_optimal(network)
-    return [
-        _distill("base(p)", cached_baseline(network, system, performance)),
-        _distill("conv(p)", cached_vdnn(
-            network, system, TransferPolicy.vdnn_conv(), performance)),
-        _distill("all(m)", cached_vdnn(
-            network, system, TransferPolicy.vdnn_all(), memory)),
-        _distill("hybrid", cached_recompute(network, system, memory)),
-    ]
+    return [_distill(rung, run_point(network, system, policy, algo))
+            for rung, (policy, algo) in zip(LADDER, LADDER_POINTS)]
 
 
 class AdmissionController:

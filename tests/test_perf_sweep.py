@@ -4,9 +4,10 @@ import pytest
 
 from repro.cli import main
 from repro.core import compare_policies, evaluate
+from repro.core.api import POINT_POLICIES
 from repro.hw import PAPER_SYSTEM
 from repro.perf import SweepPoint, configure_cache, get_cache, set_cache, sweep
-from repro.perf.sweep import point_key, resolve_jobs
+from repro.perf.sweep import _simulate_point, point_key, resolve_jobs
 from repro.zoo import build
 
 
@@ -22,6 +23,10 @@ class TestSweepPoint:
         with pytest.raises(ValueError, match="policy"):
             SweepPoint(network="alexnet", policy="bogus")
 
+    def test_invalid_algo_rejected(self):
+        with pytest.raises(ValueError, match="algo"):
+            SweepPoint(network="alexnet", policy="all", algo="x")
+
     def test_zoo_key_and_prebuilt_network_share_a_cache_key(self):
         by_key = SweepPoint(network="alexnet", batch=16, policy="all",
                             algo="m")
@@ -36,6 +41,16 @@ class TestSweepPoint:
         assert resolve_jobs() == 3
         monkeypatch.delenv("REPRO_JOBS")
         assert resolve_jobs() == 1
+
+
+class TestKeyParity:
+    @pytest.mark.parametrize("algo", ["m", "p"])
+    @pytest.mark.parametrize("policy", POINT_POLICIES)
+    def test_serial_simulation_stores_under_point_key(self, policy, algo):
+        point = SweepPoint(network="alexnet", batch=8, policy=policy,
+                           algo=algo)
+        _simulate_point(point)
+        assert point_key(point) in get_cache()
 
 
 class TestSerialSweep:

@@ -566,7 +566,7 @@ class TestSweepDrivers:
         def boom(*args, **kwargs):
             raise AssertionError("a simulation ran during a static sweep")
 
-        for module in ("repro.core.executor", "repro.analysis.verify"):
+        for module in ("repro.core.executor", "repro.core.api"):
             monkeypatch.setattr(f"{module}.simulate_vdnn", boom)
             monkeypatch.setattr(f"{module}.simulate_baseline", boom)
 
