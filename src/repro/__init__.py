@@ -22,6 +22,9 @@ This package provides:
 * ``repro.profiler`` / ``repro.reporting`` — the measurement code behind
   every figure in the paper's evaluation.
 
+Subpackages load on first use: ``import repro`` imports none of them,
+and numpy loads only with ``repro.numerics``.
+
 Quick start::
 
     from repro import zoo
@@ -31,31 +34,15 @@ Quick start::
     print(result.trainable, result.max_usage_bytes)
 """
 
-from . import (
-    alloc,
-    core,
-    graph,
-    hw,
-    kernels,
-    numerics,
-    profiler,
-    reporting,
-    sim,
-    zoo,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "alloc",
-    "core",
-    "graph",
-    "hw",
-    "kernels",
-    "numerics",
-    "profiler",
-    "reporting",
-    "sim",
-    "zoo",
-]
+#: subpackage -> itself (see :mod:`repro._lazy`)
+_EXPORTS = {name: name for name in (
+    "alloc", "core", "graph", "hw", "kernels", "numerics", "profiler",
+    "reporting", "sim", "zoo")}
+
+__all__ = ["__version__"] + sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -16,12 +16,13 @@ Three passes over already-generated artifacts (no re-simulation):
 (``repro verify``); :func:`~repro.analysis.verify.verify_schedule`
 covers the multi-tenant scheduler (MT3xx rules).
 
-Attribute access is lazy (PEP 562): ``repro.core.executor`` imports
-:mod:`repro.analysis.trace` while :mod:`repro.analysis.verify` imports
-``repro.core`` — eager re-exports here would close that cycle.
+Attribute access is lazy (PEP 562, :mod:`repro._lazy`):
+``repro.core.executor`` imports :mod:`repro.analysis.trace` while
+:mod:`repro.analysis.verify` imports ``repro.core`` — eager re-exports
+here would close that cycle.
 """
 
-from __future__ import annotations
+from .._lazy import lazy_exports
 
 #: public name -> defining submodule
 _EXPORTS = {
@@ -60,18 +61,4 @@ _EXPORTS = {
 
 __all__ = sorted(_EXPORTS)
 
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -117,6 +117,10 @@ RULES: Dict[str, Tuple[Severity, str]] = {
                 "mutation of a CompiledPlan/StorageRecord field "
                 "outside its constructor (plans are shared cache "
                 "entries)"),
+    "LINT209": (Severity.ERROR,
+                "module-scope numpy import outside repro.numerics, or "
+                "module-scope concurrent.futures import (import them "
+                "in the function that needs them)"),
     # -- static plan proofs ---------------------------------------------
     "SP401": (Severity.WARNING,
               "statically computed peak usage exceeds the device "

@@ -42,6 +42,12 @@ The dataflow-aware rules look past single expressions:
   shared via a cache keyed by content signature; mutating one poisons
   every holder.  The defining module (``core/plan.py``) is exempt —
   construction happens there.
+* **LINT209** — a module-scope ``import numpy`` / ``from numpy ...``
+  outside ``repro.numerics``, or a module-scope ``concurrent.futures``
+  import anywhere in ``repro``.  ``import repro`` and every simulation
+  command must not pay for numpy or a process pool they never use; a
+  function-local import (``train-demo``, the ``jobs > 1`` branches) is
+  fine.
 
 A finding is suppressed by putting ``# repro: allow(RULE)`` on the
 offending line.  Suppressions are visible in the diff; that is the
@@ -121,6 +127,10 @@ _PLAN_FIELDS = {
 #: The module allowed to assign plan fields: the constructors live here.
 _PLAN_HOME = "core/plan.py"
 
+#: Modules a ``repro`` module may import only inside a function
+#: (LINT209), each with the one subpackage exempt from that (or None).
+_DEFERRED_IMPORTS = {"numpy": "numerics", "concurrent.futures": None}
+
 
 def _suppressions(source: str) -> dict:
     """line number -> set of rule ids allowed on that line."""
@@ -172,6 +182,9 @@ class _Linter(ast.NodeVisitor):
         else:
             package = parts
         self.pure = len(package) >= 2 and package[0] in PURE_PACKAGES
+        self.deferred = () if "repro" not in parts else tuple(
+            name for name, home in _DEFERRED_IMPORTS.items()
+            if package[:1] != (home,))
         self.diagnostics: List[Diagnostic] = []
         self._hot_depth = 0
         self._cold_depth = 0
@@ -236,6 +249,27 @@ class _Linter(ast.NodeVisitor):
                 "LINT202", node,
                 f"json.dumps(default={default.id}) serializes enums by "
                 f"{default.id}(); serialize by .value instead")
+
+    # -- deferred imports (LINT209) ------------------------------------
+    def visit_Import(self, node: ast.Import) -> None:
+        self._check_deferred(node, [alias.name for alias in node.names])
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if not node.level:
+            self._check_deferred(node, [f"{node.module}.{alias.name}"
+                                        for alias in node.names])
+
+    def _check_deferred(self, node: ast.AST, names: List[str]) -> None:
+        if self._func_stack:
+            return
+        for heavy in self.deferred:
+            if any(name == heavy or name.startswith(heavy + ".")
+                   for name in names):
+                self.report(
+                    "LINT209", node,
+                    f"module-scope import of {heavy}; import it inside "
+                    f"the function that needs it, so loading this module "
+                    f"does not load {heavy}")
 
     # ------------------------------------------------------------------
     def visit_Compare(self, node: ast.Compare) -> None:
@@ -526,7 +560,7 @@ def main(argv: Sequence[str] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
         description="AST lint for reproducibility invariants "
-                    "(LINT201-LINT208)")
+                    "(LINT201-LINT209)")
     parser.add_argument("paths", nargs="*", type=Path,
                         help="files or directories (default: the repro "
                              "package)")

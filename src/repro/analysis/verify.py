@@ -20,7 +20,6 @@ well-formed, no job allocation leaked, lifecycle records consistent.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from itertools import groupby
 from typing import List, Optional, Sequence, Tuple
 
@@ -203,8 +202,10 @@ def _run_tasks(tasks: Sequence[_Task], jobs: int) -> List[Report]:
     consecutive tasks with the same ``(name, batch)``."""
     rows = [list(row) for _key, row in
             groupby(tasks, key=lambda task: (task[0], task[1]))]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if jobs > 1 and len(rows) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(jobs, len(rows))) as pool:
             done = list(pool.map(_verify_row, rows))
     else:
         done = [_verify_row(row) for row in rows]

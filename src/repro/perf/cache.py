@@ -36,6 +36,19 @@ ENV_DIR = "REPRO_CACHE_DIR"
 DEFAULT_MAX_ENTRIES = 256
 
 
+def env_int(name: str, default: int) -> int:
+    """The integer in environment variable ``name``; ``default`` when it
+    is unset or empty.  Anything else raises ``ValueError`` naming the
+    variable and its value."""
+    raw = os.environ.get(name, "")
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name}={raw!r} is not an integer") from None
+
+
 @dataclass
 class CacheStats:
     """Hit/miss accounting, exposed for tests and the perf benchmark."""
@@ -70,7 +83,7 @@ class SimulationCache:
         obs: Optional[Any] = None,
     ):
         if max_entries is None:
-            max_entries = int(os.environ.get(ENV_SIZE, DEFAULT_MAX_ENTRIES))
+            max_entries = env_int(ENV_SIZE, DEFAULT_MAX_ENTRIES)
         if max_entries <= 0:
             raise ValueError("cache max_entries must be positive")
         if disk_dir is None:

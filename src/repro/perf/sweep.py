@@ -17,13 +17,11 @@ trip at all.
 
 from __future__ import annotations
 
-import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .cache import cache_enabled, get_cache
+from .cache import cache_enabled, env_int, get_cache
 
 #: Default worker count for parallel sweeps (1 = serial).
 ENV_JOBS = "REPRO_JOBS"
@@ -58,9 +56,13 @@ class SweepPoint:
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else ``REPRO_JOBS``, else serial."""
+    """Worker count: explicit argument, else ``REPRO_JOBS``, else serial.
+
+    Raises ``ValueError`` naming the variable when ``REPRO_JOBS`` is not
+    an integer.
+    """
     if jobs is None:
-        jobs = int(os.environ.get(ENV_JOBS, "1") or "1")
+        jobs = env_int(ENV_JOBS, 1)
     return max(1, jobs)
 
 
@@ -120,6 +122,8 @@ def sweep(
             pending.append(index)
 
     if pending:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
             for index, (key, blob) in zip(
                 pending,

@@ -1,49 +1,36 @@
-"""Reporting: table rendering and per-figure experiment drivers."""
+"""Reporting: table rendering and per-figure experiment drivers.
 
-from .figures import (
-    FigureResult,
-    fig01_baseline_usage,
-    fig04_breakdown,
-    fig05_per_layer,
-    fig06_reuse_distance,
-    fig09_timeline,
-    fig11_memory_usage,
-    fig12_offload_size,
-    fig13_dram_bandwidth,
-    fig14_performance,
-    fig15_very_deep,
-    headline,
-    power_section,
-)
-from .tables import (
-    format_bar,
-    format_bar_chart,
-    format_table,
-    gb_str,
-    mb_str,
-    ms_str,
-    pct_str,
-)
+Names resolve on first use (:mod:`repro._lazy`), so the table helpers
+that ``serve``, ``sched`` and ``cluster`` print with do not load the
+figure drivers and the simulators behind them.
+"""
 
-__all__ = [
-    "FigureResult",
-    "fig01_baseline_usage",
-    "fig04_breakdown",
-    "fig05_per_layer",
-    "fig06_reuse_distance",
-    "fig09_timeline",
-    "fig11_memory_usage",
-    "fig12_offload_size",
-    "fig13_dram_bandwidth",
-    "fig14_performance",
-    "fig15_very_deep",
-    "format_bar",
-    "format_bar_chart",
-    "format_table",
-    "gb_str",
-    "headline",
-    "mb_str",
-    "ms_str",
-    "pct_str",
-    "power_section",
-]
+from .._lazy import lazy_exports
+
+#: public name -> defining submodule
+_EXPORTS = {
+    "FigureResult": "figures",
+    "fig01_baseline_usage": "figures",
+    "fig04_breakdown": "figures",
+    "fig05_per_layer": "figures",
+    "fig06_reuse_distance": "figures",
+    "fig09_timeline": "figures",
+    "fig11_memory_usage": "figures",
+    "fig12_offload_size": "figures",
+    "fig13_dram_bandwidth": "figures",
+    "fig14_performance": "figures",
+    "fig15_very_deep": "figures",
+    "headline": "figures",
+    "power_section": "figures",
+    "format_bar": "tables",
+    "format_bar_chart": "tables",
+    "format_table": "tables",
+    "gb_str": "tables",
+    "mb_str": "tables",
+    "ms_str": "tables",
+    "pct_str": "tables",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

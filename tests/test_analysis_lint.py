@@ -79,6 +79,49 @@ class TestPurityRules:
         assert findings == []
 
 
+class TestDeferredImportRule:
+    def test_module_scope_numpy_fires_lint209(self, tmp_path):
+        for source in ("import numpy as np\n", "from numpy import zeros\n",
+                       "import numpy.linalg\n"):
+            findings = lint_snippet(tmp_path, source,
+                                    rel="repro/reporting/plot.py")
+            assert rules(findings) == ["LINT209"], source
+
+    def test_module_scope_process_pool_fires_lint209(self, tmp_path):
+        for source in (
+                "from concurrent.futures import ProcessPoolExecutor\n",
+                "import concurrent.futures\n",
+                "from concurrent import futures\n",
+                "try:\n    import concurrent.futures.process\n"
+                "except ImportError:\n    pass\n"):
+            findings = lint_snippet(tmp_path, source,
+                                    rel="repro/perf/pool.py")
+            assert rules(findings) == ["LINT209"], source
+
+    def test_function_local_imports_are_allowed(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            "def train():\n    import numpy as np\n    return np\n\n"
+            "def fan_out(jobs):\n"
+            "    if jobs > 1:\n"
+            "        from concurrent.futures import ProcessPoolExecutor\n"
+            "        return ProcessPoolExecutor\n",
+            rel="repro/cli.py")
+        assert findings == []
+
+    def test_numerics_is_exempt_for_numpy_only(self, tmp_path):
+        assert lint_snippet(tmp_path, "import numpy as np\n",
+                            rel="repro/numerics/ops.py") == []
+        findings = lint_snippet(
+            tmp_path, "from concurrent.futures import ThreadPoolExecutor\n",
+            rel="repro/numerics/ops.py")
+        assert rules(findings) == ["LINT209"]
+
+    def test_relative_import_named_numpy_is_not_numpy(self, tmp_path):
+        findings = lint_snippet(tmp_path, "from . import numpy\n")
+        assert findings == []
+
+
 class TestQuantityComparisonRule:
     def test_float_eq_on_quantity_fires_lint204(self, tmp_path):
         findings = lint_snippet(

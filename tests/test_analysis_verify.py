@@ -144,6 +144,17 @@ class TestZooSweep:
         serial = verify_zoo(self.NAMES, batch=self.BATCH, jobs=1)
         assert verify_zoo(self.NAMES, batch=self.BATCH, jobs=2) == serial
 
+    def test_one_row_runs_serially_whatever_jobs_says(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-row sweep opened a process pool")
+
+        serial = verify_zoo(["alexnet"], batch=self.BATCH, jobs=1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        assert verify_zoo(["alexnet"], batch=self.BATCH, jobs=4) == serial
+
     def test_interleaved_tasks_keep_their_order(self, monkeypatch):
         # Hybrid mode hands over a filtered task list: only consecutive
         # tasks of one network share a build.

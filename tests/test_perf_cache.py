@@ -11,7 +11,7 @@ import pytest
 from repro.core import evaluate
 from repro.hw import PAPER_SYSTEM
 from repro.perf import SimulationCache, configure_cache, get_cache, set_cache
-from repro.perf.cache import ENV_DISABLE, cache_enabled
+from repro.perf.cache import ENV_DISABLE, ENV_SIZE, cache_enabled
 from repro.zoo import build
 
 
@@ -57,6 +57,14 @@ def test_env_var_disables_the_cache(monkeypatch):
     assert stats.hits == 0 and stats.misses == 0 and stats.stores == 0
     monkeypatch.setenv(ENV_DISABLE, "0")
     assert cache_enabled()
+
+
+def test_non_integer_size_env_names_the_variable(monkeypatch):
+    monkeypatch.setenv(ENV_SIZE, "big")
+    with pytest.raises(ValueError, match="REPRO_CACHE_SIZE='big'"):
+        SimulationCache()
+    monkeypatch.setenv(ENV_SIZE, "3")
+    assert SimulationCache().max_entries == 3
 
 
 def test_explicit_flag_overrides_env(monkeypatch):

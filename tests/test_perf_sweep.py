@@ -42,6 +42,11 @@ class TestSweepPoint:
         monkeypatch.delenv("REPRO_JOBS")
         assert resolve_jobs() == 1
 
+    def test_non_integer_jobs_env_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "two")
+        with pytest.raises(ValueError, match="REPRO_JOBS='two'"):
+            resolve_jobs()
+
 
 class TestKeyParity:
     @pytest.mark.parametrize("algo", ["m", "p"])
