@@ -121,7 +121,8 @@ _PLAN_FIELDS = {
     "grad_write_candidates", "releases", "required", "dma_seconds",
     "host_tag", "pre_tag", "demand_tag", "y_buf", "g_buf", "g_tag",
     "w_tag", "dw_tag", "w_buf", "dw_buf", "baseline_breakdown",
-    "network_name", "classifier_indices",
+    "network_name", "classifier_indices", "ws_bytes", "ws_aligned",
+    "dram_nbytes", "forward_at", "input_owners",
 }
 
 #: The module allowed to assign plan fields: the constructors live here.

@@ -15,11 +15,23 @@ GPU's throughput figures (via :class:`LatencyModel`), the PCIe link
 and the compression model — never GPU capacity, so the oracular GPU
 and every ``with_gpu_memory`` budget probe share one plan.
 
+Only a layer's algorithm profile decides its steps' workspace, kernel
+seconds, DRAM bytes and trace writes, and the baseline's workspace.
+So the first plan of a (network, hardware) point is compiled in full
+— the *base*: liveness, storage records, persistent blocks, the
+offload-set cache and every step — and every other algo-config of that
+point is an *overlay* of the newest plan there: the steps of layers
+whose profile differs are re-derived, and everything else is shared by
+reference.  A vDNN_dyn downgrade probe therefore costs one layer, not
+one compile.  Sharing makes the plan family's fields frozen after
+construction (lint LINT208); the constructor itself always compiles an
+unshared plan.
+
 The plan deliberately holds **no reference to the network** (only
 per-storage records, strings and numbers).  That keeps the cache — a
 :class:`weakref.WeakKeyDictionary` keyed by the network — leak-free:
 when the last outside reference to a network dies, its plans die with
-it.  Policies are applied as an overlay: the per-layer offload
+it.  Policies are applied as an overlay too: the per-layer offload
 *candidates* (refcount gate: last forward reader + needed backward)
 live in the plan, and :meth:`CompiledPlan.offload_indices` resolves a
 :class:`~repro.core.policy.TransferPolicy` to the set of trigger layers
@@ -222,14 +234,9 @@ class CompiledPlan:
                 input_owners.add(node.storage_index)
                 forward.append(step)
                 continue
-            step.ws_bytes = algos.workspace_bytes(node)
-            if step.ws_bytes:
-                step.ws_aligned = footprint(step.ws_bytes)
-                step.ws_tag = f"WS[{node.name}]"
-                step.ws_buf = f"WSf{index}"
-            timing = latency.forward(network, node, algos.profile(node))
-            step.seconds = timing.seconds
-            step.dram_nbytes = int(timing.dram_bytes)
+            step.trace_writes = (records[own.owner].y_buf,)
+            _derive_algo_fields(step, network, node, algos.profile(node),
+                                latency)
 
             inputs = liveness.input_storages(index)
             step.offload_candidates = tuple(
@@ -242,11 +249,7 @@ class CompiledPlan:
             reads = [records[s.owner].y_buf for s in inputs]
             if node.weight_bytes and node.is_feature_extraction:
                 reads.append(f"W{index}")
-            writes = [records[own.owner].y_buf]
-            if step.ws_bytes:
-                writes.append(step.ws_buf)
             step.trace_reads = tuple(reads)
-            step.trace_writes = tuple(writes)
             forward.append(step)
         self.forward = tuple(forward)
         # The input batch's storages (no producer a replay could rerun)
@@ -293,14 +296,8 @@ class CompiledPlan:
 
             step.grad_allocs = tuple(grad_alloc_at.get(index, ()))
 
-            step.ws_bytes = algos.workspace_bytes(node)
-            if step.ws_bytes:
-                step.ws_aligned = footprint(step.ws_bytes)
-                step.ws_tag = f"WS[{node.name}]"
-                step.ws_buf = f"WSb{index}"
-            timing = latency.backward(network, node, algos.profile(node))
-            step.seconds = timing.seconds
-            step.dram_nbytes = int(timing.dram_bytes)
+            _derive_algo_fields(step, network, node, algos.profile(node),
+                                latency)
 
             step.releases = tuple(releases_at.get(index, ()))
 
@@ -326,6 +323,34 @@ class CompiledPlan:
         }
 
         self._offload_sets: Dict[TransferPolicy, FrozenSet[int]] = {}
+
+    def _overlay(self, network: Network, system: SystemConfig,
+                 algos: AlgoConfig, changed: FrozenSet[int]) -> "CompiledPlan":
+        """This plan under ``algos``, where only the layers in ``changed``
+        have a different profile: those layers' steps are re-derived,
+        everything else (records, persistent blocks, the offload-set
+        cache, every other step) is shared by reference."""
+        latency = LatencyModel(system.gpu)
+
+        def derive(step):
+            if step.index not in changed:
+                return step
+            twin = _copy(step)
+            node = network[step.index]
+            _derive_algo_fields(twin, network, node, algos.profile(node),
+                                latency)
+            return twin
+
+        plan = _copy(self)
+        plan.forward = tuple(step if step.is_input else derive(step)
+                             for step in self.forward)
+        plan.forward_at = {step.index: step for step in plan.forward}
+        plan.backward = tuple(map(derive, self.backward))
+        workspace = algos.max_workspace_bytes()
+        breakdown = dict(self.baseline_breakdown, workspace=workspace)
+        breakdown["total"] += workspace - self.baseline_breakdown["workspace"]
+        plan.baseline_breakdown = breakdown
+        return plan
 
     def offload_indices(self, policy: TransferPolicy,
                         network: Network) -> FrozenSet[int]:
@@ -380,6 +405,35 @@ class CompiledPlan:
         return sites
 
 
+def _derive_algo_fields(step, network: Network, node, profile,
+                        latency: LatencyModel) -> None:
+    """Fill the fields of a fresh step that the layer's algorithm decides:
+    workspace, kernel seconds, DRAM bytes and (forward) the trace writes.
+    The constructor and every overlay derive them here."""
+    forward = isinstance(step, ForwardStep)
+    nbytes = profile.workspace_bytes if profile is not None else 0
+    step.ws_bytes = nbytes
+    step.ws_aligned = footprint(nbytes) if nbytes else 0
+    step.ws_tag = f"WS[{node.name}]" if nbytes else ""
+    prefix = "WSf" if forward else "WSb"
+    step.ws_buf = f"{prefix}{node.index}" if nbytes else ""
+    timing = (latency.forward if forward else latency.backward)(
+        network, node, profile)
+    step.seconds = timing.seconds
+    step.dram_nbytes = int(timing.dram_bytes)
+    if forward:
+        step.trace_writes = step.trace_writes[:1] + (
+            (step.ws_buf,) if nbytes else ())
+
+
+def _copy(obj):
+    """A new slotted plan object sharing every field of ``obj``."""
+    twin = object.__new__(type(obj))
+    for name in type(obj).__slots__:
+        setattr(twin, name, getattr(obj, name))
+    return twin
+
+
 def _algo_signature(algos: AlgoConfig) -> tuple:
     """Content signature of a (mutable) AlgoConfig's profiles."""
     return tuple(sorted(
@@ -388,10 +442,13 @@ def _algo_signature(algos: AlgoConfig) -> tuple:
         for index, profile in algos.profiles.items()))
 
 
-#: network -> {(gpu throughput, pcie, compression, algo signature)
-#: -> CompiledPlan}.  Plans hold no network reference, so entries die
-#: with their network.
-_PLANS: "weakref.WeakKeyDictionary[Network, Dict[tuple, CompiledPlan]]" = \
+#: network -> {(gpu throughput, pcie, compression) -> {algo signature ->
+#: CompiledPlan}}.  The first plan of a hardware point is compiled in
+#: full (the base); every later one overlays the newest plan of that
+#: point, sharing its records and unchanged steps.  Plans hold no
+#: network reference, so the base and its overlays die with their
+#: network.
+_PLANS: "weakref.WeakKeyDictionary[Network, Dict[tuple, Dict[tuple, CompiledPlan]]]" = \
     weakref.WeakKeyDictionary()
 
 
@@ -401,17 +458,27 @@ def compiled_plan(network: Network, system: SystemConfig,
 
     Keyed on the GPU fields :class:`LatencyModel` reads, not on the
     whole :class:`~repro.hw.gpu.GPUSpec`: capacity (and the name) never
-    reach a plan, so GPUs differing only in memory share one."""
+    reach a plan, so GPUs differing only in memory share one.  A new
+    algo signature overlays the newest plan of its hardware point, so a
+    downgrade ladder's next probe re-derives one layer."""
     gpu = system.gpu
-    key = (gpu.peak_flops, gpu.dram_bandwidth, gpu.compute_efficiency,
-           gpu.bandwidth_efficiency, system.pcie, system.compression,
-           _algo_signature(algos))
-    table = _PLANS.get(network)
-    if table is None:
-        table = {}
-        _PLANS[network] = table
-    plan = table.get(key)
+    hardware = (gpu.peak_flops, gpu.dram_bandwidth, gpu.compute_efficiency,
+                gpu.bandwidth_efficiency, system.pcie, system.compression)
+    tables = _PLANS.get(network)
+    if tables is None:
+        tables = _PLANS[network] = {}
+    plans = tables.get(hardware)
+    if plans is None:
+        plans = tables[hardware] = {}
+    signature = _algo_signature(algos)
+    plan = plans.get(signature)
     if plan is None:
-        plan = CompiledPlan(network, system, algos)
-        table[key] = plan
+        if plans:
+            newest_signature, newest = next(reversed(plans.items()))
+            changed = frozenset(item[0] for item in set(
+                newest_signature).symmetric_difference(signature))
+            plan = newest._overlay(network, system, algos, changed)
+        else:
+            plan = CompiledPlan(network, system, algos)
+        plans[signature] = plan
     return plan

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.analysis.lint import lint_file, lint_paths
 
@@ -268,6 +270,16 @@ class TestStructureRules:
             tmp_path,
             "def corrupt(step):\n"
             "    step.dead_releases = ()\n")
+        assert rules(findings) == ["LINT208"]
+
+    @pytest.mark.parametrize("store", [
+        "plan.forward[0].ws_bytes = 0", "step.ws_aligned = 0",
+        "step.dram_nbytes = 0", "plan.forward_at = {}"])
+    def test_overlay_field_store_fires_lint208(self, tmp_path, store):
+        # An overlay shares unchanged steps with its base plan, so a
+        # store to an algorithm-derived field reaches sibling plans.
+        findings = lint_snippet(
+            tmp_path, f"def downgrade(plan, step):\n    {store}\n")
         assert rules(findings) == ["LINT208"]
 
     def test_plan_home_module_is_exempt(self, tmp_path):
