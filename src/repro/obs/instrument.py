@@ -24,6 +24,8 @@ methods at interesting moments.  The contract every hook honours:
   :meth:`Instrumentation.flush`, outside the simulated region.
   Rare hooks (gauges, cache/job/serve lifecycle counters) stay eager —
   gauge ``set`` does not commute, and off-hot-path dispatch is free.
+  The serving hooks, eager but per request, bind each metric once per
+  label set and never read (so never drain) the registry.
 
 :class:`NullInstrumentation` overrides every hook with ``pass`` — the
 no-op registry whose overhead ``benchmarks/bench_obs_overhead.py``
@@ -79,6 +81,8 @@ class Instrumentation:
         #: metrics, and :meth:`_drain` replays them on first read.
         self._pending: list = []
         self._push = self._pending.append
+        #: Serving metrics bound per label set; see :meth:`_serve_metric`.
+        self._serve_bound: Dict[tuple, object] = {}
         reg = self._registry
 
         # -- pre-bound hot-path metrics --------------------------------
@@ -463,12 +467,26 @@ class Instrumentation:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
+    def _serve_metric(self, key: tuple, register):
+        """The serving metric for ``key``, registered on first use.
+
+        ``register`` runs once per key and makes the same registry call
+        as ever, so metrics stay lazy; every later call is one dict
+        lookup — no label normalisation, no registry lookup and no
+        drain of the deferred event log.
+        """
+        metric = self._serve_bound.get(key)
+        if metric is None:
+            metric = self._serve_bound[key] = register()
+        return metric
+
     def serve_request(self, model: str, outcome: str) -> None:
         """One request's terminal outcome (see :data:`SERVE_OUTCOMES`)."""
-        self.registry.counter(
-            "repro_serve_requests_total",
-            "Serving requests by model and terminal outcome",
-            {"model": model, "outcome": outcome}).inc()
+        self._serve_metric(
+            ("requests", model, outcome), lambda: self._registry.counter(
+                "repro_serve_requests_total",
+                "Serving requests by model and terminal outcome",
+                {"model": model, "outcome": outcome})).inc()
 
     def serve_latency(self, model: str, seconds: float) -> None:
         """End-to-end latency (arrival to completion) of one request.
@@ -477,33 +495,38 @@ class Instrumentation:
         report: p50/p95/p99 come from :meth:`Histogram.quantile` and
         attainment from :meth:`Histogram.fraction_below`.
         """
-        self.registry.histogram(
-            "repro_serve_latency_seconds", SERVE_LATENCY_BUCKETS,
-            "End-to-end request latency (arrival to completion)",
-            {"model": model}).observe(seconds)
+        self._serve_metric(
+            ("latency", model), lambda: self._registry.histogram(
+                "repro_serve_latency_seconds", SERVE_LATENCY_BUCKETS,
+                "End-to-end request latency (arrival to completion)",
+                {"model": model})).observe(seconds)
 
     def serve_cold_start(self, model: str, seconds: float) -> None:
         """One model install (persistent weights DMA'd on-device)."""
-        self.registry.counter(
-            "repro_serve_cold_starts_total",
-            "Model installs (cold starts) by model",
-            {"model": model}).inc()
-        self.registry.histogram(
-            "repro_serve_cold_start_seconds", DURATION_BUCKETS,
-            "Cold-start install latency", {"model": model}).observe(seconds)
+        self._serve_metric(
+            ("cold_starts", model), lambda: self._registry.counter(
+                "repro_serve_cold_starts_total",
+                "Model installs (cold starts) by model",
+                {"model": model})).inc()
+        self._serve_metric(
+            ("cold_start_seconds", model), lambda: self._registry.histogram(
+                "repro_serve_cold_start_seconds", DURATION_BUCKETS,
+                "Cold-start install latency",
+                {"model": model})).observe(seconds)
 
     def serve_queue_depth(self, depth: int) -> None:
         """Pending-queue depth sample (max is the high-water mark)."""
-        self.registry.gauge(
+        self._serve_metric(("queue_depth",), lambda: self._registry.gauge(
             "repro_serve_queue_depth",
-            "Pending request queue depth (max = high-water)").set(depth)
+            "Pending request queue depth (max = high-water)")).set(depth)
 
     def serve_window_shrink(self, model: str) -> None:
         """Overload ladder rung 1 fired: a model's window halved."""
-        self.registry.counter(
-            "repro_serve_window_shrinks_total",
-            "Demand-layering window shrinks under overload",
-            {"model": model}).inc()
+        self._serve_metric(
+            ("window_shrinks", model), lambda: self._registry.counter(
+                "repro_serve_window_shrinks_total",
+                "Demand-layering window shrinks under overload",
+                {"model": model})).inc()
 
     # ------------------------------------------------------------------
     # Spans

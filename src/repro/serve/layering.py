@@ -298,7 +298,7 @@ def streamed_layer_bytes(network: Network,
 
     The static verifier (SP406) re-derives the plan's accounting from
     this map: summing it must give ``streamed_bytes``, and its maximum
-    bounds the feasible window floor.
+    is the window floor (the server's ladder rung 1 stops there).
     """
     weights = weight_load_bytes(network)
     pinned = frozenset(plan.pinned_layers)

@@ -39,7 +39,6 @@ import random
 
 from ..alloc.pool import Allocation, OutOfMemoryError, PoolAllocator
 from ..core.algo_config import AlgoConfig
-from ..core.inference import weight_load_bytes
 from ..faults.spec import FaultSpec
 from ..graph.network import Network
 from ..hw.config import SystemConfig
@@ -49,7 +48,7 @@ from ..sim.trace import MODEL_STREAM_PREFIX
 from ..zoo import build
 from .arrivals import ArrivalSpec, ModelSpec, Request, generate_requests
 from .layering import RESIDENCY_POLICIES, ServePlanError, ServicePlan, \
-    plan_service, shrink_window
+    plan_service, shrink_window, streamed_layer_bytes
 
 #: Residency choices accepted by :class:`ServeConfig` (adds ``auto``).
 RESIDENCY_CHOICES = ("auto",) + RESIDENCY_POLICIES
@@ -247,7 +246,7 @@ class _ModelState:
     """Mutable per-model serving state."""
 
     __slots__ = ("spec", "network", "algos", "plan", "allocation",
-                 "last_used", "streamed_dma", "shrinks")
+                 "last_used", "streamed_dma", "window_floor", "shrinks")
 
     def __init__(self, spec: ModelSpec, network: Network,
                  algos: AlgoConfig, plan: ServicePlan):
@@ -258,6 +257,8 @@ class _ModelState:
         self.allocation: Optional[Allocation] = None
         self.last_used = -1.0
         self.streamed_dma: List[float] = []
+        #: Largest streamed layer, the window ``plan_service`` clamps to.
+        self.window_floor = 0
         self.shrinks = 0
 
     @property
@@ -345,14 +346,10 @@ def simulate_serving(
     for spec in config.models:
         state = _ModelState(spec, networks[spec.name],
                             algo_of[spec.name], plans[spec.name])
-        pinned = frozenset(state.plan.pinned_layers)
-        dma = system.pcie.dma_time
-        state.streamed_dma = [
-            dma(nbytes)
-            for index, nbytes in sorted(
-                weight_load_bytes(state.network).items())
-            if index not in pinned
-        ]
+        streamed = streamed_layer_bytes(state.network, state.plan)
+        state.streamed_dma = [system.pcie.dma_time(streamed[index])
+                              for index in sorted(streamed)]
+        state.window_floor = max(streamed.values(), default=0)
         states[spec.name] = state
         if state.plan.footprint_bytes > config.budget_bytes:
             # Even alone on the device this plan cannot serve: its
@@ -461,11 +458,16 @@ def simulate_serving(
         return max(extra, -state.plan.stall_seconds)
 
     def shrink_ladder() -> None:
-        """Ladder rung 1: halve every streaming model's window."""
+        """Ladder rung 1: halve every streaming model's window.
+
+        A window at its floor (the largest streamed layer) is not
+        re-planned: halving it clamps straight back to the floor.
+        """
         nonlocal window_shrinks
         for state in states.values():
             if (state.plan.streamed_bytes == 0
-                    or state.shrinks >= MAX_WINDOW_SHRINKS):
+                    or state.shrinks >= MAX_WINDOW_SHRINKS
+                    or state.plan.window_bytes <= state.window_floor):
                 continue
             smaller = shrink_window(state.network, system, state.algos,
                                     state.plan)

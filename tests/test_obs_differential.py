@@ -13,7 +13,7 @@ import pytest
 from repro.cli import DEFAULT_WORKLOAD, main
 from repro.core.api import evaluate
 from repro.faults import FaultSpec
-from repro.obs import Instrumentation
+from repro.obs import Instrumentation, NullInstrumentation
 from repro.sched import Job, schedule_jobs, schedule_report
 from repro.zoo import available, build
 
@@ -119,6 +119,29 @@ def test_schedule_faulted_bit_neutral():
                       if m.name == "repro_faults_total"]
     assert sum(int(c.value) for c in fault_counters) \
         == len(plain.fault_report.events)
+
+
+# ----------------------------------------------------------------------
+# Serving: an overload run with every ladder rung and fault family
+# ----------------------------------------------------------------------
+def test_serve_overload_bit_neutral():
+    """The serving golden's burst scenario (real window shrinks, DMA
+    failures, a budget shrink, a forced eviction) is identical with
+    null and live instrumentation."""
+    from repro.serve import simulate_serving
+    from test_serve_golden import SCENARIOS
+
+    config = SCENARIOS["burst"]
+    plain = simulate_serving(config, obs=NullInstrumentation())
+    live = simulate_serving(config, obs=Instrumentation())
+    assert live.window_shrinks > 0
+    assert live.records == plain.records
+    assert live.timeline.events == plain.timeline.events
+    for field in ("makespan", "cold_starts", "window_shrinks",
+                  "pool_peak_bytes"):
+        assert getattr(live, field) == getattr(plain, field), field
+    assert plain.obs.registry.get("repro_serve_queue_depth") is None
+    assert live.obs.registry.get("repro_serve_queue_depth") is not None
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ from repro.serve import (
     shrink_window,
     simulate_serving,
 )
+from repro.serve.layering import streamed_layer_bytes
 from repro.zoo import available, build
 
 MIB = 1 << 20
@@ -216,6 +217,70 @@ def test_plan_service_matches_reference_on_zoo(algo):
                                 pinned_bytes=half)
             assert plan.activation_bytes == expected_act, (name, residency)
             assert plan.compute_seconds == expected_compute, (name, residency)
+
+
+# ----------------------------------------------------------------------
+# Ladder rung 1: the window floor
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("residency", ["layered", "pinned"])
+@pytest.mark.parametrize("name", available())
+def test_shrink_window_floor_property(name, residency):
+    """Above the largest streamed layer a shrink strictly shrinks the
+    window (to at most half or the floor); at that layer it returns an
+    equal window.  The server skips floored models on this fact."""
+    network = build(name, 1)
+    algos = AlgoConfig.memory_optimal(network)
+    pinned = network.total_weight_bytes() // 4 if residency == "pinned" \
+        else 0
+    plan = plan_service(network, PAPER_SYSTEM, algos, residency,
+                        window_bytes=network.total_weight_bytes(),
+                        pinned_bytes=pinned)
+    floor = max(streamed_layer_bytes(network, plan).values())
+    while plan.window_bytes > floor:
+        smaller = shrink_window(network, PAPER_SYSTEM, algos, plan)
+        assert smaller.pinned_layers == plan.pinned_layers
+        assert (smaller.window_bytes
+                <= max(plan.window_bytes // 2, floor)
+                < plan.window_bytes), name
+        plan = smaller
+    assert plan.window_bytes == floor
+    again = shrink_window(network, PAPER_SYSTEM, algos, plan)
+    assert again.window_bytes == plan.window_bytes, name
+
+
+def test_overload_replans_only_while_a_window_can_shrink(monkeypatch):
+    """Rung 1 calls shrink_window at most MAX_WINDOW_SHRINKS times per
+    streaming model, and never for a model that starts at its floor."""
+    from repro.serve import server
+
+    calls = {}
+    real = server.shrink_window
+
+    def counting(network, *args, **kwargs):
+        calls[network.name] = calls.get(network.name, 0) + 1
+        return real(network, *args, **kwargs)
+
+    monkeypatch.setattr(server, "shrink_window", counting)
+    config = ServeConfig(
+        models=tuple(parse_models("vgg16:2,googlenet:1,alexnet")),
+        arrivals=ArrivalSpec.parse("burst:rate=50,at=0.2,dur=2,x=20,seed=2"),
+        requests=300, budget_bytes=1 * GIB, residency="layered")
+    result = simulate_serving(config)
+    assert result.window_shrinks > 0
+
+    floored = []
+    for spec in config.models:
+        network = build(spec.name, config.batch)
+        start = plan_service(network, SystemConfig(),
+                             AlgoConfig.memory_optimal(network), "layered",
+                             window_bytes=config.window_bytes)
+        made = calls.get(network.name, 0)
+        assert made <= server.MAX_WINDOW_SHRINKS, spec.name
+        if start.window_bytes == max(weight_load_bytes(network).values()):
+            floored.append(spec.name)
+            assert made == 0, spec.name
+    assert "vgg16" in floored
+    assert sum(calls.values()) == result.window_shrinks
 
 
 # ----------------------------------------------------------------------
