@@ -4,7 +4,14 @@ The paper's central memory result: for each of the six conventional
 networks, sweep vDNN_all / vDNN_conv / vDNN_dyn / baseline under
 memory-optimal and performance-optimal algorithms.  Asserted shape:
 
-* vDNN_all(m) has the smallest average usage of every configuration;
+* over the paper's columns, average usage orders
+  ``all(m) < all(p)`` and ``conv(m) < conv(p) < dyn <= base(p)``, and
+  vDNN_all(m) is the smallest; ``conv(p) < dyn`` is asserted where
+  conv(p) trains, since dyn must fit the GPU;
+* compressed DMA (``comp``, not a paper column) peaks where vDNN_all
+  does: ``comp(m)``'s maximum equals ``all(m)``'s.  Its average is not
+  asserted: it frees offloaded buffers earlier, yet reads 2 MB above
+  all(m) on OverFeat (128), which is not explained yet;
 * baseline cannot train VGG-16 (128) with performance-optimal
   algorithms nor VGG-16 (256) at all, while vDNN_dyn trains everything;
 * average savings of vDNN_all(m) fall in the paper's 73%-98% band.
@@ -18,6 +25,11 @@ from repro.reporting import fig11_memory_usage
 #: Worker processes for the policy sweep (results are bit-identical to
 #: a serial run; override with REPRO_JOBS=1 to force serial).
 JOBS = int(os.environ.get("REPRO_JOBS", "2") or "1")
+
+
+#: The configurations the paper's Figure 11 plots.
+PAPER_COLUMNS = ("all(m)", "all(p)", "conv(m)", "conv(p)", "dyn",
+                 "base(m)", "base(p)")
 
 
 def _mb(cell):
@@ -34,7 +46,14 @@ def test_fig11_memory_usage(benchmark, capsys):
         }
 
     for network, configs in by_net.items():
-        assert configs["all(m)"]["avg"] == min(c["avg"] for c in configs.values())
+        avg = {config: configs[config]["avg"] for config in PAPER_COLUMNS}
+        assert avg["all(m)"] < avg["all(p)"], network
+        assert avg["conv(m)"] < avg["conv(p)"], network
+        if configs["conv(p)"]["trainable"]:
+            assert avg["conv(p)"] < avg["dyn"], network
+        assert avg["dyn"] <= avg["base(p)"], network
+        assert avg["all(m)"] == min(avg.values()), network
+        assert configs["comp(m)"]["max"] == configs["all(m)"]["max"], network
         assert configs["dyn"]["trainable"], f"{network}: dyn must train"
 
     assert not by_net["VGG-16(128)"]["base(p)"]["trainable"]

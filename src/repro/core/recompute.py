@@ -229,6 +229,24 @@ class _RecomputeSimulation:
 
     # -- backward -------------------------------------------------------
     def run_backward(self) -> None:
+        # One pass over the storages (in owner order) buckets every
+        # gradient allocation and release by the backward step that
+        # performs it.  Each step's free order stays owner order, a
+        # buffer (owner, False) before its gradient twin (owner, True).
+        grad_allocs_at: Dict[int, List[StorageInfo]] = {}
+        releases_at: Dict[int, List[Tuple[int, bool]]] = {}
+        for storage in self.liveness.all_storages():
+            if storage.needed_backward:
+                releases_at.setdefault(
+                    storage.backward_release_after, []).append(
+                        (storage.owner, False))
+            if storage.needs_gradient:
+                grad_allocs_at.setdefault(
+                    storage.gradient_alloc_at, []).append(storage)
+                releases_at.setdefault(
+                    storage.gradient_release_after, []).append(
+                        (storage.owner, True))
+
         for index in self.network.backward_schedule():
             node = self.network[index]
 
@@ -240,10 +258,8 @@ class _RecomputeSimulation:
             for storage in required:
                 self._ensure_storage(storage.owner)
 
-            for storage in self.liveness.all_storages():
-                if storage.needs_gradient and \
-                        storage.gradient_alloc_at == index and \
-                        storage.owner not in self.gradients:
+            for storage in grad_allocs_at.get(index, ()):
+                if storage.owner not in self.gradients:
                     self.gradients[storage.owner] = self._alloc(
                         storage.owner, storage.nbytes, f"dY[{storage.owner}]"
                     )
@@ -255,17 +271,11 @@ class _RecomputeSimulation:
                                  nbytes=int(timing.dram_bytes),
                                  layer_index=index)
 
-            for storage in self.liveness.all_storages():
-                if storage.needed_backward and \
-                        storage.backward_release_after == index:
-                    allocation = self.device.pop(storage.owner, None)
-                    if allocation is not None:
-                        self._free(allocation)
-                if storage.needs_gradient and \
-                        storage.gradient_release_after == index:
-                    allocation = self.gradients.pop(storage.owner, None)
-                    if allocation is not None:
-                        self._free(allocation)
+            for owner, gradient in releases_at.get(index, ()):
+                held = self.gradients if gradient else self.device
+                allocation = held.pop(owner, None)
+                if allocation is not None:
+                    self._free(allocation)
             if workspace is not None:
                 self._free(workspace)
 

@@ -25,17 +25,27 @@ contention model splits across co-resident tenants.  A job is admitted
 at the first rung whose footprint fits the shared pool's *remaining*
 budget; a job whose final rung exceeds even the empty pool is rejected
 outright.
+
+A ladder is a function of the job's zoo recipe and the system alone, so
+each (recipe, :class:`~repro.hw.config.SystemConfig`) ladder is one
+entry in the process-wide perf cache (:mod:`repro.perf.cache`): every
+controller, and so every ``schedule_jobs``/``schedule_fleet`` call in a
+process, builds a recipe's network and runs its rungs once.
 """
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.api import POINT_POLICIES, point_label, run_point
 from ..core.executor import IterationResult
 from ..hw.config import PAPER_SYSTEM, SystemConfig
+from ..perf.cache import cache_enabled, get_cache
+from ..perf.fingerprint import fingerprint
 from ..sim.stream import COMPUTE_STREAM, MEMORY_STREAM
+from ..zoo import recipe
 from .job import Job
 
 #: Ladder rungs as ``(policy, algo)`` points, fastest (most
@@ -83,35 +93,65 @@ def evaluate_ladder(network, system: SystemConfig) -> List[RungEval]:
     """Run the four rung simulations for one network, ladder order.
 
     Each rung goes through the content-addressed simulation cache
-    (:func:`repro.core.api.run_point`), so N co-tenant jobs training the
-    same (network, batch) — and repeated scheduler runs over one
-    workload — reuse a single simulation per rung.
+    (:func:`repro.core.api.run_point`), so a network whose ladder entry
+    was evicted, or another network with the same content, reuses a
+    single simulation per rung.  :class:`AdmissionController` calls this
+    only when its recipe's ladder entry is missing.
     """
     return [_distill(rung, run_point(network, system, policy, algo))
             for rung, (policy, algo) in zip(LADDER, LADDER_POINTS)]
 
 
+def _ladder_entry(job: Job,
+                  system: SystemConfig) -> Tuple[List[RungEval], int]:
+    """The job's ``(rungs, weight bytes)``, one perf-cache entry per
+    (zoo recipe, system), built and simulated only on a miss.
+
+    The entry stays in memory (LRU-bounded, reset by
+    ``configure_cache()``, bypassed under ``REPRO_NO_CACHE``); it is
+    never written to the disk tier, since a recipe names content only
+    within one version of the zoo builders.
+    """
+    key = None
+    if cache_enabled():
+        key = fingerprint(
+            ("ladder", recipe(job.network, job.batch_size), system))
+        entry = get_cache().get(key)
+        if entry is not None:
+            return entry
+    network = job.build_network()
+    entry = (evaluate_ladder(network, system), network.total_weight_bytes())
+    if key is not None:
+        get_cache().put_blob(key, pickle.dumps(entry, pickle.HIGHEST_PROTOCOL),
+                             write_disk=False)
+    return entry
+
+
 class AdmissionController:
     """Memoized degradation-ladder oracle for job admission.
 
-    Each distinct (network, batch) pair is built and simulated once per
-    rung; the scheduler then answers every admission question from the
-    cached :class:`RungEval` list and parameter size.
+    A (network, batch) pair's ladder and parameter size come from its
+    process-wide perf-cache entry (:func:`_ladder_entry`), so a fresh
+    controller on the same system builds nothing; within one controller
+    they are kept per instance, so ``ladder(job) is ladder(job)``, and
+    each ladder's smallest footprint is kept with it.
     """
 
     def __init__(self, system: Optional[SystemConfig] = None):
         self.system = system or PAPER_SYSTEM
         self._cache: Dict[Tuple[str, Optional[int]], List[RungEval]] = {}
         self._weight_bytes: Dict[Tuple[str, Optional[int]], int] = {}
+        self._min_footprint: Dict[Tuple[str, Optional[int]], int] = {}
 
     def ladder(self, job: Job) -> List[RungEval]:
         """The job's rung evaluations, fastest first (memoized)."""
         key = (job.network, job.batch_size)
-        if key not in self._cache:
-            network = job.build_network()
-            self._cache[key] = evaluate_ladder(network, self.system)
-            self._weight_bytes[key] = network.total_weight_bytes()
-        return self._cache[key]
+        rungs = self._cache.get(key)
+        if rungs is None:
+            rungs, self._weight_bytes[key] = _ladder_entry(job, self.system)
+            self._cache[key] = rungs
+            self._min_footprint[key] = min(r.footprint_bytes for r in rungs)
+        return rungs
 
     def weight_bytes(self, job: Job) -> int:
         """The job's parameter bytes, recorded when its ladder was built
@@ -130,7 +170,11 @@ class AdmissionController:
 
     def min_footprint(self, job: Job) -> int:
         """The smallest footprint any rung achieves for this job."""
-        return min(r.footprint_bytes for r in self.ladder(job))
+        floor = self._min_footprint.get((job.network, job.batch_size))
+        if floor is None:
+            # Not memoized when a subclass supplies its own ladders.
+            floor = min(r.footprint_bytes for r in self.ladder(job))
+        return floor
 
     def solo_service_seconds(self, job: Job, budget_bytes: int) -> float:
         """Uncontended run time at the rung an empty pool would admit.

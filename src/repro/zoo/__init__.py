@@ -14,6 +14,7 @@ from .registry import (
     build,
     paper_conventional_networks,
     paper_very_deep_networks,
+    recipe,
 )
 from .vgg import VGG16_GROUPS, build_deep_vgg, build_vgg16
 
@@ -36,4 +37,5 @@ __all__ = [
     "build_vgg16",
     "paper_conventional_networks",
     "paper_very_deep_networks",
+    "recipe",
 ]

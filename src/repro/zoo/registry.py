@@ -9,7 +9,7 @@ of them (or a custom batch size) by name.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..graph import Network
 from .alexnet import build_alexnet
@@ -62,14 +62,11 @@ def available() -> List[str]:
     return sorted(_BUILDERS)
 
 
-def build(name: str, batch_size: Optional[int] = None) -> Network:
-    """Build a catalog network by name.
+def recipe(name: str, batch_size: Optional[int] = None) -> Tuple[str, int]:
+    """The ``(builder key, batch size)`` that :func:`build` makes.
 
-    Args:
-        name: one of :func:`available` (case-insensitive, dashes ignored).
-        batch_size: overrides the paper's default for that network
-            (128 for the conventional nets, 64 for VGG-16, 32 for the
-            very deep variants).
+    Builders are deterministic, so the recipe names the built network's
+    content without building it.  Raises as :func:`build` does.
     """
     key = name.lower().replace("-", "").replace("_", "")
     if key not in _BUILDERS:
@@ -80,8 +77,20 @@ def build(name: str, batch_size: Optional[int] = None) -> Network:
         batch_size = defaults.get(key, 128)
     if batch_size <= 0:
         raise ValueError(f"batch size must be positive, got {batch_size}")
+    return key, batch_size
+
+
+def build(name: str, batch_size: Optional[int] = None) -> Network:
+    """Build a catalog network by name.
+
+    Args:
+        name: one of :func:`available` (case-insensitive, dashes ignored).
+        batch_size: overrides the paper's default for that network
+            (128 for the conventional nets, 64 for VGG-16, 32 for the
+            very deep variants).
+    """
+    key, batch_size = recipe(name, batch_size)
     network = _BUILDERS[key](batch_size)
-    # Builders are deterministic, so the recipe names the content:
     # repro.perf.fingerprint digests each recipe once per process.
     network._repro_recipe = (key, batch_size)
     return network

@@ -1,9 +1,12 @@
 """Tests for the multi-tenant GPU scheduler (repro.sched)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.alloc import PoolAllocator
 from repro.hw import PAPER_SYSTEM
+from repro.perf import configure_cache, set_cache
 from repro.sched import (
     AdmissionController,
     ContentionModel,
@@ -114,6 +117,108 @@ class TestLadder:
         tight = controller.cheapest_fit(job, rungs[2].footprint_bytes)
         assert tight.rung != "base(p)"
         assert controller.cheapest_fit(job, 1) is None
+
+
+@pytest.fixture
+def ladder_cache(monkeypatch):
+    """A fresh process-wide perf cache with caching on; restored after."""
+    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    yield configure_cache()
+    set_cache(None)
+
+
+def count_builds(monkeypatch):
+    """Count ``Job.build_network`` calls from here on."""
+    builds = []
+    real = Job.build_network
+
+    def counting(job):
+        builds.append(job.name)
+        return real(job)
+
+    monkeypatch.setattr(Job, "build_network", counting)
+    return builds
+
+
+class TestLadderEntry:
+    """One perf-cache entry per (zoo recipe, system) ladder."""
+
+    def test_fresh_controller_builds_no_network(self, ladder_cache,
+                                                 monkeypatch):
+        job = Job("a", "alexnet", 16)
+        first = AdmissionController(PAPER_SYSTEM)
+        rungs, weights = first.ladder(job), first.weight_bytes(job)
+        monkeypatch.setattr(Job, "build_network",
+                            lambda job: pytest.fail("network rebuilt"))
+        fresh = AdmissionController(PAPER_SYSTEM)
+        assert fresh.ladder(Job("b", "alexnet", 16)) == rungs
+        assert fresh.weight_bytes(job) == weights
+        assert fresh.ladder(job) is fresh.ladder(job)
+
+    def test_uncached_rebuilds_equal_values(self, ladder_cache,
+                                            monkeypatch):
+        job = Job("a", "alexnet", 16)
+        cached = AdmissionController(PAPER_SYSTEM).ladder(job)
+        configure_cache()
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        builds = count_builds(monkeypatch)
+        for _ in range(2):
+            controller = AdmissionController(PAPER_SYSTEM)
+            assert controller.ladder(job) == cached
+            assert controller.weight_bytes(job) == \
+                build("alexnet", 16).total_weight_bytes()
+        assert builds == ["a", "a"]
+
+    def test_configure_cache_drops_the_entry(self, ladder_cache,
+                                             monkeypatch):
+        job = Job("a", "alexnet", 16)
+        rungs = AdmissionController(PAPER_SYSTEM).ladder(job)
+        configure_cache()
+        builds = count_builds(monkeypatch)
+        assert AdmissionController(PAPER_SYSTEM).ladder(job) == rungs
+        assert builds == ["a"]
+
+    def test_entry_stays_off_disk(self, ladder_cache, tmp_path):
+        cache = configure_cache(disk_dir=str(tmp_path))
+        AdmissionController(PAPER_SYSTEM).ladder(Job("a", "alexnet", 16))
+        # Four rung simulations on disk; the ladder entry in memory only.
+        assert len(cache) == 5
+        assert len(list(tmp_path.iterdir())) == 4
+
+    def test_degraded_pcie_gets_its_own_entry(self, ladder_cache,
+                                              monkeypatch):
+        job = Job("a", "alexnet", 16)
+        healthy = AdmissionController(PAPER_SYSTEM).ladder(job)
+        degraded = replace(PAPER_SYSTEM, pcie=replace(
+            PAPER_SYSTEM.pcie,
+            dma_bandwidth=PAPER_SYSTEM.pcie.dma_bandwidth / 4))
+        builds = count_builds(monkeypatch)
+        slow = AdmissionController(degraded).ladder(job)
+        assert builds == ["a"]
+        assert slow != healthy
+        assert slow[2].pcie_seconds > healthy[2].pcie_seconds
+        assert slow == evaluate_ladder(build("alexnet", 16), degraded)
+        assert AdmissionController(PAPER_SYSTEM).ladder(job) == healthy
+        assert builds == ["a"]
+
+    def test_min_footprint_is_the_ladder_minimum(self, ladder_cache):
+        controller = AdmissionController(PAPER_SYSTEM)
+        for job in (Job("a", "alexnet", 16), Job("g", "googlenet", 8)):
+            # Before and after the ladder is memoized.
+            for _ in range(2):
+                assert controller.min_footprint(job) == min(
+                    r.footprint_bytes for r in controller.ladder(job))
+
+    def test_min_footprint_follows_a_subclass_ladder(self):
+        profiles = {"big": [synthetic_rung("base(p)", 9, 1.0, 0.0),
+                            synthetic_rung("all(m)", 5, 0.5, 1.0)],
+                    "small": [synthetic_rung("base(p)", 2, 1.0, 0.0)]}
+        controller = SyntheticController(profiles)
+        # Same network and batch, different hand-authored ladders.
+        for name, floor in (("big", 5), ("small", 2), ("big", 5)):
+            job = Job(name, "alexnet")
+            assert controller.min_footprint(job) == floor * MB == min(
+                r.footprint_bytes for r in controller.ladder(job))
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ from repro.zoo import (
     build_googlenet,
     build_overfeat,
     build_vgg16,
+    recipe,
 )
 
 
@@ -149,6 +150,15 @@ class TestRegistry:
         assert build("alexnet").batch_size == 128
         assert build("vgg16").batch_size == 64
         assert build("vgg116").batch_size == 32
+
+    def test_recipe_names_what_build_makes(self):
+        assert recipe("VGG-16") == ("vgg16", 64)
+        assert recipe("alexnet") == recipe("AlexNet", 128) == ("alexnet", 128)
+        assert build("vgg_16", 2)._repro_recipe == recipe("vgg_16", 2)
+        with pytest.raises(KeyError):
+            recipe("densenet")
+        with pytest.raises(ValueError):
+            recipe("alexnet", 0)
 
     def test_paper_catalog_has_ten_networks(self):
         assert len(PAPER_NETWORKS) == 10
