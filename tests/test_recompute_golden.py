@@ -19,8 +19,6 @@ import hashlib
 import json
 import os
 
-import pytest
-
 from repro.alloc import PoolAllocator
 from repro.core import AlgoConfig, simulate_recompute
 from repro.hw import PAPER_SYSTEM
@@ -107,11 +105,3 @@ def test_recompute_segments_golden(monkeypatch):
             f"{key} drifted from its golden recompute facts; if "
             f"intentional, regenerate with REPRO_REGEN_GOLDEN=1")
 
-
-@pytest.mark.parametrize("name,batch", NETWORKS)
-def test_segment_counts_differ(name, batch, monkeypatch):
-    """The grid is not degenerate: a single segment replays more than
-    the sqrt(L) default on every shape."""
-    one = _facts(name, batch, 1, monkeypatch)
-    default = _facts(name, batch, None, monkeypatch)
-    assert one["pool_ops_digest"] != default["pool_ops_digest"]
