@@ -182,6 +182,32 @@ def _modeled_cost(config: JointConfig,
 # ----------------------------------------------------------------------
 # The joint ladder
 # ----------------------------------------------------------------------
+def _greedy_flips(triggers, costs) -> List[Tuple[int, JointDecision]]:
+    """Pass 3's chain: each trigger's modeled-cheapest action, cheapest
+    first (trigger index breaks ties)."""
+    order = sorted(triggers, key=lambda t: (_best_action(costs[t])[1], t))
+    return [(t, _best_action(costs[t])[0]) for t in order]
+
+
+def _first_trainable_prefix(flips, flip_prefix, budget_bytes: int):
+    """Pass 3's search (step 3 of :func:`run_joint_ladder`): the first
+    trainable ``(config, result) = flip_prefix(k)``, or None."""
+    starts = [k for k, (_t, action) in enumerate(flips, 1)
+              if k == 1 or action is JointDecision.RECOMPUTE]
+    for lo, hi in zip(starts, starts[1:] + [len(flips) + 1]):
+        fit = None  # the probe of prefix `hi`, once one fitted
+        while lo < hi:
+            mid = (lo + hi) // 2
+            config, result = flip_prefix(mid)
+            if result.max_usage_bytes <= budget_bytes:
+                hi, fit = mid, (config, result)
+            else:
+                lo = mid + 1
+        if fit is not None and fit[1].trainable:
+            return fit
+    return None
+
+
 def run_joint_ladder(
     network: Network,
     system: SystemConfig,
@@ -202,7 +228,14 @@ def run_joint_ladder(
        Both missing means the network is untrainable, full stop.
     2. Keep everything on device with the fastest algorithms.
     3. Greedy: flip triggers one at a time to their modeled-cheapest
-       action (cheapest first) until the configuration fits.
+       action (cheapest first); the first prefix that trains is the
+       candidate.  Each RECOMPUTE flip starts a drop-free segment, and
+       the search bisects each for its first fitting prefix: adopted if
+       it trains, else (a pinned-host abort) on to the next segment.
+       Exact: inside a segment a longer prefix keeps a subset of a
+       shorter one's device contents at every walk step and pins at
+       least as much host memory, so the peak never rises and an abort
+       never clears (a drop flip's replays can raise the peak).
     4. The pure frontiers at fastest algorithms: all-compress,
        all-offload, all-recompute.  Among every trainable candidate
        from passes 3-4, adopt the modeled-cheapest (ladder order
@@ -256,18 +289,17 @@ def run_joint_ladder(
     # Passes 3 + 4: collect trainable candidates, adopt the
     # modeled-cheapest one.
     candidates: List[Tuple[float, int, JointConfig, object]] = []
-    order = sorted(triggers, key=lambda t: (_best_action(costs[t])[1], t))
-    chosen: Dict[int, JointDecision] = {}
-    for trigger in order:
-        chosen[trigger] = _best_action(costs[trigger])[0]
-        config = _config_of(chosen)
-        result = probe(config, performance_optimal,
-                       f"pass3: joint greedy flip "
-                       f"{len(chosen)}/{len(order)}")
-        if result.trainable:
-            candidates.append(
-                (_modeled_cost(config, costs), 0, config, result))
-            break
+    flips = _greedy_flips(triggers, costs)
+
+    def flip_prefix(k: int):
+        config = _config_of(dict(flips[:k]))
+        return config, probe(config, performance_optimal,
+                             f"pass3: joint greedy flip {k}/{len(flips)}")
+
+    first = _first_trainable_prefix(flips, flip_prefix, budget_bytes)
+    if first is not None:
+        config, result = first
+        candidates.append((_modeled_cost(config, costs), 0, config, result))
     for seq, (config, label) in enumerate((
             (all_compress, "all-compress"),
             (all_offload, "all-offload"),

@@ -16,15 +16,25 @@ executor walk through the result cache.  This module keeps those probes:
 ``test_static_plan.py`` and ``test_joint_differential.py`` hold the
 interpreted ladders to these on the zoo parity points and on random
 fork/join graphs.
+
+The joint ladder's pass 3 bisects its greedy flip chain; before that it
+probed every prefix in order.  :func:`linear_joint_ladder` runs the
+ladder with that linear pass 3, and :func:`flip_chain` interprets every
+prefix of the chain, for the lemma the bisection rests on.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
+from repro.core import joint
+from repro.core.algo_config import AlgoConfig
 from repro.core.cached import cached_vdnn
 from repro.core.dynamic import _recording, run_profiling_ladder
 from repro.core.interpret import interpret_joint_plan, interpret_plan
 from repro.core.joint import JointConfig, cached_joint, run_joint_ladder
 from repro.core.plan import compiled_plan
+from repro.core.policy import TransferPolicy
 
 #: How a simulated walk's ``failure`` starts when pinned memory ran out.
 PINNED_ABORT = "host pinned memory exhausted"
@@ -85,3 +95,35 @@ def checked_ladder(kind, network, system):
         return interp
 
     return _ladder(kind, network, system, probe)
+
+
+def linear_first_trainable_prefix(flips, flip_prefix, budget_bytes):
+    """Pass 3 as it ran before bisection: every prefix, in order."""
+    for k in range(1, len(flips) + 1):
+        config, result = flip_prefix(k)
+        if result.trainable:
+            return config, result
+    return None
+
+
+def linear_joint_ladder(network, system):
+    """:func:`repro.core.joint.adopt_joint` with the linear pass 3."""
+    with mock.patch.object(joint, "_first_trainable_prefix",
+                           linear_first_trainable_prefix):
+        return joint.adopt_joint(network, system)
+
+
+def flip_chain(network, system):
+    """Pass 3's whole greedy chain, each prefix interpreted.
+
+    Returns ``[(action, interpretation)]``, entry ``k - 1`` for the
+    prefix of the first ``k`` flips (``action`` is flip ``k``'s).
+    """
+    algos = AlgoConfig.performance_optimal(network)
+    plan = compiled_plan(network, system, algos)
+    triggers = sorted(plan.offload_indices(TransferPolicy.vdnn_all(),
+                                           network))
+    flips = joint._greedy_flips(triggers, joint.trigger_costs(network, plan))
+    return [(action, interpret_joint_plan(
+                network, system, plan, joint._config_of(dict(flips[:k]))))
+            for k, (_trigger, action) in enumerate(flips, 1)]
