@@ -228,25 +228,30 @@ class FleetScheduler(_FluidScheduler):
             gpu: budget_bytes for gpu in range(topology.num_gpus)
         }
         self.placements: Dict[str, Tuple[int, ...]] = {}
+        #: Each resident's placement as the contention model reads it,
+        #: built once at admission rather than at every event.
+        self._gangs: Dict[str, PlacedGang] = {}
         self.gpu_seconds: Dict[str, float] = {}
         self.preemptions = 0
 
     # -- capacity, contention, labels ----------------------------------
     def _reserve(self, entry: _Resident, clock: float) -> None:
+        name = entry.record.job.name
         for gpu in entry.gpus:
             self.free_bytes[gpu] -= entry.rung.footprint_bytes
-        self.placements[entry.record.job.name] = entry.gpus
+        self.placements[name] = entry.gpus
+        self._gangs[name] = PlacedGang(
+            name=name, gpus=entry.gpus, rung=entry.rung,
+            weight_bytes=entry.weight_bytes)
 
     def _release(self, entry: _Resident, clock: float) -> None:
         for gpu in entry.gpus:
             self.free_bytes[gpu] += entry.rung.footprint_bytes
+        del self._gangs[entry.record.job.name]
 
     def _rates(self, resident: List[_Resident]) -> List[float]:
-        return self.contention.iteration_seconds([
-            PlacedGang(name=e.record.job.name, gpus=e.gpus, rung=e.rung,
-                       weight_bytes=e.weight_bytes)
-            for e in resident
-        ])
+        return self.contention.iteration_seconds(
+            [self._gangs[e.record.job.name] for e in resident])
 
     def _run_label(self, entry: _Resident, tenants: int) -> str:
         gpus = ",".join(str(g) for g in entry.gpus)
@@ -270,8 +275,9 @@ class FleetScheduler(_FluidScheduler):
         """Cheapest rung + GPUs the placement policy grants against a
         free-bytes map (the live one, or a hypothetical one)."""
         needed = _gang_size(job)
-        if needed > self.topology.num_gpus:
-            return None
+        floor = self.controller.min_footprint(job)
+        if sum(free >= floor for free in free_bytes.values()) < needed:
+            return None  # not even the smallest rung places
         for rung in self.controller.ladder(job):
             if rung.footprint_bytes > self.budget_bytes:
                 continue
@@ -324,8 +330,12 @@ class FleetScheduler(_FluidScheduler):
         """Admit every job placeable at the current instant.
 
         Queue order is priority-desc then submit-order (FIFO within a
-        priority class); after each admission the free map changed, so
-        the scan restarts.
+        priority class).  One pass admits in that order: an admission
+        only takes free bytes away, and a resident it adds below a
+        queued job's priority gives them back to that job's preemption
+        plan, so a job passed over earlier still cannot place.  An
+        admission that preempted residents freed capacity and re-queued
+        its victims, so the scan starts over.
         """
         while True:
             queue = sorted(
@@ -334,28 +344,29 @@ class FleetScheduler(_FluidScheduler):
                                r.job.submit_time,
                                r.job.name),
             )
-            if not queue:
-                return
-            admitted = False
             for record in queue:
-                placed = self._place_on(record.job, self.free_bytes)
+                job = record.job
+                if job.name in self._unplaceable:
+                    continue
+                placed = self._place_on(job, self.free_bytes)
+                preempted = False
                 if placed is None:
-                    if not self._min_footprint_fits_empty(record.job):
+                    if not self._min_footprint_fits_empty(job):
                         self._reject(record, clock)
                         pending.remove(record)
-                        admitted = True
-                        break
-                    if self.preemption and self._try_preempt(
-                            record, clock, pending, resident):
-                        placed = self._place_on(record.job, self.free_bytes)
-                    else:
                         continue
+                    if not (self.preemption and self._try_preempt(
+                            record, clock, pending, resident)):
+                        self._unplaceable.add(job.name)
+                        continue
+                    placed = self._place_on(job, self.free_bytes)
+                    preempted = True
                 rung, gpus = placed
                 self._admit(record, rung, clock, resident, gpus)
                 pending.remove(record)
-                admitted = True
-                break
-            if not admitted:
+                if preempted:
+                    break
+            else:
                 return
 
     # ------------------------------------------------------------------

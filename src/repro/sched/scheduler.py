@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
 from ..alloc.pool import Allocation, PoolAllocator
 from ..alloc.stats import UsageTracker
@@ -179,6 +179,13 @@ class _FluidScheduler:
       :meth:`_unfit`, the reason a job is rejected;
     * the start of a run — :meth:`_begin`, which returns the timed
       faults.
+
+    ``_unplaceable`` names the queued jobs an admission scan found
+    unplaceable.  Admissions only take capacity away, so such a job
+    stays unplaceable until capacity comes back (:meth:`_vacate`, on a
+    completion or an eviction) or the budget changes; both clear the
+    set, and until then :meth:`_try_admit` skips the job instead of
+    checking it again.
     """
 
     def __init__(self, controller: AdmissionController, contention,
@@ -188,12 +195,15 @@ class _FluidScheduler:
         self.obs = obs
         self.timeline = Timeline()
         self.records: List[JobRecord] = []
+        self._names: Set[str] = set()
+        self._unplaceable: Set[str] = set()
 
     # ------------------------------------------------------------------
     def submit(self, job: Job) -> JobRecord:
         """Enqueue one job; returns its lifecycle record."""
-        if any(r.job.name == job.name for r in self.records):
+        if job.name in self._names:
             raise ValueError(f"duplicate job name {job.name!r}")
+        self._names.add(job.name)
         record = JobRecord(job=job)
         self.records.append(record)
         return record
@@ -230,6 +240,11 @@ class _FluidScheduler:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
+    def _vacate(self, entry: _Resident, clock: float) -> None:
+        """Give ``entry``'s capacity back; every queued job may fit again."""
+        self._release(entry, clock)
+        self._unplaceable.clear()
+
     def _reject(self, record: JobRecord, clock: float) -> None:
         record.state = JobState.REJECTED
         record.failure = self._unfit(record)
@@ -275,7 +290,7 @@ class _FluidScheduler:
                reason: str) -> None:
         """Evict a resident job, preserving its progress for readmission."""
         resident.remove(entry)
-        self._release(entry, clock)
+        self._vacate(entry, clock)
         record = entry.record
         record.iterations_done = float(record.job.iterations) \
             - max(entry.remaining_iterations, 0.0)
@@ -293,7 +308,7 @@ class _FluidScheduler:
 
     def _log_run(self, entry: _Resident, start: float, end: float,
                  tenants: int) -> None:
-        self.timeline.record(
+        self.timeline.append(
             f"job:{entry.record.job.name}", EventKind.RUN,
             self._run_label(entry, tenants), start, end,
             nbytes=entry.rung.footprint_bytes,
@@ -386,7 +401,7 @@ class _FluidScheduler:
                 if e.remaining_iterations <= _EPSILON or f <= clock
             ]:
                 resident.remove(entry)
-                self._release(entry, clock)
+                self._vacate(entry, clock)
                 record = entry.record
                 record.state = JobState.FINISHED
                 record.finish_time = clock
@@ -489,6 +504,8 @@ class GPUScheduler(_FluidScheduler):
         bytes so fragmentation is honoured — the pool may hold enough
         free bytes in total while no single extent fits the rung.
         """
+        if not self.pool.can_fit(self.controller.min_footprint(job)):
+            return None  # not even the smallest rung fits
         for rung in self.controller.ladder(job):
             if self.pool.can_fit(rung.footprint_bytes):
                 return rung
@@ -496,32 +513,31 @@ class GPUScheduler(_FluidScheduler):
 
     def _try_admit(self, clock: float, pending: List[JobRecord],
                    resident: List[_Resident]) -> None:
-        """Admit every job the policy allows at the current instant."""
-        while True:
-            queue = [r for r in pending if r.job.submit_time <= clock]
-            if not queue:
-                return
-            admitted = False
-            for record in self.policy.order(
-                    queue, self.controller, self.budget_bytes):
-                rung = self._cheapest_fit_now(record.job)
-                if rung is None:
-                    if self.controller.min_footprint(record.job) \
-                            > self.budget_bytes:
-                        # Can never run on this GPU, at any rung: reject
-                        # instead of blocking the queue forever.
-                        self._reject(record, clock)
-                        pending.remove(record)
-                        admitted = True  # re-order and keep scanning
-                        break
-                    if self.policy.blocking:
-                        return
+        """Admit every job the policy allows at the current instant.
+
+        One pass in policy order.  The order depends only on the jobs
+        and the budget, which no admission changes, and an admission
+        only shrinks the pool's holes: a job passed over earlier in the
+        pass still does not fit, so the pass goes on to the next job.
+        """
+        queue = [r for r in pending if r.job.submit_time <= clock]
+        for record in self.policy.order(
+                queue, self.controller, self.budget_bytes):
+            job = record.job
+            if job.name not in self._unplaceable:
+                rung = self._cheapest_fit_now(job)
+                if rung is not None:
+                    self._admit(record, rung, clock, resident)
+                    pending.remove(record)
                     continue
-                self._admit(record, rung, clock, resident)
-                pending.remove(record)
-                admitted = True
-                break  # free_bytes changed; recompute the ordering
-            if not admitted:
+                if self.controller.min_footprint(job) > self.budget_bytes:
+                    # Can never run on this GPU, at any rung: reject
+                    # instead of blocking the queue forever.
+                    self._reject(record, clock)
+                    pending.remove(record)
+                    continue
+                self._unplaceable.add(job.name)
+            if self.policy.blocking:
                 return
 
     # ------------------------------------------------------------------
@@ -610,6 +626,8 @@ class GPUScheduler(_FluidScheduler):
             victims += 1
         self.pool.shrink(new_budget)
         self.budget_bytes = new_budget
+        # A waiting job may now be rejectable, and sjf's order moved.
+        self._unplaceable.clear()
         self.budget_timeline.append((clock, new_budget))
         self.timeline.record(
             "scheduler", EventKind.FAULT, f"budget-shrink x{factor:g}",
