@@ -35,9 +35,9 @@ The walk follows :class:`repro.core.executor._VDNNSimulation` step for
 step, so on a clean plan the statically computed peak equals the
 simulated ``managed_max_bytes`` *exactly* — the differential tests
 assert bit-equality, not closeness.  No simulation runs anywhere in
-this module: the whole 140-point zoo grid verifies in a few seconds,
-dominated by plan compilation that every later simulation reuses (see
-docs/performance.md).
+this module: the whole 140-point zoo grid verifies in under two
+seconds, most of it in the abstract walks, each plan audited once and
+each clean walk run once (see docs/performance.md).
 """
 
 from __future__ import annotations
@@ -249,10 +249,23 @@ def _ledger(network: Network, system: SystemConfig, plan: CompiledPlan,
             report: Report, liveness: Optional[LivenessAnalysis],
             walk) -> Report:
     """The structural audit, SP407, one abstract walk and the SP401
-    tail; ``walk(flagged)`` interprets the plan into ``report``."""
-    flagged = frozenset(audit_plan(network, plan, report,
-                                   liveness=liveness))
-    audit_compression(network, system, plan, report)
+    tail; ``walk(flagged)`` interprets the plan into ``report``.
+
+    One audit per plan: neither audit reads the policy, and
+    :func:`audit_compression` reads only the compression model and the
+    link, so a plan whose audits came back clean on that hardware is not
+    audited again (``plan.audit_memo``).  A clean audit flags nothing.
+    """
+    hardware = (system.pcie, system.compression)
+    if hardware in plan.audit_memo:
+        flagged = frozenset()
+    else:
+        before = len(report.diagnostics)
+        flagged = frozenset(audit_plan(network, plan, report,
+                                       liveness=liveness))
+        audit_compression(network, system, plan, report)
+        if len(report.diagnostics) == before:
+            plan.audit_memo.add(hardware)
     interp = walk(flagged)
     if interp.aborted is not None:
         report.add("SP401",
@@ -393,8 +406,12 @@ def verify_zoo_static(
     """Statically verify the whole sweep grid; builds each network, and
     the liveness its audits check plans against, once per row.
 
-    No worker pool: the entire 140-point grid interprets in a few
-    seconds, so process fan-out would only add overhead.
+    A row's points share their network's plans, and each plan keeps its
+    clean audits and walks (``CompiledPlan.audit_memo`` / ``walk_memo``):
+    a plan is audited once, and the verifier's walk of a point a ladder
+    adopted is the ladder's probe.  No worker pool: the entire 140-point
+    grid interprets in under two seconds, so process fan-out would only
+    add overhead.
     """
     from ..zoo import available, build
 

@@ -88,6 +88,10 @@ class FleetContention:
             raise ValueError("timeslice_overhead cannot be negative")
         self.topology = topology
         self.timeslice_overhead = timeslice_overhead
+        # (gpus, pcie_bytes, weight_bytes) -> ((link, dma seconds), ...):
+        # what a placement routes is fixed from admission to release.
+        self._placement_links: Dict[Tuple[Tuple[int, ...], int, int],
+                                    Tuple[Tuple[int, float], ...]] = {}
 
     # ------------------------------------------------------------------
     def entry_link_bytes(self, entry: PlacedGang) -> Dict[int, int]:
@@ -120,29 +124,43 @@ class FleetContention:
                 totals[link] = totals.get(link, 0) + nbytes
         return totals
 
+    def _link_times(
+        self, entry: PlacedGang
+    ) -> Tuple[Tuple[int, float], ...]:
+        """``(link, uncontended DMA seconds)`` of every link ``entry``
+        routes over, in :meth:`entry_link_bytes` order; computed once
+        per placement."""
+        key = (entry.gpus, entry.rung.pcie_bytes, entry.weight_bytes)
+        pairs = self._placement_links.get(key)
+        if pairs is None:
+            links = self.topology.links
+            pairs = self._placement_links[key] = tuple(
+                (link, links[link].dma_time(nbytes))
+                for link, nbytes in self.entry_link_bytes(entry).items())
+        return pairs
+
     def iteration_seconds(
         self, entries: Sequence[PlacedGang]
     ) -> List[float]:
         """Contended per-iteration time for each placed entry."""
-        per_entry = [self.entry_link_bytes(e) for e in entries]
+        per_entry = [self._link_times(e) for e in entries]
         users: Dict[int, int] = {}
         tenants: Dict[int, int] = {}
         for entry in entries:
             for gpu in entry.gpus:
                 tenants[gpu] = tenants.get(gpu, 0) + 1
-        for loads in per_entry:
-            for link in loads:
+        for pairs in per_entry:
+            for link, _seconds in pairs:
                 users[link] = users.get(link, 0) + 1
         contended = []
-        for entry, loads in zip(entries, per_entry):
+        for entry, pairs in zip(entries, per_entry):
             gang_tenants = max(tenants[gpu] for gpu in entry.gpus)
             overhead = 1.0 + self.timeslice_overhead * max(
                 gang_tenants - 1, 0)
             compute = entry.rung.compute_seconds * gang_tenants * overhead
             link_time = 0.0
-            for link, nbytes in loads.items():
-                hop = self.topology.links[link].dma_time(nbytes)
-                link_time = max(link_time, hop * users[link])
+            for link, seconds in pairs:
+                link_time = max(link_time, seconds * users[link])
             contended.append(
                 max(entry.rung.iter_seconds, compute, link_time))
         return contended

@@ -12,13 +12,16 @@ simulated ``managed_max_bytes`` exactly.
 The vDNN_dyn and joint ladders probe with it.  The static plan verifier
 (``repro verify --static``) passes a
 :class:`~repro.analysis.diagnostics.Report` in to collect its findings.
+Both share one memo on the plan (``CompiledPlan.walk_memo``): a walk
+that found nothing runs once per plan and key, so verifying a point a
+ladder adopted reuses the probe's walk.
 Like the executor, this module imports only a leaf of the analysis
 package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..analysis.diagnostics import Report, Severity
@@ -547,6 +550,50 @@ class _PlanInterpreter:
         return result
 
 
+def _walk(
+    network: Network,
+    system: SystemConfig,
+    plan: CompiledPlan,
+    policy: TransferPolicy,
+    *,
+    report: Optional[Report],
+    flagged: FrozenSet[int],
+    subject: str,
+    drop: FrozenSet[int] = frozenset(),
+    bounded_prefetch_window: bool = True,
+    sync_after_offload: bool = True,
+    sync_after_prefetch: bool = True,
+) -> PlanInterpretation:
+    """One walk of ``plan``, served from its walk memo when an identical
+    walk already ran clean.
+
+    The key holds everything the walk reads besides the plan and its
+    network (a plan belongs to one network): the policy, the drop set,
+    the flagged owners, the three schedule flags and the whole system
+    (GPU capacity and the pinned-host budget decide trainability and
+    aborts).  Only a walk that added no diagnostic is stored, so a
+    defective plan reports its findings on every walk; a hit is a copy
+    carrying the caller's subject.
+    """
+    key = (policy, drop, flagged, bounded_prefetch_window,
+           sync_after_offload, sync_after_prefetch, system)
+    hit = plan.walk_memo.get(key)
+    if hit is not None:
+        return replace(hit, subject=report.subject if report is not None
+                       else subject)
+    walker = _PlanInterpreter(
+        network, system, plan, policy,
+        bounded_prefetch_window=bounded_prefetch_window,
+        sync_after_offload=sync_after_offload,
+        sync_after_prefetch=sync_after_prefetch,
+        report=report, flagged=flagged, subject=subject, drop=drop)
+    before = len(walker.report.diagnostics)
+    result = walker.run()
+    if len(walker.report.diagnostics) == before:
+        plan.walk_memo[key] = result
+    return result
+
+
 def interpret_plan(
     network: Network,
     system: SystemConfig,
@@ -565,14 +612,14 @@ def interpret_plan(
     Diagnostics (SP402/SP403/SP404 walk findings) land in ``report``
     when one is given; ``flagged`` owners — already reported by
     :func:`audit_plan` — are skipped so one defect never reports twice.
+    A clean walk runs once per plan and key (see :func:`_walk`).
     """
-    return _PlanInterpreter(
+    return _walk(
         network, system, plan, policy,
         bounded_prefetch_window=bounded_prefetch_window,
         sync_after_offload=sync_after_offload,
         sync_after_prefetch=sync_after_prefetch,
-        report=report, flagged=flagged, subject=subject,
-    ).run()
+        report=report, flagged=flagged, subject=subject)
 
 
 def interpret_joint_plan(
@@ -586,8 +633,7 @@ def interpret_joint_plan(
     subject: str = "",
 ) -> PlanInterpretation:
     """Abstractly execute one (plan, joint config) point: the
-    :func:`interpret_plan` walk with the config's drop set."""
-    return _PlanInterpreter(
-        network, system, plan, config.policy(),
-        report=report, flagged=flagged, subject=subject, drop=config.drop,
-    ).run()
+    :func:`interpret_plan` walk with the config's drop set, sharing its
+    memo."""
+    return _walk(network, system, plan, config.policy(), report=report,
+                 flagged=flagged, subject=subject, drop=config.drop)

@@ -45,7 +45,7 @@ by identity.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..alloc.pool import footprint
 from ..graph.layer import LayerKind
@@ -165,12 +165,21 @@ class CompiledPlan:
 
     Policy-independent: offload *candidates* are per forward step, and
     the per-policy trigger set comes from :meth:`offload_indices`.
+
+    A plan is immutable once compiled, so what is proved about it holds
+    for its whole life, and it remembers those proofs: ``walk_memo``
+    holds every clean abstract walk (:mod:`repro.core.interpret`) and
+    ``audit_memo`` the hardware keys its structural and compression
+    audits passed on (:mod:`repro.analysis.static_plan`).  Both die with
+    the plan; an overlay starts with empty ones, since its workspace
+    peaks differ from its base's.
     """
 
     __slots__ = ("network_name", "forward", "backward", "persistent",
                  "external_bytes", "persistent_bytes", "classifier_indices",
                  "conv_floor", "input_owners", "forward_at", "records",
-                 "baseline_breakdown", "_offload_sets")
+                 "baseline_breakdown", "_offload_sets", "walk_memo",
+                 "audit_memo")
 
     def __init__(self, network: Network, system: SystemConfig,
                  algos: AlgoConfig):
@@ -323,13 +332,16 @@ class CompiledPlan:
         }
 
         self._offload_sets: Dict[TransferPolicy, FrozenSet[int]] = {}
+        self.walk_memo: Dict[tuple, object] = {}
+        self.audit_memo: Set[tuple] = set()
 
     def _overlay(self, network: Network, system: SystemConfig,
                  algos: AlgoConfig, changed: FrozenSet[int]) -> "CompiledPlan":
         """This plan under ``algos``, where only the layers in ``changed``
         have a different profile: those layers' steps are re-derived,
         everything else (records, persistent blocks, the offload-set
-        cache, every other step) is shared by reference."""
+        cache, every other step) is shared by reference.  The walk and
+        audit memos start empty."""
         latency = LatencyModel(system.gpu)
 
         def derive(step):
@@ -350,6 +362,8 @@ class CompiledPlan:
         breakdown = dict(self.baseline_breakdown, workspace=workspace)
         breakdown["total"] += workspace - self.baseline_breakdown["workspace"]
         plan.baseline_breakdown = breakdown
+        plan.walk_memo = {}
+        plan.audit_memo = set()
         return plan
 
     def offload_indices(self, policy: TransferPolicy,

@@ -8,6 +8,8 @@ most of the gap, runs replay deterministically per seed, and every
 worker's schedule is sanitizer-clean.
 """
 
+import random
+
 import pytest
 
 from repro.cluster import (
@@ -134,6 +136,56 @@ class TestFleetContention:
         times = model.iteration_seconds([a, b, lone])
         assert times[0] == pytest.approx(times[1])
         assert times[0] > times[2]  # co-tenants timeslice, loner does not
+
+    @staticmethod
+    def _reference_seconds(model, entries):
+        """Contended times straight from ``entry_link_bytes``, every
+        link's DMA time derived afresh (no per-placement memo)."""
+        per_entry = [model.entry_link_bytes(e) for e in entries]
+        users, tenants = {}, {}
+        for entry in entries:
+            for gpu in entry.gpus:
+                tenants[gpu] = tenants.get(gpu, 0) + 1
+        for loads in per_entry:
+            for link in loads:
+                users[link] = users.get(link, 0) + 1
+        times = []
+        for entry, loads in zip(entries, per_entry):
+            gang_tenants = max(tenants[gpu] for gpu in entry.gpus)
+            overhead = 1.0 + model.timeslice_overhead * max(
+                gang_tenants - 1, 0)
+            link_time = 0.0
+            for link, nbytes in loads.items():
+                hop = model.topology.links[link].dma_time(nbytes)
+                link_time = max(link_time, hop * users[link])
+            times.append(max(
+                entry.rung.iter_seconds,
+                entry.rung.compute_seconds * gang_tenants * overhead,
+                link_time))
+        return times
+
+    @pytest.mark.parametrize("topology", ["pcie-switch", "nvlink-ring",
+                                          "nvlink-mesh"])
+    def test_memoized_link_times_equal_reference_on_random_placements(
+            self, topology):
+        rng = random.Random(f"contention-{topology}")
+        topo = make_topology(topology, 8)
+        model = FleetContention(topo, timeslice_overhead=0.05)
+        pool = []
+        for index in range(24):
+            size = rng.choice((1, 1, 2, 4, 8))
+            rung = _rung(iter_s=rng.uniform(0.01, 1.0),
+                         comp=rng.uniform(0.01, 1.0),
+                         pcie_bytes=rng.choice((0, 1 << 20, 3 << 28,
+                                                5 << 30)))
+            pool.append(PlacedGang(
+                f"j{index}", tuple(rng.sample(range(8), size)), rung,
+                weight_bytes=rng.choice((0, 61 << 20, 548 << 20))))
+        for _ in range(40):
+            # Every call reuses memoized placements from earlier ones.
+            entries = rng.sample(pool, rng.randint(1, 10))
+            assert model.iteration_seconds(entries) \
+                == self._reference_seconds(model, entries)
 
 
 class TestDataParallelContention:

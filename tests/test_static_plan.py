@@ -41,7 +41,8 @@ from repro.analysis.static_plan import (
 )
 from repro.analysis.diagnostics import Report, Severity
 from repro.analysis.trace import OpKind
-from repro.analysis.verify import analyze_trace, verify_point, verify_zoo
+from repro.analysis.verify import (SWEEP_POLICIES, analyze_trace,
+                                   verify_point, verify_zoo)
 from repro.core.algo_config import AlgoConfig
 from repro.core.dynamic import UntrainableError, plan_dynamic
 from repro.core.executor import _VDNNSimulation, simulate_vdnn
@@ -68,6 +69,22 @@ def algos_for(network):
 def fresh_plan(network, algos=None):
     """A private plan safe to corrupt (bypasses the compiled_plan cache)."""
     return CompiledPlan(network, PAPER_SYSTEM, algos or algos_for(network))
+
+
+def release_moved_earlier(network):
+    """A fresh plan whose first feature release past the second backward
+    step runs two steps early: a use-after-free the audit flags."""
+    plan = fresh_plan(network)
+    steps = list(plan.backward)
+    for position, step in enumerate(steps):
+        features = [r for r in step.releases if not r[1]]
+        if features and position >= 2:
+            step.releases = tuple(
+                r for r in step.releases if r != features[0])
+            steps[position - 2].releases = \
+                steps[position - 2].releases + (features[0],)
+            return plan
+    raise AssertionError("no movable feature release")
 
 
 def dynamic_report(network, plan, policy, algos, **flags):
@@ -426,16 +443,7 @@ class TestKnownBadFixtures:
         # would crash outright on this plan — the static audit names
         # the defect without running anything.
         network = make_deep_cnn()
-        plan = fresh_plan(network)
-        steps = list(plan.backward)
-        for position, step in enumerate(steps):
-            features = [r for r in step.releases if not r[1]]
-            if features and position >= 2:
-                step.releases = tuple(
-                    r for r in step.releases if r != features[0])
-                steps[position - 2].releases = \
-                    steps[position - 2].releases + (features[0],)
-                break
+        plan = release_moved_earlier(network)
         report = verify_compiled_plan(network, PAPER_SYSTEM, plan,
                                       TransferPolicy.vdnn_all())
         assert rules(report) == ["SP404"]
@@ -506,6 +514,114 @@ class TestAuditPlan:
         owner_mentions = [d for d in report.diagnostics
                           if f"Y{victim[0]}" in d.message]
         assert len(owner_mentions) == 1
+
+
+# ----------------------------------------------------------------------
+# Walk and audit memos: each plan is proved once, never served stale
+# ----------------------------------------------------------------------
+def _messages(report):
+    return [d.message for d in report.diagnostics]
+
+
+class TestProofMemos:
+    def test_flagged_clean_walk_never_serves_an_unflagged_caller(self):
+        # With the audit's flagged owners skipped the walk of this plan
+        # is clean, so it is memoized; a caller that flags nothing must
+        # still see the walk's own use-after-free.
+        network = make_deep_cnn()
+        plan = release_moved_earlier(network)
+        policy = TransferPolicy.vdnn_all()
+        config = JointConfig(offload=plan.offload_indices(policy, network))
+        flagged = frozenset(audit_plan(network, plan, Report()))
+        assert flagged
+        walks = [
+            lambda **kw: interpret_plan(network, PAPER_SYSTEM, plan,
+                                        policy, **kw),
+            lambda **kw: interpret_joint_plan(network, PAPER_SYSTEM, plan,
+                                              config, **kw),
+        ]
+        for walk in walks:
+            masked = Report(subject="masked")
+            walk(report=masked, flagged=flagged)
+            assert masked.diagnostics == []
+        assert len(plan.walk_memo) == 2
+        for walk in walks:
+            unflagged = Report(subject="unflagged")
+            walk(report=unflagged)
+            assert any("use-after-free" in message
+                       for message in _messages(unflagged))
+
+    @pytest.mark.parametrize("joint", [False, True], ids=["plain", "joint"])
+    def test_corrupted_plan_reports_on_every_walk(self, joint):
+        network = make_deep_cnn()
+        plan = release_moved_earlier(network)
+        policy = TransferPolicy.vdnn_all()
+        config = JointConfig(offload=plan.offload_indices(policy, network))
+
+        def walk(report=None):
+            if joint:
+                return interpret_joint_plan(network, PAPER_SYSTEM, plan,
+                                            config, report=report)
+            return interpret_plan(network, PAPER_SYSTEM, plan, policy,
+                                  report=report)
+
+        reports = [Report(subject="repeat") for _ in range(3)]
+        results = []
+        for report in reports:
+            results.append(walk())
+            results.append(walk(report))
+        first = _messages(reports[0])
+        assert first and all(_messages(r) == first for r in reports)
+        assert all(dataclasses.replace(r, subject="")
+                   == dataclasses.replace(results[0], subject="")
+                   for r in results)
+        assert plan.walk_memo == {}
+        # The ledger neither: the audit's finding repeats, too.
+        texts = {verify_compiled_plan(network, PAPER_SYSTEM, plan,
+                                      policy).render_text()
+                 for _ in range(2)}
+        assert len(texts) == 1 and "use-after-free" in texts.pop()
+        assert plan.audit_memo == set()
+
+    def test_overlay_walk_after_base_walk_matches_simulation(self):
+        # An overlay shares its base's records and unchanged steps but
+        # not its proofs: its workspace peaks differ.
+        network = build("alexnet", 16)
+        policy = TransferPolicy.vdnn_all()
+        fastest = AlgoConfig.performance_optimal(network)
+        smallest = AlgoConfig.memory_optimal(network)
+        base = compiled_plan(network, PAPER_SYSTEM, fastest)
+        assert verify_compiled_plan(network, PAPER_SYSTEM, base,
+                                    policy).diagnostics == []
+        base_peak = interpret_plan(network, PAPER_SYSTEM, base,
+                                   policy).peak_bytes
+        assert base.walk_memo and base.audit_memo
+        overlay = compiled_plan(network, PAPER_SYSTEM, smallest)
+        assert overlay is not base and overlay.records is base.records
+        assert overlay.walk_memo == {} and overlay.audit_memo == set()
+        interp = interpret_plan(network, PAPER_SYSTEM, overlay, policy)
+        result = simulate_vdnn(network, PAPER_SYSTEM, policy, smallest)
+        assert interp.peak_bytes == result.managed_max_bytes
+        assert interp.peak_bytes != base_peak
+
+    @pytest.mark.parametrize("name,batch,gib", [
+        ("alexnet", None, None),
+        ("googlenet", None, None),
+        ("resnet18", None, 1.0),    # over budget: SP401 from the walks
+        ("vgg16", 64, 4.0),
+    ])
+    def test_shared_plans_report_as_unshared_plans(self, name, batch, gib):
+        # A sweep row shares one network, hence its plans, ladder walks
+        # and audits, across its ten points; building the network afresh
+        # for every point shares nothing between them.
+        system = PAPER_SYSTEM if gib is None \
+            else PAPER_SYSTEM.with_gpu_memory(int(gib * (1 << 30)))
+        shared = verify_zoo_static(names=[name], batch=batch, system=system)
+        unshared = [verify_point_static(build(name, batch), policy=policy,
+                                        algo=algo, system=system)
+                    for policy, algo in SWEEP_POLICIES]
+        assert [r.render_text() for r in shared] \
+            == [r.render_text() for r in unshared]
 
 
 # ----------------------------------------------------------------------
