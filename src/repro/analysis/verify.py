@@ -11,7 +11,8 @@ already-generated artifacts.
 {base, vDNN_conv, vDNN_all, vDNN_dyn} x {m, p} (dynamic picks its own
 algorithms, so it contributes one point), optionally fanning networks
 out over worker processes — the CI ``verify-sweep`` gate.  Each network
-is built once and shared by its row of points.
+is built once and shared by its row of points, and each distinct
+schedule of a row is simulated and analyzed once.
 
 ``verify_schedule`` checks the multi-tenant scheduler's shared-pool
 schedules (MT3xx rules): budget never exceeded, residency intervals
@@ -20,13 +21,15 @@ well-formed, no job allocation leaked, lifecycle records consistent.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import groupby
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.api import point_label, resolve_point
 from ..core.dynamic import UntrainableError
 from ..core.executor import IterationResult
 from ..core.liveness import LivenessAnalysis
+from ..core.plan import ScheduleKey
 from ..graph.network import Network
 from ..hw.config import PAPER_SYSTEM, SystemConfig
 from ..sched.scheduler import ScheduleResult
@@ -106,7 +109,13 @@ def verify_point(
 
 def _verify_point(network: Network, policy: str, algo: str,
                   system: Optional[SystemConfig],
-                  liveness: Optional[LivenessAnalysis]) -> Report:
+                  liveness: Optional[LivenessAnalysis],
+                  analyzed: Optional[Dict[ScheduleKey, Tuple[str, Report]]]
+                  = None) -> Report:
+    """``verify_point``; ``analyzed`` maps each schedule a row already
+    verified to its (subject, report), and a point with one of those
+    schedules gets that report under its own subject instead of a second
+    traced simulation and trace analysis."""
     system = system or PAPER_SYSTEM
     subject = f"{network.name} {point_label(policy, algo)}"
     try:
@@ -115,8 +124,20 @@ def _verify_point(network: Network, policy: str, algo: str,
         # Nothing to verify: the planner found no feasible schedule,
         # so no schedule exists to be racy or unsafe.
         return Report(subject=f"{subject} (untrainable, skipped)")
-    return _verify_result(point.simulate(verify=True), network, subject,
-                          liveness)
+    key = None if analyzed is None else point.schedule_key()
+    seen = None if key is None else analyzed.get(key)
+    if seen is None:
+        report = _verify_result(point.simulate(verify=True), network,
+                                subject, liveness)
+        if key is not None:
+            analyzed[key] = (subject, report)
+        return report
+    first_subject, first = seen
+    # An aborted run's report subject carries the failure after the
+    # point's label; the diagnostics carry the bare label.
+    return Report(subject=subject + first.subject[len(first_subject):],
+                  diagnostics=[replace(diagnostic, subject=subject)
+                               for diagnostic in first.diagnostics])
 
 
 # ----------------------------------------------------------------------
@@ -130,14 +151,19 @@ def _verify_row(row: Sequence[_Task]) -> List[Report]:
     """Worker entry: verify a run of points that share one network.
 
     The network and its liveness are built once per row, so every point
-    of the row reuses its compiled plans.
+    of the row reuses its compiled plans.  Every point is resolved (its
+    ladder runs), but a schedule is simulated and analyzed once per row:
+    a point whose :class:`~repro.core.plan.ScheduleKey` an earlier point
+    of the row already had gets that point's diagnostics under its own
+    subject.
     """
     from ..zoo import build
 
     name, batch = row[0][:2]
     network = build(name, batch)
     liveness = LivenessAnalysis(network)
-    return [_verify_point(network, policy, algo, None, liveness)
+    analyzed: Dict[ScheduleKey, Tuple[str, Report]] = {}
+    return [_verify_point(network, policy, algo, None, liveness, analyzed)
             for _name, _batch, policy, algo in row]
 
 
@@ -152,8 +178,11 @@ def verify_zoo(
 
     ``mode`` selects the engine:
 
-    * ``dynamic`` — simulate each point with tracing on and run the
-      trace passes (the historical behaviour; one simulation per point).
+    * ``dynamic`` — simulate with tracing on and run the trace passes:
+      one simulation per distinct schedule of a row
+      (:class:`~repro.core.plan.ScheduleKey`); a point whose schedule
+      its row already verified reuses that report under its own
+      subject.
     * ``static`` — prove the SP4xx invariants by abstract
       interpretation of the compiled plans
       (:mod:`repro.analysis.static_plan`); no simulation executes.

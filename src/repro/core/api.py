@@ -48,6 +48,7 @@ from .dynamic import adopt_dynamic
 from .executor import IterationResult, simulate_baseline, simulate_vdnn
 from .joint import (JointConfig, adopt_joint, adopted_joint_key, joint_key,
                     simulate_joint_config)
+from .plan import ScheduleKey, compiled_plan
 from .policy import PolicyKind, TransferPolicy
 from .recompute import simulate_recompute
 
@@ -122,6 +123,21 @@ class Point:
             return joint_key(self.network, self.system, self.config,
                              self.algos)
         return vdnn_key(self.network, self.system, self.config, self.algos)
+
+    def schedule_key(self) -> Optional[ScheduleKey]:
+        """What :meth:`simulate` executes, or None for ``hybrid``, whose
+        checkpointing walk records no trace: points with equal keys
+        simulate the same schedule."""
+        if self.policy == "hybrid":
+            return None
+        network, system = self.network, self.system
+        plan = compiled_plan(network, system, self.algos)
+        if self.policy == "base":
+            return plan.schedule_key(network, system, None)
+        if self.policy == "joint":
+            return plan.schedule_key(network, system, self.config.policy(),
+                                     drop=self.config.drop)
+        return plan.schedule_key(network, system, self.config)
 
     def simulate(self, verify: bool = False,
                  faults: Optional[FaultSpec] = None, fault_seed: int = 0,

@@ -12,9 +12,11 @@ simulated ``managed_max_bytes`` exactly.
 The vDNN_dyn and joint ladders probe with it.  The static plan verifier
 (``repro verify --static``) passes a
 :class:`~repro.analysis.diagnostics.Report` in to collect its findings.
-Both share one memo on the plan (``CompiledPlan.walk_memo``): a walk
-that found nothing runs once per plan and key, so verifying a point a
-ladder adopted reuses the probe's walk.
+Both share one memo on the plan (``CompiledPlan.walk_memo``), keyed by
+the schedule a walk executes: a walk that found nothing runs once per
+plan and schedule, so verifying a point a ladder adopted reuses the
+probe's walk, and columns whose policies select the same schedule share
+one.
 Like the executor, this module imports only a leaf of the analysis
 package.
 """
@@ -564,19 +566,26 @@ def _walk(
     sync_after_offload: bool = True,
     sync_after_prefetch: bool = True,
 ) -> PlanInterpretation:
-    """One walk of ``plan``, served from its walk memo when an identical
-    walk already ran clean.
+    """One walk of ``plan``, served from its walk memo when a walk of
+    the same schedule already ran clean.
 
-    The key holds everything the walk reads besides the plan and its
-    network (a plan belongs to one network): the policy, the drop set,
-    the flagged owners, the three schedule flags and the whole system
-    (GPU capacity and the pinned-host budget decide trainability and
-    aborts).  Only a walk that added no diagnostic is stored, so a
-    defective plan reports its findings on every walk; a hit is a copy
-    carrying the caller's subject.
+    The memo is keyed by what the walk executes, the plan's
+    :class:`~repro.core.plan.ScheduleKey` less the plan itself (the memo
+    lives on it): the offload triggers ``policy`` selects, the subset of
+    them that compress, the drop set, the three schedule flags and the
+    whole system (GPU capacity and the pinned-host budget decide
+    trainability and aborts).  ``flagged`` joins it, since flagged
+    owners silence findings.  So two policies, or a policy and a joint
+    config, that select the same schedule share one walk.  Only a walk
+    that added no diagnostic is stored, so a defective plan reports its
+    findings on every walk; a hit is a copy carrying the caller's
+    subject.
     """
-    key = (policy, drop, flagged, bounded_prefetch_window,
-           sync_after_offload, sync_after_prefetch, system)
+    key = (plan.schedule_key(
+        network, system, policy, drop=drop,
+        bounded_prefetch_window=bounded_prefetch_window,
+        sync_after_offload=sync_after_offload,
+        sync_after_prefetch=sync_after_prefetch)[1:], flagged)
     hit = plan.walk_memo.get(key)
     if hit is not None:
         return replace(hit, subject=report.subject if report is not None
@@ -612,7 +621,7 @@ def interpret_plan(
     Diagnostics (SP402/SP403/SP404 walk findings) land in ``report``
     when one is given; ``flagged`` owners — already reported by
     :func:`audit_plan` — are skipped so one defect never reports twice.
-    A clean walk runs once per plan and key (see :func:`_walk`).
+    A clean walk runs once per plan and schedule (see :func:`_walk`).
     """
     return _walk(
         network, system, plan, policy,

@@ -45,7 +45,7 @@ by identity.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from ..alloc.pool import footprint
 from ..graph.layer import LayerKind
@@ -378,6 +378,28 @@ class CompiledPlan:
             self._offload_sets[policy] = cached
         return cached
 
+    def schedule_key(
+        self,
+        network: Network,
+        system: SystemConfig,
+        policy: Optional[TransferPolicy],
+        *,
+        drop: FrozenSet[int] = frozenset(),
+        bounded_prefetch_window: bool = True,
+        sync_after_offload: bool = True,
+        sync_after_prefetch: bool = True,
+    ) -> "ScheduleKey":
+        """The :class:`ScheduleKey` of one walk of this plan under
+        ``policy`` (``None``: the network-wide baseline)."""
+        if policy is None:
+            return ScheduleKey(self, None, frozenset(), frozenset(),
+                               (True, True, True), system)
+        triggers = self.offload_indices(policy, network)
+        return ScheduleKey(
+            self, triggers, frozenset(filter(policy.compresses, triggers)),
+            drop, (bounded_prefetch_window, sync_after_offload,
+                   sync_after_prefetch), system)
+
     # -- invariant-relevant views (static verifier) --------------------
     # These flip the per-step schedules into per-storage maps so
     # the static plan verifier can audit each allocation's
@@ -417,6 +439,39 @@ class CompiledPlan:
             for rec in step.grad_allocs:
                 sites.setdefault(rec.owner, []).append(step.index)
         return sites
+
+
+class ScheduleKey(NamedTuple):
+    """What one iteration walk of a compiled plan executes.
+
+    The executor (:class:`repro.core.executor._VDNNSimulation`) and its
+    abstract twin (:mod:`repro.core.interpret`) read a policy only
+    through the trigger layers it selects and the subset of those that
+    compress, and a joint config only through those and its drop set.
+    So two points with equal keys run the same schedule step for step:
+    ``all(m)`` and ``all(p)`` on a network without CONV layers, a joint
+    config that drops nothing and the dyn point it equals.  A trace, its
+    analysis or an abstract walk made for one serves the other.
+
+    The compressed subset and the drop set are separate fields, since
+    they are the two levers the walk treats differently (a cDMA
+    transfer versus a discard and replay).  ``plan`` compares by
+    identity: one plan per (network, hardware, algo signature).
+    """
+
+    plan: CompiledPlan
+    #: Trigger layers that offload or drop; ``None`` for the
+    #: network-wide baseline, which walks no vDNN schedule at all.
+    triggers: Optional[FrozenSet[int]]
+    #: The triggers whose offload rides the cDMA engine.
+    compressed: FrozenSet[int]
+    #: A joint point's drop triggers.
+    drop: FrozenSet[int]
+    #: (bounded prefetch window, sync after offload, sync after prefetch).
+    flags: Tuple[bool, bool, bool]
+    #: GPU capacity and the pinned-host budget decide trainability and
+    #: aborts; the plan already fixes the rest of the hardware.
+    system: SystemConfig
 
 
 def _derive_algo_fields(step, network: Network, node, profile,

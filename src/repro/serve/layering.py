@@ -141,6 +141,17 @@ def activation_peak_bytes(network: Network, algos: AlgoConfig) -> int:
     return peak
 
 
+def resident_footprint_bytes(network: Network, system: SystemConfig,
+                             algos: AlgoConfig) -> int:
+    """``plan_service(..., "resident").footprint_bytes`` without the
+    plan: every weight plus the forward activation peak (a resident
+    plan streams nothing, so its window is empty)."""
+    _validate_inference_batch(network)
+    steps = compiled_plan(network, system, algos).forward
+    return sum(weight_load_bytes(network).values()) \
+        + _forward_activation_peak(steps)
+
+
 def _forward_activation_peak(steps: Tuple[ForwardStep, ...]) -> int:
     """:func:`activation_peak_bytes`, read off a plan's forward steps.
 

@@ -48,7 +48,8 @@ from ..sim.trace import MODEL_STREAM_PREFIX
 from ..zoo import build
 from .arrivals import ArrivalSpec, ModelSpec, Request, generate_requests
 from .layering import RESIDENCY_POLICIES, ServePlanError, ServicePlan, \
-    plan_service, shrink_window, streamed_layer_bytes
+    plan_service, resident_footprint_bytes, shrink_window, \
+    streamed_layer_bytes
 
 #: Residency choices accepted by :class:`ServeConfig` (adds ``auto``).
 RESIDENCY_CHOICES = ("auto",) + RESIDENCY_POLICIES
@@ -279,7 +280,8 @@ def _resolve_residency(
     then stay installed simultaneously — zero steady-state cold
     starts); otherwise it falls back to demand layering, which is what
     lets a model set whose resident weights exceed the budget serve at
-    all.
+    all.  The footprint (weights plus activation peak) decides before
+    any plan is built, so each model is planned once.
     """
     plans: Dict[str, ServicePlan] = {}
     share = config.budget_bytes // len(config.models)
@@ -288,9 +290,9 @@ def _resolve_residency(
         network = networks[name]
         algos = algo_of[name]
         if config.residency == "auto":
-            resident = plan_service(network, system, algos, "resident")
-            if resident.footprint_bytes <= share:
-                plans[name] = resident
+            if resident_footprint_bytes(network, system, algos) <= share:
+                plans[name] = plan_service(network, system, algos,
+                                           "resident")
             else:
                 plans[name] = plan_service(
                     network, system, algos, "layered",

@@ -17,7 +17,9 @@ from repro.analysis.verify import (SWEEP_POLICIES, analyze_trace,
                                    verify_point, verify_result,
                                    verify_schedule, verify_zoo)
 from repro.core.algo_config import AlgoConfig
-from repro.core.executor import simulate_baseline, simulate_vdnn
+from repro.core.api import Point
+from repro.core.executor import (_VDNNSimulation, simulate_baseline,
+                                 simulate_vdnn)
 from repro.core.policy import TransferPolicy
 from repro.sched.job import Job
 from repro.sched.scheduler import schedule_jobs
@@ -130,15 +132,59 @@ class TestZooSweep:
         monkeypatch.setattr(zoo, "build", counting)
         return built
 
+    def count_simulations(self, monkeypatch):
+        simulated = []
+        real = Point.simulate
+
+        def counting(point, *args, **kwargs):
+            simulated.append(point.policy)
+            return real(point, *args, **kwargs)
+
+        monkeypatch.setattr(Point, "simulate", counting)
+        return simulated
+
     def test_row_shared_sweep_equals_fresh_network_per_point(
             self, monkeypatch):
+        # Rows with repeated schedules: on AlexNet and ResNet-18 joint
+        # adopts dyn's offloads and drops nothing; LSTM has no CONV
+        # layer, so each m/p pair runs one schedule and dyn and joint
+        # offload nothing, as conv does.
+        names = self.NAMES + ["lstm"]
         fresh = [verify_point(zoo.build(name, self.BATCH), policy=policy,
                               algo=algo)
-                 for name in self.NAMES for policy, algo in SWEEP_POLICIES]
+                 for name in names for policy, algo in SWEEP_POLICIES]
         built = self.count_builds(monkeypatch)
-        shared = verify_zoo(self.NAMES, batch=self.BATCH, jobs=1)
-        assert built == [(name, self.BATCH) for name in self.NAMES]
+        simulated = self.count_simulations(monkeypatch)
+        shared = verify_zoo(names, batch=self.BATCH, jobs=1)
+        assert built == [(name, self.BATCH) for name in names]
+        assert len(simulated) == 9 + 9 + 4
         assert shared == fresh
+
+    def test_reused_analysis_carries_each_points_subject(self, monkeypatch):
+        # With the end-of-layer offload sync skipped, every offloading
+        # point reports HB002; on LSTM all(m) runs all(p)'s schedule and
+        # comp(m) comp(p)'s, so half the reports are reused analyses.
+        policies = [("all", "m"), ("all", "p"), ("comp", "m"),
+                    ("comp", "p")]
+        real = _VDNNSimulation.__init__
+
+        def unsynced(sim, *args, **kwargs):
+            real(sim, *args, **kwargs)
+            sim.sync_after_offload = False
+
+        monkeypatch.setattr(_VDNNSimulation, "__init__", unsynced)
+        fresh = [verify_point(zoo.build("lstm", self.BATCH), policy=policy,
+                              algo=algo) for policy, algo in policies]
+        simulated = self.count_simulations(monkeypatch)
+        shared = verify_zoo(["lstm"], batch=self.BATCH, jobs=1,
+                            policies=policies)
+        assert len(simulated) == 2
+        assert shared == fresh
+        for report, (policy, algo) in zip(shared, policies):
+            assert report.subject == f"LSTM-T8({self.BATCH}) {policy}({algo})"
+            assert report.by_rule("HB002") and not report.ok
+            assert {d.subject for d in report.diagnostics} \
+                == {report.subject}
 
     def test_worker_pool_equals_serial_sweep(self):
         serial = verify_zoo(self.NAMES, batch=self.BATCH, jobs=1)

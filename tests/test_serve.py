@@ -28,7 +28,8 @@ from repro.serve import (
     shrink_window,
     simulate_serving,
 )
-from repro.serve.layering import streamed_layer_bytes
+from repro.serve.layering import resident_footprint_bytes, \
+    streamed_layer_bytes
 from repro.zoo import available, build
 
 MIB = 1 << 20
@@ -217,6 +218,44 @@ def test_plan_service_matches_reference_on_zoo(algo):
                                 pinned_bytes=half)
             assert plan.activation_bytes == expected_act, (name, residency)
             assert plan.compute_seconds == expected_compute, (name, residency)
+
+
+@pytest.mark.parametrize("algo", ["m", "p"])
+def test_resident_footprint_matches_resident_plan_on_zoo(algo):
+    for name in available():
+        network = build(name, 1)
+        algos = (AlgoConfig.memory_optimal(network) if algo == "m"
+                 else AlgoConfig.performance_optimal(network))
+        plan = plan_service(network, PAPER_SYSTEM, algos, "resident")
+        assert resident_footprint_bytes(network, PAPER_SYSTEM, algos) \
+            == plan.footprint_bytes, name
+
+
+def test_auto_residency_plans_each_model_once(monkeypatch):
+    """``auto`` decides resident vs. layered from the footprint alone,
+    then builds the one plan it keeps: a layered model is never planned
+    resident first."""
+    from repro.serve import server
+
+    planned = []
+    real = server.plan_service
+
+    def counting(network, system, algos, residency="resident", **kwargs):
+        plan = real(network, system, algos, residency, **kwargs)
+        planned.append((plan.model, residency))
+        return plan
+
+    monkeypatch.setattr(server, "plan_service", counting)
+    config = ServeConfig(
+        models=tuple(parse_models("vgg16:2,googlenet:1,alexnet")),
+        arrivals=ArrivalSpec.parse("poisson:rate=10,seed=3"),
+        requests=20, budget_bytes=1 * GIB)
+    result = simulate_serving(config)
+    assert planned == [(result.plans[spec.name].model,
+                        result.plans[spec.name].residency)
+                       for spec in config.models]
+    assert {plan.residency for plan in result.plans.values()} \
+        == {"resident", "layered"}
 
 
 # ----------------------------------------------------------------------

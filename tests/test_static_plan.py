@@ -46,7 +46,8 @@ from repro.analysis.verify import (SWEEP_POLICIES, analyze_trace,
 from repro.core.algo_config import AlgoConfig
 from repro.core.dynamic import UntrainableError, plan_dynamic
 from repro.core.executor import _VDNNSimulation, simulate_vdnn
-from repro.core.joint import JointConfig, plan_joint
+from repro.core.joint import (JointConfig, JointDecision, plan_joint,
+                              simulate_joint_config, trigger_costs)
 from repro.core.liveness import LivenessAnalysis
 from repro.core.plan import CompiledPlan, compiled_plan
 from repro.core.policy import TransferPolicy
@@ -544,7 +545,9 @@ class TestProofMemos:
             masked = Report(subject="masked")
             walk(report=masked, flagged=flagged)
             assert masked.diagnostics == []
-        assert len(plan.walk_memo) == 2
+        # A joint config that drops nothing runs its policy's schedule:
+        # both walks share one memo entry.
+        assert len(plan.walk_memo) == 1
         for walk in walks:
             unflagged = Report(subject="unflagged")
             walk(report=unflagged)
@@ -622,6 +625,107 @@ class TestProofMemos:
                     for policy, algo in SWEEP_POLICIES]
         assert [r.render_text() for r in shared] \
             == [r.render_text() for r in unshared]
+
+
+class TestScheduleKey:
+    """``CompiledPlan.schedule_key`` keeps apart every lever a walk reads.
+
+    Each test names two points that must not share a schedule, shows
+    their keys differ, and walks the first before the second on one
+    plan: the second walk, which a key missing that lever would serve
+    from the first's memo entry, must still be its own.
+    """
+
+    def test_compressed_subset_tells_all_from_comp(self):
+        network = build("alexnet", 16)
+        algos = AlgoConfig.memory_optimal(network)
+        plan = compiled_plan(network, PAPER_SYSTEM, algos)
+        plain, comp = TransferPolicy.vdnn_all(), TransferPolicy.vdnn_comp()
+        key = plan.schedule_key(network, PAPER_SYSTEM, plain)
+        comp_key = plan.schedule_key(network, PAPER_SYSTEM, comp)
+        assert key.triggers == comp_key.triggers and comp_key.compressed
+        assert key != comp_key
+        interpret_plan(network, PAPER_SYSTEM, plan, plain)
+        interp = interpret_plan(network, PAPER_SYSTEM, plan, comp)
+        result = simulate_vdnn(network, PAPER_SYSTEM, comp, algos)
+        assert interp.offload_bytes == result.offload_bytes \
+            < result.offload_raw_bytes
+
+    def test_drop_set_tells_a_joint_config_from_its_offload_twin(self):
+        network = build("alexnet", 16)
+        algos = AlgoConfig.performance_optimal(network)
+        plan = compiled_plan(network, PAPER_SYSTEM, algos)
+        triggers = plan.offload_indices(TransferPolicy.vdnn_all(), network)
+        costs = trigger_costs(network, plan)
+        drop = frozenset(t for t in triggers
+                         if JointDecision.RECOMPUTE in costs[t])
+        assert drop
+        offload = JointConfig(offload=triggers)
+        dropping = JointConfig(offload=triggers - drop, drop=drop)
+        # One policy, two schedules: only the drop set differs.
+        assert offload.policy() == dropping.policy()
+        key = plan.schedule_key(network, PAPER_SYSTEM, offload.policy())
+        drop_key = plan.schedule_key(network, PAPER_SYSTEM,
+                                     dropping.policy(), drop=drop)
+        assert key != drop_key
+        interpret_plan(network, PAPER_SYSTEM, plan, offload.policy())
+        interp = interpret_joint_plan(network, PAPER_SYSTEM, plan, dropping)
+        result = simulate_joint_config(network, PAPER_SYSTEM, dropping,
+                                       algos)
+        assert interp.peak_bytes == result.managed_max_bytes
+        assert interp.offload_bytes == result.offload_bytes
+
+    def test_plan_tells_conv_m_from_conv_p(self):
+        network = build("alexnet", 16)
+        policy = TransferPolicy.vdnn_conv()
+        plans = [compiled_plan(network, PAPER_SYSTEM, algos(network))
+                 for algos in (AlgoConfig.memory_optimal,
+                               AlgoConfig.performance_optimal)]
+        keys = [plan.schedule_key(network, PAPER_SYSTEM, policy)
+                for plan in plans]
+        assert keys[0][1:] == keys[1][1:] and keys[0] != keys[1]
+
+    @pytest.mark.parametrize("flag,rule", [
+        ("sync_after_offload", "SP402"),
+        ("sync_after_prefetch", "SP403"),
+        ("bounded_prefetch_window", "SP403"),
+    ])
+    def test_flags_tell_an_ablation_from_the_default_walk(self, flag, rule):
+        network = make_deep_cnn()
+        plan = compiled_plan(network, PAPER_SYSTEM, algos_for(network))
+        policy = TransferPolicy.vdnn_all()
+        assert plan.schedule_key(network, PAPER_SYSTEM, policy) \
+            != plan.schedule_key(network, PAPER_SYSTEM, policy,
+                                 **{flag: False})
+        clean = Report(subject="default")
+        interpret_plan(network, PAPER_SYSTEM, plan, policy, report=clean)
+        assert clean.diagnostics == [] and plan.walk_memo
+        ablated = Report(subject="ablated")
+        interpret_plan(network, PAPER_SYSTEM, plan, policy, report=ablated,
+                       **{flag: False})
+        assert ablated.by_rule(rule)
+
+    def test_system_tells_gpu_capacities_apart(self):
+        network = build("alexnet", 128)
+        algos = AlgoConfig.performance_optimal(network)
+        plan = compiled_plan(network, PAPER_SYSTEM, algos)
+        small = PAPER_SYSTEM.with_gpu_memory(256 << 20)
+        policy = TransferPolicy.vdnn_all()
+        assert plan.schedule_key(network, PAPER_SYSTEM, policy) \
+            != plan.schedule_key(network, small, policy)
+        assert interpret_plan(network, PAPER_SYSTEM, plan, policy).trainable
+        assert not interpret_plan(network, small, plan, policy).trainable
+
+    def test_baseline_is_no_vdnn_walk(self):
+        # On a network without CONV layers vDNN_conv offloads nothing,
+        # yet it still walks layer-wise allocation, unlike the baseline.
+        network = build("lstm", 4)
+        plan = compiled_plan(network, PAPER_SYSTEM, algos_for(network))
+        conv = plan.schedule_key(network, PAPER_SYSTEM,
+                                 TransferPolicy.vdnn_conv())
+        base = plan.schedule_key(network, PAPER_SYSTEM, None)
+        assert conv.triggers == frozenset() and base.triggers is None
+        assert conv != base
 
 
 # ----------------------------------------------------------------------
