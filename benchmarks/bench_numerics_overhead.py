@@ -27,13 +27,23 @@ def batch():
     return make_batch((8, 3, 32, 32), 10, seed=0)
 
 
+@pytest.fixture(scope="module")
+def resident_loss(batch):
+    """The first step's loss with everything resident."""
+    runtime = TrainingRuntime(build_network(), TransferPolicy.none(), seed=0)
+    return runtime.train_step(*batch).loss
+
+
 @pytest.mark.parametrize("policy_name,factory", [
     ("none", TransferPolicy.none),
     ("conv", TransferPolicy.vdnn_conv),
     ("all", TransferPolicy.vdnn_all),
 ])
-def test_train_step_throughput(benchmark, policy_name, factory, batch):
+def test_train_step_throughput(benchmark, policy_name, factory, batch,
+                               resident_loss):
     runtime = TrainingRuntime(build_network(), factory(), seed=0)
     images, labels = batch
+    # Same first step, same loss, bit for bit, whatever the policy moves.
+    assert runtime.train_step(images, labels).loss == resident_loss
     result = benchmark(runtime.train_step, images, labels)
     assert result.loss > 0

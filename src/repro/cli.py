@@ -272,7 +272,7 @@ def _cmd_train_demo(args) -> int:
     import numpy as np
 
     from .core import PolicyKind, TransferPolicy
-    from .graph import NetworkBuilder
+    from .graph import LayerKind, NetworkBuilder
     from .numerics import TrainingRuntime, make_batch
 
     builder = NetworkBuilder("demo-cnn", (args.batch, 3, 32, 32))
@@ -289,6 +289,22 @@ def _cmd_train_demo(args) -> int:
         print(f"step {step:2d}  loss {result.loss:7.4f}  "
               f"device peak {result.device_peak_bytes / (1 << 20):6.1f} MiB  "
               f"offloads {result.offload_count}")
+
+    # cDMA (Rhu et al.): each offloaded feature map's measured zero
+    # fraction next to the compression model's sparsity estimate, which
+    # treats every activation's output as ReLU sparse, as the plan does.
+    zeros = runtime.host.zero_fractions
+    activated = {n.storage_index for n in network
+                 if n.kind is LayerKind.ACTV}
+    span = max(1, len(network) - 1)
+    if zeros:
+        print("offloaded layer  measured zeros  cDMA model")
+    for node in network:
+        measured = zeros.get(f"Y{node.index}")
+        if measured is not None:
+            model = PAPER_SYSTEM.compression.sparsity(
+                node.index in activated, node.index / span)
+            print(f"{node.name:15s}  {measured:14.3f}  {model:10.3f}")
     return 0
 
 

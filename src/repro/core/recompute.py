@@ -42,7 +42,9 @@ class CheckpointPlan:
     every droppable owner is a checkpoint or dropped, never both —
     plus the droppable order the segment walk-back follows.  Built by
     :func:`checkpoint_plan`; consumed by :class:`_RecomputeSimulation`
-    and audited statically by
+    (segments and walk-back) and by the numpy
+    :class:`~repro.numerics.TrainingRuntime` (its drop set, replayed
+    owner by owner), and audited statically by
     :func:`repro.analysis.verify_recompute_plan` (SP405).
     """
 
@@ -65,15 +67,22 @@ def droppable(network: Network,
 
 
 def checkpoint_plan(network: Network, liveness: LivenessAnalysis,
-                    segment_count: Optional[int] = None) -> CheckpointPlan:
+                    segment_count: Optional[int] = None,
+                    exclude: FrozenSet[int] = frozenset()
+                    ) -> CheckpointPlan:
     """sqrt(L) checkpoint selection over the droppable storages.
 
-    Orders the :func:`droppable` storages by owner and keeps every
-    segment boundary: ``segment_count`` segments when given, else
-    ``isqrt(count)``.
+    Orders the :func:`droppable` storages by owner, less the owners in
+    ``exclude`` (the storages an offloading policy moves to the host in
+    the offload + recompute hybrid), and keeps every segment boundary:
+    ``segment_count`` segments when given and positive, else
+    ``isqrt(count)``.  A negative count raises :class:`ValueError`.
     """
-    order = sorted(droppable(network, liveness.all_storages()),
-                   key=lambda s: s.owner)
+    if segment_count is not None and segment_count < 0:
+        raise ValueError(
+            f"segment count must be non-negative, got {segment_count}")
+    order = sorted((s for s in droppable(network, liveness.all_storages())
+                    if s.owner not in exclude), key=lambda s: s.owner)
     count = len(order)
     segments = segment_count or max(1, math.isqrt(count))
     stride = max(1, math.ceil(count / segments))

@@ -96,6 +96,9 @@ class HostHeap:
         self._peak_bytes = 0
         self.offload_count = 0
         self.prefetch_count = 0
+        #: key -> fraction of exact zeros in the last array offloaded
+        #: under it: the ReLU sparsity a cDMA engine would compress.
+        self.zero_fractions: Dict[str, float] = {}
 
     def offload(self, key: str, array: np.ndarray) -> None:
         if key in self._arrays:
@@ -108,6 +111,7 @@ class HostHeap:
         # The DMA copies through PCIe; model with an explicit copy so
         # accidental aliasing of the device array cannot mask bugs.
         self._arrays[key] = array.copy()
+        self.zero_fractions[key] = 1.0 - np.count_nonzero(array) / array.size
         self._live_bytes += array.nbytes
         self._peak_bytes = max(self._peak_bytes, self._live_bytes)
         self.offload_count += 1

@@ -105,11 +105,15 @@ class TestCommands:
                      "--policy", "all"]) == 0
         out = capsys.readouterr().out
         assert "loss" in out and "offloads" in out
+        # cDMA: every offloaded layer's measured zeros beside the model.
+        assert "measured zeros  cDMA model" in out
+        assert "conv_04" in out
 
     def test_train_demo_policy_none_has_no_offloads(self, capsys):
         assert main(["train-demo", "--steps", "1", "--batch", "2",
                      "--policy", "none"]) == 0
-        assert "offloads 0" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "offloads 0" in out and "cDMA model" not in out
 
     def test_schedule_default_workload(self, capsys):
         assert main(["schedule"]) == 0

@@ -6,6 +6,7 @@ import pytest
 from repro.core import (
     AlgoConfig,
     CapacityReport,
+    LivenessAnalysis,
     TransferPolicy,
     capacity_report,
     evaluate,
@@ -18,6 +19,7 @@ from repro.core import (
     simulate_recompute,
     simulate_vdnn,
 )
+from repro.core.recompute import checkpoint_plan
 from repro.graph import gb
 from repro.hw import (
     NVLINK_1,
@@ -133,6 +135,25 @@ class TestRecompute:
         coarse = simulate_recompute(net, PAPER_SYSTEM, algos, segment_count=2)
         fine = simulate_recompute(net, PAPER_SYSTEM, algos, segment_count=8)
         assert fine.max_usage_bytes <= coarse.max_usage_bytes
+
+    def test_negative_segment_count_rejected(self, deep_cnn):
+        with pytest.raises(ValueError, match="segment count"):
+            simulate_recompute(deep_cnn, PAPER_SYSTEM,
+                               AlgoConfig.memory_optimal(deep_cnn),
+                               segment_count=-1)
+
+    def test_checkpoint_plan_rejects_negative_segment_count(self, deep_cnn):
+        with pytest.raises(ValueError, match="segment count"):
+            checkpoint_plan(deep_cnn, LivenessAnalysis(deep_cnn), -1)
+
+    def test_checkpoint_plan_excludes_owners_before_striding(self, deep_cnn):
+        liveness = LivenessAnalysis(deep_cnn)
+        order = checkpoint_plan(deep_cnn, liveness).droppable_order
+        kept = frozenset(order[:3])
+        plan = checkpoint_plan(deep_cnn, liveness, 1, exclude=kept)
+        assert plan.droppable_order == order[3:]
+        assert plan.checkpoints == {order[3]}
+        assert plan.dropped == set(order[4:])
 
     def test_fork_join_topology_supported(self, fork_join_cnn):
         rec = simulate_recompute(fork_join_cnn, PAPER_SYSTEM,

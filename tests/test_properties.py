@@ -100,14 +100,24 @@ def test_property_dag_simulation_invariants(network):
 @settings(max_examples=6, deadline=None)
 @given(network=random_dag_network(), seed=st.integers(0, 2 ** 16))
 def test_property_dag_training_bit_identical(network, seed):
-    """Random fork/join networks train bitwise-identically offloaded."""
+    """Random fork/join networks train bitwise-identically offloaded
+    (all and conv) and under the conv + recompute hybrid."""
     shape = network.input_node.output_spec.shape
     images, labels = make_batch(shape, 10, seed)
     reference = TrainingRuntime(network, TransferPolicy.none(), seed=seed)
-    offloaded = TrainingRuntime(network, TransferPolicy.vdnn_all(), seed=seed)
+    managed = [
+        TrainingRuntime(network, TransferPolicy.vdnn_all(), seed=seed),
+        TrainingRuntime(network, TransferPolicy.vdnn_conv(), seed=seed),
+        TrainingRuntime(network, TransferPolicy.vdnn_conv(), seed=seed,
+                        recompute_segments=2),
+    ]
     for _ in range(2):
-        assert reference.train_step(images, labels).loss == \
-            offloaded.train_step(images, labels).loss
+        loss = reference.train_step(images, labels).loss
+        for runtime in managed:
+            assert runtime.train_step(images, labels).loss == loss
+    for runtime in managed:
+        assert runtime.parameter_fingerprint() == \
+            reference.parameter_fingerprint()
 
 
 @settings(max_examples=25, deadline=None)

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import TransferPolicy
+from repro.core.liveness import LivenessAnalysis
+from repro.core.recompute import checkpoint_plan
 from repro.graph import NetworkBuilder
 from repro.numerics import TrainingRuntime, make_batch
 
@@ -80,7 +82,7 @@ class TestHybridOffloadRecompute:
         runtime = TrainingRuntime(deep_cnn, TransferPolicy.vdnn_conv(),
                                   recompute_segments=3)
         offloaded = {
-            s.owner for s in runtime.liveness.all_storages()
+            s.owner for s in LivenessAnalysis(runtime.network).all_storages()
             if s.needed_backward and runtime.policy.wants_offload(
                 runtime.network[s.forward_release_at])
         }
@@ -113,3 +115,19 @@ class TestHybridOffloadRecompute:
         runtime = TrainingRuntime(deep_cnn, TransferPolicy.none(),
                                   recompute_segments=2)
         assert runtime._dropped
+
+
+class TestSegmentCount:
+    def test_negative_count_rejected(self, deep_cnn):
+        with pytest.raises(ValueError, match="segment count"):
+            TrainingRuntime(deep_cnn, recompute_segments=-1)
+
+    def test_zero_means_sqrt_l(self):
+        network = make_deep_cnn(depth=8)
+        runtime = TrainingRuntime(network, recompute_segments=0)
+        assert runtime._dropped == checkpoint_plan(
+            network, LivenessAnalysis(network)).dropped
+        assert runtime._dropped
+
+    def test_none_drops_nothing(self, deep_cnn):
+        assert not TrainingRuntime(deep_cnn)._dropped

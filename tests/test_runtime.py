@@ -215,6 +215,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="batch shape"):
             runtime.train_step(images, labels)
 
+    def test_host_heap_records_zero_fraction(self):
+        from repro.numerics import HostHeap
+        host = HostHeap()
+        host.offload("Y1", np.array([0.0, 1.0, 0.0, 2.0], dtype=np.float32))
+        assert host.zero_fractions == {"Y1": 0.5}
+
     def test_heap_misuse_raises(self):
         from repro.numerics import DeviceHeap
         heap = DeviceHeap(1 << 20)
