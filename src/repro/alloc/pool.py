@@ -94,6 +94,42 @@ def footprint(nbytes: int) -> int:
     return max(_align(nbytes), ALIGNMENT)
 
 
+class LiveByteCounter:
+    """The pool's byte accounting without its placement.
+
+    A walk whose block offsets nobody reads needs only the live-byte
+    curve (Figure 11's maximum and time-weighted average).  This counter
+    has the pool's walk-facing surface — :meth:`alloc` returns an
+    :class:`Allocation` carrying the aligned ``size`` (``offset`` is -1:
+    unplaced), :meth:`free` keeps the double-free check, and
+    ``live_bytes``/``peak_bytes`` read as on the pool — at O(1) per
+    operation.  Both round every block with :func:`footprint`, so its
+    curve is an unbounded pool's, operation for operation.
+    """
+
+    __slots__ = ("live_bytes", "peak_bytes")
+
+    def __init__(self) -> None:
+        self.live_bytes = 0
+        self.peak_bytes = 0
+
+    def alloc(self, nbytes: int, tag: str = "") -> Allocation:
+        if nbytes < 0:
+            raise ValueError("allocation size must be non-negative")
+        size = footprint(nbytes)
+        live = self.live_bytes + size
+        self.live_bytes = live
+        if live > self.peak_bytes:
+            self.peak_bytes = live
+        return Allocation(-1, size, nbytes, tag)
+
+    def free(self, allocation: Allocation) -> None:
+        if allocation.freed:
+            raise DoubleFreeError(allocation)
+        allocation.freed = True
+        self.live_bytes -= allocation.size
+
+
 #: Placement strategies: cnmem uses best-fit; first-fit is provided for
 #: the fragmentation ablation.
 STRATEGIES = ("best_fit", "first_fit")

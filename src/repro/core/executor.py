@@ -15,11 +15,13 @@ Two entry points:
 
 Both run the same roofline kernel latencies on the same simulated CUDA
 streams, so their timelines are directly comparable (Figure 14).  The
-simulation allocates from an *unbounded* pool and judges trainability by
-comparing the peak live bytes against the GPU's physical capacity — with
-no thrashing in the model this is exact, and it lets untrainable
+simulation counts live bytes with no capacity limit and judges
+trainability by comparing the peak against the GPU's physical capacity —
+with no thrashing in the model this is exact, and it lets untrainable
 configurations still report the memory they would have needed (the
-``(*)``-marked bars of Figure 11).
+``(*)``-marked bars of Figure 11).  Only a traced or observed walk places
+its blocks, in an unbounded pool: the trace records offsets and obs
+reports fragmentation.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set
 
 from ..alloc.pinned import PinnedHostAllocator, PinnedMemoryError
-from ..alloc.pool import Allocation, PoolAllocator
+from ..alloc.pool import Allocation, LiveByteCounter, PoolAllocator
 from ..alloc.stats import UsageTracker
 from ..analysis.trace import ScheduleTrace
 from ..faults import DMAAbortError, FaultInjector, FaultReport, FaultSpec, make_injector
@@ -49,7 +51,7 @@ _BACKWARD = EventKind.BACKWARD
 _OFFLOAD = EventKind.OFFLOAD
 _PREFETCH = EventKind.PREFETCH
 
-#: Pool capacity used for simulation runs; trainability is decided by
+#: Pool capacity of traced and observed runs; trainability is decided by
 #: comparing peak usage to the *real* GPU capacity afterwards.
 _UNBOUNDED = 1 << 50
 
@@ -295,7 +297,10 @@ class _VDNNSimulation:
         # every Allocation back to its trace identity at free time.
         self._traced: Dict[int, tuple] = {}
 
-        self.pool = PoolAllocator(_UNBOUNDED)
+        # Only the trace (whose sanitizer checks placements are
+        # disjoint) and obs (the fragmentation gauge) read offsets.
+        self.pool = PoolAllocator(_UNBOUNDED) \
+            if verify or obs is not None else LiveByteCounter()
         pinned_capacity = system.host.max_pinned_bytes
         if faults is not None and faults.spec.pinned_budget_factor != 1.0:
             pinned_capacity = int(

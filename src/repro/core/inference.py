@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..alloc.pool import Allocation, PoolAllocator
+from ..alloc.pool import Allocation, LiveByteCounter
 from ..alloc.stats import UsageTracker
 from ..graph.layer import LayerKind
 from ..graph.network import Network
@@ -23,8 +23,6 @@ from ..sim.timeline import EventKind
 from .algo_config import AlgoConfig
 from .executor import IterationResult, _feature_extraction_time
 from .liveness import LivenessAnalysis
-
-_UNBOUNDED = 1 << 50
 
 
 def _validate_inference_batch(network: Network) -> None:
@@ -82,7 +80,7 @@ def simulate_inference(
     _validate_inference_batch(network)
     latency = LatencyModel(system.gpu)
     liveness = LivenessAnalysis(network)
-    pool = PoolAllocator(_UNBOUNDED)
+    pool = LiveByteCounter()
     compute, _memory, timeline = make_stream_pair()
     usage = UsageTracker()
     device: Dict[int, Allocation] = {}
@@ -116,8 +114,8 @@ def simulate_inference(
                 workspace = pool.alloc(ws_bytes, f"WS[{node.name}]")
                 sample()
             timing = latency.forward(network, node, algos.profile(node))
-            compute.enqueue(EventKind.FORWARD, node.name, timing.seconds,
-                            nbytes=int(timing.dram_bytes), layer_index=index)
+            compute.push(EventKind.FORWARD, node.name, timing.seconds,
+                         nbytes=int(timing.dram_bytes), layer_index=index)
             if workspace is not None:
                 pool.free(workspace)
                 sample()

@@ -8,9 +8,9 @@ checkpoints during backward propagation — trading an extra forward pass
 for capacity instead of PCIe bandwidth.
 
 :func:`simulate_recompute` runs one training iteration under sqrt(L)
-checkpointing on the same pool/latency substrate as the vDNN executor,
-so `benchmarks/bench_ext_recompute.py` can compare the two fairly:
-memory floor, time overhead, and where each wins.
+checkpointing on the same compiled plan as the vDNN executor, so
+`benchmarks/bench_ext_recompute.py` can compare the two fairly: memory
+floor, time overhead, and where each wins.
 """
 
 from __future__ import annotations
@@ -19,19 +19,20 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from ..alloc.pool import Allocation, PoolAllocator
+from ..alloc.pool import Allocation, LiveByteCounter
 from ..alloc.stats import UsageTracker
 from ..graph.layer import LayerKind
 from ..graph.network import Network
 from ..hw.config import SystemConfig
-from ..kernels.latency import LatencyModel
 from ..sim.stream import make_stream_pair
 from ..sim.timeline import EventKind
 from .algo_config import AlgoConfig
 from .executor import IterationResult, _feature_extraction_time
 from .liveness import LivenessAnalysis, StorageInfo
+from .plan import ForwardStep, compiled_plan
 
-_UNBOUNDED = 1 << 50
+_FORWARD = EventKind.FORWARD
+_BACKWARD = EventKind.BACKWARD
 
 
 @dataclass(frozen=True)
@@ -97,16 +98,20 @@ def checkpoint_plan(network: Network, liveness: LivenessAnalysis,
 
 
 class _RecomputeSimulation:
-    """One iteration under checkpoint/recompute memory management."""
+    """One iteration under checkpoint/recompute memory management.
+
+    Kernel times, workspaces, tags and the backward steps' gradient
+    allocations and releases come from the :class:`CompiledPlan` the
+    vDNN walks of this point share; no placement is read, so blocks are
+    only counted.
+    """
 
     def __init__(self, network: Network, system: SystemConfig,
                  algos: AlgoConfig, segment_count: Optional[int]):
         self.network = network
-        self.system = system
-        self.algos = algos
-        self.latency = LatencyModel(system.gpu)
+        self.plan = compiled_plan(network, system, algos)
         self.liveness = LivenessAnalysis(network)
-        self.pool = PoolAllocator(_UNBOUNDED)
+        self.pool = LiveByteCounter()
         self.compute, _memory, self.timeline = make_stream_pair()
         self.usage = UsageTracker()
         self.device: Dict[int, Allocation] = {}
@@ -115,87 +120,70 @@ class _RecomputeSimulation:
         self._dead_resident: Set[int] = set()
 
         plan = checkpoint_plan(network, self.liveness, segment_count)
-        self.checkpoints = plan.checkpoints
         self.dropped = plan.dropped
         # Map each storage to the checkpointed segment that regenerates
         # it: the contiguous run of dropped owners after a checkpoint.
         self._droppable_order = plan.droppable_order
+        self._position = {owner: position for position, owner
+                          in enumerate(plan.droppable_order)}
 
     # -- helpers --------------------------------------------------------
-    def _sample(self) -> None:
-        self.usage.record(self.compute.ready_time, self.pool.live_bytes)
-
-    def _alloc(self, owner: int, nbytes: int, tag: str) -> Allocation:
+    def _alloc(self, nbytes: int, tag: str) -> Allocation:
         allocation = self.pool.alloc(nbytes, tag)
-        self._sample()
+        self.usage.record(self.compute.ready_time, self.pool.live_bytes)
         return allocation
 
     def _free(self, allocation: Allocation) -> None:
         self.pool.free(allocation)
-        self._sample()
+        self.usage.record(self.compute.ready_time, self.pool.live_bytes)
 
-    def _forward_kernel(self, index: int, recompute: bool = False) -> None:
-        node = self.network[index]
-        timing = self.latency.forward(self.network, node,
-                                      self.algos.profile(node))
-        label = node.name + ("(re)" if recompute else "")
-        self.compute.enqueue(EventKind.FORWARD, label, timing.seconds,
-                             nbytes=int(timing.dram_bytes), layer_index=index)
+    def _forward_kernel(self, step: ForwardStep, recompute: bool) -> None:
+        """One forward kernel inside its transient workspace."""
+        workspace = self._alloc(step.ws_bytes, step.ws_tag) \
+            if step.ws_bytes else None
+        label = step.name + "(re)" if recompute else step.name
+        self.compute.push(_FORWARD, label, step.seconds,
+                          nbytes=step.dram_nbytes, layer_index=step.index)
         if recompute:
-            self.recompute_kernel_seconds += timing.seconds
+            self.recompute_kernel_seconds += step.seconds
+        if workspace is not None:
+            self._free(workspace)
 
     # -- persistent -----------------------------------------------------
     def allocate_persistent(self) -> int:
-        persistent = 0
-        self.external_bytes = 0
-        for node in self.network:
-            if not node.weight_bytes:
-                continue
-            if node.is_feature_extraction:
-                self._alloc(node.index, node.weight_bytes, f"W[{node.name}]")
-                self._alloc(node.index, node.weight_bytes, f"dW[{node.name}]")
-            else:
-                self.external_bytes += 2 * node.weight_bytes
-            persistent += 2 * node.weight_bytes
-        return persistent
+        for item in self.plan.persistent:
+            self._alloc(item.nbytes, item.w_tag)
+            self._alloc(item.nbytes, item.dw_tag)
+        return self.plan.persistent_bytes
 
     # -- forward --------------------------------------------------------
     def run_forward(self) -> None:
-        for index in self.network.forward_schedule():
-            node = self.network[index]
-            if not node.in_place:
-                storage = self.liveness.storage_of(index)
-                self.device[storage.owner] = self._alloc(
-                    storage.owner, storage.nbytes, f"Y[{node.name}]"
-                )
-            if node.kind is not LayerKind.INPUT:
-                workspace = self._maybe_workspace(node)
-                self._forward_kernel(index)
-                if workspace is not None:
-                    self._free(workspace)
-            for storage in self.liveness.input_storages(index):
+        device, dropped = self.device, self.dropped
+        input_storages = self.liveness.input_storages
+        for step in self.plan.forward:  # repro: hot
+            index = step.index
+            rec = step.alloc_rec
+            if rec is not None:
+                device[rec.owner] = self._alloc(rec.nbytes, step.y_tag)
+            if not step.is_input:
+                self._forward_kernel(step, False)
+            for storage in input_storages(index):
                 if storage.forward_release_at != index:
                     continue
-                if storage.owner == 0 and self.dropped:
+                if storage.owner == 0 and dropped:
                     continue  # replays may need the input batch
-                if not storage.needed_backward or storage.owner in self.dropped:
-                    self._free(self.device.pop(storage.owner))
-
-    def _maybe_workspace(self, node) -> Optional[Allocation]:
-        ws_bytes = self.algos.workspace_bytes(node)
-        if ws_bytes:
-            return self._alloc(node.index, ws_bytes, f"WS[{node.name}]")
-        return None
+                if not storage.needed_backward or storage.owner in dropped:
+                    self._free(device.pop(storage.owner))
 
     # -- recompute ------------------------------------------------------
     def _ensure_storage(self, owner: int) -> None:
         """Regenerate a dropped storage (and its segment) on demand."""
         if owner in self.device:
             return
-        if owner in self._droppable_order:
+        position = self._position.get(owner)
+        if position is not None:
             # The segment: walk back to the nearest materialized storage
             # in droppable order, then replay forward kernels to `owner`.
-            position = self._droppable_order.index(owner)
             start = position
             while start > 0 and \
                     self._droppable_order[start - 1] not in self.device:
@@ -205,15 +193,15 @@ class _RecomputeSimulation:
             # A dead intermediate the replay flows through (e.g. a BN
             # output feeding only an ADD): regenerate just its chain and
             # remember to discard it after the current backward step.
-            to_rebuild = [owner]
+            to_rebuild = (owner,)
             self._dead_resident.add(owner)
 
         # Inputs feeding the rebuild range but produced outside it must
         # themselves be live (recurse; terminates at checkpoints/input).
+        records = self.plan.records
         rebuild_set = set(to_rebuild)
         for owner_index in to_rebuild:
-            storage = self.liveness.storages[owner_index]
-            for member in storage.chain:
+            for member in records[owner_index].info.chain:
                 for producer in self.network[member].producers:
                     source = self.network[producer].storage_index
                     if source not in rebuild_set and source not in self.device:
@@ -222,67 +210,34 @@ class _RecomputeSimulation:
         for owner_index in to_rebuild:
             if owner_index in self.device:
                 continue  # regenerated by a recursive ensure above
-            storage = self.liveness.storages[owner_index]
+            rec = records[owner_index]
             self.device[owner_index] = self._alloc(
-                owner_index, storage.nbytes,
-                f"Y[{self.network[owner_index].name}](re)"
-            )
-            for member in storage.chain:
-                node = self.network[member]
-                if node.kind is LayerKind.INPUT:
-                    continue
-                workspace = self._maybe_workspace(node)
-                self._forward_kernel(member, recompute=True)
-                if workspace is not None:
-                    self._free(workspace)
+                rec.nbytes, f"Y[{rec.name}](re)")
+            for member in rec.info.chain:
+                step = self.plan.forward_at[member]
+                if not step.is_input:
+                    self._forward_kernel(step, True)
 
     # -- backward -------------------------------------------------------
     def run_backward(self) -> None:
-        # One pass over the storages (in owner order) buckets every
-        # gradient allocation and release by the backward step that
-        # performs it.  Each step's free order stays owner order, a
-        # buffer (owner, False) before its gradient twin (owner, True).
-        grad_allocs_at: Dict[int, List[StorageInfo]] = {}
-        releases_at: Dict[int, List[Tuple[int, bool]]] = {}
-        for storage in self.liveness.all_storages():
-            if storage.needed_backward:
-                releases_at.setdefault(
-                    storage.backward_release_after, []).append(
-                        (storage.owner, False))
-            if storage.needs_gradient:
-                grad_allocs_at.setdefault(
-                    storage.gradient_alloc_at, []).append(storage)
-                releases_at.setdefault(
-                    storage.gradient_release_after, []).append(
-                        (storage.owner, True))
+        device, gradients = self.device, self.gradients
+        for step in self.plan.backward:  # repro: hot
+            for rec in step.required:
+                self._ensure_storage(rec.owner)
 
-        for index in self.network.backward_schedule():
-            node = self.network[index]
+            for rec in step.grad_allocs:
+                if rec.owner not in gradients:
+                    gradients[rec.owner] = self._alloc(rec.nbytes, rec.g_tag)
 
-            required: List[StorageInfo] = []
-            if node.layer.backward_needs_x:
-                required.extend(self.liveness.input_storages(index))
-            if node.layer.backward_needs_y:
-                required.append(self.liveness.storage_of(index))
-            for storage in required:
-                self._ensure_storage(storage.owner)
+            workspace = self._alloc(step.ws_bytes, step.ws_tag) \
+                if step.ws_bytes else None
+            self.compute.push(_BACKWARD, step.name, step.seconds,
+                              nbytes=step.dram_nbytes,
+                              layer_index=step.index)
 
-            for storage in grad_allocs_at.get(index, ()):
-                if storage.owner not in self.gradients:
-                    self.gradients[storage.owner] = self._alloc(
-                        storage.owner, storage.nbytes, f"dY[{storage.owner}]"
-                    )
-
-            workspace = self._maybe_workspace(node)
-            timing = self.latency.backward(self.network, node,
-                                           self.algos.profile(node))
-            self.compute.enqueue(EventKind.BACKWARD, node.name, timing.seconds,
-                                 nbytes=int(timing.dram_bytes),
-                                 layer_index=index)
-
-            for owner, gradient in releases_at.get(index, ()):
-                held = self.gradients if gradient else self.device
-                allocation = held.pop(owner, None)
+            for owner, gradient in step.releases:
+                allocation = (gradients if gradient else device).pop(
+                    owner, None)
                 if allocation is not None:
                     self._free(allocation)
             if workspace is not None:
@@ -291,17 +246,17 @@ class _RecomputeSimulation:
             # Regenerated dead intermediates served this step's replay;
             # drop them rather than let them camp in memory.
             for owner in self._dead_resident:
-                allocation = self.device.pop(owner, None)
+                allocation = device.pop(owner, None)
                 if allocation is not None:
                     self._free(allocation)
             self._dead_resident.clear()
 
-        for allocation in list(self.device.values()):
+        for allocation in list(device.values()):
             self._free(allocation)
-        self.device.clear()
-        for allocation in list(self.gradients.values()):
+        device.clear()
+        for allocation in list(gradients.values()):
             self._free(allocation)
-        self.gradients.clear()
+        gradients.clear()
 
 
 def droppable_count(network: Network,
@@ -402,7 +357,8 @@ def simulate_recompute(
     sim.usage.record(sim.timeline.end_time, sim.pool.live_bytes)
 
     peak = sim.usage.max_bytes
-    total_peak = peak + sim.external_bytes
+    external = sim.plan.external_bytes
+    total_peak = peak + external
     trainable = total_peak <= system.gpu.memory_bytes
     return IterationResult(
         network_name=network.name,
@@ -417,10 +373,11 @@ def simulate_recompute(
         usage=sim.usage,
         managed_max_bytes=peak,
         managed_avg_bytes=sim.usage.average_bytes,
-        external_bytes=sim.external_bytes,
+        external_bytes=external,
         persistent_bytes=persistent,
         total_time=sim.timeline.span,
-        feature_extraction_time=_feature_extraction_time(network, sim.timeline),
+        feature_extraction_time=_feature_extraction_time(
+            network, sim.timeline, classifier=sim.plan.classifier_indices),
         offload_bytes=0,
         prefetch_bytes=0,
         pinned_peak_bytes=0,

@@ -8,14 +8,23 @@ that contract across the whole zoo, every policy, faulted runs, and
 multi-tenant schedules.
 """
 
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.alloc import LiveByteCounter, PoolAllocator
 from repro.cli import DEFAULT_WORKLOAD, main
-from repro.core.api import evaluate
+from repro.core.api import evaluate, resolve_point
+from repro.core.executor import _run_iteration, _VDNNSimulation
+from repro.core.plan import compiled_plan
 from repro.faults import FaultSpec
+from repro.hw import PAPER_SYSTEM
 from repro.obs import Instrumentation, NullInstrumentation
 from repro.sched import Job, schedule_jobs, schedule_report
 from repro.zoo import available, build
+
+from test_properties import random_dag_network
 
 POLICIES = ("all", "conv", "dyn", "base", "none")
 
@@ -209,7 +218,7 @@ def _assert_traced_matches(plain, traced):
     ``verify=True`` adds zero-duration SYNC events to the timeline (the
     ordering edges the sanitizer checks) — by design, in the legacy
     core too.  Everything *simulated* must still match bit for bit:
-    every non-SYNC event, the usage curve, and all summary quantities.
+    every non-SYNC event, the usage curve, and every summary field.
     """
     from repro.sim.timeline import EventKind
 
@@ -217,12 +226,11 @@ def _assert_traced_matches(plain, traced):
             if e.kind is not EventKind.SYNC]
     assert real == plain.timeline.events
     assert traced.usage.curve() == plain.usage.curve()
-    for attr in ("trainable", "managed_max_bytes", "managed_avg_bytes",
-                 "external_bytes", "persistent_bytes", "total_time",
-                 "feature_extraction_time", "offload_bytes",
-                 "prefetch_bytes", "pinned_peak_bytes",
-                 "compute_stall_seconds", "offloaded_layers"):
-        assert getattr(traced, attr) == getattr(plain, attr), attr
+    for field in dataclasses.fields(plain):
+        if field.name not in ("timeline", "usage", "schedule_trace",
+                              "fault_report"):
+            assert getattr(traced, field.name) \
+                == getattr(plain, field.name), field.name
 
 
 def test_warm_plan_verify_bit_neutral():
@@ -246,6 +254,53 @@ def test_warm_plan_verify_and_obs_together():
     both = simulate_vdnn(network, system, policy, algos, verify=True,
                          obs=obs)
     _assert_traced_matches(cold, both)
+
+
+# ----------------------------------------------------------------------
+# Counted vs placed walks: an untraced walk only counts live bytes, a
+# traced or observed one places every block in a pool; both must agree
+# ----------------------------------------------------------------------
+#: The vDNN points of Figures 11/14 whose walk allocates per layer.
+COUNTED_POINTS = tuple((policy, algo) for policy in ("all", "conv", "comp")
+                       for algo in ("m", "p")) + (("dyn", "p"),)
+
+
+def _walk(point, **kwargs):
+    """One executor walk of a resolved point, and the allocator it used."""
+    network, system = point.network, point.system
+    sim = _VDNNSimulation(network, system, point.config, point.algos,
+                          compiled_plan(network, system, point.algos),
+                          **kwargs)
+    return _run_iteration(sim), sim.pool
+
+
+def _assert_counted_matches_placed(point):
+    plain, counter = _walk(point)
+    traced, pool = _walk(point, verify=True)
+    observed, observed_pool = _walk(point, obs=Instrumentation())
+    assert type(counter) is LiveByteCounter
+    assert type(pool) is PoolAllocator
+    assert type(observed_pool) is PoolAllocator
+    _assert_traced_matches(plain, traced)
+    _assert_results_identical(plain, observed)
+    assert counter.peak_bytes == pool.peak_bytes == observed_pool.peak_bytes
+    assert counter.live_bytes == pool.live_bytes == observed_pool.live_bytes
+
+
+@pytest.mark.parametrize("policy,algo", COUNTED_POINTS)
+@pytest.mark.parametrize("name", available())
+def test_counted_walk_matches_placed_walk(name, policy, algo):
+    network = build(name, 4)
+    _assert_counted_matches_placed(
+        resolve_point(network, PAPER_SYSTEM, policy, algo))
+
+
+@settings(max_examples=15, deadline=None)
+@given(network=random_dag_network(),
+       point=st.sampled_from(COUNTED_POINTS))
+def test_counted_walk_matches_placed_walk_on_random_dags(network, point):
+    _assert_counted_matches_placed(
+        resolve_point(network, PAPER_SYSTEM, *point))
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,9 @@
 counts 1, 2 and 4 and at the sqrt(L) default.  Each entry records the
 peak, the iteration and feature-extraction times, the recompute stall,
 the full result digest of ``tests/test_core_golden.py`` and a sha256
-over the pool's alloc/free sequence (offset, size and tag of every
-operation, in order), so a rewrite of the recompute walk is diffed
-operation for operation.  If a change is intentional, regenerate with::
+over the walk's alloc/free sequence placed in an unbounded best-fit
+pool (offset, size and tag of every operation, in order), so a rewrite
+of the recompute walk is diffed operation for operation.  If a change is intentional, regenerate with::
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_recompute_golden.py
 
@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 
-from repro.alloc import PoolAllocator
+from repro.alloc import LiveByteCounter, PoolAllocator
 from repro.core import AlgoConfig, simulate_recompute
 from repro.hw import PAPER_SYSTEM
 from repro.zoo import build
@@ -37,49 +37,72 @@ NETWORKS = (("googlenet", 32), ("resnet18", 32), ("lstm", 32))
 SEGMENTS = (1, 2, 4, None)
 
 
-class _RecordingPool(PoolAllocator):
-    """A pool that logs every alloc and free, in order."""
+class _RecordingCounter(LiveByteCounter):
+    """The walk's live-byte counter, logging every alloc and free."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self):
+        super().__init__()
         self.ops = []
 
     def alloc(self, nbytes, tag=""):
         allocation = super().alloc(nbytes, tag)
-        self.ops.append(f"A|{allocation.offset}|{allocation.size}"
-                        f"|{allocation.requested}|{tag}")
+        self.ops.append(("A", allocation))
         return allocation
 
     def free(self, allocation):
         super().free(allocation)
-        self.ops.append(f"F|{allocation.offset}|{allocation.size}"
-                        f"|{allocation.tag}")
+        self.ops.append(("F", allocation))
+
+
+def _placed_ops(ops):
+    """Replay a recorded op sequence through an unbounded best-fit pool.
+
+    Best-fit placement is a deterministic function of the alloc/free
+    sequence, so the placed lines pin the walk's operation order exactly
+    as a pool inside the walk would.
+    """
+    pool = PoolAllocator(1 << 50)
+    placed = {}
+    lines = []
+    for op, handle in ops:
+        if op == "A":
+            allocation = placed[id(handle)] = pool.alloc(handle.requested,
+                                                         handle.tag)
+            lines.append(f"A|{allocation.offset}|{allocation.size}"
+                         f"|{allocation.requested}|{allocation.tag}")
+        else:
+            allocation = placed.pop(id(handle))
+            pool.free(allocation)
+            lines.append(f"F|{allocation.offset}|{allocation.size}"
+                         f"|{allocation.tag}")
+    return lines
 
 
 def _facts(name, batch, segments, monkeypatch):
-    pools = []
+    counters = []
 
-    def recording_pool(*args, **kwargs):
-        pool = _RecordingPool(*args, **kwargs)
-        pools.append(pool)
-        return pool
+    def recording_counter():
+        counter = _RecordingCounter()
+        counters.append(counter)
+        return counter
 
-    monkeypatch.setattr("repro.core.recompute.PoolAllocator",
-                        recording_pool)
+    monkeypatch.setattr("repro.core.recompute.LiveByteCounter",
+                        recording_counter)
     network = build(name, batch)
     result = simulate_recompute(network, PAPER_SYSTEM,
                                 AlgoConfig.memory_optimal(network),
                                 segments)
-    (pool,) = pools
+    (counter,) = counters
+    ops = _placed_ops(counter.ops)
     return {
         "managed_max_bytes": result.managed_max_bytes,
         "total_time": repr(result.total_time),
         "feature_extraction_time": repr(result.feature_extraction_time),
         "compute_stall_seconds": repr(result.compute_stall_seconds),
         "digest": result_digest(result),
-        "pool_ops": len(pool.ops),
+        "pool_ops": len(ops),
         "pool_ops_digest": hashlib.sha256(
-            "\n".join(pool.ops).encode()).hexdigest(),
+            "\n".join(ops).encode()).hexdigest(),
     }
 
 
