@@ -31,10 +31,10 @@ Rules (catalog in :mod:`repro.analysis.diagnostics`):
 * **SP406** — serve :class:`~repro.serve.layering.ServicePlan`
   accounting is internally consistent.
 
-The walk follows :class:`repro.core.executor._VDNNSimulation` step for
-step, so on a clean plan the statically computed peak equals the
-simulated ``managed_max_bytes`` *exactly* — the differential tests
-assert bit-equality, not closeness.  No simulation runs anywhere in
+The walk is the simulator's own (:class:`repro.core.walk.PlanWalk`),
+run in its abstract domain instead of the timed one, so on a clean plan
+the statically computed peak equals the simulated ``managed_max_bytes``
+*exactly* — the differential tests assert bit-equality, not closeness.  No simulation runs anywhere in
 this module: the whole 140-point zoo grid verifies in under two
 seconds, most of it in the abstract walks, each plan audited once and
 each clean walk run once (see docs/performance.md).

@@ -12,6 +12,8 @@ Two entry points:
   ``stream_memory`` overlapped with the owning layer's forward kernel,
   end-of-layer synchronization, release at the refcount-gated last
   consumer, and Figure-10 prefetching overlapped with backward kernels.
+  The schedule is :class:`repro.core.walk.PlanWalk`'s, shared with the
+  abstract interpreter; this module gives it time.
 
 Both run the same roofline kernel latencies on the same simulated CUDA
 streams, so their timelines are directly comparable (Figure 14).  The
@@ -27,7 +29,7 @@ reports fragmentation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional
 
 from ..alloc.pinned import PinnedHostAllocator, PinnedMemoryError
 from ..alloc.pool import Allocation, LiveByteCounter, PoolAllocator
@@ -44,7 +46,7 @@ from .liveness import LivenessAnalysis
 from .plan import BackwardStep, CompiledPlan, ForwardStep, StorageRecord, \
     compiled_plan
 from .policy import TransferPolicy
-from .prefetcher import PrefetchState, find_prefetch_layer
+from .walk import PlanWalk
 
 _FORWARD = EventKind.FORWARD
 _BACKWARD = EventKind.BACKWARD
@@ -249,18 +251,15 @@ def simulate_baseline(
 # ----------------------------------------------------------------------
 # vDNN manager
 # ----------------------------------------------------------------------
-class _VDNNSimulation:
-    """Stateful walk of one iteration under the vDNN manager.
+class _VDNNSimulation(PlanWalk):
+    """The timed domain of the vDNN walk (:class:`~repro.core.walk.PlanWalk`).
 
-    All per-layer decisions (what to allocate, offload, release; kernel
-    timings; DMA durations; trace buffer names) come precomputed from a
-    :class:`~repro.core.plan.CompiledPlan` — the walk itself is a tight
-    loop over plan steps that only tracks the *dynamic* state: stream
-    clocks, pool occupancy, the prefetch flags and any injected faults.
-
-    ``drop`` holds a joint point's drop triggers (:mod:`repro.core.joint`):
-    they free their candidates with no DMA, and backward replays the
-    producers of exactly what they freed.  ``label`` names the run.
+    The walk decides every step from a
+    :class:`~repro.core.plan.CompiledPlan` (kernel timings, DMA
+    durations and trace buffer names are precomputed there too); this
+    domain gives the steps their consequences: stream clocks, pool
+    occupancy, pinned staging, any injected faults, and the trace and
+    obs records.  ``label`` names the run.
     """
 
     def __init__(
@@ -279,16 +278,11 @@ class _VDNNSimulation:
         drop: FrozenSet[int] = frozenset(),
         label: str = "",
     ):
-        self.network = network
-        self.system = system
-        self.policy = policy
+        super().__init__(network, system, policy, plan,
+                         bounded_prefetch_window, sync_after_offload,
+                         sync_after_prefetch, drop)
         self.label = label or policy.describe()
         self.algos = algos
-        self.plan = plan
-        self.wants = plan.offload_indices(policy, network)
-        self.bounded_prefetch_window = bounded_prefetch_window
-        self.sync_after_offload = sync_after_offload
-        self.sync_after_prefetch = sync_after_prefetch
         self.faults = faults
         self.obs = obs
         self.trace: Optional[ScheduleTrace] = ScheduleTrace() if verify else None
@@ -308,50 +302,14 @@ class _VDNNSimulation:
         self.pinned = PinnedHostAllocator(pinned_capacity)
         self.compute, self.memory, self.timeline = make_stream_pair()
         self.usage = UsageTracker()
-        self.state = PrefetchState.for_network(network, plan.conv_floor)
-        # Fig. 10 search outcomes, reported to obs once per run.
-        self.prefetch_hits = 0
-        self.prefetch_misses = 0
-
-        # storage owner -> live device Allocation
-        self.device: Dict[int, Allocation] = {}
-        # storage owner -> live gradient Allocation
-        self.gradients: Dict[int, Allocation] = {}
-        # trigger layer -> storage records it offloaded
-        self.offloaded_at: Dict[int, List[StorageRecord]] = {}
-        # storage owner -> pinned host buffer
-        self.host_buffers: Dict[int, object] = {}
-        # storage owner -> wire bytes / DMA seconds actually staged on
-        # the host (compressed offloads shrink both; the return trip
-        # replays the same wire format).
-        self.host_wire: Dict[int, int] = {}
-        self.host_wire_seconds: Dict[int, float] = {}
-        # storage owner -> True once restored by a prefetch
-        self.restored: Dict[int, bool] = {}
-        # Drops: owners they freed, replayed intermediates backward does
-        # not need, and the input storages dead releases must keep.
-        self.drops = drop
-        self.dropped: Set[int] = set()
-        self._dead_resident: Set[int] = set()
-        self._protected = plan.input_owners if drop else frozenset()
-
+        # storage owner -> (pinned host buffer, DMA seconds of its wire
+        # bytes) for every tensor staged on the host
+        self.host_buffers: Dict[int, tuple] = {}
         self.stall_seconds = 0.0
-        self.offload_bytes = 0
-        self.offload_raw_bytes = 0
-        self.prefetch_bytes = 0
-        self.external_bytes = 0
-        self.offloaded_layers: List[int] = []
 
     # -- bookkeeping helpers -------------------------------------------
-    def _sample(self) -> None:
-        # No obs hook here: this runs on every alloc/free, and the pool
-        # already tracks its exact high-water mark.  The end-of-run block
-        # in simulate_vdnn reports it via pool_sample + pool_peak.
-        self.usage.record(self.compute.ready_time, self.pool.live_bytes)
-
-    def _alloc(self, owner: int, nbytes: int, tag: str,
-               buffer: str = "", layer: int = -1, towner: int = -1,
-               persistent: bool = False) -> Allocation:
+    def _alloc(self, nbytes: int, tag: str, buffer: str, layer: int,
+               towner: int = -1, persistent: bool = False) -> Allocation:
         """Pool allocation; ``buffer``/``towner`` name it in the trace.
 
         ``towner`` is the storage-owner layer recorded for feature/
@@ -359,8 +317,11 @@ class _VDNNSimulation:
         and weight blocks pass -1 so the gate never applies to them.
         """
         allocation = self.pool.alloc(nbytes, tag)
-        self._sample()
-        if self.trace is not None and buffer:
+        # No obs hook here: this runs on every alloc/free, and the pool
+        # already tracks its exact high-water mark.  The end-of-run
+        # block in _run_iteration reports it via pool_sample + pool_peak.
+        self.usage.record(self.compute.ready_time, self.pool.live_bytes)
+        if self.trace is not None:
             self.trace.alloc(
                 buffer, nbytes, offset=allocation.offset,
                 size=allocation.size, label=tag, layer=layer,
@@ -370,23 +331,55 @@ class _VDNNSimulation:
             self._traced[allocation.offset] = (buffer, towner)
         return allocation
 
-    def _free(self, allocation: Allocation, layer: int = -1,
-              phase: str = "") -> None:
+    def _free(self, allocation: Allocation, layer: int,
+              phase: str) -> None:
         if self.trace is not None:
-            buffer, towner = self._traced.pop(allocation.offset, ("", -1))
-            if buffer:
-                self.trace.free(
-                    buffer, self.compute.name, offset=allocation.offset,
-                    size=allocation.size, label=allocation.tag,
-                    layer=layer, owner=towner, phase=phase,
-                    start=self.compute.ready_time,
-                )
+            buffer, towner = self._traced.pop(allocation.offset)
+            self.trace.free(
+                buffer, self.compute.name, offset=allocation.offset,
+                size=allocation.size, label=allocation.tag,
+                layer=layer, owner=towner, phase=phase,
+                start=self.compute.ready_time,
+            )
         self.pool.free(allocation)
-        self._sample()
+        self.usage.record(self.compute.ready_time, self.pool.live_bytes)
 
-    def _stall(self, label: str, layer_index: int,
-               cause: str = "offload-sync") -> None:
+    def _alloc_weights(self, item) -> None:
+        self._alloc(item.nbytes, item.w_tag, buffer=item.w_buf,
+                    layer=item.index, persistent=True)
+        self._alloc(item.nbytes, item.dw_tag, buffer=item.dw_buf,
+                    layer=item.index, persistent=True)
+
+    def _alloc_output(self, step: ForwardStep,
+                      rec: StorageRecord) -> Allocation:
+        return self._alloc(rec.nbytes, step.y_tag, buffer=rec.y_buf,
+                           layer=step.index, towner=rec.owner)
+
+    def _alloc_workspace(self, ws, step, phase: str) -> Allocation:
+        return self._alloc(ws.ws_bytes, ws.ws_tag, buffer=ws.ws_buf,
+                           layer=step.index)
+
+    def _alloc_gradient(self, step: BackwardStep,
+                        rec: StorageRecord) -> Allocation:
+        return self._alloc(rec.nbytes, rec.g_tag, buffer=rec.g_buf,
+                           layer=step.index, towner=rec.owner)
+
+    def _alloc_restore(self, step: BackwardStep, rec: StorageRecord,
+                       target: int) -> Allocation:
+        return self._alloc(rec.nbytes,
+                           rec.pre_tag if target >= 0 else rec.demand_tag,
+                           buffer=rec.y_buf, layer=step.index,
+                           towner=rec.owner)
+
+    def _alloc_replay(self, step: BackwardStep,
+                      rec: StorageRecord) -> Allocation:
+        return self._alloc(rec.nbytes, f"Y[{rec.name}](re)",
+                           buffer=rec.y_buf, layer=step.index,
+                           towner=rec.owner)
+
+    def _sync(self, cause: str, name, layer_index: int) -> None:
         """Synchronize compute behind memory, logging any wasted time."""
+        label = f"{cause} {name}"
         before = self.compute.ready_time
         if self.trace is not None:
             # Always traced, even when it costs nothing: a free sync is
@@ -470,228 +463,137 @@ class _VDNNSimulation:
                 if self.obs is not None:
                     self.obs.dma_backoff(backoff)
 
-    # -- persistent allocations ----------------------------------------
-    def allocate_persistent(self) -> int:
-        """Weights and weight gradients.
-
-        Feature-extraction weights live in the vDNN pool; classifier
-        weights are Torch/cuBLAS allocations outside it (Section IV-A)
-        and are accounted in :attr:`external_bytes`.
-        """
-        for item in self.plan.persistent:
-            self._alloc(item.index, item.nbytes, item.w_tag,
-                        buffer=item.w_buf, layer=item.index,
-                        persistent=True)
-            self._alloc(item.index, item.nbytes, item.dw_tag,
-                        buffer=item.dw_buf, layer=item.index,
-                        persistent=True)
-        self.external_bytes = self.plan.external_bytes
-        return self.plan.persistent_bytes
-
-    # -- forward pass ----------------------------------------------------
+    # -- walk phases -----------------------------------------------------
     def run_forward(self) -> None:
-        start = self.compute.ready_time
-        try:
-            for step in self.plan.forward:
-                self._forward_layer(step)
-        finally:
-            if self.obs is not None:
-                self.obs.span(
-                    "forward", "phase", start,
-                    max(self.compute.ready_time, self.memory.ready_time),
-                    category="phase", network=self.network.name,
-                    policy=self.label)
+        self._phase("forward", super().run_forward)
 
-    def _forward_layer(self, step: ForwardStep) -> None:  # repro: hot
-        index = step.index
-
-        # Layer-wise allocation: this layer's output (unless in-place)
-        # and its transient convolution workspace.
-        rec = step.alloc_rec
-        if rec is not None:
-            self.device[rec.owner] = self._alloc(
-                rec.owner, rec.nbytes, step.y_tag,
-                buffer=rec.y_buf, layer=index, towner=rec.owner,
-            )
-
-        if step.is_input:
-            return
-
-        workspace: Optional[Allocation] = None
-        if step.ws_bytes:
-            workspace = self._alloc(index, step.ws_bytes, step.ws_tag,
-                                    buffer=step.ws_buf, layer=index)
-
-        fwd_start, fwd_end = self.compute.push(
-            _FORWARD, step.name, step.seconds,
-            nbytes=step.dram_nbytes, layer_index=index,
-        )
-        fwd_op = None
-        if self.trace is not None:
-            fwd_op = self.trace.kernel(
-                step.name, self.compute.name, reads=step.trace_reads,
-                writes=step.trace_writes, layer=index, phase="fwd",
-                start=fwd_start, end=fwd_end,
-            )
-
-        # Release any input storage whose last consumer we are and that
-        # is dead after forward: no transfer needed (the black-X arrows
-        # of Figure 7).
-        for rec in step.dead_releases:
-            if rec.owner in self._protected:
-                continue  # replays may need the input batch
-            self._free(self.device.pop(rec.owner), layer=index, phase="fwd")
-
-        # Offload the rest of the last-consumed inputs if the policy
-        # says so (the refcount gate of Figure 3).
-        if step.offload_candidates and index in self.wants:
-            self._offload_inputs(step, fwd_start, fwd_op)
-
-        if workspace is not None:
-            self._free(workspace, layer=index, phase="fwd")
-
-    def _offload_inputs(self, step: ForwardStep, fwd_start: float,
-                        fwd_op) -> None:
-        index = step.index
-        if index in self.drops:
-            # Drop: discard now, replay later.  The "drop" phase keeps
-            # the sanitizer's refcount gate (MS105) out of the way — the
-            # gate judges forward frees, and this free is the checkpoint
-            # discipline's, covered by SP405 and the remat walk instead.
-            for rec in step.offload_candidates:
-                self.dropped.add(rec.owner)
-                self._free(self.device.pop(rec.owner),
-                           layer=index, phase="drop")
-            return
-        compress = self.policy.compresses(index)
-        completed: List[StorageRecord] = []
-        for rec in step.offload_candidates:
-            # Wire format: the cDMA engine stages and moves the
-            # compressed image; decompression happens on the return
-            # trip, so device allocations stay full-size.
-            wire = rec.comp_nbytes if compress else rec.nbytes
-            wire_seconds = rec.comp_dma_seconds if compress \
-                else rec.dma_seconds
-            try:
-                buffer = self.pinned.alloc(wire, rec.host_tag)
-            except PinnedMemoryError as error:
-                if self.faults is None:
-                    raise
-                # Pinned-budget pressure: no staging buffer, so this
-                # tensor simply stays resident on the device — more
-                # memory used, but execution stays correct.
-                self.faults.record(
-                    "pinned-pressure", self.memory.ready_time,
-                    rec.y_buf, outcome="degraded",
-                    nbytes=wire,
-                    detail=f"offload skipped, tensor stays resident "
-                           f"({error})",
-                )
-                continue
-            self.host_buffers[rec.owner] = buffer
-            transfer, attempts = self._transfer(
-                _OFFLOAD, rec.name, wire,
-                earliest_start=fwd_start, layer_index=index,
-                fault_kind="offload", seconds=wire_seconds,
-            )
-            if transfer is None:
-                # Retry budget exhausted: abandon the offload and
-                # keep the tensor resident instead.
-                self.pinned.free(self.host_buffers.pop(rec.owner))
-                self.faults.record(
-                    "dma-offload", self.memory.ready_time,
-                    rec.y_buf, attempts=attempts,
-                    outcome="degraded", nbytes=wire,
-                    detail="offload abandoned, tensor stays resident",
-                )
-                continue
-            if attempts > 1:
-                self.faults.record(
-                    "dma-offload", transfer[1], rec.y_buf,
-                    attempts=attempts, outcome="recovered",
-                    nbytes=wire,
-                    detail="transient DMA failure, retry succeeded",
-                )
-            if self.trace is not None:
-                # The DMA starts no earlier than the trigger kernel,
-                # i.e. after everything before it on compute: the
-                # event-wait edge that keeps the producer ordered
-                # before the transfer that reads its output.
-                self.trace.offload(
-                    rec.y_buf, self.memory.name,
-                    nbytes=wire,
-                    label=f"off[{rec.name}]",
-                    layer=index, owner=rec.owner, target_layer=index,
-                    wait_stream=self.compute.name,
-                    wait_pos=fwd_op.pos - 1,
-                    start=transfer[0], end=transfer[1],
-                )
-            self.host_wire[rec.owner] = wire
-            self.host_wire_seconds[rec.owner] = wire_seconds
-            self.offload_bytes += wire
-            self.offload_raw_bytes += rec.nbytes
-            if compress and self.obs is not None:
-                self.obs.compression(rec.nbytes, wire)
-            completed.append(rec)
-        if completed:
-            self.offloaded_at[index] = completed
-            self.state.mark_offloaded(index)
-            self.offloaded_layers.append(index)
-
-            if self.sync_after_offload:
-                self._stall(f"offload-sync {step.name}", index)
-            for rec in completed:
-                self._free(self.device.pop(rec.owner),
-                           layer=index, phase="fwd")
-
-    # -- backward pass ---------------------------------------------------
     def run_backward(self) -> None:
+        self._phase("backward", super().run_backward)
+
+    def _phase(self, name: str, walk) -> None:
         start = self.compute.ready_time
         try:
-            for step in self.plan.backward:
-                self._backward_layer(step)
-            self._release_remaining()
+            walk()
         finally:
             if self.obs is not None:
                 self.obs.span(
-                    "backward", "phase", start,
+                    name, "phase", start,
                     max(self.compute.ready_time, self.memory.ready_time),
                     category="phase", network=self.network.name,
                     policy=self.label)
 
-    def _restore_on_demand(self, rec: StorageRecord, index: int) -> None:
-        """Blocking prefetch for data the scheduler failed to stage."""
-        wire = self.host_wire.get(rec.owner, rec.nbytes)
-        wire_seconds = self.host_wire_seconds.get(
-            rec.owner, rec.dma_seconds)
-        self.device[rec.owner] = self._alloc(
-            rec.owner, rec.nbytes, rec.demand_tag,
-            buffer=rec.y_buf, layer=index, towner=rec.owner,
+    def _forward_kernel(self, step: ForwardStep, replay: bool = False):
+        """Push one forward kernel; returns its start and trace position
+        (the event-wait edge of an offload that reads its inputs)."""
+        name = step.name + "(re)" if replay else step.name
+        start, end = self.compute.push(
+            _FORWARD, name, step.seconds,
+            nbytes=step.dram_nbytes, layer_index=step.index,
         )
-        if self.obs is not None:
-            self.obs.prefetch_event("demand")
+        if self.trace is not None:
+            op = self.trace.kernel(
+                name, self.compute.name, reads=step.trace_reads,
+                writes=step.trace_writes, layer=step.index,
+                phase="bwd" if replay else "fwd", start=start, end=end,
+            )
+            return start, op.pos
+        return start, -1
+
+    def _stage(self, step: ForwardStep, rec: StorageRecord, wire: int,
+               compress: bool, issued) -> bool:
+        """Pin a host buffer and offload ``rec`` into it, after the
+        trigger kernel ``issued`` starts; False if either was refused."""
+        wire_seconds = rec.comp_dma_seconds if compress else rec.dma_seconds
+        try:
+            buffer = self.pinned.alloc(wire, rec.host_tag)
+        except PinnedMemoryError as error:
+            if self.faults is None:
+                raise
+            # Pinned-budget pressure: no staging buffer, so this
+            # tensor simply stays resident on the device — more
+            # memory used, but execution stays correct.
+            self.faults.record(
+                "pinned-pressure", self.memory.ready_time,
+                rec.y_buf, outcome="degraded",
+                nbytes=wire,
+                detail=f"offload skipped, tensor stays resident "
+                       f"({error})",
+            )
+            return False
         transfer, attempts = self._transfer(
-            _PREFETCH, rec.name + "(demand)", wire,
-            earliest_start=self.compute.ready_time, layer_index=index,
-            fault_kind="prefetch", direction="demand",
-            seconds=wire_seconds,
+            _OFFLOAD, rec.name, wire,
+            earliest_start=issued[0], layer_index=step.index,
+            fault_kind="offload", seconds=wire_seconds,
         )
         if transfer is None:
-            # The backward kernel cannot run without this tensor and the
-            # link refuses to deliver it: the iteration fails, loudly.
-            self._free(self.device.pop(rec.owner), layer=index)
+            # Retry budget exhausted: abandon the offload and
+            # keep the tensor resident instead.
+            self.pinned.free(buffer)
             self.faults.record(
-                "dma-demand", self.memory.ready_time, rec.y_buf,
-                attempts=attempts, outcome="fatal", nbytes=wire,
-                detail="demand fetch exhausted its retry budget",
+                "dma-offload", self.memory.ready_time,
+                rec.y_buf, attempts=attempts,
+                outcome="degraded", nbytes=wire,
+                detail="offload abandoned, tensor stays resident",
             )
-            raise DMAAbortError(
-                f"demand fetch of Y{rec.owner} for layer {index} "
-                f"failed after {attempts} attempts"
-            )
+            return False
         if attempts > 1:
             self.faults.record(
-                "dma-demand", transfer[1], rec.y_buf,
+                "dma-offload", transfer[1], rec.y_buf,
+                attempts=attempts, outcome="recovered",
+                nbytes=wire,
+                detail="transient DMA failure, retry succeeded",
+            )
+        if self.trace is not None:
+            # The DMA starts no earlier than the trigger kernel,
+            # i.e. after everything before it on compute: the
+            # event-wait edge that keeps the producer ordered
+            # before the transfer that reads its output.
+            self.trace.offload(
+                rec.y_buf, self.memory.name,
+                nbytes=wire,
+                label=f"off[{rec.name}]",
+                layer=step.index, owner=rec.owner, target_layer=step.index,
+                wait_stream=self.compute.name,
+                wait_pos=issued[1] - 1,
+                start=transfer[0], end=transfer[1],
+            )
+        self.host_buffers[rec.owner] = buffer, wire_seconds
+        if compress and self.obs is not None:
+            self.obs.compression(rec.nbytes, wire)
+        return True
+
+    def _fetch(self, step: BackwardStep, rec: StorageRecord,
+               target: int) -> bool:
+        """DMA ``rec`` back from its pinned buffer: a prefetch of layer
+        ``target``'s inputs, or (``target`` -1) a demand fetch."""
+        demand = target < 0
+        wire = self.host[rec.owner]
+        buffer, wire_seconds = self.host_buffers[rec.owner]
+        if demand and self.obs is not None:
+            self.obs.prefetch_event("demand")
+        transfer, attempts = self._transfer(
+            _PREFETCH, rec.name + "(demand)" if demand else rec.name, wire,
+            earliest_start=self.compute.ready_time, layer_index=step.index,
+            fault_kind="prefetch", direction="demand" if demand else "",
+            seconds=wire_seconds,
+        )
+        kind = "dma-demand" if demand else "dma-prefetch"
+        if transfer is None:
+            # The walk frees the block, then fails the iteration (a
+            # demand fetch) or returns the claim (a prefetch).
+            if not demand and self.obs is not None:
+                self.obs.prefetch_event("unclaimed")
+            self.faults.record(
+                kind, self.memory.ready_time, rec.y_buf, attempts=attempts,
+                outcome="fatal" if demand else "deferred", nbytes=wire,
+                detail="demand fetch exhausted its retry budget" if demand
+                else "prefetch abandoned, claim rolled back; "
+                     "will retry or demand-fetch",
+            )
+            return False
+        if attempts > 1:
+            self.faults.record(
+                kind, transfer[1], rec.y_buf,
                 attempts=attempts, outcome="recovered",
                 nbytes=wire,
                 detail="transient DMA failure, retry succeeded",
@@ -700,222 +602,47 @@ class _VDNNSimulation:
             self.trace.prefetch(
                 rec.y_buf, self.memory.name,
                 nbytes=wire,
-                label=f"pre[{rec.name}](demand)",
-                layer=index, owner=rec.owner,
+                label=f"pre[{rec.name}](demand)" if demand
+                else f"pre[{rec.name}]",
+                layer=step.index, owner=rec.owner, target_layer=target,
                 wait_stream=self.compute.name,
                 wait_pos=self.trace.position(self.compute.name),
-                demand=True, start=transfer[0], end=transfer[1],
+                demand=demand, start=transfer[0], end=transfer[1],
             )
-        self.prefetch_bytes += wire
-        self._stall(f"demand-fetch {rec.owner}", index,
-                    cause="demand-fetch")
-        self.pinned.free(self.host_buffers.pop(rec.owner))
-        self.restored[rec.owner] = True
+        self.pinned.free(buffer)
+        del self.host_buffers[rec.owner]
+        return True
 
-    def _ensure(self, owner: int, index: int) -> None:
-        """Make a replay's input resident: from the host, or replayed."""
-        if owner in self.device:
-            return
-        if owner in self.host_buffers:
-            self._restore_on_demand(self.plan.records[owner], index)
-            return
-        self._rematerialize(owner, index)
-
-    def _rematerialize(self, owner: int, index: int) -> None:
-        """Regenerate a freed storage by replaying its producers."""
-        rec = self.plan.records[owner]
-        info = rec.info
-        if not info.needed_backward:
-            # A dead intermediate the replay flows through; discard it
-            # again after the current backward step.
-            self._dead_resident.add(owner)
-        for member in info.chain:
-            for producer in self.network[member].producers:
-                source = self.network[producer].storage_index
-                if source != owner and source not in self.device:
-                    self._ensure(source, index)
-        self.device[owner] = self._alloc(
-            owner, rec.nbytes, f"Y[{rec.name}](re)",
-            buffer=rec.y_buf, layer=index, towner=owner,
+    def _demand_failed(self, rec: StorageRecord, step: BackwardStep):
+        # A transfer gives up only after its last allowed attempt.
+        raise DMAAbortError(
+            f"demand fetch of Y{rec.owner} for layer {step.index} "
+            f"failed after {self.faults.spec.max_dma_attempts} attempts"
         )
-        for member in info.chain:
-            fstep = self.plan.forward_at[member]
-            if fstep.is_input:
-                continue
-            workspace = None
-            if fstep.ws_bytes:
-                workspace = self._alloc(member, fstep.ws_bytes,
-                                        fstep.ws_tag,
-                                        buffer=fstep.ws_buf, layer=index)
-            start, end = self.compute.push(
-                _FORWARD, fstep.name + "(re)", fstep.seconds,
-                nbytes=fstep.dram_nbytes, layer_index=member,
-            )
-            if self.trace is not None:
-                self.trace.kernel(
-                    fstep.name + "(re)", self.compute.name,
-                    reads=fstep.trace_reads, writes=fstep.trace_writes,
-                    layer=member, phase="bwd", start=start, end=end,
-                )
-            if workspace is not None:
-                self._free(workspace, layer=index, phase="bwd")
 
-    def _discard_dead_resident(self, index: int) -> None:
-        """Free the replayed intermediates backward does not need."""
-        for owner in sorted(self._dead_resident):
-            allocation = self.device.pop(owner, None)
-            if allocation is not None:
-                self._free(allocation, layer=index, phase="bwd")
-        self._dead_resident.clear()
-
-    def _backward_layer(self, step: BackwardStep) -> None:  # repro: hot
-        index = step.index
-        device = self.device
-        gradients = self.gradients
-
-        # Safety net: anything this kernel reads must be on-device —
-        # replayed if a drop freed it, else fetched from the host.
-        for rec in step.required:
-            if rec.owner not in device:
-                if rec.owner in self.dropped:
-                    self._rematerialize(rec.owner, index)
-                else:
-                    self._restore_on_demand(rec, index)
-
-        # Gradient twins born at this backward step.
-        for rec in step.grad_allocs:
-            if rec.owner not in gradients:
-                gradients[rec.owner] = self._alloc(
-                    rec.owner, rec.nbytes, rec.g_tag,
-                    buffer=rec.g_buf, layer=index, towner=rec.owner,
-                )
-
-        workspace: Optional[Allocation] = None
-        if step.ws_bytes:
-            workspace = self._alloc(index, step.ws_bytes, step.ws_tag,
-                                    buffer=step.ws_buf, layer=index)
-
-        # Figure 10: launch (at most) one prefetch overlapped with this
-        # backward kernel.  Search outcomes are counted in plain ints
-        # (the return value says hit or miss) and reported to obs once
-        # per run — no per-step hook dispatch.
-        prefetch_target = find_prefetch_layer(
-            self.network, self.state, index,
-            bounded_window=self.bounded_prefetch_window,
-        )
-        if prefetch_target is None:
-            self.prefetch_misses += 1
-        else:
-            self.prefetch_hits += 1
-        launched_prefetch = False
-        kernel_start = max(self.compute.ready_time, 0.0)
-        if prefetch_target is not None:
-            for rec in self.offloaded_at.get(prefetch_target, ()):
-                if self.restored.get(rec.owner):
-                    continue
-                wire = self.host_wire.get(rec.owner, rec.nbytes)
-                wire_seconds = self.host_wire_seconds.get(
-                    rec.owner, rec.dma_seconds)
-                device[rec.owner] = self._alloc(
-                    rec.owner, rec.nbytes, rec.pre_tag,
-                    buffer=rec.y_buf, layer=index, towner=rec.owner,
-                )
-                transfer, attempts = self._transfer(
-                    _PREFETCH, rec.name, wire,
-                    earliest_start=kernel_start, layer_index=index,
-                    fault_kind="prefetch", seconds=wire_seconds,
-                )
-                if transfer is None:
-                    # Prefetch abandoned: roll back the claim so the
-                    # layer stays eligible (Fig. 10 retry or the demand
-                    # safety net) instead of its X being silently lost.
-                    self._free(device.pop(rec.owner), layer=index)
-                    self.state.unclaim(prefetch_target)
-                    if self.obs is not None:
-                        self.obs.prefetch_event("unclaimed")
-                    self.faults.record(
-                        "dma-prefetch", self.memory.ready_time,
-                        rec.y_buf, attempts=attempts,
-                        outcome="deferred", nbytes=wire,
-                        detail="prefetch abandoned, claim rolled back; "
-                               "will retry or demand-fetch",
-                    )
-                    continue
-                if attempts > 1:
-                    self.faults.record(
-                        "dma-prefetch", transfer[1], rec.y_buf,
-                        attempts=attempts, outcome="recovered",
-                        nbytes=wire,
-                        detail="transient DMA failure, retry succeeded",
-                    )
-                if self.trace is not None:
-                    self.trace.prefetch(
-                        rec.y_buf, self.memory.name,
-                        nbytes=wire,
-                        label=f"pre[{rec.name}]",
-                        layer=index, owner=rec.owner,
-                        target_layer=prefetch_target,
-                        wait_stream=self.compute.name,
-                        wait_pos=self.trace.position(self.compute.name),
-                        start=transfer[0], end=transfer[1],
-                    )
-                self.prefetch_bytes += wire
-                self.pinned.free(self.host_buffers.pop(rec.owner))
-                self.restored[rec.owner] = True
-                launched_prefetch = True
-
-        bwd_start, bwd_end = self.compute.push(
+    def _backward_kernel(self, step: BackwardStep,
+                         workspace: Optional[Allocation]) -> None:
+        start, end = self.compute.push(
             _BACKWARD, step.name, step.seconds,
-            nbytes=step.dram_nbytes, layer_index=index,
+            nbytes=step.dram_nbytes, layer_index=step.index,
         )
         if self.trace is not None:
+            gradients = self.gradients
             reads = [rec.y_buf for rec in step.required]
             if step.y_owner in gradients:
                 reads.append(f"dY{step.y_owner}")
             if step.has_weight:
-                reads.append(f"W{index}")
+                reads.append(f"W{step.index}")
             writes = [g_buf for owner, g_buf in step.grad_write_candidates
                       if owner in gradients]
             if step.has_weight:
-                writes.append(f"dW{index}")
+                writes.append(f"dW{step.index}")
             if workspace is not None:
                 writes.append(step.ws_buf)
             self.trace.kernel(
                 step.name, self.compute.name, reads=reads, writes=writes,
-                layer=index, phase="bwd", start=bwd_start, end=bwd_end,
+                layer=step.index, phase="bwd", start=start, end=end,
             )
-
-        # "Any prefetch operation launched during layer(n)'s backward
-        # computation is guaranteed to be ready before layer(n-1)'s."
-        if launched_prefetch and self.sync_after_prefetch:
-            # Label allocation bounded by #offloaded layers, and the
-            # stall it names dominates it by orders of magnitude.
-            self._stall(f"prefetch-sync {step.name}", index,  # repro: allow(LINT205)
-                        cause="prefetch-sync")
-
-        # Release whatever this backward step finished with (Figure 8);
-        # the plan precomputed the exact interleaved free order the
-        # per-step storage scan used to produce.
-        for owner, is_gradient in step.releases:
-            allocation = (gradients if is_gradient else device).pop(
-                owner, None)
-            if allocation is not None:
-                self._free(allocation, layer=index, phase="bwd")
-
-        if workspace is not None:
-            self._free(workspace, layer=index, phase="bwd")
-
-        if self._dead_resident:
-            self._discard_dead_resident(index)
-
-    def _release_remaining(self) -> None:
-        """Free anything still live (e.g. the input batch's storage)."""
-        for allocation in list(self.device.values()):
-            self._free(allocation, phase="end")
-        self.device.clear()
-        for allocation in list(self.gradients.values()):
-            self._free(allocation, phase="end")
-        self.gradients.clear()
 
 
 def simulate_vdnn(
@@ -1038,7 +765,7 @@ def _run_iteration(sim: _VDNNSimulation) -> IterationResult:
         pinned_peak_bytes=sim.pinned.peak_bytes,
         compute_stall_seconds=sim.stall_seconds,
         offload_raw_bytes=sim.offload_raw_bytes,
-        offloaded_layers=sim.offloaded_layers,
+        offloaded_layers=list(sim.offloaded_at),
         schedule_trace=sim.trace,
         fault_report=sim.faults.report if sim.faults is not None else None,
     )

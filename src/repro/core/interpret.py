@@ -4,10 +4,11 @@
 with an interval-abstracted pool (live/peak bytes, aligned like the real
 :class:`~repro.alloc.pool.PoolAllocator`), a pinned-host counter and
 per-stream happens-before positions (a serial ``mem_pos`` issue counter
-against a ``synced_through`` watermark).  It follows
-:class:`repro.core.executor._VDNNSimulation` step for step, a joint
-point's drop set included, so on a clean plan its peak equals the
-simulated ``managed_max_bytes`` exactly.
+against a ``synced_through`` watermark).  It is the abstract domain of
+the one vDNN walk (:class:`repro.core.walk.PlanWalk`) whose timed
+domain is :class:`repro.core.executor._VDNNSimulation`: the schedule,
+a joint point's drop set included, is decided once for both, so on a
+clean plan its peak equals the simulated ``managed_max_bytes`` exactly.
 
 The vDNN_dyn and joint ladders probe with it.  The static plan verifier
 (``repro verify --static``) passes a
@@ -24,14 +25,14 @@ package.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from ..analysis.diagnostics import Report, Severity
 from ..graph.network import Network
 from ..hw.config import SystemConfig
-from .plan import CompiledPlan, StorageRecord
+from .plan import CompiledPlan
 from .policy import TransferPolicy
-from .prefetcher import PrefetchState, find_prefetch_layer
+from .walk import PlanWalk
 
 
 @dataclass
@@ -72,24 +73,36 @@ class _AbortWalk(Exception):
     """Internal: the walk hit the same hard stop the executor would."""
 
 
-class _PlanInterpreter:
-    """Symbolic forward+backward walk of one compiled plan.
+class _PlanInterpreter(PlanWalk):
+    """The abstract domain of the vDNN walk (:class:`~repro.core.walk.PlanWalk`).
 
     State tracked: aligned pool live/peak bytes, pinned-host live/peak,
     the owner→footprint device and gradient tables (footprints are
-    plan-compiled: ``aligned`` / ``ws_aligned``), the Fig. 10
-    :class:`PrefetchState`, and the happens-before abstraction — every
-    DMA gets a serial issue position ``mem_pos`` and every sync raises
-    the ``synced_through`` watermark; an operation that reads or
-    reuses a buffer is safe iff the covering transfer's position is at
-    or below the watermark.
+    plan-compiled: ``aligned`` / ``ws_aligned``), and the
+    happens-before abstraction — every DMA gets a serial issue position
+    ``mem_pos`` and every sync raises the ``synced_through`` watermark;
+    an operation that reads or reuses a buffer is safe iff the covering
+    transfer's position is at or below the watermark.
 
-    ``drop`` is a joint point's drop set, walked exactly as the
-    executor walks it: drop triggers discard their candidates with no
-    DMA and no pinned staging, and backward replays producer chains
-    abstractly (allocate Y, workspace alloc/free per chain member) for
-    the buffers those drops freed — and only for those.
+    A drop trigger stages nothing; backward replays its producer chains
+    abstractly (allocate Y, workspace alloc/free per chain member).
     """
+
+    #: SP404: the buffer a walk step frees or reads is not there.
+    _MISSING = {
+        "dead": "fwd {}: dead release of Y{} targets nothing (buffer not "
+                "on device)",
+        "drop": "fwd {}: drop of Y{} targets nothing (buffer not on "
+                "device)",
+        "offload": "fwd {}: post-offload release of Y{} targets nothing",
+        "required": "bwd {}: kernel needs Y{} but it is neither on device "
+                    "nor staged in host memory — a release list freed it "
+                    "too early (use-after-free)",
+        "Y": "bwd {}: release of Y{} targets nothing (already freed, or "
+             "never allocated)",
+        "dY": "bwd {}: release of dY{} targets nothing (already freed, or "
+              "never allocated)",
+    }
 
     def __init__(
         self,
@@ -106,55 +119,35 @@ class _PlanInterpreter:
         subject: str = "",
         drop: FrozenSet[int] = frozenset(),
     ):
-        self.network = network
-        self.system = system
-        self.plan = plan
-        self.policy = policy
-        self.bounded_prefetch_window = bounded_prefetch_window
-        self.sync_after_offload = sync_after_offload
-        self.sync_after_prefetch = sync_after_prefetch
+        super().__init__(network, system, policy, plan,
+                         bounded_prefetch_window, sync_after_offload,
+                         sync_after_prefetch, drop)
         self.report = report if report is not None else Report(subject)
         self.flagged = flagged
-
-        self.wants = plan.offload_indices(policy, network)
         self.budget = system.gpu.memory_bytes
+        # Managed bytes past which the device overflows.
+        self._room = self.budget - self.external_bytes
         self.pinned_capacity = system.host.max_pinned_bytes
-        self.external = plan.external_bytes
 
         self.live = 0
         self.peak = 0
         # (template, args) of the peak step, formatted once by run().
         self._peak_label: Tuple[str, tuple] = ("", ())
         self.first_over_budget: Optional[str] = None
-        self.device: Dict[int, int] = {}
-        self.gradients: Dict[int, int] = {}
         self.pinned_live = 0
         self.pinned_peak = 0
-        self.host: Dict[int, int] = {}
 
         self.mem_pos = 0
         self.synced_through = 0
         self.offload_pos: Dict[int, int] = {}
-        self.prefetch_pos: Dict[int, int] = {}
-        self.restored: Set[int] = set()
-        self.prefetch_restored: Set[int] = set()
-        self._sp403_checked: Set[int] = set()
+        # owner -> mem op of the prefetch that restored it, until the
+        # first kernel reads it (the SP403 check)
+        self._unread: Dict[int, int] = {}
         self._window_prefetched: Set[int] = set()
-
-        self.state = PrefetchState.for_network(network, plan.conv_floor)
-        self.offloaded_at: Dict[int, List[StorageRecord]] = {}
-        self.offload_bytes = 0
-        self.prefetch_bytes = 0
-
-        self.drops = drop
-        # Owners the drops freed: the only buffers backward replays.
-        self.dropped: Set[int] = set()
-        self._dead_resident: Set[int] = set()
-        self._protected = plan.input_owners if drop else frozenset()
         self._sp405_seen: Set[int] = set()
 
     # -- pool abstraction ----------------------------------------------
-    def _alloc(self, aligned: int, label: str, *args) -> None:
+    def _charge(self, aligned: int, label: str, *args) -> int:
         """Charge one footprint.  The step is named by
         ``label.format(*args)``, formatted only if it is ever reported
         (the peak step, or the first over-budget step)."""
@@ -163,210 +156,92 @@ class _PlanInterpreter:
         if live > self.peak:
             self.peak = live
             self._peak_label = (label, args)
-        if self.first_over_budget is None \
-                and live + self.external > self.budget:
+        if live > self._room and self.first_over_budget is None:
             self.first_over_budget = (
                 f"{label.format(*args)}: managed {live} + external "
-                f"{self.external} bytes > GPU capacity {self.budget} bytes")
+                f"{self.external_bytes} bytes > GPU capacity {self.budget} "
+                f"bytes")
+        return aligned
 
-    def _free(self, aligned: int) -> None:
+    def _free(self, aligned: int, layer: int, phase: str) -> None:
         self.live -= aligned
 
-    # -- forward pass --------------------------------------------------
-    def _forward(self, step) -> None:
-        index = step.index
-        rec = step.alloc_rec
-        if rec is not None:
-            self.device[rec.owner] = rec.aligned
-            self._alloc(rec.aligned, "fwd {}: alloc Y{}", step.name,
-                        rec.owner)
-        if step.is_input:
-            return
-        if step.ws_bytes:
-            self._alloc(step.ws_aligned, "fwd {}: workspace", step.name)
+    def _alloc_weights(self, item) -> None:
+        self._charge(item.aligned, "persistent W[{}]", item.index)
+        self._charge(item.aligned, "persistent dW[{}]", item.index)
 
-        for dead in step.dead_releases:
-            if dead.owner not in self._protected:
-                self._dead_release(step, dead)
-
-        if step.offload_candidates and index in self.wants:
-            self._offload(step)
-
-        if step.ws_bytes:
-            self._free(step.ws_aligned)
-
-    def _dead_release(self, step, dead) -> None:
-        index = step.index
-        aligned = self.device.pop(dead.owner, None)
-        if aligned is None:
-            if dead.owner not in self.flagged:
-                self.report.add(
-                    "SP404",
-                    f"fwd {step.name}: dead release of Y{dead.owner} "
-                    f"targets nothing (buffer not on device)",
-                    refs=(f"fwd#{index}",))
-            return
-        if dead.owner not in self.flagged:
-            if dead.info.needed_backward:
-                self.report.add(
-                    "SP402",
-                    f"fwd {step.name}: Y{dead.owner} ({dead.name}) "
-                    f"discarded without offload although backward "
-                    f"still needs it (Fig. 3 refcount gate)",
-                    refs=(f"fwd#{index}",
-                          f"first backward use: "
-                          f"bwd#{dead.info.first_backward_use}"))
-            elif dead.info.forward_release_at != index:
-                self.report.add(
-                    "SP402",
-                    f"fwd {step.name}: Y{dead.owner} ({dead.name}) "
-                    f"released at forward step {index} but its last "
-                    f"forward consumer is layer "
-                    f"{dead.info.forward_release_at} (released while "
-                    f"a consumer still needs it)",
-                    refs=(f"fwd#{index}",
-                          f"last consumer: "
-                          f"fwd#{dead.info.forward_release_at}"))
-        self._free(aligned)
-
-    def _offload(self, step) -> None:
-        index = step.index
-        if index in self.drops:
-            # Drop: free now, regenerate from producers in backward.
-            for rec in step.offload_candidates:
-                self.dropped.add(rec.owner)
-                aligned = self.device.pop(rec.owner, None)
-                if aligned is None:
-                    if rec.owner not in self.flagged:
-                        self.report.add(
-                            "SP404",
-                            f"fwd {step.name}: drop of Y{rec.owner} "
-                            f"targets nothing (buffer not on device)",
-                            refs=(f"fwd#{index}",))
-                    continue
-                self._free(aligned)
-            return
-        compress = self.policy.compresses(index)
-        completed: List[StorageRecord] = []
-        for rec in step.offload_candidates:
-            # Mirror the executor's wire format: compressed offloads
-            # stage and move comp_nbytes; device-side sizes are
-            # untouched (decompression happens on the return DMA).
-            wire = rec.comp_nbytes if compress else rec.nbytes
-            if self.pinned_live + wire > self.pinned_capacity:
-                # The executor raises PinnedMemoryError here and the
-                # iteration aborts with partial stats: stop the walk at
-                # the identical point.
-                raise _AbortWalk(
-                    f"host pinned memory exhausted at fwd {step.name}: "
-                    f"{self.pinned_live} + {wire} > "
-                    f"{self.pinned_capacity} bytes")
-            self.pinned_live += wire
-            self.pinned_peak = max(self.pinned_peak, self.pinned_live)
-            self.host[rec.owner] = wire
-            self.mem_pos += 1
-            self.offload_pos[rec.owner] = self.mem_pos
-            self.offload_bytes += wire
-            completed.append(rec)
-            if rec.owner not in self.flagged and (
-                    not rec.info.needed_backward
-                    or rec.info.forward_release_at != index):
-                self.report.add(
-                    "SP402",
-                    f"fwd {step.name}: offload of Y{rec.owner} violates "
-                    f"the refcount gate (needed_backward="
-                    f"{rec.info.needed_backward}, last forward consumer "
-                    f"is layer {rec.info.forward_release_at})",
-                    refs=(f"fwd#{index}", f"mem op #{self.mem_pos}"))
-        if not completed:
-            return
-        self.offloaded_at[index] = completed
-        self.state.mark_offloaded(index)
-        if self.sync_after_offload:
-            self.synced_through = self.mem_pos
-        for rec in completed:
-            aligned = self.device.pop(rec.owner, None)
-            if aligned is None:
-                if rec.owner not in self.flagged:
-                    self.report.add(
-                        "SP404",
-                        f"fwd {step.name}: post-offload release of "
-                        f"Y{rec.owner} targets nothing",
-                        refs=(f"fwd#{index}",))
-                continue
-            if rec.owner not in self.flagged \
-                    and self.offload_pos[rec.owner] > self.synced_through:
-                self.report.add(
-                    "SP402",
-                    f"fwd {step.name}: Y{rec.owner} freed while its "
-                    f"offload (mem op #{self.offload_pos[rec.owner]}) "
-                    f"may still be reading it — no sync since mem op "
-                    f"#{self.synced_through} (missing end-of-layer "
-                    f"sync, §III-B)",
-                    refs=(f"fwd#{index}",
-                          f"offload mem op #{self.offload_pos[rec.owner]}",
-                          f"synced through #{self.synced_through}"))
-            self._free(aligned)
-
-    # -- backward pass -------------------------------------------------
-    def _backward(self, step) -> None:
-        index = step.index
-
-        for rec in step.required:
-            if rec.owner in self.device:
-                continue
-            if rec.owner in self.host:
-                self._demand_restore(step, rec)
-            elif rec.owner in self.dropped:
-                self._remat(rec.owner, step)
-            elif rec.owner not in self.flagged:
-                self.report.add(
-                    "SP404",
-                    f"bwd {step.name}: kernel needs Y{rec.owner} but it "
-                    f"is neither on device nor staged in host memory — "
-                    f"a release list freed it too early "
-                    f"(use-after-free)",
-                    refs=(f"bwd#{index}",))
-
-        for rec in step.grad_allocs:
-            if rec.owner not in self.gradients:
-                self.gradients[rec.owner] = rec.aligned
-                self._alloc(rec.aligned, "bwd {}: alloc dY{}", step.name,
+    def _alloc_output(self, step, rec) -> int:
+        return self._charge(rec.aligned, "fwd {}: alloc Y{}", step.name,
                             rec.owner)
 
-        if step.ws_bytes:
-            self._alloc(step.ws_aligned, "bwd {}: workspace", step.name)
+    def _alloc_workspace(self, ws, step, phase: str) -> int:
+        if ws is step:
+            return self._charge(ws.ws_aligned, "{} {}: workspace", phase,
+                                step.name)
+        # alloc → replay kernel → free: same peak as the executor's
+        # transient replay workspace.
+        return self._charge(ws.ws_aligned, "bwd {}: remat workspace {}(re)",
+                            step.name, ws.name)
 
-        target = find_prefetch_layer(
-            self.network, self.state, index,
-            bounded_window=self.bounded_prefetch_window)
-        launched = False
-        if target is not None:
-            for rec in self.offloaded_at.get(target, []):
-                if rec.owner in self.restored:
-                    continue
-                self.device[rec.owner] = rec.aligned
-                self._alloc(rec.aligned, "bwd {}: prefetch Y{}", step.name,
+    def _alloc_gradient(self, step, rec) -> int:
+        return self._charge(rec.aligned, "bwd {}: alloc dY{}", step.name,
                             rec.owner)
-                self.mem_pos += 1
-                self.prefetch_pos[rec.owner] = self.mem_pos
-                wire = self.host.pop(rec.owner)
-                self.prefetch_bytes += wire
-                self.pinned_live -= wire
-                self.restored.add(rec.owner)
-                self.prefetch_restored.add(rec.owner)
-                launched = True
-            self._check_window(target, index)
 
+    def _alloc_restore(self, step, rec, target: int) -> int:
+        return self._charge(
+            rec.aligned, "bwd {}: prefetch Y{}" if target >= 0
+            else "bwd {}: demand restore Y{}", step.name, rec.owner)
+
+    def _alloc_replay(self, step, rec) -> int:
+        return self._charge(rec.aligned, "bwd {}: remat Y{} ({})",
+                            step.name, rec.owner, rec.name)
+
+    # -- transfers and syncs -------------------------------------------
+    def _stage(self, step, rec, wire: int, compress: bool, issued) -> bool:
+        if self.pinned_live + wire > self.pinned_capacity:
+            # The executor raises PinnedMemoryError here and the
+            # iteration aborts with partial stats: stop the walk at the
+            # identical point.
+            raise _AbortWalk(
+                f"host pinned memory exhausted at fwd {step.name}: "
+                f"{self.pinned_live} + {wire} > "
+                f"{self.pinned_capacity} bytes")
+        self.pinned_live += wire
+        self.pinned_peak = max(self.pinned_peak, self.pinned_live)
+        self.mem_pos += 1
+        self.offload_pos[rec.owner] = self.mem_pos
+        if rec.owner not in self.flagged and (
+                not rec.info.needed_backward
+                or rec.info.forward_release_at != step.index):
+            self.report.add(
+                "SP402",
+                f"fwd {step.name}: offload of Y{rec.owner} violates "
+                f"the refcount gate (needed_backward="
+                f"{rec.info.needed_backward}, last forward consumer "
+                f"is layer {rec.info.forward_release_at})",
+                refs=(f"fwd#{step.index}", f"mem op #{self.mem_pos}"))
+        return True
+
+    def _fetch(self, step, rec, target: int) -> bool:
+        self.mem_pos += 1
+        self.pinned_live -= self.host[rec.owner]
+        if target >= 0:
+            self._unread[rec.owner] = self.mem_pos
+        return True
+
+    def _sync(self, cause: str, name, layer_index: int) -> None:
+        # A demand fetch is blocking, so it syncs too: it never races.
+        self.synced_through = self.mem_pos
+
+    def _unsynced_reads(self, step) -> None:
         # The kernel reads its required buffers here: any of them that
         # arrived by an *asynchronous* prefetch must be covered by a
         # sync, or the read races the DMA (the static twin of HB003).
+        unread = self._unread
         for rec in step.required:
-            if rec.owner not in self.prefetch_restored \
-                    or rec.owner in self._sp403_checked:
+            if rec.owner not in unread:
                 continue
-            self._sp403_checked.add(rec.owner)
-            pos = self.prefetch_pos[rec.owner]
+            pos = unread.pop(rec.owner)
             if pos > self.synced_through and rec.owner not in self.flagged:
                 self.report.add(
                     "SP403",
@@ -375,102 +250,58 @@ class _PlanInterpreter:
                     f"since mem op #{self.synced_through} — the §III-C "
                     f"guarantee (prefetch ready before the next "
                     f"backward layer) does not hold",
-                    refs=(f"bwd#{index}", f"prefetch mem op #{pos}",
+                    refs=(f"bwd#{step.index}", f"prefetch mem op #{pos}",
                           f"synced through #{self.synced_through}"))
 
-        if launched and self.sync_after_prefetch:
-            self.synced_through = self.mem_pos
+    # -- findings --------------------------------------------------------
+    def _missing(self, step, owner: int, site: str) -> None:
+        if owner not in self.flagged:
+            template = self._MISSING[site]
+            self.report.add("SP404", template.format(step.name, owner),
+                            refs=(f"{template[:3]}#{step.index}",))
 
-        for owner, is_gradient in step.releases:
-            table = self.gradients if is_gradient else self.device
-            aligned = table.pop(owner, None)
-            if aligned is None:
-                if owner not in self.flagged:
-                    kind = "dY" if is_gradient else "Y"
-                    self.report.add(
-                        "SP404",
-                        f"bwd {step.name}: release of {kind}{owner} "
-                        f"targets nothing (already freed, or never "
-                        f"allocated)",
-                        refs=(f"bwd#{index}",))
-                continue
-            self._free(aligned)
-
-        if step.ws_bytes:
-            self._free(step.ws_aligned)
-
-        if self._dead_resident:
-            for owner in sorted(self._dead_resident):
-                aligned = self.device.pop(owner, None)
-                if aligned is not None:
-                    self._free(aligned)
-            self._dead_resident.clear()
-
-    def _demand_restore(self, step, rec) -> None:
-        # Demand fetch: blocking, so it synchronizes everything
-        # issued so far — it can never race (emits nothing).
-        self.device[rec.owner] = rec.aligned
-        self._alloc(rec.aligned, "bwd {}: demand restore Y{}", step.name,
-                    rec.owner)
-        self.mem_pos += 1
-        wire = self.host.pop(rec.owner)
-        self.prefetch_bytes += wire
-        self.synced_through = self.mem_pos
-        self.pinned_live -= wire
-        self.restored.add(rec.owner)
-
-    def _ensure(self, owner: int, step) -> None:
-        """Make a replay's input resident: from the host, or replayed."""
-        if owner in self.device:
+    def _check_dead(self, step, dead) -> None:
+        index = step.index
+        if dead.owner in self.flagged:
             return
-        if owner in self.host:
-            self._demand_restore(step, self.plan.records[owner])
-            return
-        self._remat(owner, step)
-
-    def _remat(self, owner: int, step) -> None:
-        """Regenerate a freed storage by replaying its producers."""
-        # Inputs cannot be recomputed from anything: the replay would
-        # allocate Y and run zero kernels — garbage data.
-        if owner in self.plan.input_owners and owner not in self.flagged \
-                and owner not in self._sp405_seen:
-            self._sp405_seen.add(owner)
+        if dead.info.needed_backward:
             self.report.add(
-                "SP405",
-                f"bwd {step.name}: re-materialization of Y{owner} "
-                f"bottoms out at the freed INPUT batch — inputs "
-                f"cannot be recomputed",
-                refs=(f"bwd#{step.index}",))
-        rec = self.plan.records[owner]
-        info = rec.info
-        if not info.needed_backward:
-            self._dead_resident.add(owner)
-        for member in info.chain:
-            for producer in self.network[member].producers:
-                source = self.network[producer].storage_index
-                if source != owner and source not in self.device:
-                    self._ensure(source, step)
-        self.device[owner] = rec.aligned
-        self._alloc(rec.aligned, "bwd {}: remat Y{} ({})", step.name, owner,
-                    rec.name)
-        for member in info.chain:
-            fstep = self.plan.forward_at[member]
-            if fstep.is_input:
-                continue
-            if fstep.ws_bytes:
-                # alloc → replay kernel → free: same peak as the
-                # executor's transient replay workspace.
-                self._alloc(fstep.ws_aligned,
-                            "bwd {}: remat workspace {}(re)", step.name,
-                            fstep.name)
-                self._free(fstep.ws_aligned)
+                "SP402",
+                f"fwd {step.name}: Y{dead.owner} ({dead.name}) "
+                f"discarded without offload although backward "
+                f"still needs it (Fig. 3 refcount gate)",
+                refs=(f"fwd#{index}",
+                      f"first backward use: "
+                      f"bwd#{dead.info.first_backward_use}"))
+        elif dead.info.forward_release_at != index:
+            self.report.add(
+                "SP402",
+                f"fwd {step.name}: Y{dead.owner} ({dead.name}) "
+                f"released at forward step {index} but its last "
+                f"forward consumer is layer "
+                f"{dead.info.forward_release_at} (released while "
+                f"a consumer still needs it)",
+                refs=(f"fwd#{index}",
+                      f"last consumer: "
+                      f"fwd#{dead.info.forward_release_at}"))
 
-    def _check_window(self, target: int, issue: int) -> None:
+    def _unsynced_free(self, step, rec) -> None:
+        pos = self.offload_pos[rec.owner]
+        if rec.owner not in self.flagged:
+            self.report.add(
+                "SP402",
+                f"fwd {step.name}: Y{rec.owner} freed while its "
+                f"offload (mem op #{pos}) may still be reading it — no "
+                f"sync since mem op #{self.synced_through} (missing "
+                f"end-of-layer sync, §III-B)",
+                refs=(f"fwd#{step.index}", f"offload mem op #{pos}",
+                      f"synced through #{self.synced_through}"))
+
+    def _unbounded_prefetch(self, target: int, issue: int) -> None:
         """SP403 warning: the Fig. 10 CONV-bounded window (HB004 twin).
 
         Walks the CONV ids strictly between ``target`` and ``issue``
-        down the compiled floor and reports the lowest violating one;
-        a bounded search leaves none in range, so this is O(1) there.
+        down the compiled floor and reports the lowest violating one.
         """
         floor = self.plan.conv_floor
         lowest = -1
@@ -491,55 +322,53 @@ class _PlanInterpreter:
                 severity=Severity.WARNING)
         self._window_prefetched.add(target)
 
-    # -- end of iteration ----------------------------------------------
-    def _finish(self) -> None:
-        """The executor's end sweep, plus the static leak check."""
-        # The protected input survives forward by design when anything
-        # drops; free it silently so the leak sweep stays meaningful.
-        for owner in self._protected:
-            aligned = self.device.pop(owner, None)
-            if aligned is not None:
-                self._free(aligned)
-        for owner, aligned in list(self.device.items()):
-            self._free(aligned)
-            rec = self.plan.records.get(owner)
-            if rec is None or owner in self.flagged:
-                continue
-            info = rec.info
-            has_consumers = info.forward_release_at != info.chain[-1]
-            if info.needed_backward or has_consumers:
-                self.report.add(
-                    "SP404",
-                    f"end sweep: Y{owner} ({rec.name}) still live after "
-                    f"backward — no release list ever freed it "
-                    f"(static leak)",
-                    refs=("end-sweep",))
-        self.device.clear()
-        for owner, aligned in list(self.gradients.items()):
-            self._free(aligned)
-            if owner not in self.flagged:
-                self.report.add(
-                    "SP404",
-                    f"end sweep: dY{owner} still live after backward — "
-                    f"no release list ever freed it (static leak)",
-                    refs=("end-sweep",))
-        self.gradients.clear()
+    def _replaying(self, step, owner: int) -> None:
+        # Inputs cannot be recomputed from anything: the replay would
+        # allocate Y and run zero kernels — garbage data.
+        if owner in self.plan.input_owners and owner not in self.flagged \
+                and owner not in self._sp405_seen:
+            self._sp405_seen.add(owner)
+            self.report.add(
+                "SP405",
+                f"bwd {step.name}: re-materialization of Y{owner} "
+                f"bottoms out at the freed INPUT batch — inputs "
+                f"cannot be recomputed",
+                refs=(f"bwd#{step.index}",))
+
+    def _swept(self, owner: int, is_gradient: bool) -> None:
+        """The static leak check.  The protected input survives forward
+        by design when anything drops, so it is swept silently."""
+        if owner in self.flagged:
+            return
+        if is_gradient:
+            self.report.add(
+                "SP404",
+                f"end sweep: dY{owner} still live after backward — "
+                f"no release list ever freed it (static leak)",
+                refs=("end-sweep",))
+            return
+        rec = self.plan.records.get(owner)
+        if rec is None or owner in self._protected:
+            return
+        info = rec.info
+        if info.needed_backward or info.forward_release_at != info.chain[-1]:
+            self.report.add(
+                "SP404",
+                f"end sweep: Y{owner} ({rec.name}) still live after "
+                f"backward — no release list ever freed it "
+                f"(static leak)",
+                refs=("end-sweep",))
 
     def run(self) -> PlanInterpretation:
         result = PlanInterpretation(
             subject=self.report.subject,
             budget_bytes=self.budget,
-            external_bytes=self.external,
+            external_bytes=self.external_bytes,
         )
         try:
-            for item in self.plan.persistent:
-                self._alloc(item.aligned, "persistent W[{}]", item.index)
-                self._alloc(item.aligned, "persistent dW[{}]", item.index)
-            for step in self.plan.forward:
-                self._forward(step)
-            for step in self.plan.backward:
-                self._backward(step)
-            self._finish()
+            self.allocate_persistent()
+            self.run_forward()
+            self.run_backward()
         except _AbortWalk as abort:
             result.aborted = str(abort)
         result.peak_bytes = self.peak

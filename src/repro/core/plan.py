@@ -444,11 +444,11 @@ class CompiledPlan:
 class ScheduleKey(NamedTuple):
     """What one iteration walk of a compiled plan executes.
 
-    The executor (:class:`repro.core.executor._VDNNSimulation`) and its
-    abstract twin (:mod:`repro.core.interpret`) read a policy only
-    through the trigger layers it selects and the subset of those that
-    compress, and a joint config only through those and its drop set.
-    So two points with equal keys run the same schedule step for step:
+    The vDNN walk (:class:`repro.core.walk.PlanWalk`), timed in the
+    executor and abstract in :mod:`repro.core.interpret`, reads a policy
+    only through the trigger layers it selects and the subset of those
+    that compress, and a joint config only through those and its drop
+    set.  So two points with equal keys run the same schedule step for step:
     ``all(m)`` and ``all(p)`` on a network without CONV layers, a joint
     config that drops nothing and the dyn point it equals.  A trace, its
     analysis or an abstract walk made for one serves the other.

@@ -31,12 +31,14 @@ from repro.analysis.static_plan import (
 )
 from repro.analysis.trace import OpKind
 from repro.analysis.verify import verify_point, verify_result
-from repro.core import AlgoConfig, UntrainableError, evaluate
-from repro.core.joint import JointConfig, plan_joint, simulate_joint_config
+from repro.core import AlgoConfig, TransferPolicy, UntrainableError, evaluate
+from repro.core.joint import (JointConfig, JointDecision, plan_joint,
+                              simulate_joint_config, trigger_costs)
 from repro.core.plan import compiled_plan
 from repro.hw import PAPER_SYSTEM
 from repro.obs import Instrumentation
 from repro.zoo import build
+from repro.zoo.vgg import build_deep_vgg
 
 GB = 1 << 30
 
@@ -187,6 +189,29 @@ class TestStaticDynamicParity:
         assert interp.prefetch_bytes == result.prefetch_bytes
         assert interp.pinned_peak_bytes == result.pinned_peak_bytes
         assert interp.trainable == result.trainable
+
+    def test_deep_replay_chains_walk_without_recursion(self):
+        """The ladder's pass-1b all-recompute probe on VGG-516 replays
+        one chain through about 500 dropped storages: both walks finish
+        and agree, and the ladder ends in its structured error."""
+        network = build_deep_vgg(516, 4)
+        fastest = compiled_plan(network, PAPER_SYSTEM,
+                                AlgoConfig.performance_optimal(network))
+        triggers = fastest.offload_indices(TransferPolicy.vdnn_all(),
+                                           network)
+        costs = trigger_costs(network, fastest)
+        droppable = frozenset(t for t in triggers
+                              if JointDecision.RECOMPUTE in costs[t])
+        config = JointConfig(offload=triggers - droppable, drop=droppable)
+        algos = AlgoConfig.memory_optimal(network)
+        interp = interpret_joint_plan(
+            network, PAPER_SYSTEM,
+            compiled_plan(network, PAPER_SYSTEM, algos), config)
+        result = simulate_joint_config(network, PAPER_SYSTEM, config, algos,
+                                       verify=True)
+        assert interp.peak_bytes == result.managed_max_bytes
+        with pytest.raises(UntrainableError, match="all-recompute"):
+            evaluate(build_deep_vgg(516, 32), policy="joint")
 
     @pytest.mark.parametrize("name,batch,budget", MIXED_POINTS)
     def test_verify_joint_plan_is_clean(self, name, batch, budget):

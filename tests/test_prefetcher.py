@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.analysis.trace import OpKind
 from repro.core import (AlgoConfig, PrefetchState, TransferPolicy,
                         find_prefetch_layer)
-from repro.core import executor, interpret
+from repro.core import executor, interpret, walk
 from repro.core.plan import compiled_plan
 from repro.graph import LayerKind, Network
 from repro.hw import PAPER_SYSTEM
@@ -237,7 +237,8 @@ class TestFig10Oracle:
 
 
 # ----------------------------------------------------------------------
-# The three walkers claim the same targets
+# The walkers claim the same targets: the numpy runtime's own walk, and
+# the one vDNN walk under its timed and abstract domains
 # ----------------------------------------------------------------------
 def _recording(monkeypatch, module) -> List[int]:
     claimed: List[int] = []
@@ -263,7 +264,7 @@ class TestWalkersAgree:
             self, monkeypatch, make, policy):
         network = make()
         transfer = _POLICIES[policy]()
-        simulated = _recording(monkeypatch, executor)
+        simulated = _recording(monkeypatch, walk)
         executor.simulate_vdnn(network, PAPER_SYSTEM, transfer,
                                AlgoConfig.memory_optimal(network))
         trained = _recording(monkeypatch, runtime)
@@ -286,7 +287,7 @@ class TestWalkersAgree:
             op.target_layer
             for op in result.schedule_trace.of_kind(OpKind.PREFETCH)
             if not op.demand))
-        interpreted = _recording(monkeypatch, interpret)
+        interpreted = _recording(monkeypatch, walk)
         interpret.interpret_plan(
             network, PAPER_SYSTEM,
             compiled_plan(network, PAPER_SYSTEM, algos), transfer)

@@ -267,6 +267,35 @@ def test_ladder_probes_match_simulation_on_random_dags(point):
             pass
 
 
+#: The default schedule and each of its three ablations.
+SCHEDULE_FLAGS = ({}, {"bounded_prefetch_window": False},
+                  {"sync_after_offload": False},
+                  {"sync_after_prefetch": False})
+
+
+@settings(max_examples=40, deadline=None)
+@given(network=random_dag_network())
+def test_walks_agree_with_each_schedule_flag_off_on_random_dags(network):
+    """The executor and the interpreter walk every policy the same way,
+    whichever schedule flag is off."""
+    policies = (TransferPolicy.none(), TransferPolicy.vdnn_all(),
+                TransferPolicy.vdnn_conv(), TransferPolicy.vdnn_comp())
+    for algos in (AlgoConfig.memory_optimal(network),
+                  AlgoConfig.performance_optimal(network)):
+        plan = compiled_plan(network, PAPER_SYSTEM, algos)
+        for policy in policies:
+            for flags in SCHEDULE_FLAGS:
+                interp = interpret_plan(network, PAPER_SYSTEM, plan, policy,
+                                        **flags)
+                result = simulate_vdnn(network, PAPER_SYSTEM, policy,
+                                       algos, **flags)
+                assert interp.peak_bytes == result.managed_max_bytes
+                assert interp.offload_bytes == result.offload_bytes
+                assert interp.prefetch_bytes == result.prefetch_bytes
+                assert interp.pinned_peak_bytes == result.pinned_peak_bytes
+                assert interp.trainable == result.trainable
+
+
 # ----------------------------------------------------------------------
 # Mutation parity: each unsafe ablation fires twin rules in both worlds
 # ----------------------------------------------------------------------
