@@ -3,53 +3,58 @@
 Commands:
 
 * ``networks`` — list the zoo and each configuration's baseline footprint;
-* ``evaluate`` — simulate one network under one policy/algorithm;
+* ``evaluate`` — simulate one network under one policy/algorithm, with
+  optional fault injection (``--faults``/``--fault-seed``) and schedule
+  sanitizer (``--verify``);
 * ``sweep`` — the full Figure-11/14 policy sweep for one network;
 * ``capacity`` — max trainable batch per policy;
+* ``plan`` — project a full training run;
 * ``figures`` — regenerate one or all paper figures;
 * ``train-demo`` — run real numpy training under a memory budget;
 * ``schedule`` — pack concurrent training jobs onto one virtualized GPU;
-* ``serve`` — online inference serving: an open-loop arrival stream over
-  a multiplexed model zoo, weights resident or demand-layered through a
-  sliding PCIe window, with SLO quantiles from the obs histograms; see
-  docs/serving.md.
+* ``serve`` — online inference serving over a multiplexed model zoo,
+  weights resident or demand-layered; see docs/serving.md;
+* ``cluster`` — fleet scheduling across an N-GPU topology;
 * ``verify`` — run the schedule sanitizer (race + memory-safety passes)
-  over simulated schedules; see docs/analysis.md.
-* ``faults`` — simulate under deterministic fault injection (degraded
-  PCIe, transient DMA failures, pinned pressure) and report recovery;
-  ``evaluate`` and ``schedule`` also accept ``--faults``/``--fault-seed``.
-* ``metrics`` — run one instrumented simulation (or schedule) and emit
-  its metrics in Prometheus text format or sorted-keys JSON; see
-  docs/observability.md.  ``evaluate`` and ``schedule`` accept
-  ``--metrics [prom|json]`` to append the same export to their report.
+  over simulated schedules; see docs/analysis.md;
+* ``profile`` — cProfile any other command.
+
+Options shared by several commands are declared once, as parent
+parsers: the training point (network, ``--batch``, ``--policy``,
+``--algo``), faults, and output (``--metrics``/``--out``, ``--trace``,
+``--format``).  ``--metrics [prom|json]`` appends the run's metrics
+export to the report; ``--out FILE`` writes the export alone to FILE
+(docs/observability.md).  Bad input exits 2 with a one-line message.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 from contextlib import contextmanager
 from typing import List, Optional
 
-from .core import (
-    capacity_report,
-    compare_policies,
-    evaluate,
-    oracular_baseline,
-)
+from .core import (capacity_report, compare_policies, evaluate,
+                   oracular_baseline)
 from .core.api import POLICIES
 from .faults import FaultSpec, FaultSpecError
-from .graph import gb
 from .hw import PAPER_SYSTEM
-from .reporting import format_table, gb_str, ms_str, pct_str
+from .reporting import format_table, gb_str, ms_str
 from .zoo import available, build
 
 
-def _parse_faults(args) -> Optional[FaultSpec]:
-    """Parse ``--faults``; raises SystemExit-friendly FaultSpecError."""
-    if not getattr(args, "faults", None):
-        return None
-    return FaultSpec.parse(args.faults)
+class _UsageError(ValueError):
+    """Bad input found after parsing: :func:`main` prints it, exits 2."""
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    if not text.isdigit() or int(text) <= 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 #: Size-string suffixes accepted by :func:`_parse_bytes` (binary units;
@@ -65,7 +70,7 @@ def _parse_bytes(text: str) -> int:
     """Parse a human size string — ``4GiB``, ``512MB``, ``65536``.
 
     A size is a *positive* byte count: zero and negative results are
-    rejected with the same error as unparseable text, so ``-4GiB``
+    rejected with the same usage error as unparseable text, so ``-4GiB``
     cannot flow into ``--budget``/``--window`` and corrupt allocator
     math downstream.
     """
@@ -85,10 +90,33 @@ def _parse_bytes(text: str) -> int:
         except ValueError:
             nbytes = None
     if nbytes is None or nbytes <= 0:
-        raise ValueError(
-            f"cannot parse size {text!r} (try 4GiB, 512MiB, 65536)"
+        raise _UsageError(
+            f"bad size: cannot parse size {text!r} (try 4GiB, 512MiB, 65536)"
         )
     return nbytes
+
+
+def _job_list(text: str, parse) -> list:
+    """A comma-separated job list, each spec through ``parse(spec, i)``."""
+    try:
+        jobs = [parse(spec, index)
+                for index, spec in enumerate(text.split(","))
+                if spec.strip()]
+    except (KeyError, ValueError) as exc:
+        raise _UsageError(f"bad job spec: {exc}") from None
+    if not jobs:
+        raise _UsageError("no jobs given")
+    return jobs
+
+
+def _fault_spec(args) -> Optional[FaultSpec]:
+    """``--faults`` parsed, or ``None`` when the run is fault-free."""
+    if not args.faults:
+        return None
+    try:
+        return FaultSpec.parse(args.faults)
+    except FaultSpecError as exc:
+        raise _UsageError(f"bad fault spec: {exc}") from None
 
 
 @contextmanager
@@ -105,19 +133,44 @@ def _cache_observed(obs):
         cache.obs = previous
 
 
-def _make_obs():
+def _make_obs(args):
+    """An instrumentation sink when ``--metrics`` or ``--out`` asks."""
+    if not (args.metrics or args.out):
+        return None
     from .obs import Instrumentation
 
     return Instrumentation()
 
 
-def _render_metrics(obs, fmt: str, meta: Optional[dict] = None) -> str:
+def _emit_metrics(args, obs, meta: dict) -> None:
+    """Append the run's metrics export, or write it alone to ``--out``."""
+    if not (args.metrics or args.out):
+        return
     from .obs import metrics_json, prometheus_text
 
     obs.flush()  # resolve deferred end-of-run summaries
-    if fmt == "json":
-        return metrics_json(obs.registry, spans=obs.spans, meta=meta)
-    return prometheus_text(obs.registry)
+    if args.metrics == "json":
+        text = metrics_json(obs.registry, spans=obs.spans, meta=meta)
+    else:
+        text = prometheus_text(obs.registry)
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(text if text.endswith("\n") else text + "\n")
+        print(f"wrote {args.out}")
+    else:
+        print("\n" + text.rstrip("\n"))
+
+
+def _write_trace(args, timeline, usage=None, *, process_name: str,
+                 obs=None) -> None:
+    """Write the run's Chrome trace when ``--trace FILE`` asks."""
+    if not args.trace:
+        return
+    from .sim import save_trace
+
+    save_trace(args.trace, timeline, usage, process_name=process_name,
+               spans=obs.spans.spans if obs is not None else None)
+    print(f"wrote {args.trace}")
 
 
 def _cmd_networks(_args) -> int:
@@ -139,53 +192,80 @@ def _cmd_networks(_args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    """One training point; exit 1 when it is untrainable or, under
+    ``--verify``, when the sanitizer finds an error."""
     network = build(args.network, args.batch)
-    try:
-        faults = _parse_faults(args)
-    except FaultSpecError as exc:
-        print(f"bad fault spec: {exc}", file=sys.stderr)
-        return 2
-    obs = _make_obs() if args.metrics else None
+    faults = _fault_spec(args)
+    obs = _make_obs(args)
     try:
         with _cache_observed(obs):
             result = evaluate(network, policy=args.policy, algo=args.algo,
-                              faults=faults, fault_seed=args.fault_seed,
-                              obs=obs)
+                              verify=args.verify, faults=faults,
+                              fault_seed=args.fault_seed, obs=obs)
     except ValueError as exc:
         if faults is None:
             raise
-        print(f"faults: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"faults: {exc}") from None
+    report = result.fault_report
+    goodput = None
+    if report is not None:
+        clean = evaluate(network, policy=args.policy, algo=args.algo)
+        goodput = (clean.total_time / result.total_time
+                   if result.total_time > 0 else 0.0)
     oracle = oracular_baseline(network)
-    rows = [
-        ["trainable", "yes" if result.trainable else
-         f"NO ({result.failure})"],
-        ["max memory", gb_str(result.max_usage_bytes)],
-        ["avg memory", gb_str(result.avg_usage_bytes)],
-        ["offloaded / iteration", gb_str(result.offload_bytes)],
-        ["iteration time", ms_str(result.total_time)],
-        ["compute stalls", ms_str(result.compute_stall_seconds)],
-        ["perf vs oracular baseline",
-         f"{oracle.feature_extraction_time / result.feature_extraction_time:.2f}"
-         if result.feature_extraction_time else "-"],
-    ]
-    print(format_table(
-        ["metric", "value"], rows,
-        title=f"{network.name} under {result.label}",
-    ))
-    if result.fault_report is not None:
+    perf = (oracle.feature_extraction_time / result.feature_extraction_time
+            if result.feature_extraction_time else None)
+    if args.format == "json":
+        print(json.dumps({
+            "network": network.name, "point": result.label,
+            "trainable": result.trainable, "failure": result.failure,
+            "max_usage_bytes": result.max_usage_bytes,
+            "avg_usage_bytes": result.avg_usage_bytes,
+            "offload_bytes": result.offload_bytes,
+            "iteration_seconds": result.total_time,
+            "compute_stall_seconds": result.compute_stall_seconds,
+            "perf_vs_oracle": perf,
+            "faults": report.to_dict() if report is not None else None,
+            "goodput_vs_fault_free": goodput,
+        }, sort_keys=True, indent=2))
+    else:
+        rows = [
+            ["trainable", "yes" if result.trainable else
+             f"NO ({result.failure})"],
+            ["max memory", gb_str(result.max_usage_bytes)],
+            ["avg memory", gb_str(result.avg_usage_bytes)],
+            ["offloaded / iteration", gb_str(result.offload_bytes)],
+            ["iteration time", ms_str(result.total_time)],
+            ["compute stalls", ms_str(result.compute_stall_seconds)],
+            ["perf vs oracular baseline",
+             f"{perf:.2f}" if perf is not None else "-"],
+        ]
+        print(format_table(
+            ["metric", "value"], rows,
+            title=f"{network.name} under {result.label}",
+        ))
+        if report is not None:
+            print()
+            print(f"Faults (spec {report.spec.label}, seed {report.seed}):")
+            for line in report.summary_lines():
+                print(f"  {line}")
+            print(f"  goodput vs fault-free {goodput:.2f}x")
+    ok = result.trainable
+    if args.verify:
+        from .analysis.verify import verify_result
+
+        sanitizer = verify_result(result, network=network)
         print()
-        print(f"Faults (spec {result.fault_report.spec.label}, "
-              f"seed {result.fault_report.seed}):")
-        for line in result.fault_report.summary_lines():
-            print(f"  {line}")
-    if obs is not None:
-        print()
-        print(_render_metrics(obs, args.metrics, meta={
-            "command": "evaluate", "network": network.name,
-            "policy": args.policy, "algo": args.algo,
-        }).rstrip("\n"))
-    return 0 if result.trainable else 1
+        print(sanitizer.render_text())
+        ok = ok and sanitizer.ok
+    _emit_metrics(args, obs, {
+        "command": "evaluate", "network": network.name,
+        "policy": args.policy, "algo": args.algo,
+        "fault_spec": faults.label if faults else "",
+    })
+    _write_trace(args, result.timeline, result.usage,
+                 process_name=f"{network.name} {result.label}", obs=obs)
+    return 0 if ok else 1
 
 
 def _cmd_sweep(args) -> int:
@@ -255,8 +335,6 @@ def _cmd_figures(args) -> int:
     for name, driver in wanted.items():
         text = driver().text
         if args.out:
-            import os
-
             os.makedirs(args.out, exist_ok=True)
             path = os.path.join(args.out, f"{name}.txt")
             with open(path, "w") as handle:
@@ -269,8 +347,6 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_train_demo(args) -> int:
-    import numpy as np
-
     from .core import PolicyKind, TransferPolicy
     from .graph import LayerKind, NetworkBuilder
     from .numerics import TrainingRuntime, make_batch
@@ -322,46 +398,21 @@ DEFAULT_CLUSTER_WORKLOAD = \
 def _cmd_schedule(args) -> int:
     from .sched import Job, JobState, schedule_jobs, schedule_report
 
-    try:
-        jobs = [
-            Job.parse(spec, index)
-            for index, spec in enumerate(args.jobs.split(","))
-            if spec.strip()
-        ]
-    except (KeyError, ValueError) as exc:
-        print(f"bad job spec: {exc}", file=sys.stderr)
-        return 2
-    if not jobs:
-        print("no jobs given", file=sys.stderr)
-        return 2
-    budget = int(args.budget_gb * (1 << 30))
-    if budget <= 0:
-        print(f"budget must be positive, got {args.budget_gb} GB",
-              file=sys.stderr)
-        return 2
-    try:
-        faults = _parse_faults(args)
-    except FaultSpecError as exc:
-        print(f"bad fault spec: {exc}", file=sys.stderr)
-        return 2
-    obs = _make_obs() if args.metrics else None
+    jobs = _job_list(args.jobs, Job.parse)
+    budget = _parse_bytes(args.budget)
+    faults = _fault_spec(args)
+    obs = _make_obs(args)
     result = schedule_jobs(jobs, system=PAPER_SYSTEM, policy=args.policy,
                            budget_bytes=budget, faults=faults,
                            fault_seed=args.fault_seed, obs=obs)
     print(schedule_report(result))
-    if obs is not None:
-        print()
-        print(_render_metrics(obs, args.metrics, meta={
-            "command": "schedule", "policy": args.policy,
-            "budget_gb": args.budget_gb,
-        }).rstrip("\n"))
-    if args.trace:
-        from .sim import save_trace
-
-        save_trace(args.trace, result.timeline, result.usage,
-                   process_name=f"multi-tenant {args.policy}",
-                   spans=obs.spans.spans if obs is not None else None)
-        print(f"wrote {args.trace}")
+    _emit_metrics(args, obs, {
+        "command": "schedule", "policy": args.policy,
+        "budget_gb": budget / (1 << 30),
+        "fault_spec": faults.label if faults else "",
+    })
+    _write_trace(args, result.timeline, result.usage,
+                 process_name=f"multi-tenant {args.policy}", obs=obs)
     finished = sum(1 for r in result.records
                    if r.state is JobState.FINISHED)
     return 0 if finished == len(result.records) else 1
@@ -369,8 +420,6 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_serve(args) -> int:
     """Online inference serving: drain one open-loop scenario."""
-    import json as _json
-
     from .hw import SystemConfig, gpu_preset
     from .serve import (ArrivalSpec, ArrivalSpecError, ServeConfig,
                         ServeConfigError, parse_models, serve_json,
@@ -381,27 +430,17 @@ def _cmd_serve(args) -> int:
         arrivals = ArrivalSpec.parse(args.arrivals)
         models = tuple(parse_models(args.models))
     except ArrivalSpecError as exc:
-        print(f"bad serving scenario: {exc}", file=sys.stderr)
-        return 2
-    try:
-        budget = _parse_bytes(args.budget)
-        window = _parse_bytes(args.window)
-        pinned = _parse_bytes(args.pinned)
-    except ValueError as exc:
-        print(f"bad size: {exc}", file=sys.stderr)
-        return 2
-    try:
-        faults = _parse_faults(args)
-    except FaultSpecError as exc:
-        print(f"bad fault spec: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"bad serving scenario: {exc}") from None
+    budget = _parse_bytes(args.budget)
+    window = _parse_bytes(args.window)
+    pinned = _parse_bytes(args.pinned)
+    faults = _fault_spec(args)
     system = PAPER_SYSTEM
     if args.gpu:
         try:
             system = SystemConfig(gpu=gpu_preset(args.gpu))
         except KeyError as exc:
-            print(f"bad gpu preset: {exc.args[0]}", file=sys.stderr)
-            return 2
+            raise _UsageError(f"bad gpu preset: {exc.args[0]}") from None
     try:
         config = ServeConfig(
             models=models,
@@ -418,25 +457,17 @@ def _cmd_serve(args) -> int:
         )
         result = simulate_serving(config, system=system)
     except (ServeConfigError, ServePlanError, ValueError) as exc:
-        print(f"serving failed: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"serving failed: {exc}") from None
     if args.format == "json":
-        print(_json.dumps(serve_json(result), sort_keys=True, indent=2))
+        print(json.dumps(serve_json(result), sort_keys=True, indent=2))
     else:
         print(serve_report(result))
-    if args.metrics:
-        print()
-        print(_render_metrics(result.obs, args.metrics, meta={
-            "command": "serve", "arrivals": arrivals.label,
-            "budget_bytes": budget,
-        }).rstrip("\n"))
-    if args.trace:
-        from .sim import save_trace
-
-        save_trace(args.trace, result.timeline,
-                   process_name=f"serving {arrivals.label}",
-                   spans=result.obs.spans.spans)
-        print(f"wrote {args.trace}")
+    _emit_metrics(args, result.obs, {
+        "command": "serve", "arrivals": arrivals.label,
+        "budget_bytes": budget,
+    })
+    _write_trace(args, result.timeline,
+                 process_name=f"serving {arrivals.label}", obs=result.obs)
     return 0 if result.completed else 1
 
 
@@ -453,29 +484,13 @@ def _cmd_cluster(args) -> int:
     from .hw import make_topology
     from .sched import JobState
 
-    try:
-        jobs = [
-            ClusterJob.parse(spec, index)
-            for index, spec in enumerate(args.jobs.split(","))
-            if spec.strip()
-        ]
-    except (KeyError, ValueError) as exc:
-        print(f"bad job spec: {exc}", file=sys.stderr)
-        return 2
-    if not jobs:
-        print("no jobs given", file=sys.stderr)
-        return 2
-    budget = int(args.budget_gb * (1 << 30))
-    if budget <= 0:
-        print(f"budget must be positive, got {args.budget_gb} GB",
-              file=sys.stderr)
-        return 2
+    jobs = _job_list(args.jobs, ClusterJob.parse)
+    budget = _parse_bytes(args.budget)
     try:
         topology = make_topology(args.topology, args.gpus)
     except (KeyError, ValueError) as exc:
-        print(f"bad topology: {exc}", file=sys.stderr)
-        return 2
-    obs = _make_obs() if args.metrics else None
+        raise _UsageError(f"bad topology: {exc}") from None
+    obs = _make_obs(args)
     try:
         result = schedule_fleet(
             jobs, topology=topology, placement=args.placement,
@@ -483,8 +498,7 @@ def _cmd_cluster(args) -> int:
             seed=args.seed, preemption=not args.no_preempt, obs=obs,
         )
     except (KeyError, ValueError) as exc:
-        print(f"cluster run failed: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"cluster run failed: {exc}") from None
 
     if args.contention:
         # The acceptance lens: each gang's allreduce/offload contention
@@ -523,133 +537,13 @@ def _cmd_cluster(args) -> int:
         print(f"{checked} worker trace(s) verified: "
               f"{'clean' if clean else 'ERRORS'}")
 
-    if obs is not None:
-        print()
-        print(_render_metrics(obs, args.metrics, meta={
-            "command": "cluster", "topology": topology.name,
-            "gpus": topology.num_gpus, "placement": args.placement,
-        }).rstrip("\n"))
+    _emit_metrics(args, obs, {
+        "command": "cluster", "topology": topology.name,
+        "gpus": topology.num_gpus, "placement": args.placement,
+    })
     finished = sum(1 for r in result.records
                    if r.state is JobState.FINISHED)
     return 0 if finished == len(result.records) and clean else 1
-
-
-def _cmd_faults(args) -> int:
-    """Resilience probe: one faulted iteration, its recovery report."""
-    from .analysis.verify import verify_result
-
-    try:
-        spec = FaultSpec.parse(args.spec)
-    except FaultSpecError as exc:
-        print(f"bad fault spec: {exc}", file=sys.stderr)
-        return 2
-    network = build(args.network, args.batch)
-    result = evaluate(network, policy=args.policy, algo=args.algo,
-                      verify=args.verify, faults=spec,
-                      fault_seed=args.seed)
-    report = result.fault_report
-
-    if args.json:
-        print(report.to_json(indent=2))
-    else:
-        clean = evaluate(network, policy=args.policy, algo=args.algo)
-        goodput = (clean.total_time / result.total_time
-                   if result.total_time > 0 else 0.0)
-        rows = [
-            ["fault spec", spec.label],
-            ["seed", str(args.seed)],
-            ["completed", "yes" if result.trainable else
-             f"NO ({result.failure})"],
-            ["faults injected", str(report.total_faults)],
-            ["dma retries", str(report.retries)],
-            ["recovery rate", f"{report.recovery_rate:.1%}"],
-            ["iteration time", ms_str(result.total_time)],
-            ["goodput vs fault-free", f"{goodput:.2f}x"],
-        ]
-        for outcome in sorted(report.outcomes):
-            rows.append([f"  outcome: {outcome}",
-                         str(report.outcomes[outcome])])
-        print(format_table(
-            ["metric", "value"], rows,
-            title=f"{network.name} under {result.label} with faults",
-        ))
-
-    ok = result.trainable
-    if args.verify:
-        sanitizer = verify_result(result, network=network)
-        print()
-        print(sanitizer.render_text())
-        ok = ok and sanitizer.ok
-    if args.trace:
-        from .sim import save_trace
-
-        save_trace(args.trace, result.timeline, result.usage,
-                   process_name=f"{network.name} faulted")
-        print(f"wrote {args.trace}")
-    return 0 if ok else 1
-
-
-def _cmd_metrics(args) -> int:
-    """One instrumented run, exported as pure Prometheus text or JSON.
-
-    Unlike ``evaluate --metrics`` (report + export), this prints *only*
-    the export, so the output can be scraped or diffed against the
-    golden fixtures in ``tests/golden/``.
-    """
-    try:
-        faults = _parse_faults(args)
-    except FaultSpecError as exc:
-        print(f"bad fault spec: {exc}", file=sys.stderr)
-        return 2
-    obs = _make_obs()
-
-    if args.schedule:
-        from .sched import Job, schedule_jobs
-
-        try:
-            jobs = [
-                Job.parse(spec, index)
-                for index, spec in enumerate(args.jobs.split(","))
-                if spec.strip()
-            ]
-        except (KeyError, ValueError) as exc:
-            print(f"bad job spec: {exc}", file=sys.stderr)
-            return 2
-        budget = int(args.budget_gb * (1 << 30))
-        schedule_jobs(jobs, system=PAPER_SYSTEM, policy=args.sched_policy,
-                      budget_bytes=budget, faults=faults,
-                      fault_seed=args.fault_seed, obs=obs)
-        meta = {"command": "schedule", "policy": args.sched_policy,
-                "budget_gb": args.budget_gb,
-                "fault_spec": faults.label if faults else ""}
-    else:
-        if not args.network:
-            print("metrics: give a network or --schedule", file=sys.stderr)
-            return 2
-        network = build(args.network, args.batch)
-        try:
-            with _cache_observed(obs):
-                evaluate(network, policy=args.policy, algo=args.algo,
-                         faults=faults, fault_seed=args.fault_seed, obs=obs)
-        except ValueError as exc:
-            if faults is None:
-                raise
-            print(f"faults: {exc}", file=sys.stderr)
-            return 2
-        meta = {"command": "evaluate", "network": network.name,
-                "policy": args.policy, "algo": args.algo,
-                "fault_spec": faults.label if faults else ""}
-
-    text = _render_metrics(obs, args.format, meta=meta)
-    if not text.endswith("\n"):
-        text += "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
-    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -675,8 +569,7 @@ def _cmd_verify(args) -> int:
             # and --static promises to execute none.
             from .sched import Job, schedule_jobs
 
-            jobs = [Job.parse(spec, index)
-                    for index, spec in enumerate(DEFAULT_WORKLOAD.split(","))]
+            jobs = _job_list(DEFAULT_WORKLOAD, Job.parse)
             for policy in ("fifo", "sjf", "best_fit"):
                 result = schedule_jobs(jobs, system=PAPER_SYSTEM,
                                        policy=policy)
@@ -696,8 +589,7 @@ def _cmd_verify(args) -> int:
                     report = verify_point(network, policy, algo)
                 reports.append(report)
     else:
-        print("verify: give a network or --all-zoo", file=sys.stderr)
-        return 2
+        raise _UsageError("verify: give a network or --all-zoo")
 
     ok = all(r.ok for r in reports)
     if args.format == "json":
@@ -729,13 +621,10 @@ def _cmd_profile(args) -> int:
     if argv and argv[0] == "--":
         argv = argv[1:]
     if not argv:
-        print("profile: missing nested command, e.g. "
-              "repro profile evaluate vgg16 --policy all",
-              file=sys.stderr)
-        return 2
+        raise _UsageError("profile: missing nested command, e.g. "
+                          "repro profile evaluate vgg16 --policy all")
     if argv[0] == "profile":
-        print("profile: cannot profile itself", file=sys.stderr)
-        return 2
+        raise _UsageError("profile: cannot profile itself")
 
     profiler = cProfile.Profile()
     profiler.enable()
@@ -753,6 +642,24 @@ def _cmd_profile(args) -> int:
     return status
 
 
+def _network_options(optional: bool = False) -> argparse.ArgumentParser:
+    """The training point's network: a zoo key and its mini-batch."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("network", nargs="?" if optional else None,
+                        choices=available())
+    parent.add_argument("--batch", type=_positive_int, default=None,
+                        help="mini-batch size (default: the network's own)")
+    return parent
+
+
+def _policy_options(default: Optional[str]) -> argparse.ArgumentParser:
+    """The training point's vDNN policy and convolution-algorithm mode."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--policy", default=default, choices=POLICIES)
+    parent.add_argument("--algo", default="p", choices=["m", "p"])
+    return parent
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -760,39 +667,56 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Option groups shared across commands, each declared once.
+    faults = argparse.ArgumentParser(add_help=False)
+    faults.add_argument("--faults", default=None,
+                        help="fault spec, e.g. dma=0.1,pcie=0.5,jitter=0.2 "
+                             "or shrink@10=0.5,evict@5=vgg16#1 "
+                             "(see docs/architecture.md)")
+    faults.add_argument("--fault-seed", type=int, default=0,
+                        help="seed for the deterministic fault stream")
+    metrics = argparse.ArgumentParser(add_help=False)
+    metrics.add_argument("--metrics", nargs="?", const="prom",
+                         choices=["prom", "json"], default=None,
+                         help="append the run's metrics export "
+                              "(Prometheus text by default)")
+    metrics.add_argument("--out", metavar="FILE", default=None,
+                         help="write the metrics export to FILE instead "
+                              "(implies --metrics)")
+    trace = argparse.ArgumentParser(add_help=False)
+    trace.add_argument("--trace", metavar="FILE", default=None,
+                       help="write a Chrome trace of the run, one lane "
+                            "per job or model")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=["table", "json"],
+                        default="table",
+                        help="report rendering (json = stable schema)")
+
     sub.add_parser("networks", help="list the network zoo")
 
-    p_eval = sub.add_parser("evaluate", help="simulate one configuration")
-    p_eval.add_argument("network", choices=available())
-    p_eval.add_argument("--batch", type=int, default=None)
-    p_eval.add_argument("--policy", default="dyn", choices=POLICIES)
-    p_eval.add_argument("--algo", default="p", choices=["m", "p"])
-    p_eval.add_argument("--faults", default=None,
-                        help="fault spec, e.g. dma=0.1,pcie=0.5,jitter=0.2")
-    p_eval.add_argument("--fault-seed", type=int, default=0,
-                        help="seed for the deterministic fault stream")
-    p_eval.add_argument("--metrics", nargs="?", const="prom",
-                        choices=["prom", "json"], default=None,
-                        help="append the run's metrics export "
-                             "(Prometheus text by default)")
+    p_eval = sub.add_parser(
+        "evaluate", help="simulate one configuration",
+        parents=[_network_options(), _policy_options("dyn"), faults,
+                 metrics, trace, output])
+    p_eval.add_argument("--verify", action="store_true",
+                        help="run the schedule sanitizer on the run's "
+                             "trace")
 
-    p_sweep = sub.add_parser("sweep", help="full policy sweep")
-    p_sweep.add_argument("network", choices=available())
-    p_sweep.add_argument("--batch", type=int, default=None)
+    p_sweep = sub.add_parser("sweep", help="full policy sweep",
+                             parents=[_network_options()])
     p_sweep.add_argument("--jobs", type=int, default=None,
                          help="worker processes for the sweep "
                               "(default $REPRO_JOBS or 1)")
 
-    p_cap = sub.add_parser("capacity", help="max trainable batch per policy")
-    p_cap.add_argument("network", choices=available())
-    p_cap.add_argument("--batch", type=int, default=None)
+    p_cap = sub.add_parser("capacity", help="max trainable batch per policy",
+                           parents=[_network_options()])
     p_cap.add_argument("--limit", type=int, default=512)
 
-    p_plan = sub.add_parser("plan", help="project a full training run")
-    p_plan.add_argument("network", choices=available())
-    p_plan.add_argument("--batch", type=int, default=None)
-    p_plan.add_argument("--dataset-size", type=int, default=1_281_167)
-    p_plan.add_argument("--epochs", type=int, default=74)
+    p_plan = sub.add_parser("plan", help="project a full training run",
+                            parents=[_network_options()])
+    p_plan.add_argument("--dataset-size", type=_positive_int,
+                        default=1_281_167)
+    p_plan.add_argument("--epochs", type=_positive_int, default=74)
 
     p_fig = sub.add_parser("figures", help="regenerate paper figures")
     p_fig.add_argument("figure", nargs="?", default="all",
@@ -810,31 +734,22 @@ def make_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--policy", default="all",
                         choices=["none", "all", "conv"])
     p_demo.add_argument("--steps", type=int, default=5)
-    p_demo.add_argument("--batch", type=int, default=8)
+    p_demo.add_argument("--batch", type=_positive_int, default=8)
 
     p_sched = sub.add_parser(
-        "schedule", help="pack concurrent training jobs onto one GPU")
+        "schedule", help="pack concurrent training jobs onto one GPU",
+        parents=[faults, metrics, trace])
     p_sched.add_argument(
         "--jobs", default=DEFAULT_WORKLOAD,
         help="comma-separated job specs, each network[:batch[:iterations]]")
     p_sched.add_argument("--policy", default="best_fit",
                          choices=["fifo", "sjf", "best_fit"])
-    p_sched.add_argument("--budget-gb", type=float, default=12.0,
-                         help="shared GPU memory budget in GiB")
-    p_sched.add_argument("--trace", default=None,
-                         help="write a Chrome trace with one lane per job")
-    p_sched.add_argument("--faults", default=None,
-                         help="fault spec with timed events, e.g. "
-                              "shrink@10=0.5,evict@5=vgg16#1")
-    p_sched.add_argument("--fault-seed", type=int, default=0,
-                         help="seed recorded on the fault report")
-    p_sched.add_argument("--metrics", nargs="?", const="prom",
-                         choices=["prom", "json"], default=None,
-                         help="append the schedule's metrics export "
-                              "(Prometheus text by default)")
+    p_sched.add_argument("--budget", default="12GiB",
+                         help="shared GPU memory budget (e.g. 12GiB)")
 
     p_serve = sub.add_parser(
-        "serve", help="online inference serving with demand layering")
+        "serve", help="online inference serving with demand layering",
+        parents=[faults, metrics, trace, output])
     p_serve.add_argument("--arrivals", default="poisson:rate=100,seed=0",
                          help="arrival spec: poisson:rate=200,seed=7 | "
                               "trace:times=0;0.1;.. | diurnal:.. | burst:..")
@@ -855,26 +770,14 @@ def make_parser() -> argparse.ArgumentParser:
                               "pinned")
     p_serve.add_argument("--requests", type=int, default=500,
                          help="request-stream length to generate")
-    p_serve.add_argument("--batch", type=int, default=1,
+    p_serve.add_argument("--batch", type=_positive_int, default=1,
                          help="per-request batch size")
     p_serve.add_argument("--gpu", default=None,
                          help="GPU preset: titanx, hbm, jetson")
-    p_serve.add_argument("--metrics", nargs="?", const="prom",
-                         choices=["prom", "json"], default=None,
-                         help="append the run's metrics export")
-    p_serve.add_argument("--trace", default=None,
-                         help="write a Chrome trace with one lane per "
-                              "model")
-    p_serve.add_argument("--faults", default=None,
-                         help="fault spec, e.g. dma=0.1,pcie=0.5,"
-                              "shrink@10=0.5,evict@5=vgg16")
-    p_serve.add_argument("--fault-seed", type=int, default=0)
-    p_serve.add_argument("--format", choices=["table", "json"],
-                         default="table",
-                         help="report rendering (json = stable schema)")
 
     p_cluster = sub.add_parser(
-        "cluster", help="fleet scheduling across an N-GPU topology")
+        "cluster", help="fleet scheduling across an N-GPU topology",
+        parents=[metrics])
     p_cluster.add_argument(
         "--jobs", default=DEFAULT_CLUSTER_WORKLOAD,
         help="comma-separated job specs, each "
@@ -889,8 +792,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--placement", default="bin_pack",
                            choices=["bin_pack", "spread"],
                            help="GPU placement policy")
-    p_cluster.add_argument("--budget-gb", type=float, default=12.0,
-                           help="per-GPU memory budget in GiB")
+    p_cluster.add_argument("--budget", default="12GiB",
+                           help="per-GPU memory budget (e.g. 12GiB)")
     p_cluster.add_argument("--arrival-rate", type=float, default=0.0,
                            help="Poisson arrival rate in jobs/s "
                                 "(0 = all jobs arrive at t=0)")
@@ -905,56 +808,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--verify", action="store_true",
                            help="run the schedule sanitizer on every "
                                 "worker's trace")
-    p_cluster.add_argument("--metrics", nargs="?", const="prom",
-                           choices=["prom", "json"], default=None,
-                           help="append the run's metrics export")
-
-    p_faults = sub.add_parser(
-        "faults", help="simulate under deterministic fault injection")
-    p_faults.add_argument("network", choices=available())
-    p_faults.add_argument("--batch", type=int, default=None)
-    p_faults.add_argument("--policy", default="all",
-                          choices=["all", "conv", "comp", "dyn"])
-    p_faults.add_argument("--algo", default="p", choices=["m", "p"])
-    p_faults.add_argument("--spec",
-                          default="dma=0.05,pcie=0.7,jitter=0.1",
-                          help="fault spec (see docs/architecture.md)")
-    p_faults.add_argument("--seed", type=int, default=0,
-                          help="seed for the deterministic fault stream")
-    p_faults.add_argument("--json", action="store_true",
-                          help="print the FaultReport as JSON")
-    p_faults.add_argument("--verify", action="store_true",
-                          help="run the schedule sanitizer on the "
-                               "faulted trace")
-    p_faults.add_argument("--trace", default=None,
-                          help="write a Chrome trace of the faulted run")
-
-    p_metrics = sub.add_parser(
-        "metrics", help="instrumented run, metrics-only export")
-    p_metrics.add_argument("network", nargs="?", choices=available(),
-                           help="network to evaluate (omit with --schedule)")
-    p_metrics.add_argument("--batch", type=int, default=None)
-    p_metrics.add_argument("--policy", default="dyn", choices=POLICIES)
-    p_metrics.add_argument("--algo", default="p", choices=["m", "p"])
-    p_metrics.add_argument("--faults", default=None,
-                           help="fault spec, e.g. dma=0.1,pcie=0.5")
-    p_metrics.add_argument("--fault-seed", type=int, default=0)
-    p_metrics.add_argument("--schedule", action="store_true",
-                           help="instrument a multi-tenant schedule "
-                                "instead of one evaluation")
-    p_metrics.add_argument("--jobs", default=DEFAULT_WORKLOAD,
-                           help="job specs for --schedule (same syntax "
-                                "as the schedule command)")
-    p_metrics.add_argument("--sched-policy", default="best_fit",
-                           choices=["fifo", "sjf", "best_fit"],
-                           help="admission policy for --schedule")
-    p_metrics.add_argument("--budget-gb", type=float, default=12.0,
-                           help="memory budget for --schedule")
-    p_metrics.add_argument("--format", choices=["prom", "json"],
-                           default="prom")
-    p_metrics.add_argument("--out", default=None,
-                           help="write the export to a file instead of "
-                                "stdout")
 
     p_prof = sub.add_parser(
         "profile", help="cProfile another repro invocation")
@@ -968,14 +821,10 @@ def make_parser() -> argparse.ArgumentParser:
                              "evaluate vgg16 --policy all")
 
     p_verify = sub.add_parser(
-        "verify", help="run the schedule sanitizer over simulated plans")
-    p_verify.add_argument("network", nargs="?", choices=available(),
-                          help="verify one network (default: whole sweep "
-                               "grid for it)")
-    p_verify.add_argument("--batch", type=int, default=None)
-    p_verify.add_argument("--policy", default=None, choices=POLICIES,
-                          help="verify one policy point instead of the grid")
-    p_verify.add_argument("--algo", default="p", choices=["m", "p"])
+        "verify", help="run the schedule sanitizer over simulated plans "
+                       "(one --policy point, else the network's grid)",
+        parents=[_network_options(optional=True), _policy_options(None),
+                 output])
     p_verify.add_argument("--all-zoo", action="store_true",
                           help="verify every zoo network x policy point "
                                "plus the multi-tenant schedules")
@@ -990,8 +839,6 @@ def make_parser() -> argparse.ArgumentParser:
                              help="static sweep first, dynamic "
                                   "re-verification only for points the "
                                   "static pass could not certify")
-    p_verify.add_argument("--format", choices=["text", "json"],
-                          default="text")
 
     return parser
 
@@ -1008,15 +855,17 @@ _COMMANDS = {
     "serve": _cmd_serve,
     "cluster": _cmd_cluster,
     "verify": _cmd_verify,
-    "faults": _cmd_faults,
-    "metrics": _cmd_metrics,
     "profile": _cmd_profile,
 }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = make_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

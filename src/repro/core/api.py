@@ -303,15 +303,10 @@ def compare_policies(
 
     from ..perf.sweep import SweepPoint, resolve_jobs, sweep
 
-    if resolve_jobs(jobs) > 1 and cache_is_on(use_cache):
+    if resolve_jobs(jobs) > 1 and cache_enabled(use_cache):
         sweep([SweepPoint(network=network, policy=policy, algo=algo,
                           system=system) for policy, algo in columns],
               jobs=jobs, use_cache=use_cache)
     return {point_label(policy, algo): evaluate(
                 network, system, policy, algo, use_cache=use_cache)
             for policy, algo in columns}
-
-
-def cache_is_on(use_cache: Optional[bool] = None) -> bool:
-    """Whether the simulation cache applies (flag, then environment)."""
-    return cache_enabled(use_cache)

@@ -28,9 +28,9 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..graph.network import Network
 from ..hw.config import SystemConfig
-from ..perf.cache import cache_enabled, get_cache
 from ..perf.fingerprint import fingerprint_point
 from .algo_config import AlgoConfig
+from .cached import _through_cache
 from .dynamic import (ProfilingPass, UntrainableError,
                       _greedy_downgrade, _recording, _shortfall)
 from .executor import IterationResult, _VDNNSimulation, _run_iteration
@@ -373,11 +373,11 @@ def cached_joint(
     use_cache: Optional[bool] = None,
 ) -> IterationResult:
     """:func:`simulate_joint_config` through the content-addressed cache."""
-    if not cache_enabled(use_cache):
-        return simulate_joint_config(network, system, config, algos)
-    return get_cache().get_or_compute(
+    return _through_cache(
         joint_key(network, system, config, algos),
-        lambda: simulate_joint_config(network, system, config, algos))
+        lambda: simulate_joint_config(network, system, config, algos),
+        use_cache,
+    )
 
 
 def adopt_joint(

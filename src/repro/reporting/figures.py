@@ -203,10 +203,11 @@ def _warm_policy_sweep(
     the content-addressed cache; the serial table assembly that follows
     then reads pure cache hits, so output is bit-identical to serial.
     """
-    from ..core.api import SWEEP_COLUMNS, cache_is_on
+    from ..core.api import SWEEP_COLUMNS
+    from ..perf.cache import cache_enabled
     from ..perf.sweep import SweepPoint, resolve_jobs, sweep
 
-    if resolve_jobs(jobs) <= 1 or not cache_is_on():
+    if resolve_jobs(jobs) <= 1 or not cache_enabled():
         return
     points = []
     for network in networks:
@@ -421,10 +422,10 @@ def headline(
              ("googlenet", 128, "95%")]
     from ..zoo.registry import build
 
-    from ..core.api import cache_is_on
+    from ..perf.cache import cache_enabled
     from ..perf.sweep import SweepPoint, resolve_jobs, sweep as run_sweep
 
-    if resolve_jobs(jobs) > 1 and cache_is_on():
+    if resolve_jobs(jobs) > 1 and cache_enabled():
         points = []
         for key, batch, _ in specs:
             points.append(SweepPoint(network=key, batch=batch, policy="base",

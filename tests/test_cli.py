@@ -58,6 +58,27 @@ class TestParseBytes:
         assert "bad size" in capsys.readouterr().err
 
 
+class TestBadSizesFailAtTheBoundary:
+    """A non-positive batch, epoch count or dataset size is a usage
+    error (exit 2) from argparse, not a traceback from the zoo."""
+
+    @pytest.mark.parametrize("argv", [
+        [command, "alexnet", "--batch", batch]
+        for command in ("evaluate", "sweep", "capacity", "plan", "verify")
+        for batch in ("0", "-8")
+    ] + [
+        ["plan", "alexnet", "--epochs", "0"],
+        ["plan", "alexnet", "--dataset-size", "-1"],
+        ["evaluate", "alexnet", "--batch", "eight"],
+        ["train-demo", "--batch", "0"],
+    ], ids=" ".join)
+    def test_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_networks(self, capsys):
         assert main(["networks"]) == 0
@@ -126,7 +147,7 @@ class TestCommands:
         for policy in ("fifo", "sjf", "best_fit"):
             assert main(["schedule", "--policy", policy,
                          "--jobs", "alexnet:16:5,alexnet:16:5",
-                         "--budget-gb", "4"]) == 0
+                         "--budget", "4GiB"]) == 0
             assert policy in capsys.readouterr().out
 
     def test_schedule_writes_job_lane_trace(self, capsys, tmp_path):
@@ -143,7 +164,7 @@ class TestCommands:
     def test_schedule_rejected_job_exits_nonzero(self, capsys):
         # 1/4 GB cannot hold vgg16:64 at any rung.
         assert main(["schedule", "--jobs", "vgg16:64:5",
-                     "--budget-gb", "0.25"]) == 1
+                     "--budget", "256MiB"]) == 1
         assert "rejected" in capsys.readouterr().out
 
     def test_schedule_empty_jobs_is_usage_error(self, capsys):
@@ -160,8 +181,8 @@ class TestCommands:
 
     def test_schedule_nonpositive_budget_is_usage_error(self, capsys):
         assert main(["schedule", "--jobs", "alexnet:8:5",
-                     "--budget-gb", "0"]) == 2
-        assert "budget must be positive" in capsys.readouterr().err
+                     "--budget", "0"]) == 2
+        assert "cannot parse size" in capsys.readouterr().err
 
     def test_verify_one_point_text(self, capsys):
         assert main(["verify", "alexnet", "--policy", "all"]) == 0
@@ -251,22 +272,50 @@ class TestCommands:
         assert payload["rule_counts"] == {"SP404": 1}
 
     def test_faults_reports_recovery(self, capsys):
-        assert main(["faults", "alexnet", "--batch", "8",
-                     "--spec", "dma=0.2", "--seed", "7"]) == 0
+        assert main(["evaluate", "alexnet", "--batch", "8", "--policy",
+                     "all", "--faults", "dma=0.2", "--fault-seed", "7"]) == 0
         out = capsys.readouterr().out
         assert "recovery rate" in out and "faults injected" in out
+        assert "goodput vs fault-free" in out
 
     def test_faults_json_is_deterministic(self, capsys):
-        argv = ["faults", "alexnet", "--batch", "8",
-                "--spec", "dma=0.2,jitter=0.1", "--seed", "3", "--json"]
+        import json
+
+        argv = ["evaluate", "alexnet", "--batch", "8", "--policy", "all",
+                "--faults", "dma=0.2,jitter=0.1", "--fault-seed", "3",
+                "--format", "json"]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+        payload = json.loads(first)
+        assert payload["faults"]["spec"] == "dma=0.2,jitter=0.1"
+        assert payload["faults"]["seed"] == 3
 
     def test_faults_bad_spec_is_usage_error(self, capsys):
-        assert main(["faults", "alexnet", "--spec", "dma=1.5"]) == 2
+        assert main(["evaluate", "alexnet", "--policy", "all",
+                     "--faults", "dma=1.5"]) == 2
         assert "bad fault spec" in capsys.readouterr().err
+
+    def test_faults_verify_prints_sanitizer_block(self, capsys, tmp_path):
+        import json
+
+        trace = tmp_path / "faulted.json"
+        assert main(["evaluate", "alexnet", "--batch", "8", "--policy",
+                     "all", "--faults", "dma=0.2", "--fault-seed", "7",
+                     "--verify", "--trace", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "\nAlexNet(8) vDNN_all(p): ok\n" in out
+        assert json.loads(trace.read_text())["traceEvents"]
+
+    def test_metrics_out_writes_export_alone(self, capsys, tmp_path):
+        path = tmp_path / "m.prom"
+        assert main(["evaluate", "alexnet", "--batch", "8",
+                     "--out", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "iteration time" in out and f"wrote {path}" in out
+        assert "repro_pcie_bytes_total" not in out
+        assert path.read_text().startswith("# HELP")
 
     def test_evaluate_bad_fault_spec_is_usage_error(self, capsys):
         assert main(["evaluate", "alexnet", "--batch", "8",
@@ -280,7 +329,7 @@ class TestCommands:
 
     def test_schedule_with_shrink_fault_prints_fault_table(self, capsys):
         assert main(["schedule", "--jobs", "alexnet:16:5,alexnet:16:5",
-                     "--budget-gb", "4",
+                     "--budget", "4GiB",
                      "--faults", "shrink@0.5=0.5"]) == 0
         out = capsys.readouterr().out
         assert "budget-shrink" in out and "Faults" in out
@@ -297,8 +346,8 @@ class TestClusterCommand:
 
     def test_negative_budget_exits_two(self, capsys):
         assert main(["cluster", "--jobs", "alexnet:8:5",
-                     "--budget-gb", "-1"]) == 2
-        assert "budget must be positive" in capsys.readouterr().err
+                     "--budget=-1"]) == 2
+        assert "cannot parse size" in capsys.readouterr().err
 
     def test_gang_run_with_verify_and_contention(self, capsys):
         assert main(["cluster", "--jobs", "alexnet:8:5:2",
@@ -331,16 +380,22 @@ class TestSmokeEverySubcommand:
         ["train-demo", "--steps", "1", "--batch", "2"],
         ["schedule", "--jobs", "alexnet:8:5"],
         ["verify", "alexnet", "--policy", "all"],
-        ["faults", "alexnet", "--batch", "8", "--spec", "dma=0.1",
-         "--seed", "7"],
-        ["metrics", "alexnet", "--batch", "8", "--policy", "all"],
+        # Replacements for the retired ``faults`` and ``metrics``
+        # commands: evaluate under faults, and the metrics export alone.
+        ["evaluate", "alexnet", "--batch", "8", "--policy", "all",
+         "--faults", "dma=0.1", "--fault-seed", "7", "--verify"],
+        ["evaluate", "alexnet", "--batch", "8", "--policy", "all",
+         "--metrics", "json"],
+        ["schedule", "--jobs", "alexnet:8:5", "--policy", "sjf",
+         "--budget", "6GiB", "--metrics"],
         ["serve", "--arrivals", "poisson:rate=50,seed=1",
          "--models", "googlenet,alexnet", "--requests", "20",
          "--budget", "1GiB"],
         ["cluster", "--jobs", "alexnet:8:5:2,alexnet:8:5", "--gpus", "2",
          "--topology", "nvlink-ring"],
         ["profile", "--top", "5", "networks"],
-    ], ids=lambda argv: argv[0])
+    ], ids=lambda argv: " ".join(argv[:1] + [a for a in argv if a in (
+        "--faults", "--metrics")]))
     def test_subcommand_smoke(self, argv, capsys):
         assert main(argv) == 0
         assert capsys.readouterr().out.strip()
@@ -351,8 +406,8 @@ class TestSmokeEverySubcommand:
 
         smoked = {
             "networks", "evaluate", "sweep", "capacity", "plan",
-            "figures", "train-demo", "schedule", "verify", "faults",
-            "metrics", "serve", "cluster", "profile",
+            "figures", "train-demo", "schedule", "verify", "serve",
+            "cluster", "profile",
         }
         assert smoked == set(_COMMANDS)
 

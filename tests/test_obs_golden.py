@@ -1,8 +1,9 @@
 """Golden-fixture regression tests for the metrics exports.
 
-Each fixture under ``tests/golden/`` is the byte-exact output of one
-``repro metrics`` invocation — same (config, seed) must produce the
-same bytes forever.  A diff here means either the simulation or the
+Each fixture under ``tests/golden/`` is the byte-exact metrics export
+that one ``repro evaluate`` or ``repro schedule`` invocation writes
+through ``--out`` — same (config, seed) must produce the same bytes
+forever.  A diff here means either the simulation or the
 exporter changed behaviour; if the change is intentional, regenerate
 with::
 
@@ -19,23 +20,23 @@ from repro.cli import main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
-#: fixture file -> ``repro metrics`` argv producing it (minus --out).
+#: fixture file -> ``repro`` argv producing it (minus --out).
 FIXTURES = {
     "vgg16_all_m.prom": [
-        "metrics", "vgg16", "--batch", "64", "--policy", "all",
-        "--algo", "m", "--format", "prom",
+        "evaluate", "vgg16", "--batch", "64", "--policy", "all",
+        "--algo", "m", "--metrics", "prom",
     ],
     "vgg16_all_m.json": [
-        "metrics", "vgg16", "--batch", "64", "--policy", "all",
-        "--algo", "m", "--format", "json",
+        "evaluate", "vgg16", "--batch", "64", "--policy", "all",
+        "--algo", "m", "--metrics", "json",
     ],
     "schedule_faulted.prom": [
-        "metrics", "--schedule", "--faults", "shrink@8=0.4,evict@3=vgg16#1",
-        "--fault-seed", "1", "--format", "prom",
+        "schedule", "--faults", "shrink@8=0.4,evict@3=vgg16#1",
+        "--fault-seed", "1", "--metrics", "prom",
     ],
     "schedule_faulted.json": [
-        "metrics", "--schedule", "--faults", "shrink@8=0.4,evict@3=vgg16#1",
-        "--fault-seed", "1", "--format", "json",
+        "schedule", "--faults", "shrink@8=0.4,evict@3=vgg16#1",
+        "--fault-seed", "1", "--metrics", "json",
     ],
 }
 
