@@ -1,20 +1,22 @@
 """Memory allocators: cnmem-style pool, byte counter, pinned host, stats."""
 
-from .pinned import PinnedBuffer, PinnedHostAllocator, PinnedMemoryError
-from .pool import (ALIGNMENT, Allocation, DoubleFreeError, LiveByteCounter,
-                   OutOfMemoryError, PoolAllocator)
-from .stats import UsageSample, UsageTracker
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALIGNMENT",
-    "Allocation",
-    "DoubleFreeError",
-    "LiveByteCounter",
-    "OutOfMemoryError",
-    "PinnedBuffer",
-    "PinnedHostAllocator",
-    "PinnedMemoryError",
-    "PoolAllocator",
-    "UsageSample",
-    "UsageTracker",
-]
+#: public name -> defining submodule
+_EXPORTS = {
+    "PinnedBuffer": "pinned",
+    "PinnedHostAllocator": "pinned",
+    "PinnedMemoryError": "pinned",
+    "ALIGNMENT": "pool",
+    "Allocation": "pool",
+    "DoubleFreeError": "pool",
+    "LiveByteCounter": "pool",
+    "OutOfMemoryError": "pool",
+    "PoolAllocator": "pool",
+    "UsageSample": "stats",
+    "UsageTracker": "stats",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

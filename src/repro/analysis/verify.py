@@ -23,8 +23,12 @@ from __future__ import annotations
 
 from dataclasses import replace
 from itertools import groupby
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+# verify_zoo loads no module when called: the static engine and the zoo
+# registry load with this one.  ``zoo.build`` is read at call time, so a
+# builder patched onto the package is the one that runs.
+from .. import zoo
 from ..core.api import point_label, resolve_point
 from ..core.dynamic import UntrainableError
 from ..core.executor import IterationResult
@@ -32,12 +36,16 @@ from ..core.liveness import LivenessAnalysis
 from ..core.plan import ScheduleKey
 from ..graph.network import Network
 from ..hw.config import PAPER_SYSTEM, SystemConfig
-from ..sched.scheduler import ScheduleResult
 from ..sim.timeline import EventKind
+from ..zoo import available
 from .diagnostics import Report
 from .hb import HBGraph, check_races
 from .safety import check_memory_safety
+from .static_plan import verify_zoo_static
 from .trace import ScheduleTrace
+
+if TYPE_CHECKING:
+    from ..sched.scheduler import ScheduleResult
 
 #: The CI sweep grid: the four paper policies plus the cDMA-compressed
 #: offload and the joint keep/offload/compress/recompute planner;
@@ -157,10 +165,8 @@ def _verify_row(row: Sequence[_Task]) -> List[Report]:
     of the row already had gets that point's diagnostics under its own
     subject.
     """
-    from ..zoo import build
-
     name, batch = row[0][:2]
-    network = build(name, batch)
+    network = zoo.build(name, batch)
     liveness = LivenessAnalysis(network)
     analyzed: Dict[ScheduleKey, Tuple[str, Report]] = {}
     return [_verify_point(network, policy, algo, None, liveness, analyzed)
@@ -193,13 +199,9 @@ def verify_zoo(
       construction.  Reports keep grid order; re-verified points carry
       the dynamic report.
     """
-    from ..zoo import available
-
     if mode not in ("dynamic", "static", "hybrid"):
         raise ValueError(f"unknown verify mode {mode!r}")
     if mode == "static":
-        from .static_plan import verify_zoo_static
-
         return verify_zoo_static(names=names, batch=batch,
                                  policies=policies)
 
@@ -208,8 +210,6 @@ def verify_zoo(
              for name in names for policy, algo in policies]
 
     if mode == "hybrid":
-        from .static_plan import verify_zoo_static
-
         reports = verify_zoo_static(names=names, batch=batch,
                                     policies=policies)
         tasks = [task for task, report in zip(tasks, reports)

@@ -710,7 +710,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_cap = sub.add_parser("capacity", help="max trainable batch per policy",
                            parents=[_network_options()])
-    p_cap.add_argument("--limit", type=int, default=512)
+    p_cap.add_argument("--limit", type=_positive_int, default=512)
 
     p_plan = sub.add_parser("plan", help="project a full training run",
                             parents=[_network_options()])
@@ -768,7 +768,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--pinned", default="128MiB",
                          help="on-device weight budget for --residency "
                               "pinned")
-    p_serve.add_argument("--requests", type=int, default=500,
+    p_serve.add_argument("--requests", type=_positive_int, default=500,
                          help="request-stream length to generate")
     p_serve.add_argument("--batch", type=_positive_int, default=1,
                          help="per-request batch size")

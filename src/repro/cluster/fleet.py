@@ -31,15 +31,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..hw.interconnects import ClusterTopology, make_topology
-from ..obs import Instrumentation
 from ..sched.admission import AdmissionController, RungEval
 from ..sched.job import Job, JobRecord
 from ..sched.scheduler import _FluidScheduler, _Resident, _RunResult
 from ..sim.timeline import Timeline
 from .contention import FleetContention, PlacedGang
+
+if TYPE_CHECKING:
+    from ..obs import Instrumentation
 
 
 def _gang_size(job: Job) -> int:

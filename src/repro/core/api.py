@@ -34,12 +34,11 @@ across worker processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
 
 from ..faults import FaultSpec
 from ..graph.network import Network
 from ..hw.config import PAPER_SYSTEM, SystemConfig
-from ..obs import Instrumentation
 from ..perf.cache import cache_enabled, get_cache
 from .algo_config import AlgoConfig
 from .cached import (_through_cache, baseline_key, dynamic_key,
@@ -51,6 +50,9 @@ from .joint import (JointConfig, adopt_joint, adopted_joint_key, joint_key,
 from .plan import ScheduleKey, compiled_plan
 from .policy import PolicyKind, TransferPolicy
 from .recompute import simulate_recompute
+
+if TYPE_CHECKING:
+    from ..obs import Instrumentation
 
 # ----------------------------------------------------------------------
 # The label table: what ``policy(algo)`` means

@@ -29,7 +29,7 @@ reports fragmentation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional
 
 from ..alloc.pinned import PinnedHostAllocator, PinnedMemoryError
 from ..alloc.pool import Allocation, LiveByteCounter, PoolAllocator
@@ -38,7 +38,6 @@ from ..analysis.trace import ScheduleTrace
 from ..faults import DMAAbortError, FaultInjector, FaultReport, FaultSpec, make_injector
 from ..graph.network import Network
 from ..hw.config import SystemConfig
-from ..obs import Instrumentation
 from ..sim.stream import make_stream_pair
 from ..sim.timeline import EventKind, Timeline
 from .algo_config import AlgoConfig
@@ -47,6 +46,9 @@ from .plan import BackwardStep, CompiledPlan, ForwardStep, StorageRecord, \
     compiled_plan
 from .policy import TransferPolicy
 from .walk import PlanWalk
+
+if TYPE_CHECKING:
+    from ..obs import Instrumentation
 
 _FORWARD = EventKind.FORWARD
 _BACKWARD = EventKind.BACKWARD

@@ -10,19 +10,19 @@ the inference-side counterpart of Figure 11.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
 from ..alloc.pool import Allocation, LiveByteCounter
-from ..alloc.stats import UsageTracker
 from ..graph.layer import LayerKind
 from ..graph.network import Network
 from ..hw.config import SystemConfig
 from ..kernels.latency import LatencyModel
-from ..sim.stream import make_stream_pair
 from ..sim.timeline import EventKind
 from .algo_config import AlgoConfig
-from .executor import IterationResult, _feature_extraction_time
 from .liveness import LivenessAnalysis
+
+if TYPE_CHECKING:
+    from .executor import IterationResult
 
 
 def _validate_inference_batch(network: Network) -> None:
@@ -77,6 +77,12 @@ def simulate_inference(
     ``weight_load_bytes`` carries the per-layer weight accounting the
     serving subsystem's demand-layering executor reuses.
     """
+    # Serving calls only the two helpers above, so what this simulator
+    # alone needs is imported on its first call.
+    from ..alloc.stats import UsageTracker
+    from ..sim.stream import make_stream_pair
+    from .executor import IterationResult, _feature_extraction_time
+
     _validate_inference_batch(network)
     latency = LatencyModel(system.gpu)
     liveness = LivenessAnalysis(network)

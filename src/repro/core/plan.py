@@ -45,7 +45,8 @@ by identity.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
+from typing import (TYPE_CHECKING, Dict, FrozenSet, List, NamedTuple,
+                    Optional, Set, Tuple)
 
 from ..alloc.pool import footprint
 from ..graph.layer import LayerKind
@@ -54,8 +55,10 @@ from ..hw.config import SystemConfig
 from ..kernels.latency import LatencyModel
 from .algo_config import AlgoConfig
 from .liveness import LivenessAnalysis, StorageInfo
-from .policy import TransferPolicy
 from .prefetcher import conv_floor
+
+if TYPE_CHECKING:
+    from .policy import TransferPolicy
 
 
 class StorageRecord:

@@ -31,11 +31,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..graph.layer import LayerKind
 from ..graph.network import Network
-from ..obs import Instrumentation
+
+if TYPE_CHECKING:
+    from ..obs import Instrumentation
 
 
 def conv_floor(network: Network) -> Tuple[int, ...]:

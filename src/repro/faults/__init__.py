@@ -1,25 +1,22 @@
 """Deterministic fault injection and graceful-degradation machinery."""
 
-from .injector import DMAAbortError, FaultInjector, make_injector
-from .report import FAILED_OUTCOMES, FaultEvent, FaultReport
-from .spec import (
-    DEFAULT_BACKOFF_BASE,
-    DEFAULT_BACKOFF_FACTOR,
-    DEFAULT_MAX_ATTEMPTS,
-    FaultSpec,
-    FaultSpecError,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_BACKOFF_BASE",
-    "DEFAULT_BACKOFF_FACTOR",
-    "DEFAULT_MAX_ATTEMPTS",
-    "DMAAbortError",
-    "FAILED_OUTCOMES",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultReport",
-    "FaultSpec",
-    "FaultSpecError",
-    "make_injector",
-]
+#: public name -> defining submodule
+_EXPORTS = {
+    "DMAAbortError": "injector",
+    "FaultInjector": "injector",
+    "make_injector": "injector",
+    "FAILED_OUTCOMES": "report",
+    "FaultEvent": "report",
+    "FaultReport": "report",
+    "DEFAULT_BACKOFF_BASE": "spec",
+    "DEFAULT_BACKOFF_FACTOR": "spec",
+    "DEFAULT_MAX_ATTEMPTS": "spec",
+    "FaultSpec": "spec",
+    "FaultSpecError": "spec",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

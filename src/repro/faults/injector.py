@@ -16,12 +16,14 @@ no injector at all*:
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..hw.pcie import PCIeLink
-from ..obs import Instrumentation
 from .report import FaultEvent, FaultReport
 from .spec import FaultSpec
+
+if TYPE_CHECKING:
+    from ..obs import Instrumentation
 
 
 class DMAAbortError(RuntimeError):

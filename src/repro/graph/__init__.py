@@ -1,53 +1,37 @@
 """DNN dataflow graph: tensors, layers, shape inference, networks."""
 
-from .builder import NetworkBuilder
-from .layer import (
-    Activation,
-    ActivationKind,
-    BatchNorm,
-    Concat,
-    Conv2D,
-    Dropout,
-    EltwiseAdd,
-    EltwiseMul,
-    FullyConnected,
-    Input,
-    Layer,
-    LayerKind,
-    LRN,
-    Pool2D,
-    PoolMode,
-    Slice,
-    Softmax,
-)
-from .network import GraphError, Network, NetworkNode
-from .tensor import FP32_BYTES, TensorRole, TensorSpec, gb, mb
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Activation",
-    "ActivationKind",
-    "BatchNorm",
-    "Concat",
-    "Conv2D",
-    "Dropout",
-    "EltwiseAdd",
-    "EltwiseMul",
-    "FP32_BYTES",
-    "FullyConnected",
-    "GraphError",
-    "Input",
-    "LRN",
-    "Layer",
-    "LayerKind",
-    "Network",
-    "NetworkBuilder",
-    "NetworkNode",
-    "Pool2D",
-    "PoolMode",
-    "Slice",
-    "Softmax",
-    "TensorRole",
-    "TensorSpec",
-    "gb",
-    "mb",
-]
+#: public name -> defining submodule
+_EXPORTS = {
+    "NetworkBuilder": "builder",
+    "Activation": "layer",
+    "ActivationKind": "layer",
+    "BatchNorm": "layer",
+    "Concat": "layer",
+    "Conv2D": "layer",
+    "Dropout": "layer",
+    "EltwiseAdd": "layer",
+    "EltwiseMul": "layer",
+    "FullyConnected": "layer",
+    "Input": "layer",
+    "Layer": "layer",
+    "LayerKind": "layer",
+    "LRN": "layer",
+    "Pool2D": "layer",
+    "PoolMode": "layer",
+    "Slice": "layer",
+    "Softmax": "layer",
+    "GraphError": "network",
+    "Network": "network",
+    "NetworkNode": "network",
+    "FP32_BYTES": "tensor",
+    "TensorRole": "tensor",
+    "TensorSpec": "tensor",
+    "gb": "tensor",
+    "mb": "tensor",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

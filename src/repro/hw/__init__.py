@@ -1,60 +1,39 @@
 """Hardware models: GPU, host memory, PCIe interconnect."""
 
-from .compression import CDMA_ENGINE, CompressionModel
-from .config import PAPER_SYSTEM, SystemConfig
-from .gpu import (
-    GPU_PRESETS,
-    GPUSpec,
-    HBM_CLASS,
-    JETSON_CLASS,
-    TITAN_X,
-    gpu_preset,
-    oracular,
-)
-from .host import HostSpec, I7_5930K
-from .interconnects import (
-    ClusterTopology,
-    NVLINK_1,
-    NVLINK_2,
-    PCIE_GEN4,
-    TOPOLOGY_PRESETS,
-    available_topologies,
-    interconnect_sweep,
-    make_topology,
-    nvlink_mesh,
-    nvlink_ring,
-    pcie_switch_tree,
-    system_with_link,
-)
-from .pcie import PCIE_GEN3, PCIeLink, TransferMode
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CDMA_ENGINE",
-    "ClusterTopology",
-    "CompressionModel",
-    "GPU_PRESETS",
-    "GPUSpec",
-    "HBM_CLASS",
-    "HostSpec",
-    "JETSON_CLASS",
-    "I7_5930K",
-    "NVLINK_1",
-    "NVLINK_2",
-    "PAPER_SYSTEM",
-    "PCIE_GEN3",
-    "PCIE_GEN4",
-    "PCIeLink",
-    "SystemConfig",
-    "TITAN_X",
-    "TOPOLOGY_PRESETS",
-    "TransferMode",
-    "available_topologies",
-    "gpu_preset",
-    "interconnect_sweep",
-    "make_topology",
-    "nvlink_mesh",
-    "nvlink_ring",
-    "oracular",
-    "pcie_switch_tree",
-    "system_with_link",
-]
+#: public name -> defining submodule
+_EXPORTS = {
+    "CDMA_ENGINE": "compression",
+    "CompressionModel": "compression",
+    "PAPER_SYSTEM": "config",
+    "SystemConfig": "config",
+    "GPU_PRESETS": "gpu",
+    "GPUSpec": "gpu",
+    "HBM_CLASS": "gpu",
+    "JETSON_CLASS": "gpu",
+    "TITAN_X": "gpu",
+    "gpu_preset": "gpu",
+    "oracular": "gpu",
+    "HostSpec": "host",
+    "I7_5930K": "host",
+    "ClusterTopology": "interconnects",
+    "NVLINK_1": "interconnects",
+    "NVLINK_2": "interconnects",
+    "PCIE_GEN4": "interconnects",
+    "TOPOLOGY_PRESETS": "interconnects",
+    "available_topologies": "interconnects",
+    "interconnect_sweep": "interconnects",
+    "make_topology": "interconnects",
+    "nvlink_mesh": "interconnects",
+    "nvlink_ring": "interconnects",
+    "pcie_switch_tree": "interconnects",
+    "system_with_link": "interconnects",
+    "PCIE_GEN3": "pcie",
+    "PCIeLink": "pcie",
+    "TransferMode": "pcie",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -14,38 +14,36 @@ and report is byte-identical with observability on or off — see
 ``tests/test_obs_differential.py`` and docs/observability.md.
 """
 
-from .export import metrics_dict, metrics_json, prometheus_text
-from .instrument import (CACHE_EVENTS, DIRECTIONS, JOB_EVENTS,
-                         PREFETCH_EVENTS, SERVE_OUTCOMES, STALL_CAUSES,
-                         Instrumentation, NullInstrumentation)
-from .metrics import (BYTES_BUCKETS, DURATION_BUCKETS, SERVE_LATENCY_BUCKETS,
-                      Counter, Gauge, Histogram, MetricError, MetricsRegistry,
-                      make_labels)
-from .spans import SPAN_PROCESS, Span, SpanRecorder, spans_to_trace_events
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BYTES_BUCKETS",
-    "CACHE_EVENTS",
-    "Counter",
-    "DIRECTIONS",
-    "DURATION_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "Instrumentation",
-    "JOB_EVENTS",
-    "MetricError",
-    "MetricsRegistry",
-    "NullInstrumentation",
-    "PREFETCH_EVENTS",
-    "SERVE_LATENCY_BUCKETS",
-    "SERVE_OUTCOMES",
-    "SPAN_PROCESS",
-    "STALL_CAUSES",
-    "Span",
-    "SpanRecorder",
-    "make_labels",
-    "metrics_dict",
-    "metrics_json",
-    "prometheus_text",
-    "spans_to_trace_events",
-]
+#: public name -> defining submodule
+_EXPORTS = {
+    "metrics_dict": "export",
+    "metrics_json": "export",
+    "prometheus_text": "export",
+    "CACHE_EVENTS": "instrument",
+    "DIRECTIONS": "instrument",
+    "JOB_EVENTS": "instrument",
+    "PREFETCH_EVENTS": "instrument",
+    "SERVE_OUTCOMES": "instrument",
+    "STALL_CAUSES": "instrument",
+    "Instrumentation": "instrument",
+    "NullInstrumentation": "instrument",
+    "BYTES_BUCKETS": "metrics",
+    "DURATION_BUCKETS": "metrics",
+    "SERVE_LATENCY_BUCKETS": "metrics",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricError": "metrics",
+    "MetricsRegistry": "metrics",
+    "make_labels": "metrics",
+    "SPAN_PROCESS": "spans",
+    "Span": "spans",
+    "SpanRecorder": "spans",
+    "spans_to_trace_events": "spans",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -22,34 +22,30 @@ Environment knobs:
 * ``REPRO_JOBS``        — default worker count for parallel sweeps.
 """
 
-from .cache import (
-    CacheStats,
-    SimulationCache,
-    cache_enabled,
-    configure_cache,
-    get_cache,
-    set_cache,
-)
-from .fingerprint import (
-    canonical_json,
-    fingerprint,
-    fingerprint_network,
-    fingerprint_point,
-)
-from .sweep import SweepPoint, resolve_jobs, sweep
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CacheStats",
-    "SimulationCache",
-    "SweepPoint",
-    "cache_enabled",
-    "canonical_json",
-    "configure_cache",
-    "fingerprint",
-    "fingerprint_network",
-    "fingerprint_point",
-    "get_cache",
-    "resolve_jobs",
-    "set_cache",
-    "sweep",
-]
+# ``fingerprint`` and ``sweep`` name both a function and the submodule
+# defining it.  Importing a submodule binds it on its package, so a lazy
+# entry would read back the module once anything imported it; binding
+# the functions here, after their submodules, keeps them callable.
+from .fingerprint import fingerprint
+from .sweep import sweep
+
+#: public name -> defining submodule
+_EXPORTS = {
+    "CacheStats": "cache",
+    "SimulationCache": "cache",
+    "cache_enabled": "cache",
+    "configure_cache": "cache",
+    "get_cache": "cache",
+    "set_cache": "cache",
+    "canonical_json": "fingerprint",
+    "fingerprint_network": "fingerprint",
+    "fingerprint_point": "fingerprint",
+    "SweepPoint": "sweep",
+    "resolve_jobs": "sweep",
+}
+
+__all__ = sorted([*_EXPORTS, "fingerprint", "sweep"])
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

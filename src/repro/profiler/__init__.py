@@ -1,26 +1,22 @@
 """Profiling: memory, timing and bandwidth analyses behind the figures."""
 
-from .bandwidth import BandwidthRow, dram_bandwidth_profile, worst_case_interference
-from .memory import (
-    BaselineProfile,
-    LayerMemoryRow,
-    baseline_memory_profile,
-    feature_extraction_share,
-    memory_breakdown,
-    per_layer_profile,
-)
-from .timing import LayerTimingRow, layer_timing_profile
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BandwidthRow",
-    "BaselineProfile",
-    "LayerMemoryRow",
-    "LayerTimingRow",
-    "baseline_memory_profile",
-    "dram_bandwidth_profile",
-    "feature_extraction_share",
-    "layer_timing_profile",
-    "memory_breakdown",
-    "per_layer_profile",
-    "worst_case_interference",
-]
+#: public name -> defining submodule
+_EXPORTS = {
+    "BandwidthRow": "bandwidth",
+    "dram_bandwidth_profile": "bandwidth",
+    "worst_case_interference": "bandwidth",
+    "BaselineProfile": "memory",
+    "LayerMemoryRow": "memory",
+    "baseline_memory_profile": "memory",
+    "feature_extraction_share": "memory",
+    "memory_breakdown": "memory",
+    "per_layer_profile": "memory",
+    "LayerTimingRow": "timing",
+    "layer_timing_profile": "timing",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

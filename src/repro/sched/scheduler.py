@@ -34,18 +34,20 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple, Union
 
 from ..alloc.pool import Allocation, PoolAllocator
 from ..alloc.stats import UsageTracker
 from ..faults import FaultEvent, FaultReport, FaultSpec
 from ..hw.config import PAPER_SYSTEM, SystemConfig
-from ..obs import Instrumentation
 from ..sim.timeline import EventKind, Timeline
 from .admission import AdmissionController, RungEval
 from .contention import ContentionModel
 from .job import Job, JobRecord, JobState
 from .policies import AdmissionPolicy, make_policy
+
+if TYPE_CHECKING:
+    from ..obs import Instrumentation
 
 #: Iteration-count slack absorbing float progress arithmetic.
 _EPSILON = 1e-9

@@ -1,27 +1,28 @@
 """Two-stream execution simulation: timelines, streams, power."""
 
-from .power import PowerModel, PowerReport, analyze_power
-from .trace import (JOB_STREAM_PREFIX, MODEL_STREAM_PREFIX, job_lane_name,
-                    lane_name, save_trace, timeline_to_trace_events)
-from .stream import COMPUTE_STREAM, MEMORY_STREAM, SimStream, make_stream_pair
-from .timeline import EmptyTimelineError, EventKind, Timeline, TimelineEvent
+from .._lazy import lazy_exports
 
-__all__ = [
-    "COMPUTE_STREAM",
-    "EmptyTimelineError",
-    "EventKind",
-    "JOB_STREAM_PREFIX",
-    "MODEL_STREAM_PREFIX",
-    "job_lane_name",
-    "lane_name",
-    "MEMORY_STREAM",
-    "PowerModel",
-    "PowerReport",
-    "SimStream",
-    "Timeline",
-    "TimelineEvent",
-    "analyze_power",
-    "make_stream_pair",
-    "save_trace",
-    "timeline_to_trace_events",
-]
+#: public name -> defining submodule
+_EXPORTS = {
+    "PowerModel": "power",
+    "PowerReport": "power",
+    "analyze_power": "power",
+    "JOB_STREAM_PREFIX": "trace",
+    "MODEL_STREAM_PREFIX": "trace",
+    "job_lane_name": "trace",
+    "lane_name": "trace",
+    "save_trace": "trace",
+    "timeline_to_trace_events": "trace",
+    "COMPUTE_STREAM": "stream",
+    "MEMORY_STREAM": "stream",
+    "SimStream": "stream",
+    "make_stream_pair": "stream",
+    "EmptyTimelineError": "timeline",
+    "EventKind": "timeline",
+    "Timeline": "timeline",
+    "TimelineEvent": "timeline",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -16,10 +16,12 @@ process group.
 from __future__ import annotations
 
 import json
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from ..alloc.stats import UsageTracker
 from .timeline import EventKind, Timeline
+
+if TYPE_CHECKING:
+    from ..alloc.stats import UsageTracker
 
 _CATEGORY = {
     EventKind.FORWARD: "compute",

@@ -1,41 +1,30 @@
 """Reference network zoo: every configuration the paper evaluates."""
 
-from .alexnet import build_alexnet
-from .googlenet import build_googlenet
-from .overfeat import build_overfeat
-from .resnet import RESNET_STAGES, build_deep_resnet, build_resnet
-from .lstm import build_unrolled_lstm
-from .rnn import build_unrolled_rnn
-from .registry import (
-    PAPER_CONVENTIONAL,
-    PAPER_NETWORKS,
-    PAPER_VERY_DEEP,
-    available,
-    build,
-    paper_conventional_networks,
-    paper_very_deep_networks,
-    recipe,
-)
-from .vgg import VGG16_GROUPS, build_deep_vgg, build_vgg16
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PAPER_CONVENTIONAL",
-    "PAPER_NETWORKS",
-    "PAPER_VERY_DEEP",
-    "RESNET_STAGES",
-    "VGG16_GROUPS",
-    "available",
-    "build",
-    "build_alexnet",
-    "build_deep_resnet",
-    "build_deep_vgg",
-    "build_resnet",
-    "build_unrolled_lstm",
-    "build_unrolled_rnn",
-    "build_googlenet",
-    "build_overfeat",
-    "build_vgg16",
-    "paper_conventional_networks",
-    "paper_very_deep_networks",
-    "recipe",
-]
+#: public name -> defining submodule
+_EXPORTS = {
+    "build_alexnet": "alexnet",
+    "build_googlenet": "googlenet",
+    "build_overfeat": "overfeat",
+    "RESNET_STAGES": "resnet",
+    "build_deep_resnet": "resnet",
+    "build_resnet": "resnet",
+    "build_unrolled_lstm": "lstm",
+    "build_unrolled_rnn": "rnn",
+    "PAPER_CONVENTIONAL": "registry",
+    "PAPER_NETWORKS": "registry",
+    "PAPER_VERY_DEEP": "registry",
+    "available": "registry",
+    "build": "registry",
+    "paper_conventional_networks": "registry",
+    "paper_very_deep_networks": "registry",
+    "recipe": "registry",
+    "VGG16_GROUPS": "vgg",
+    "build_deep_vgg": "vgg",
+    "build_vgg16": "vgg",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -59,8 +59,9 @@ class TestParseBytes:
 
 
 class TestBadSizesFailAtTheBoundary:
-    """A non-positive batch, epoch count or dataset size is a usage
-    error (exit 2) from argparse, not a traceback from the zoo."""
+    """A non-positive batch, epoch count, dataset size, capacity limit or
+    request count is a usage error (exit 2) from argparse, not a
+    traceback from the zoo or an all-zero report."""
 
     @pytest.mark.parametrize("argv", [
         [command, "alexnet", "--batch", batch]
@@ -71,6 +72,8 @@ class TestBadSizesFailAtTheBoundary:
         ["plan", "alexnet", "--dataset-size", "-1"],
         ["evaluate", "alexnet", "--batch", "eight"],
         ["train-demo", "--batch", "0"],
+        ["capacity", "alexnet", "--limit", "0"],
+        ["serve", "--requests", "0"],
     ], ids=" ".join)
     def test_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
