@@ -26,8 +26,7 @@ from typing import Dict, List, Optional
 from repro.alloc.pinned import PinnedHostAllocator
 from repro.alloc.pool import Allocation, PoolAllocator
 from repro.core.algo_config import AlgoConfig
-from repro.core.executor import IterationResult, _UNBOUNDED, \
-    baseline_allocation_bytes
+from repro.core.executor import IterationResult, baseline_allocation_bytes
 from repro.core.liveness import LivenessAnalysis, StorageInfo
 from repro.core.policy import TransferPolicy
 from repro.core.prefetcher import PrefetchState, find_prefetch_layer
@@ -181,7 +180,8 @@ class _LegacyVDNNSimulation:
 
         self.latency = LatencyModel(system.gpu)
         self.liveness = LivenessAnalysis(network)
-        self.pool = PoolAllocator(_UNBOUNDED)
+        # Unbounded: trainability is judged on the peak afterwards.
+        self.pool = PoolAllocator(1 << 50)
         self.pinned = PinnedHostAllocator(system.host.max_pinned_bytes)
         self.timeline = _LegacyTimeline()
         self.compute = _LegacyStream(COMPUTE_STREAM, self.timeline)

@@ -97,14 +97,16 @@ def footprint(nbytes: int) -> int:
 class LiveByteCounter:
     """The pool's byte accounting without its placement.
 
-    A walk whose block offsets nobody reads needs only the live-byte
-    curve (Figure 11's maximum and time-weighted average).  This counter
-    has the pool's walk-facing surface — :meth:`alloc` returns an
+    A walk needs only the live-byte curve (Figure 11's maximum and
+    time-weighted average), so every executor walk counts with this.
+    It has the pool's walk-facing surface — :meth:`alloc` returns an
     :class:`Allocation` carrying the aligned ``size`` (``offset`` is -1:
     unplaced), :meth:`free` keeps the double-free check, and
     ``live_bytes``/``peak_bytes`` read as on the pool — at O(1) per
     operation.  Both round every block with :func:`footprint`, so its
-    curve is an unbounded pool's, operation for operation.
+    curve is an unbounded pool's, operation for operation; a traced
+    walk's placements are replayed from its trace
+    (:func:`repro.analysis.trace.place_blocks`).
     """
 
     __slots__ = ("live_bytes", "peak_bytes")
@@ -317,10 +319,6 @@ class PoolAllocator:
         if nbytes < 0:
             return False
         return footprint(nbytes) <= self.largest_free_block
-
-    @property
-    def live_allocations(self) -> List[Allocation]:
-        return list(self._live.values())
 
     @property
     def fragmentation(self) -> float:

@@ -43,6 +43,8 @@ import enum
 from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
+from ..alloc.pool import Allocation, PoolAllocator
+
 #: Stream name for host-synchronous ops (alloc / sync).
 HOST_STREAM = "host"
 
@@ -331,3 +333,29 @@ class ScheduleTrace:
                           size, reads, writes, layer, target, wait_sid,
                           wait_pos, phase, demand, persistent, start, end)
         return mutated
+
+
+def place_blocks(trace: ScheduleTrace) -> PoolAllocator:
+    """Fill the ``offsets`` of every ALLOC and FREE row; returns the pool.
+
+    cnmem places blocks best-fit (Section III-B), a function of the
+    alloc/free sequence alone, so replaying the rows in ``seq`` order
+    through an unbounded best-fit pool puts every block where a pool
+    inside the walk would have.  A free pairs with its alloc by buffer
+    name, as in the memory-safety replay.  The pool's ``peak_bytes`` is
+    the walk's counted peak.
+    """
+    # Unbounded: the walk judged trainability on its peak alone.
+    pool = PoolAllocator(1 << 50)
+    live: Dict[str, Allocation] = {}
+    offsets = trace.offsets
+    for seq, (kind, buffer, nbytes) in enumerate(zip(
+            trace.kinds, trace.buffers, trace.nbytes)):
+        if kind is OpKind.ALLOC:
+            allocation = live[buffer] = pool.alloc(nbytes)
+            offsets[seq] = allocation.offset
+        elif kind is OpKind.FREE:
+            allocation = live.pop(buffer)
+            pool.free(allocation)
+            offsets[seq] = allocation.offset
+    return pool

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.diagnostics import Report
-from ..analysis.verify import verify_result
 from ..core.api import resolve_point
 from ..sched.admission import LADDER, LADDER_POINTS, evaluate_ladder
 from ..zoo import build
@@ -146,6 +145,8 @@ def worker_results(
     no schedule trace, so — like the verifier's "untrainable" case — it
     is reported as skipped rather than silently passed.
     """
+    from ..analysis.verify import verify_result
+
     policy, algo = LADDER_POINTS[_rung_index(rung)]
     replica = build(network, batch_size)
     reports: List[Report] = []

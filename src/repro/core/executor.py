@@ -21,9 +21,9 @@ simulation counts live bytes with no capacity limit and judges
 trainability by comparing the peak against the GPU's physical capacity —
 with no thrashing in the model this is exact, and it lets untrainable
 configurations still report the memory they would have needed (the
-``(*)``-marked bars of Figure 11).  Only a traced or observed walk places
-its blocks, in an unbounded pool: the trace records offsets and obs
-reports fragmentation.
+``(*)``-marked bars of Figure 11).  No walk places its blocks: a traced
+walk's offsets are replayed from its trace afterwards
+(:func:`~repro.analysis.trace.place_blocks`).
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional
 
 from ..alloc.pinned import PinnedHostAllocator, PinnedMemoryError
-from ..alloc.pool import Allocation, LiveByteCounter, PoolAllocator
+from ..alloc.pool import Allocation, LiveByteCounter
 from ..alloc.stats import UsageTracker
-from ..analysis.trace import ScheduleTrace
+from ..analysis.trace import ScheduleTrace, place_blocks
 from ..faults import DMAAbortError, FaultInjector, FaultReport, FaultSpec, make_injector
 from ..graph.network import Network
 from ..hw.config import SystemConfig
@@ -54,10 +54,6 @@ _FORWARD = EventKind.FORWARD
 _BACKWARD = EventKind.BACKWARD
 _OFFLOAD = EventKind.OFFLOAD
 _PREFETCH = EventKind.PREFETCH
-
-#: Pool capacity of traced and observed runs; trainability is decided by
-#: comparing peak usage to the *real* GPU capacity afterwards.
-_UNBOUNDED = 1 << 50
 
 
 @dataclass
@@ -288,15 +284,10 @@ class _VDNNSimulation(PlanWalk):
         self.faults = faults
         self.obs = obs
         self.trace: Optional[ScheduleTrace] = ScheduleTrace() if verify else None
-        # pool offset -> (trace buffer id, storage owner) of the live
-        # block there; offsets are unique among live blocks, so this maps
-        # every Allocation back to its trace identity at free time.
+        # id of a live block -> its (trace buffer id, storage owner),
+        # which the free row repeats.
         self._traced: Dict[int, tuple] = {}
-
-        # Only the trace (whose sanitizer checks placements are
-        # disjoint) and obs (the fragmentation gauge) read offsets.
-        self.pool = PoolAllocator(_UNBOUNDED) \
-            if verify or obs is not None else LiveByteCounter()
+        self.pool = LiveByteCounter()
         pinned_capacity = system.host.max_pinned_bytes
         if faults is not None and faults.spec.pinned_budget_factor != 1.0:
             pinned_capacity = int(
@@ -312,34 +303,33 @@ class _VDNNSimulation(PlanWalk):
     # -- bookkeeping helpers -------------------------------------------
     def _alloc(self, nbytes: int, tag: str, buffer: str, layer: int,
                towner: int = -1, persistent: bool = False) -> Allocation:
-        """Pool allocation; ``buffer``/``towner`` name it in the trace.
+        """Counted allocation; ``buffer``/``towner`` name it in the trace.
 
         ``towner`` is the storage-owner layer recorded for feature/
         gradient buffers (the refcount-gate rule keys on it); workspace
         and weight blocks pass -1 so the gate never applies to them.
         """
         allocation = self.pool.alloc(nbytes, tag)
-        # No obs hook here: this runs on every alloc/free, and the pool
-        # already tracks its exact high-water mark.  The end-of-run
+        # No obs hook here: this runs on every alloc/free, and the
+        # counter already tracks its exact high-water mark.  The end-of-run
         # block in _run_iteration reports it via pool_sample + pool_peak.
         self.usage.record(self.compute.ready_time, self.pool.live_bytes)
         if self.trace is not None:
             self.trace.alloc(
-                buffer, nbytes, offset=allocation.offset,
-                size=allocation.size, label=tag, layer=layer,
-                owner=towner, persistent=persistent,
+                buffer, nbytes, size=allocation.size, label=tag,
+                layer=layer, owner=towner, persistent=persistent,
                 start=self.compute.ready_time,
             )
-            self._traced[allocation.offset] = (buffer, towner)
+            self._traced[id(allocation)] = (buffer, towner)
         return allocation
 
     def _free(self, allocation: Allocation, layer: int,
               phase: str) -> None:
         if self.trace is not None:
-            buffer, towner = self._traced.pop(allocation.offset)
+            buffer, towner = self._traced.pop(id(allocation))
             self.trace.free(
-                buffer, self.compute.name, offset=allocation.offset,
-                size=allocation.size, label=allocation.tag,
+                buffer, self.compute.name, size=allocation.size,
+                label=allocation.tag,
                 layer=layer, owner=towner, phase=phase,
                 start=self.compute.ready_time,
             )
@@ -725,10 +715,11 @@ def _run_iteration(sim: _VDNNSimulation) -> IterationResult:
         # A demand fetch exhausted its retries: structured failure, not
         # a hang or silent corruption.
         failure = f"DMA transfer permanently failed: {error}"
+    if sim.trace is not None:
+        place_blocks(sim.trace)
     sim.usage.record(sim.timeline.end_time, sim.pool.live_bytes)
     if obs is not None:
-        obs.pool_sample(sim.pool.live_bytes, system.gpu.memory_bytes,
-                        sim.pool.fragmentation)
+        obs.pool_sample(sim.pool.live_bytes, system.gpu.memory_bytes, 0.0)
         obs.pool_peak(sim.pool.peak_bytes)
         obs.pinned_peak(sim.pinned.peak_bytes)
         obs.prefetch_searches(sim.prefetch_hits, sim.prefetch_misses)

@@ -15,8 +15,8 @@ decides that schedule, and its order, once:
 * the end sweep.
 
 Two domains give the walk its consequences: the timed executor
-(:class:`repro.core.executor._VDNNSimulation`: pool, streams, pinned
-staging, faults, trace, obs) and its abstract twin
+(:class:`repro.core.executor._VDNNSimulation`: live bytes, streams,
+pinned staging, faults, trace, obs) and its abstract twin
 (:class:`repro.core.interpret._PlanInterpreter`: an interval pool,
 happens-before watermarks and the static verifier's findings).  Faults
 feed back into the walk: an offload a domain could not stage leaves

@@ -147,6 +147,18 @@ def test_serving_and_verify_skip_idle_subsystems():
     assert out.split("\n")[:2] == ["[]", "[]"]
 
 
+def test_cluster_skips_the_verifier():
+    # Only worker_results sanitizes, so only it imports the verifier.
+    out = run_fresh("""
+        import sys
+        import repro.cluster
+        idle = ("repro.analysis.verify", "repro.analysis.static_plan",
+                "repro.analysis.hb", "repro.analysis.safety")
+        print([name for name in idle if name in sys.modules])
+    """)
+    assert out.strip() == "[]"
+
+
 #: entry module -> (inputs built after importing it, the one call).  An
 #: entry module imports everything its entry point runs, so the call
 #: loads no further ``repro`` module: none lands on a pass's clock.

@@ -13,11 +13,16 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.alloc import LiveByteCounter, PoolAllocator
+from repro.alloc import LiveByteCounter
+from repro.analysis.trace import OpKind, place_blocks
 from repro.cli import DEFAULT_WORKLOAD, main
+from repro.core.algo_config import AlgoConfig
 from repro.core.api import evaluate, resolve_point
 from repro.core.executor import _run_iteration, _VDNNSimulation
+from repro.core.joint import JointConfig, JointDecision, \
+    simulate_joint_config, trigger_costs
 from repro.core.plan import compiled_plan
+from repro.core.policy import TransferPolicy
 from repro.faults import FaultSpec
 from repro.hw import PAPER_SYSTEM
 from repro.obs import Instrumentation, NullInstrumentation
@@ -25,6 +30,7 @@ from repro.sched import Job, schedule_jobs, schedule_report
 from repro.zoo import available, build
 
 from test_properties import random_dag_network
+from test_recompute_golden import _placed_ops, _RecordingCounter
 
 POLICIES = ("all", "conv", "dyn", "base", "none")
 
@@ -257,8 +263,8 @@ def test_warm_plan_verify_and_obs_together():
 
 
 # ----------------------------------------------------------------------
-# Counted vs placed walks: an untraced walk only counts live bytes, a
-# traced or observed one places every block in a pool; both must agree
+# Counted vs placed: every walk only counts live bytes, and a traced
+# walk's placements are replayed from its trace afterwards
 # ----------------------------------------------------------------------
 #: The vDNN points of Figures 11/14 whose walk allocates per layer.
 COUNTED_POINTS = tuple((policy, algo) for policy in ("all", "conv", "comp")
@@ -274,33 +280,113 @@ def _walk(point, **kwargs):
     return _run_iteration(sim), sim.pool
 
 
-def _assert_counted_matches_placed(point):
+def _exported(obs):
+    return [metric.to_dict() for metric in obs.registry.metrics()]
+
+
+def _assert_walks_agree(point):
+    """Plain, traced and observed walks agree; the replay pool's peak is
+    the counted peak."""
     plain, counter = _walk(point)
-    traced, pool = _walk(point, verify=True)
-    observed, observed_pool = _walk(point, obs=Instrumentation())
-    assert type(counter) is LiveByteCounter
-    assert type(pool) is PoolAllocator
-    assert type(observed_pool) is PoolAllocator
+    traced, traced_counter = _walk(point, verify=True)
+    observed_obs, both_obs = Instrumentation(), Instrumentation()
+    observed, observed_counter = _walk(point, obs=observed_obs)
+    both, both_counter = _walk(point, verify=True, obs=both_obs)
+    for allocator in (counter, traced_counter, observed_counter,
+                      both_counter):
+        assert type(allocator) is LiveByteCounter
     _assert_traced_matches(plain, traced)
+    _assert_traced_matches(plain, both)
     _assert_results_identical(plain, observed)
-    assert counter.peak_bytes == pool.peak_bytes == observed_pool.peak_bytes
-    assert counter.live_bytes == pool.live_bytes == observed_pool.live_bytes
+    assert _exported(both_obs) == _exported(observed_obs)
+    assert observed_obs.registry.get(
+        "repro_pool_fragmentation_ratio").value == 0.0
+    trace = traced.schedule_trace
+    offsets = list(trace.offsets)
+    pool = place_blocks(trace)
+    assert trace.offsets == offsets
+    assert pool.peak_bytes == counter.peak_bytes == plain.managed_max_bytes
+    assert pool.live_bytes == counter.live_bytes
 
 
 @pytest.mark.parametrize("policy,algo", COUNTED_POINTS)
 @pytest.mark.parametrize("name", available())
 def test_counted_walk_matches_placed_walk(name, policy, algo):
     network = build(name, 4)
-    _assert_counted_matches_placed(
-        resolve_point(network, PAPER_SYSTEM, policy, algo))
+    _assert_walks_agree(resolve_point(network, PAPER_SYSTEM, policy, algo))
 
 
 @settings(max_examples=15, deadline=None)
 @given(network=random_dag_network(),
        point=st.sampled_from(COUNTED_POINTS))
 def test_counted_walk_matches_placed_walk_on_random_dags(network, point):
-    _assert_counted_matches_placed(
-        resolve_point(network, PAPER_SYSTEM, *point))
+    _assert_walks_agree(resolve_point(network, PAPER_SYSTEM, *point))
+
+
+def _assert_replay_matches_reference(walk):
+    """The trace's replayed placements equal the walk's own alloc/free
+    sequence placed by handle identity, not by buffer name."""
+    counters = []
+
+    def recording_counter():
+        counters.append(_RecordingCounter())
+        return counters[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.core.executor.LiveByteCounter",
+                      recording_counter)
+        trace = walk().schedule_trace
+    (counter,) = counters
+    replayed = []
+    for kind, offset, size, nbytes, label in zip(
+            trace.kinds, trace.offsets, trace.sizes, trace.nbytes,
+            trace.labels):
+        if kind is OpKind.ALLOC:
+            replayed.append(f"A|{offset}|{size}|{nbytes}|{label}")
+        elif kind is OpKind.FREE:
+            replayed.append(f"F|{offset}|{size}|{label}")
+    assert replayed == _placed_ops(counter.ops)
+
+
+@pytest.mark.parametrize("policy,algo", (("all", "m"), ("conv", "p"),
+                                         ("dyn", "p")))
+@pytest.mark.parametrize("name", available())
+def test_replayed_offsets_match_reference(name, policy, algo):
+    point = resolve_point(build(name, 4), PAPER_SYSTEM, policy, algo)
+    _assert_replay_matches_reference(lambda: point.simulate(verify=True))
+
+
+@settings(max_examples=10, deadline=None)
+@given(network=random_dag_network(),
+       point=st.sampled_from(COUNTED_POINTS))
+def test_replayed_offsets_match_reference_on_random_dags(network, point):
+    point = resolve_point(network, PAPER_SYSTEM, *point)
+    _assert_replay_matches_reference(lambda: point.simulate(verify=True))
+
+
+@pytest.mark.parametrize("name,seed", (("alexnet", 3), ("googlenet", 0)))
+def test_replayed_offsets_match_reference_under_faults(name, seed):
+    # alexnet recovers from its DMA failures; googlenet aborts with its
+    # blocks still live.
+    point = resolve_point(build(name, 8), PAPER_SYSTEM, "all", "m")
+    _assert_replay_matches_reference(lambda: point.simulate(
+        verify=True, faults=FaultSpec.parse("dma=0.5,retries=2"),
+        fault_seed=seed))
+
+
+def test_replayed_offsets_match_reference_on_joint_drop_walk():
+    network = build("googlenet", 8)
+    plan = compiled_plan(network, PAPER_SYSTEM,
+                         AlgoConfig.performance_optimal(network))
+    triggers = plan.offload_indices(TransferPolicy.vdnn_all(), network)
+    costs = trigger_costs(network, plan)
+    droppable = frozenset(t for t in triggers
+                          if JointDecision.RECOMPUTE in costs[t])
+    assert droppable
+    config = JointConfig(offload=triggers - droppable, drop=droppable)
+    algos = AlgoConfig.memory_optimal(network)
+    _assert_replay_matches_reference(lambda: simulate_joint_config(
+        network, PAPER_SYSTEM, config, algos, verify=True))
 
 
 # ----------------------------------------------------------------------
