@@ -733,7 +733,7 @@ def make_parser() -> argparse.ArgumentParser:
                             help="real numpy training under a policy")
     p_demo.add_argument("--policy", default="all",
                         choices=["none", "all", "conv"])
-    p_demo.add_argument("--steps", type=int, default=5)
+    p_demo.add_argument("--steps", type=_positive_int, default=5)
     p_demo.add_argument("--batch", type=_positive_int, default=8)
 
     p_sched = sub.add_parser(

@@ -84,7 +84,7 @@ class _PlanInterpreter(PlanWalk):
     an operation that reads or reuses a buffer is safe iff the covering
     transfer's position is at or below the watermark.
 
-    A drop trigger stages nothing; backward replays its producer chains
+    A dropped storage stages nothing; backward replays its producer chains
     abstractly (allocate Y, workspace alloc/free per chain member).
     """
 
@@ -424,7 +424,8 @@ def _walk(
         bounded_prefetch_window=bounded_prefetch_window,
         sync_after_offload=sync_after_offload,
         sync_after_prefetch=sync_after_prefetch,
-        report=report, flagged=flagged, subject=subject, drop=drop)
+        report=report, flagged=flagged, subject=subject,
+        drop=plan.candidate_owners(drop))
     before = len(walker.report.diagnostics)
     result = walker.run()
     if len(walker.report.diagnostics) == before:

@@ -67,8 +67,8 @@ class JointConfig:
     construction in the ladder); every other trigger keeps its
     candidates resident (KEEP).  ``policy()`` lowers the config to the
     executor's :class:`~repro.core.policy.TransferPolicy`: drop
-    triggers ride the offload wants-set so the forward walk visits
-    them, and the walk's drop set intercepts them before any DMA.
+    triggers stay in its wants-set only because ``ScheduleKey`` and the
+    cache fingerprint read them; the walk drops by storage.
     """
 
     offload: FrozenSet[int] = field(default_factory=frozenset)
@@ -344,7 +344,8 @@ def simulate_joint_config(
     plan = compiled_plan(network, system, algos)
     return _run_iteration(_VDNNSimulation(
         network, system, config.policy(), algos, plan, verify=verify,
-        obs=obs, drop=config.drop, label=config.describe()))
+        obs=obs, drop=plan.candidate_owners(config.drop),
+        label=config.describe()))
 
 
 # ----------------------------------------------------------------------

@@ -381,6 +381,13 @@ class CompiledPlan:
             self._offload_sets[policy] = cached
         return cached
 
+    def candidate_owners(self, triggers: FrozenSet[int]) -> FrozenSet[int]:
+        """The storages trigger layers offload or drop: their forward
+        steps' offload candidates (each storage has one trigger)."""
+        forward_at = self.forward_at
+        return frozenset(rec.owner for index in triggers
+                         for rec in forward_at[index].offload_candidates)
+
     def schedule_key(
         self,
         network: Network,

@@ -44,8 +44,9 @@ class CheckpointPlan:
     plus the droppable order the segment walk-back follows.  Built by
     :func:`checkpoint_plan`; consumed by :class:`_RecomputeSimulation`
     (segments and walk-back) and by the numpy
-    :class:`~repro.numerics.TrainingRuntime` (its drop set, replayed
-    owner by owner), and audited statically by
+    :class:`~repro.numerics.TrainingRuntime`, whose ``dropped`` is the
+    storage drop set its vDNN walk (:class:`repro.core.walk.PlanWalk`)
+    frees and replays owner by owner, and audited statically by
     :func:`repro.analysis.verify_recompute_plan` (SP405).
     """
 

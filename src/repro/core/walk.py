@@ -14,11 +14,13 @@ decides that schedule, and its order, once:
   and the discard of replayed intermediates;
 * the end sweep.
 
-Two domains give the walk its consequences: the timed executor
+Three domains give the walk its consequences: the timed executor
 (:class:`repro.core.executor._VDNNSimulation`: live bytes, streams,
-pinned staging, faults, trace, obs) and its abstract twin
+pinned staging, faults, trace, obs), its abstract twin
 (:class:`repro.core.interpret._PlanInterpreter`: an interval pool,
-happens-before watermarks and the static verifier's findings).  Faults
+happens-before watermarks and the static verifier's findings) and the
+numpy training step (:class:`repro.numerics.runtime._TrainingWalk`:
+real arrays on a byte-budgeted device heap).  Faults
 feed back into the walk: an offload a domain could not stage leaves
 its tensor resident, and a prefetch it could not fetch is freed and its
 claim returned to the Fig. 10 search.
@@ -50,9 +52,10 @@ class PlanWalk:
     abstract domain reports what a walk over a defective plan or an
     unsafe ablation finds; those hooks default to nothing.
 
-    ``drop`` holds a joint point's drop triggers (:mod:`repro.core.joint`):
-    they free their candidates with no DMA, and backward replays the
-    producers of exactly what they freed.
+    ``drop`` holds the storage owners to drop (a joint point's triggers
+    translated by :meth:`~repro.core.plan.CompiledPlan.candidate_owners`,
+    or a checkpoint plan's drop set): each is freed with no DMA at its
+    last forward reader, and backward replays its producers.
     """
 
     def __init__(
@@ -87,10 +90,9 @@ class PlanWalk:
         self.restored: Set[int] = set()
         # trigger layer -> storage records it offloaded
         self.offloaded_at: Dict[int, List[StorageRecord]] = {}
-        # Drops: owners they freed, replayed intermediates backward does
-        # not need, and the input storages dead releases must keep.
+        # Drops: the owners to free, replayed intermediates backward
+        # does not need, and the input storages dead releases must keep.
         self.drops = drop
-        self.dropped: Set[int] = set()
         self._dead_resident: Set[int] = set()
         self._protected = plan.input_owners if drop else frozenset()
 
@@ -181,9 +183,9 @@ class PlanWalk:
             self._check_dead(step, rec)
             self._free(block, index, "fwd")
 
-        # Offload the rest of the last-consumed inputs if the policy
-        # says so (the refcount gate of Figure 3).
-        if step.offload_candidates and index in self.wants:
+        # Drop or offload the rest of the last-consumed inputs if the
+        # plan says so (the refcount gate of Figure 3).
+        if step.offload_candidates and (index in self.wants or self.drops):
             self._offload_inputs(step, issued)
 
         if workspace is not None:
@@ -192,22 +194,27 @@ class PlanWalk:
     def _offload_inputs(self, step: ForwardStep, issued) -> None:
         index = step.index
         device = self.device
-        if index in self.drops:
+        candidates = step.offload_candidates
+        if self.drops:
             # Drop: discard now, replay later.  The "drop" phase keeps
             # the sanitizer's refcount gate (MS105) out of the way — the
             # gate judges forward frees, and this free is the checkpoint
             # discipline's, covered by SP405 and the remat walk instead.
-            for rec in step.offload_candidates:
-                self.dropped.add(rec.owner)
+            for rec in candidates:
+                if rec.owner not in self.drops:
+                    continue
                 block = device.pop(rec.owner, None)
                 if block is None:
                     self._missing(step, rec.owner, "drop")
                 else:
                     self._free(block, index, "drop")
+            candidates = [rec for rec in candidates
+                          if rec.owner not in self.drops]
+        if index not in self.wants:
             return
         compress = self.policy.compresses(index)
         completed: List[StorageRecord] = []
-        for rec in step.offload_candidates:
+        for rec in candidates:
             # Wire format: the cDMA engine stages and moves the
             # compressed image; decompression happens on the return
             # trip, so device allocations stay full-size.
@@ -246,7 +253,7 @@ class PlanWalk:
             if rec.owner not in device:
                 if rec.owner in self.host:
                     self._demand(rec, step)
-                elif rec.owner in self.dropped:
+                elif rec.owner in self.drops:
                     self._replay(rec.owner, step)
                 else:
                     self._missing(step, rec.owner, "required")

@@ -2,27 +2,30 @@
 
 This is the proof that the vDNN mechanism is *correct*, not only fast on
 paper: a :class:`TrainingRuntime` executes forward/backward passes with
-real numpy buffers in a byte-budgeted :class:`~repro.numerics.heap.DeviceHeap`,
-walking the **same** :class:`~repro.core.plan.CompiledPlan` as the
-performance simulator.  Each forward step's dead releases and offload
-candidates, each backward step's required storages, gradient-twin
-allocations and release list, the Figure-10 prefetcher and the
-checkpoint drop set of :func:`~repro.core.recompute.checkpoint_plan`
-all come from there, in the simulator's order.  Offloaded feature maps
-really leave the device heap (and really come back), released buffers
-are really gone, and gradients for fork/join topologies really
+real numpy buffers in a byte-budgeted :class:`~repro.numerics.heap.DeviceHeap`.
+Each training step is one run of the simulator's own vDNN walk
+(:class:`~repro.core.walk.PlanWalk`) over the same
+:class:`~repro.core.plan.CompiledPlan`, in a numpy domain: the walk
+decides the dead releases, offloads, the Figure-10 prefetches, demand
+fetches, gradient twins, release lists and the replays of the
+checkpoint drop set of :func:`~repro.core.recompute.checkpoint_plan`,
+and the domain stores, copies and frees real arrays.  Offloaded feature
+maps really leave the device heap (and really come back), released
+buffers are really gone, and gradients for fork/join topologies really
 accumulate — so the tests can demand that training under ``vDNN_all``
 is *bitwise identical* to training with everything resident, and that
 the device heap allocates and frees feature maps and gradient twins in
 exactly the order of the simulator's
-:class:`~repro.analysis.trace.ScheduleTrace`.
+:class:`~repro.analysis.trace.ScheduleTrace`.  Inference
+(:meth:`TrainingRuntime.predict`) is a forward loop of its own that
+frees every buffer at its last use.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import List, Optional
 
 import numpy as np
 
@@ -30,8 +33,8 @@ from ..core.algo_config import AlgoConfig
 from ..core.liveness import LivenessAnalysis
 from ..core.plan import compiled_plan
 from ..core.policy import TransferPolicy
-from ..core.prefetcher import PrefetchState, find_prefetch_layer
 from ..core.recompute import checkpoint_plan
+from ..core.walk import PlanWalk
 from ..graph.layer import (
     Activation,
     ActivationKind,
@@ -113,7 +116,6 @@ class TrainingRuntime:
         # release lists, offload candidates) drive training.
         self.plan = compiled_plan(network, PAPER_SYSTEM,
                                   AlgoConfig.memory_optimal(network))
-        self._wants = self.plan.offload_indices(self.policy, network)
         self.device = DeviceHeap(device_budget_bytes or (1 << 50))
         self.host = HostHeap(host_budget_bytes)
         # Any object with step(key, param, grad) works (SGD, Adam, ...).
@@ -122,23 +124,14 @@ class TrainingRuntime:
         self.seed = seed
         self.step_count = 0
         self.recompute_count = 0
-        # Per-step state: the Fig. 10 flags, the demand-fetch count and
-        # the dead intermediates a replay regenerated.
-        self._flags: Optional[PrefetchState] = None
-        self._demand_fetches = 0
-        self._dead_resident: Set[int] = set()
+        # The storages each step drops and replays (the walk's drop set).
         self._dropped = frozenset()
         if recompute_segments is not None:
-            offloaded = frozenset(
-                rec.owner for index in self._wants
-                for rec in self.plan.forward_at[index].offload_candidates)
             self._dropped = checkpoint_plan(
                 network, LivenessAnalysis(network), recompute_segments,
-                exclude=offloaded).dropped
-        # Replays may need the input batch (e.g. to re-slice timesteps),
-        # so a run that drops keeps it for the whole step.
-        self._protected = self.plan.input_owners if self._dropped \
-            else frozenset()
+                exclude=self.plan.candidate_owners(
+                    self.plan.offload_indices(self.policy, network))
+            ).dropped
 
         output = network.output_node
         if output.kind is not LayerKind.SOFTMAX:
@@ -254,74 +247,16 @@ class TrainingRuntime:
         else:
             self.device.store(key, y)
 
-    def _run_forward(self, images: np.ndarray, training: bool) -> None:
+    def _batch(self, images: np.ndarray) -> np.ndarray:
         input_spec = self.network.input_node.output_spec
         if tuple(images.shape) != tuple(input_spec.shape):
             raise ValueError(
                 f"batch shape {images.shape} does not match network input "
                 f"{input_spec.shape}"
             )
-        device = self.device
-        protected = self._protected if training else frozenset()
-        for step in self.plan.forward:
-            node = self.network[step.index]
-            if step.is_input:
-                self._emit(node, images.astype(ops.DTYPE, copy=False))
-                continue
-            self._emit(node, self._forward_node(node, training))
-
-            # Release the inputs we were the last forward reader of:
-            # dead ones now (Fig. 7), the rest when the policy offloads
-            # them (Fig. 3's refcount gate) or a checkpoint drops them.
-            for rec in step.dead_releases:
-                if rec.owner not in protected:
-                    device.free(rec.y_buf)
-            if training and step.index in self._wants:
-                for rec in step.offload_candidates:
-                    self.host.offload(rec.y_buf, device.pop(rec.y_buf))
-                self._flags.mark_offloaded(step.index)
-            else:
-                for rec in step.offload_candidates:
-                    if not training or rec.owner in self._dropped:
-                        device.free(rec.y_buf)
+        return images.astype(ops.DTYPE, copy=False)
 
     # -- backward ----------------------------------------------------------
-    def _restore(self, owner: int, demand: bool = False) -> None:
-        key = f"Y{owner}"
-        self.device.store(key, self.host.prefetch(key))
-        self._demand_fetches += demand
-
-    def _ensure(self, owner: int) -> None:
-        """Make a replay's input resident: from the host, or replayed."""
-        key = f"Y{owner}"
-        if self.device.contains(key):
-            return
-        if self.host.contains(key):
-            self._restore(owner, demand=True)
-        else:
-            self._rematerialize(owner)
-
-    def _rematerialize(self, owner: int) -> None:
-        """Regenerate a freed storage by replaying its producers.
-
-        Dropout masks replay identically because their seeds depend
-        only on (step, layer)."""
-        info = self.plan.records[owner].info
-        if not info.needed_backward:
-            # A dead intermediate the replay flows through (e.g. a BN
-            # output feeding only an ADD); discard it again after the
-            # current backward step.
-            self._dead_resident.add(owner)
-        for member in info.chain:
-            for producer in self.network[member].producers:
-                source = self.network[producer].storage_index
-                if source != owner:
-                    self._ensure(source)
-        for member in info.chain:
-            node = self.network[member]
-            self._emit(node, self._forward_node(node, training=True))
-            self.recompute_count += 1
-
     def _accumulate_gradient(self, owner: int, value: np.ndarray) -> None:
         """Add a dX contribution into a storage's gradient twin (the
         input batch has none)."""
@@ -429,66 +364,23 @@ class TrainingRuntime:
         # A single-input layer routes its dX into its producer's twin.
         self._accumulate_gradient(owners[0], dx)
 
-    def _run_backward(self, labels: np.ndarray) -> None:
-        device = self.device
-        for step in self.plan.backward:
-            # Safety net: anything the kernel reads must be resident —
-            # regenerated by replay if a checkpoint dropped it, else
-            # fetched back from the host on demand.
-            for rec in step.required:
-                if not device.contains(rec.y_buf):
-                    if rec.owner in self._dropped:
-                        self._rematerialize(rec.owner)
-                    else:
-                        self._restore(rec.owner, demand=True)
-
-            # Gradient twins born at this step; every dX contribution
-            # adds into them.
-            for rec in step.grad_allocs:
-                device.store(rec.g_buf, np.zeros(
-                    self.network[rec.owner].output_spec.shape, ops.DTYPE))
-
-            # Figure-10 prefetch, overlapped in the real system; here we
-            # restore eagerly so availability semantics are identical.
-            target = find_prefetch_layer(self.network, self._flags,
-                                         step.index)
-            if target is not None:
-                for rec in self.plan.forward_at[target].offload_candidates:
-                    if self.host.contains(rec.y_buf):
-                        self._restore(rec.owner)
-
-            self._backward_node(self.network[step.index], labels)
-
-            # Figure-8 releases, then any dead intermediates regenerated
-            # for this step's replays.
-            for owner, is_gradient in step.releases:
-                key = f"dY{owner}" if is_gradient else f"Y{owner}"
-                if device.contains(key):
-                    device.free(key)
-            for owner in sorted(self._dead_resident):
-                if device.contains(f"Y{owner}"):
-                    device.free(f"Y{owner}")
-            self._dead_resident.clear()
-
     # -- public API ---------------------------------------------------------
     def train_step(self, images: np.ndarray, labels: np.ndarray) -> StepResult:
         """One SGD step: forward, loss, backward, parameter update."""
-        self._flags = PrefetchState.for_network(self.network,
-                                                self.plan.conv_floor)
-        self._demand_fetches = 0
+        walk = _TrainingWalk(self, self._batch(images), labels)
         # Weight gradients accumulate (weight tying may contribute from
         # several layers), so zero them before every step.
         for node in self.network:
             for key in (f"dW{node.index}", f"dB{node.index}"):
                 if self.device.contains(key):
                     self.device.get(key)[...] = 0
-        self._run_forward(images, training=True)
+        walk.run_forward()
 
         output = self.network.output_node
         probs = self.device.get(f"Y{output.storage_index}")
         loss = ops.cross_entropy_loss(probs, labels)
 
-        self._run_backward(labels)
+        walk.run_backward()  # its end sweep frees what is left
 
         for node in self.network:
             for param, grad in ((f"W{node.index}", f"dW{node.index}"),
@@ -497,7 +389,6 @@ class TrainingRuntime:
                     self.optimizer.step(param, self.device.get(param),
                                         self.device.get(grad))
 
-        self._release_leftovers()
         self.step_count += 1
         return StepResult(
             loss=loss,
@@ -506,26 +397,96 @@ class TrainingRuntime:
             host_peak_bytes=self.host.peak_bytes,
             offload_count=self.host.offload_count,
             prefetch_count=self.host.prefetch_count,
-            demand_fetch_count=self._demand_fetches,
+            demand_fetch_count=walk.demand_fetches,
         )
 
     def predict(self, images: np.ndarray) -> np.ndarray:
         """Inference: forward only, freeing buffers at last use (Fig. 7)."""
-        self._run_forward(images, training=False)
+        device = self.device
+        for step in self.plan.forward:
+            node = self.network[step.index]
+            self._emit(node, self._batch(images) if step.is_input
+                       else self._forward_node(node, training=False))
+            for rec in step.dead_releases + step.offload_candidates:
+                device.free(rec.y_buf)
         output = self.network.output_node
-        probs = self.device.get(f"Y{output.storage_index}").copy()
-        self._release_leftovers()
+        probs = device.get(f"Y{output.storage_index}").copy()
+        for key in self.transient_keys():
+            device.free(key)
         return probs
 
     def train(self, batches) -> List[StepResult]:
         """Convenience loop over an iterable of (images, labels)."""
         return [self.train_step(images, labels) for images, labels in batches]
 
-    def _release_leftovers(self) -> None:
-        for key in self.device.keys - self._persistent_keys:
-            self.device.free(key)
-
     def transient_keys(self):
         """Non-persistent buffers currently resident (should be empty
         between steps — tests assert this)."""
         return self.device.keys - self._persistent_keys
+
+
+class _TrainingWalk(PlanWalk):
+    """One training step as a domain of the vDNN walk
+    (:class:`~repro.core.walk.PlanWalk`).
+
+    Blocks are :class:`DeviceHeap` keys.  Forward kernels write their
+    outputs (a replay counts toward ``recompute_count``), offloads copy
+    to the :class:`HostHeap` and restores copy back, counting the
+    blocking ones as demand fetches.  Time does not pass, so syncs do
+    nothing, fetches never fail and numpy needs no workspace.
+    """
+
+    def __init__(self, runtime: TrainingRuntime, images: np.ndarray,
+                 labels: np.ndarray):
+        super().__init__(runtime.network, PAPER_SYSTEM, runtime.policy,
+                         runtime.plan, True, True, True, runtime._dropped)
+        self.runtime = runtime
+        self.heap = runtime.device
+        self.images = images
+        self.labels = labels
+        self.demand_fetches = 0
+
+    def _alloc_output(self, step, rec) -> str:
+        if step.is_input:
+            self.heap.store(rec.y_buf, self.images)
+        return rec.y_buf  # the kernel stores it
+
+    def _alloc_workspace(self, ws, step, phase: str) -> None:
+        return None
+
+    def _alloc_gradient(self, step, rec) -> str:
+        self.heap.store(rec.g_buf, np.zeros(
+            self.network[rec.owner].output_spec.shape, ops.DTYPE))
+        return rec.g_buf
+
+    def _alloc_restore(self, step, rec, target: int) -> str:
+        self.heap.store(rec.y_buf, self.runtime.host.prefetch(rec.y_buf))
+        self.demand_fetches += target < 0
+        return rec.y_buf
+
+    def _alloc_replay(self, step, rec) -> str:
+        return rec.y_buf  # the replayed kernels store it
+
+    def _forward_kernel(self, step, replay: bool = False) -> None:
+        # A replay redraws the forward pass's dropout mask: its seed
+        # depends only on (step, layer).
+        runtime = self.runtime
+        node = self.network[step.index]
+        runtime._emit(node, runtime._forward_node(node, training=True))
+        runtime.recompute_count += replay
+
+    def _backward_kernel(self, step, workspace) -> None:
+        self.runtime._backward_node(self.network[step.index], self.labels)
+
+    def _stage(self, step, rec, wire: int, compress: bool, issued) -> bool:
+        self.runtime.host.offload(rec.y_buf, self.heap.get(rec.y_buf))
+        return True
+
+    def _fetch(self, step, rec, target: int) -> bool:
+        return True
+
+    def _free(self, key: str, layer: int, phase: str) -> None:
+        self.heap.free(key)
+
+    def _sync(self, cause: str, name, layer_index: int) -> None:
+        pass

@@ -59,8 +59,8 @@ class TestParseBytes:
 
 
 class TestBadSizesFailAtTheBoundary:
-    """A non-positive batch, epoch count, dataset size, capacity limit or
-    request count is a usage error (exit 2) from argparse, not a
+    """A non-positive batch, epoch count, dataset size, capacity limit,
+    request count or step count is a usage error (exit 2) from argparse, not a
     traceback from the zoo or an all-zero report."""
 
     @pytest.mark.parametrize("argv", [
@@ -72,6 +72,7 @@ class TestBadSizesFailAtTheBoundary:
         ["plan", "alexnet", "--dataset-size", "-1"],
         ["evaluate", "alexnet", "--batch", "eight"],
         ["train-demo", "--batch", "0"],
+        ["train-demo", "--steps", "0"],
         ["capacity", "alexnet", "--limit", "0"],
         ["serve", "--requests", "0"],
     ], ids=" ".join)

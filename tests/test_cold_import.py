@@ -12,6 +12,7 @@ alone (CI runs them where numpy is not installed).
 """
 
 import ast
+import os
 import subprocess
 import sys
 import textwrap
@@ -31,10 +32,13 @@ def run_fresh(source: str, block_numpy: bool = False) -> str:
     """
     prologue = 'import sys\nsys.modules["numpy"] = None\n' \
         if block_numpy else ""
+    env = {"PYTHONPATH": SRC, "PYTHONHASHSEED": "0"}
+    # A caller that keeps bytecode out of the tree keeps it out here too.
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     proc = subprocess.run(
         [sys.executable, "-c", prologue + textwrap.dedent(source)],
-        capture_output=True, text=True, timeout=300,
-        env={"PYTHONPATH": SRC, "PYTHONHASHSEED": "0"})
+        capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr[-4000:]
     return proc.stdout
 

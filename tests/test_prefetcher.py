@@ -4,8 +4,9 @@
 waiting index and one CONV-floor lookup.  :func:`_fig10_oracle` below is
 the paper's downward walk transcribed verbatim; random interleavings of
 every state mutation and search must agree with it step for step.  The
-executor, the static plan interpreter and the numpy runtime all call the
-same search, and the last class checks they claim the same targets.
+executor, the static plan interpreter and the numpy runtime all run it
+through the one vDNN walk, and the last class checks they claim the same
+targets.
 """
 
 from typing import Dict, List, Optional
@@ -21,7 +22,7 @@ from repro.core import executor, interpret, walk
 from repro.core.plan import compiled_plan
 from repro.graph import LayerKind, Network
 from repro.hw import PAPER_SYSTEM
-from repro.numerics import TrainingRuntime, make_batch, runtime
+from repro.numerics import TrainingRuntime, make_batch
 from repro.zoo import build
 
 from conftest import make_deep_cnn, make_linear_cnn
@@ -237,10 +238,10 @@ class TestFig10Oracle:
 
 
 # ----------------------------------------------------------------------
-# The walkers claim the same targets: the numpy runtime's own walk, and
-# the one vDNN walk under its timed and abstract domains
+# The walkers claim the same targets: the one vDNN walk under its timed,
+# abstract and numpy training domains
 # ----------------------------------------------------------------------
-def _recording(monkeypatch, module) -> List[int]:
+def _recording(monkeypatch) -> List[int]:
     claimed: List[int] = []
 
     def search(*args, **kwargs):
@@ -249,7 +250,7 @@ def _recording(monkeypatch, module) -> List[int]:
             claimed.append(target)
         return target
 
-    monkeypatch.setattr(module, "find_prefetch_layer", search)
+    monkeypatch.setattr(walk, "find_prefetch_layer", search)
     return claimed
 
 
@@ -264,10 +265,10 @@ class TestWalkersAgree:
             self, monkeypatch, make, policy):
         network = make()
         transfer = _POLICIES[policy]()
-        simulated = _recording(monkeypatch, walk)
+        simulated = _recording(monkeypatch)
         executor.simulate_vdnn(network, PAPER_SYSTEM, transfer,
                                AlgoConfig.memory_optimal(network))
-        trained = _recording(monkeypatch, runtime)
+        trained = _recording(monkeypatch)
         images, labels = make_batch(network.input_node.output_spec.shape,
                                     10, 0)
         TrainingRuntime(network, transfer, seed=0).train_step(images, labels)
@@ -287,7 +288,7 @@ class TestWalkersAgree:
             op.target_layer
             for op in result.schedule_trace.of_kind(OpKind.PREFETCH)
             if not op.demand))
-        interpreted = _recording(monkeypatch, walk)
+        interpreted = _recording(monkeypatch)
         interpret.interpret_plan(
             network, PAPER_SYSTEM,
             compiled_plan(network, PAPER_SYSTEM, algos), transfer)
