@@ -94,6 +94,11 @@ def footprint(nbytes: int) -> int:
     return max(_align(nbytes), ALIGNMENT)
 
 
+def fits_hole(nbytes: int, hole: int) -> bool:
+    """Whether an ``nbytes`` allocation fits a ``hole``-byte free extent."""
+    return nbytes >= 0 and footprint(nbytes) <= hole
+
+
 class LiveByteCounter:
     """The pool's byte accounting without its placement.
 
@@ -316,9 +321,7 @@ class PoolAllocator:
         Accounts for both alignment rounding and fragmentation — total
         free bytes may exceed ``nbytes`` while no single hole does.
         """
-        if nbytes < 0:
-            return False
-        return footprint(nbytes) <= self.largest_free_block
+        return fits_hole(nbytes, self.largest_free_block)
 
     @property
     def fragmentation(self) -> float:

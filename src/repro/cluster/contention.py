@@ -75,6 +75,12 @@ class PlacedGang:
 class FleetContention:
     """Splits every topology link's bandwidth across its users.
 
+    :meth:`iteration_seconds` keeps the per-link user counts and per-GPU
+    tenant counts of the entries it was last called with, and updates
+    them by the entries that joined or left since.  A fresh instance
+    starts from empty counts, so a caller that passes every entry each
+    time gets the same answer from a fresh or a reused instance.
+
     Attributes:
         topology: the cluster's link/route model.
         timeslice_overhead: extra compute fraction per additional
@@ -92,6 +98,12 @@ class FleetContention:
         # what a placement routes is fixed from admission to release.
         self._placement_links: Dict[Tuple[Tuple[int, ...], int, int],
                                     Tuple[Tuple[int, float], ...]] = {}
+        # The last call's entries by id(), each with its link times.
+        # Holding them keeps every id unique to its entry.
+        self._counted: Dict[int, Tuple[PlacedGang,
+                                       Tuple[Tuple[int, float], ...]]] = {}
+        self._users: Dict[int, int] = {}    # link -> entries routed over it
+        self._tenants: Dict[int, int] = {}  # gpu -> entries placed on it
 
     # ------------------------------------------------------------------
     def entry_link_bytes(self, entry: PlacedGang) -> Dict[int, int]:
@@ -139,28 +151,50 @@ class FleetContention:
                 for link, nbytes in self.entry_link_bytes(entry).items())
         return pairs
 
+    def _count(self, entry: PlacedGang,
+               pairs: Tuple[Tuple[int, float], ...], sign: int) -> None:
+        """Add (``sign=1``) or remove (``-1``) one entry's uses."""
+        tenants, users = self._tenants, self._users
+        for gpu in entry.gpus:
+            tenants[gpu] = tenants.get(gpu, 0) + sign
+        for link, _seconds in pairs:
+            users[link] = users.get(link, 0) + sign
+
     def iteration_seconds(
         self, entries: Sequence[PlacedGang]
     ) -> List[float]:
-        """Contended per-iteration time for each placed entry."""
-        per_entry = [self._link_times(e) for e in entries]
-        users: Dict[int, int] = {}
-        tenants: Dict[int, int] = {}
+        """Contended per-iteration time for each placed entry.
+
+        Each entry is one resident placement, listed once.  Only the
+        entries that differ (by identity) from the previous call's are
+        counted in or out.
+        """
+        previous = self._counted
+        counted = {}
         for entry in entries:
-            for gpu in entry.gpus:
-                tenants[gpu] = tenants.get(gpu, 0) + 1
-        for pairs in per_entry:
-            for link, _seconds in pairs:
-                users[link] = users.get(link, 0) + 1
+            known = previous.get(id(entry))
+            counted[id(entry)] = known if known is not None \
+                else (entry, self._link_times(entry))
+        if len(counted) != len(entries):
+            raise ValueError("an entry is listed more than once")
+        for key in previous.keys() - counted.keys():
+            self._count(*previous[key], -1)
+        for key in counted.keys() - previous.keys():
+            self._count(*counted[key], 1)
+        self._counted = counted
+        users, tenants = self._users, self._tenants
         contended = []
-        for entry, pairs in zip(entries, per_entry):
-            gang_tenants = max(tenants[gpu] for gpu in entry.gpus)
+        for entry in entries:
+            pairs = counted[id(entry)][1]
+            gang_tenants = max(map(tenants.__getitem__, entry.gpus))
             overhead = 1.0 + self.timeslice_overhead * max(
                 gang_tenants - 1, 0)
             compute = entry.rung.compute_seconds * gang_tenants * overhead
             link_time = 0.0
             for link, seconds in pairs:
-                link_time = max(link_time, seconds * users[link])
+                busy = seconds * users[link]
+                if busy > link_time:
+                    link_time = busy
             contended.append(
                 max(entry.rung.iter_seconds, compute, link_time))
         return contended

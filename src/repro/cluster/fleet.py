@@ -36,7 +36,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 from ..hw.interconnects import ClusterTopology, make_topology
 from ..sched.admission import AdmissionController, RungEval
 from ..sched.job import Job, JobRecord
-from ..sched.scheduler import _FluidScheduler, _Resident, _RunResult
+from ..sched.scheduler import (_FluidScheduler, _JobQueue, _Resident,
+                               _RunResult)
 from ..sim.timeline import Timeline
 from .contention import FleetContention, PlacedGang
 
@@ -245,6 +246,8 @@ class FleetScheduler(_FluidScheduler):
         self._gangs[name] = PlacedGang(
             name=name, gpus=entry.gpus, rung=entry.rung,
             weight_bytes=entry.weight_bytes)
+        gpus = ",".join(str(g) for g in entry.gpus)
+        entry.label = f"{entry.rung.rung} @gpu[{gpus}] x"
 
     def _release(self, entry: _Resident, clock: float) -> None:
         for gpu in entry.gpus:
@@ -254,10 +257,6 @@ class FleetScheduler(_FluidScheduler):
     def _rates(self, resident: List[_Resident]) -> List[float]:
         return self.contention.iteration_seconds(
             [self._gangs[e.record.job.name] for e in resident])
-
-    def _run_label(self, entry: _Resident, tenants: int) -> str:
-        gpus = ",".join(str(g) for g in entry.gpus)
-        return f"{entry.rung.rung} @gpu[{gpus}] x{tenants}"
 
     def _account(self, entry: _Resident, seconds: float) -> None:
         name = entry.record.job.name
@@ -271,6 +270,11 @@ class FleetScheduler(_FluidScheduler):
                 f"{self.topology.num_gpus} x {self.budget_bytes} bytes")
 
     # -- queue order ---------------------------------------------------
+    def _order_key(self, job: Job) -> tuple:
+        """Priority-desc, then submit order (FIFO within a priority
+        class); names are unique, so no two keys tie."""
+        return (-job.priority, job.submit_time, job.name)
+
     def _place_on(
         self, job: Job, free_bytes: Dict[int, int]
     ) -> Optional[Tuple[RungEval, Tuple[int, ...]]]:
@@ -294,8 +298,7 @@ class FleetScheduler(_FluidScheduler):
             self.controller.min_footprint(job) <= self.budget_bytes
 
     def _try_preempt(self, record: JobRecord, clock: float,
-                     pending: List[JobRecord],
-                     resident: List[_Resident]) -> bool:
+                     queue: _JobQueue, resident: List[_Resident]) -> bool:
         """Evict lower-priority residents until ``record`` can place.
 
         Victims go lowest priority first (ties: least progress, so the
@@ -322,31 +325,25 @@ class FleetScheduler(_FluidScheduler):
         if self._place_on(record.job, hypothetical) is None:
             return False
         for victim in chosen:
-            self._evict(victim, clock, pending, resident,
+            self._evict(victim, clock, queue, resident,
                         reason="preempted")
         self.preemptions += len(chosen)
         return True
 
-    def _try_admit(self, clock: float, pending: List[JobRecord],
+    def _try_admit(self, clock: float, queue: _JobQueue,
                    resident: List[_Resident]) -> None:
         """Admit every job placeable at the current instant.
 
-        Queue order is priority-desc then submit-order (FIFO within a
-        priority class).  One pass admits in that order: an admission
-        only takes free bytes away, and a resident it adds below a
-        queued job's priority gives them back to that job's preemption
-        plan, so a job passed over earlier still cannot place.  An
-        admission that preempted residents freed capacity and re-queued
-        its victims, so the scan starts over.
+        One pass in queue order (:meth:`_order_key`) admits: an
+        admission only takes free bytes away, and a resident it adds
+        below a queued job's priority gives them back to that job's
+        preemption plan, so a job passed over earlier still cannot
+        place.  An admission that preempted residents freed capacity and
+        re-queued its victims, so the scan starts over.
         """
         while True:
-            queue = sorted(
-                (r for r in pending if r.job.submit_time <= clock),
-                key=lambda r: (-r.job.priority,
-                               r.job.submit_time,
-                               r.job.name),
-            )
-            for record in queue:
+            for item in list(queue.ready):
+                record = item[2]
                 job = record.job
                 if job.name in self._unplaceable:
                     continue
@@ -355,17 +352,17 @@ class FleetScheduler(_FluidScheduler):
                 if placed is None:
                     if not self._min_footprint_fits_empty(job):
                         self._reject(record, clock)
-                        pending.remove(record)
+                        queue.take(item)
                         continue
                     if not (self.preemption and self._try_preempt(
-                            record, clock, pending, resident)):
+                            record, clock, queue, resident)):
                         self._unplaceable.add(job.name)
                         continue
                     placed = self._place_on(job, self.free_bytes)
                     preempted = True
                 rung, gpus = placed
                 self._admit(record, rung, clock, resident, gpus)
-                pending.remove(record)
+                queue.take(item)
                 if preempted:
                     break
             else:

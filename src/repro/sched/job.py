@@ -11,6 +11,7 @@ rejected — plus the timing facts every fleet metric derives from.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -55,8 +56,14 @@ class Job:
             )
         if self.iterations <= 0:
             raise ValueError("a job must run at least one iteration")
+        if not math.isfinite(self.submit_time):
+            raise ValueError(
+                f"submit_time must be finite, got {self.submit_time}")
         if self.submit_time < 0:
             raise ValueError("submit_time cannot be negative")
+        if self.deadline is not None and not math.isfinite(self.deadline):
+            raise ValueError(
+                f"deadline must be finite, got {self.deadline}")
 
     def build_network(self) -> Network:
         """Materialize the job's network from the zoo."""

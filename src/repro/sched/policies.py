@@ -23,23 +23,24 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 from .admission import AdmissionController
-from .job import JobRecord
+from .job import Job
 
 
 class AdmissionPolicy:
-    """Base: an ordering over pending jobs plus a blocking discipline."""
+    """Base: an ordering over pending jobs plus a blocking discipline.
+
+    The order is :meth:`key`, smallest first; jobs with equal keys keep
+    the order in which they entered the queue.  The scheduler computes a
+    job's key when it enters the queue and again when the budget changes.
+    """
 
     #: Registry key; subclasses override.
     name = "abstract"
     #: True = stop admitting at the first job that does not fit.
     blocking = True
 
-    def order(
-        self,
-        pending: List[JobRecord],
-        controller: AdmissionController,
-        budget_bytes: int,
-    ) -> List[JobRecord]:
+    def key(self, job: Job, controller: AdmissionController,
+            budget_bytes: int) -> tuple:
         raise NotImplementedError
 
 
@@ -49,11 +50,8 @@ class FIFOPolicy(AdmissionPolicy):
     name = "fifo"
     blocking = True
 
-    def order(self, pending, controller, budget_bytes):
-        return sorted(
-            pending,
-            key=lambda r: (r.job.submit_time, -r.job.priority),
-        )
+    def key(self, job, controller, budget_bytes):
+        return (job.submit_time, -job.priority)
 
 
 class ShortestJobFirstPolicy(AdmissionPolicy):
@@ -62,15 +60,9 @@ class ShortestJobFirstPolicy(AdmissionPolicy):
     name = "sjf"
     blocking = True
 
-    def order(self, pending, controller, budget_bytes):
-        return sorted(
-            pending,
-            key=lambda r: (
-                controller.solo_service_seconds(r.job, budget_bytes),
-                -r.job.priority,
-                r.job.submit_time,
-            ),
-        )
+    def key(self, job, controller, budget_bytes):
+        return (controller.solo_service_seconds(job, budget_bytes),
+                -job.priority, job.submit_time)
 
 
 class BestFitPolicy(AdmissionPolicy):
@@ -79,15 +71,9 @@ class BestFitPolicy(AdmissionPolicy):
     name = "best_fit"
     blocking = False
 
-    def order(self, pending, controller, budget_bytes):
-        return sorted(
-            pending,
-            key=lambda r: (
-                -controller.min_footprint(r.job),
-                -r.job.priority,
-                r.job.submit_time,
-            ),
-        )
+    def key(self, job, controller, budget_bytes):
+        return (-controller.min_footprint(job), -job.priority,
+                job.submit_time)
 
 
 _POLICIES: Dict[str, Callable[[], AdmissionPolicy]] = {

@@ -4,8 +4,10 @@ One simulated GPU, one shared cnmem-style pool sized to the memory
 budget, many tenants.  The scheduler is an event-driven fluid
 simulation:
 
-* **Admission.**  At every event (submit or completion) the configured
-  :mod:`policy <repro.sched.policies>` orders the pending queue and the
+* **Admission.**  Submitted jobs wait in a queue kept in the configured
+  :mod:`policy <repro.sched.policies>`'s order (each job's key is
+  computed when it enters the queue and again when the budget shrinks),
+  and at every event (submit or completion) the
   :class:`~repro.sched.admission.AdmissionController` picks each
   candidate's cheapest workable rung against the pool's *remaining*
   bytes.  An admitted job reserves its whole-rung footprint from the
@@ -15,7 +17,8 @@ simulation:
 * **Execution.**  Between events, every resident job progresses at the
   rate the :class:`~repro.sched.contention.ContentionModel` assigns it
   (compute time-sliced across tenants, PCIe bandwidth split across
-  offloaders).  The next event is the earliest completion or arrival.
+  offloaders); the rates are recomputed only when the set of residents
+  changes.  The next event is the earliest completion or arrival.
 * **Accounting.**  Pool occupancy is sampled into a
   :class:`~repro.alloc.stats.UsageTracker` at every transition, and each
   residency interval is logged on a per-job ``job:<name>`` timeline lane
@@ -33,10 +36,12 @@ throughput, memory high-water, PCIe traffic).
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple, Union
+from typing import (TYPE_CHECKING, Callable, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
-from ..alloc.pool import Allocation, PoolAllocator
+from ..alloc.pool import Allocation, PoolAllocator, fits_hole
 from ..alloc.stats import UsageTracker
 from ..faults import FaultEvent, FaultReport, FaultSpec
 from ..hw.config import PAPER_SYSTEM, SystemConfig
@@ -53,13 +58,16 @@ if TYPE_CHECKING:
 _EPSILON = 1e-9
 
 
-@dataclass
+@dataclass(eq=False)
 class _Resident:
     """One admitted job holding capacity and making progress.
 
     ``gpus`` is where its replicas run (``(0,)`` on a single GPU),
     ``weight_bytes`` the replica weights a multi-GPU gang ring-allreduces
     and ``allocation`` its block of the single-GPU scheduler's pool.
+    ``label`` is its RUN lane label up to the tenant count, set when it
+    takes its capacity.  Two residents are equal only if they are the
+    same object.
     """
 
     record: JobRecord
@@ -68,6 +76,67 @@ class _Resident:
     gpus: Tuple[int, ...] = (0,)
     weight_bytes: int = 0
     allocation: Optional[Allocation] = None
+    label: str = ""
+
+
+#: One queued job: its order key, its queue sequence number, its record.
+_Queued = Tuple[tuple, int, JobRecord]
+
+
+class _JobQueue:
+    """The jobs waiting for admission.
+
+    Jobs not yet submitted wait behind a cursor in submit-time order;
+    :meth:`arrive` moves the ones due into ``ready``, which holds
+    :data:`_Queued` items sorted by ``(key, seq)``.  ``seq`` is the job's
+    submission index, or a fresh one past every index when it is
+    requeued, so jobs with equal keys keep the order in which they
+    entered the queue.  A job's key is computed when it enters ``ready``
+    and again only at :meth:`rekey`.
+    """
+
+    def __init__(self, records: Sequence[JobRecord],
+                 key: Callable[[Job], tuple]):
+        self._key = key
+        self._later = sorted(enumerate(records),
+                             key=lambda item: item[1].job.submit_time)
+        self._cursor = 0
+        self._next_seq = len(records)
+        self.ready: List[_Queued] = []
+
+    def __len__(self) -> int:
+        return len(self.ready) + len(self._later) - self._cursor
+
+    def next_arrival(self) -> Optional[float]:
+        """The earliest submit time not yet arrived (None = none left)."""
+        if self._cursor < len(self._later):
+            return self._later[self._cursor][1].job.submit_time
+        return None
+
+    def arrive(self, clock: float) -> None:
+        """Queue every job submitted by ``clock``."""
+        later = self._later
+        while self._cursor < len(later) \
+                and later[self._cursor][1].job.submit_time <= clock:
+            self._insert(*later[self._cursor])
+            self._cursor += 1
+
+    def requeue(self, record: JobRecord) -> None:
+        """Queue an evicted job behind every job already queued."""
+        self._insert(self._next_seq, record)
+        self._next_seq += 1
+
+    def take(self, item: _Queued) -> None:
+        """Remove ``item`` (admitted or rejected) from ``ready``."""
+        self.ready.remove(item)
+
+    def rekey(self) -> None:
+        """Recompute every queued key (the budget changed)."""
+        self.ready = sorted((self._key(record.job), seq, record)
+                            for _key, seq, record in self.ready)
+
+    def _insert(self, seq: int, record: JobRecord) -> None:
+        insort(self.ready, (self._key(record.job), seq, record))
 
 
 class _RunResult:
@@ -174,11 +243,14 @@ class _FluidScheduler:
     timed-fault heap, progress and completion.  A subclass supplies the
     decisions that differ:
 
-    * capacity — :meth:`_reserve` and :meth:`_release`;
-    * queue order — :meth:`_try_admit`, which calls :meth:`_admit`;
-    * contention — :meth:`_rates`;
-    * labels and accounting — :meth:`_run_label`, :meth:`_account` and
-      :meth:`_unfit`, the reason a job is rejected;
+    * capacity — :meth:`_reserve`, which also sets the resident's RUN
+      label, and :meth:`_release`;
+    * queue order — :meth:`_order_key`, and :meth:`_try_admit`, which
+      scans the queue and calls :meth:`_admit`;
+    * contention — :meth:`_rates`, called only when ``_changes`` (bumped
+      by every admission, eviction and completion) has moved;
+    * accounting — :meth:`_account` and :meth:`_unfit`, the reason a
+      job is rejected;
     * the start of a run — :meth:`_begin`, which returns the timed
       faults.
 
@@ -199,6 +271,7 @@ class _FluidScheduler:
         self.records: List[JobRecord] = []
         self._names: Set[str] = set()
         self._unplaceable: Set[str] = set()
+        self._changes = 0
 
     # ------------------------------------------------------------------
     def submit(self, job: Job) -> JobRecord:
@@ -225,14 +298,14 @@ class _FluidScheduler:
     def _release(self, entry: _Resident, clock: float) -> None:
         raise NotImplementedError
 
-    def _try_admit(self, clock: float, pending: List[JobRecord],
+    def _order_key(self, job: Job) -> tuple:
+        raise NotImplementedError
+
+    def _try_admit(self, clock: float, queue: _JobQueue,
                    resident: List[_Resident]) -> None:
         raise NotImplementedError
 
     def _rates(self, resident: List[_Resident]) -> List[float]:
-        raise NotImplementedError
-
-    def _run_label(self, entry: _Resident, tenants: int) -> str:
         raise NotImplementedError
 
     def _account(self, entry: _Resident, seconds: float) -> None:
@@ -284,14 +357,15 @@ class _FluidScheduler:
                 ready_since, clock,
             )
         resident.append(entry)
+        self._changes += 1
         if self.obs is not None:
             self.obs.job_admitted(max(clock - ready_since, 0.0), rung.rung)
 
-    def _evict(self, entry: _Resident, clock: float,
-               pending: List[JobRecord], resident: List[_Resident],
-               reason: str) -> None:
+    def _evict(self, entry: _Resident, clock: float, queue: _JobQueue,
+               resident: List[_Resident], reason: str) -> None:
         """Evict a resident job, preserving its progress for readmission."""
         resident.remove(entry)
+        self._changes += 1
         self._vacate(entry, clock)
         record = entry.record
         record.iterations_done = float(record.job.iterations) \
@@ -301,7 +375,7 @@ class _FluidScheduler:
         record.requeued_at = clock
         record.rung = None
         record.footprint_bytes = 0
-        pending.append(record)
+        queue.requeue(record)
         self.timeline.record(
             f"job:{record.job.name}", EventKind.FAULT, reason, clock, clock,
         )
@@ -312,7 +386,7 @@ class _FluidScheduler:
                  tenants: int) -> None:
         self.timeline.append(
             f"job:{entry.record.job.name}", EventKind.RUN,
-            self._run_label(entry, tenants), start, end,
+            f"{entry.label}{tenants}", start, end,
             nbytes=entry.rung.footprint_bytes,
         )
         entry.record.residency.append((start, end, tenants))
@@ -320,38 +394,40 @@ class _FluidScheduler:
     # ------------------------------------------------------------------
     def _simulate(self) -> None:
         """Run every pending job until it finishes or is rejected."""
-        pending = [r for r in self.records if r.state is JobState.PENDING]
+        queue = _JobQueue(
+            [r for r in self.records if r.state is JobState.PENDING],
+            self._order_key)
         resident: List[_Resident] = []
-        clock = min((r.job.submit_time for r in pending), default=0.0)
+        clock = queue.next_arrival()
+        if clock is None:
+            clock = 0.0
         fault_queue = self._begin(clock)
 
         last_snapshot = None
-        while pending or resident or fault_queue:
+        rates_at = None  # ``_changes`` when ``rates`` was computed
+        while queue or resident or fault_queue:
             while fault_queue and fault_queue[0][0] <= clock:
                 _time, _seq, apply, payload = heapq.heappop(fault_queue)
-                apply(payload, clock, pending, resident)
+                apply(payload, clock, queue, resident)
 
             # Every loop iteration must change *something* — otherwise
             # the event horizon has collapsed (e.g. float underflow in
             # the progress arithmetic) and we would spin forever.
             snapshot = (
-                clock, len(pending), len(fault_queue),
+                clock, len(queue), len(fault_queue),
                 tuple((id(r), r.remaining_iterations) for r in resident),
             )
             if snapshot == last_snapshot:
                 raise RuntimeError(
                     f"scheduler made no progress at t={clock} with "
-                    f"{len(resident)} resident / {len(pending)} pending "
+                    f"{len(resident)} resident / {len(queue)} pending "
                     f"job(s); aborting instead of spinning"
                 )
             last_snapshot = snapshot
 
-            self._try_admit(clock, pending, resident)
-            next_arrival = min(
-                (r.job.submit_time for r in pending
-                 if r.job.submit_time > clock),
-                default=None,
-            )
+            queue.arrive(clock)
+            self._try_admit(clock, queue, resident)
+            next_arrival = queue.next_arrival()
             next_fault = fault_queue[0][0] if fault_queue else None
 
             if not resident:
@@ -363,19 +439,22 @@ class _FluidScheduler:
                 # Nothing running, nothing admissible, nothing arriving:
                 # the capacity is idle yet the head does not fit — only
                 # possible transiently; reject the stragglers defensively.
-                for record in list(pending):
-                    self._reject(record, clock)
-                    pending.remove(record)
+                for item in sorted(queue.ready, key=lambda item: item[1]):
+                    self._reject(item[2], clock)
+                    queue.take(item)
                 break
 
-            # Fluid progress at contention-adjusted rates.  A zero-cost
-            # rung completes instantly: zero its remaining work *before*
-            # the horizon computation so the completion sweep below
-            # collects it this iteration instead of spinning.
-            rates = self._rates(resident)
-            for entry, iter_seconds in zip(resident, rates):
-                if iter_seconds <= 0:
-                    entry.remaining_iterations = 0.0
+            # Fluid progress at contention-adjusted rates, which change
+            # only with the resident set.  A zero-cost rung completes
+            # instantly: zero its remaining work *before* the horizon
+            # computation so the completion sweep below collects it this
+            # iteration instead of spinning.
+            if rates_at != self._changes:
+                rates = self._rates(resident)
+                rates_at = self._changes
+                for entry, iter_seconds in zip(resident, rates):
+                    if iter_seconds <= 0:
+                        entry.remaining_iterations = 0.0
             finish_times = [
                 clock + r.remaining_iterations * iter_seconds
                 for r, iter_seconds in zip(resident, rates)
@@ -403,6 +482,7 @@ class _FluidScheduler:
                 if e.remaining_iterations <= _EPSILON or f <= clock
             ]:
                 resident.remove(entry)
+                self._changes += 1
                 self._vacate(entry, clock)
                 record = entry.record
                 record.state = JobState.FINISHED
@@ -479,6 +559,7 @@ class GPUScheduler(_FluidScheduler):
         entry.allocation = self.pool.alloc(
             entry.rung.footprint_bytes, tag=f"job[{entry.record.job.name}]"
         )
+        entry.label = f"{entry.rung.rung} x"
         self.usage.record(clock, self.pool.live_bytes)
         self._sample_pool()
 
@@ -490,53 +571,58 @@ class GPUScheduler(_FluidScheduler):
     def _rates(self, resident: List[_Resident]) -> List[float]:
         return self.contention.iteration_seconds([r.rung for r in resident])
 
-    def _run_label(self, entry: _Resident, tenants: int) -> str:
-        return f"{entry.rung.rung} x{tenants}"
-
     def _unfit(self, record: JobRecord) -> str:
         return (f"smallest rung needs "
                 f"{self.controller.min_footprint(record.job)}"
                 f" bytes > budget {self.budget_bytes} bytes")
 
     # -- queue order ---------------------------------------------------
-    def _cheapest_fit_now(self, job: Job) -> Optional[RungEval]:
+    def _order_key(self, job: Job) -> tuple:
+        return self.policy.key(job, self.controller, self.budget_bytes)
+
+    def _cheapest_fit_now(self, job: Job,
+                          largest_hole: int) -> Optional[RungEval]:
         """Fastest rung whose footprint fits a contiguous pool hole.
 
-        Goes through :meth:`PoolAllocator.can_fit` rather than raw free
-        bytes so fragmentation is honoured — the pool may hold enough
-        free bytes in total while no single extent fits the rung.
+        ``largest_hole`` is the pool's largest free extent, as
+        :meth:`PoolAllocator.can_fit` reads it, so fragmentation is
+        honoured — the pool may hold enough free bytes in total while no
+        single extent fits the rung.
         """
-        if not self.pool.can_fit(self.controller.min_footprint(job)):
-            return None  # not even the smallest rung fits
         for rung in self.controller.ladder(job):
-            if self.pool.can_fit(rung.footprint_bytes):
+            if fits_hole(rung.footprint_bytes, largest_hole):
                 return rung
         return None
 
-    def _try_admit(self, clock: float, pending: List[JobRecord],
+    def _try_admit(self, clock: float, queue: _JobQueue,
                    resident: List[_Resident]) -> None:
         """Admit every job the policy allows at the current instant.
 
-        One pass in policy order.  The order depends only on the jobs
+        One pass in queue order.  The order depends only on the jobs
         and the budget, which no admission changes, and an admission
         only shrinks the pool's holes: a job passed over earlier in the
         pass still does not fit, so the pass goes on to the next job.
+        A job whose smallest rung does not fit the largest hole is
+        passed over before its ladder is walked.
         """
-        queue = [r for r in pending if r.job.submit_time <= clock]
-        for record in self.policy.order(
-                queue, self.controller, self.budget_bytes):
+        largest_hole = self.pool.largest_free_block
+        for item in list(queue.ready):
+            record = item[2]
             job = record.job
             if job.name not in self._unplaceable:
-                rung = self._cheapest_fit_now(job)
-                if rung is not None:
-                    self._admit(record, rung, clock, resident)
-                    pending.remove(record)
+                floor = self.controller.min_footprint(job)
+                if fits_hole(floor, largest_hole):
+                    self._admit(record,
+                                self._cheapest_fit_now(job, largest_hole),
+                                clock, resident)
+                    queue.take(item)
+                    largest_hole = self.pool.largest_free_block
                     continue
-                if self.controller.min_footprint(job) > self.budget_bytes:
+                if floor > self.budget_bytes:
                     # Can never run on this GPU, at any rung: reject
                     # instead of blocking the queue forever.
                     self._reject(record, clock)
-                    pending.remove(record)
+                    queue.take(item)
                     continue
                 self._unplaceable.add(job.name)
             if self.policy.blocking:
@@ -563,8 +649,7 @@ class GPUScheduler(_FluidScheduler):
         heapq.heapify(fault_queue)
         return fault_queue
 
-    def _apply_eviction(self, name: str, clock: float,
-                        pending: List[JobRecord],
+    def _apply_eviction(self, name: str, clock: float, queue: _JobQueue,
                         resident: List[_Resident]) -> None:
         """Timed ``evict@t=name`` fault: kick the named resident job."""
         entry = next(
@@ -577,7 +662,7 @@ class GPUScheduler(_FluidScheduler):
             if self.obs is not None:
                 self.obs.fault_event("eviction", "recovered")
             return
-        self._evict(entry, clock, pending, resident, reason="evicted")
+        self._evict(entry, clock, queue, resident, reason="evicted")
         event = self.fault_report.add(FaultEvent(
             kind="eviction", time=clock, target=name,
             nbytes=entry.rung.footprint_bytes,
@@ -586,8 +671,7 @@ class GPUScheduler(_FluidScheduler):
         ))
         self._eviction_events.append((entry.record, event))
 
-    def _apply_shrink(self, factor: float, clock: float,
-                      pending: List[JobRecord],
+    def _apply_shrink(self, factor: float, clock: float, queue: _JobQueue,
                       resident: List[_Resident]) -> None:
         """Timed ``shrink@t=factor`` fault: cut the budget mid-run.
 
@@ -616,7 +700,7 @@ class GPUScheduler(_FluidScheduler):
             blocker = blockers[0]
             entry = next(
                 e for e in resident if e.allocation is blocker)
-            self._evict(entry, clock, pending, resident,
+            self._evict(entry, clock, queue, resident,
                         reason="evicted: budget shrink")
             event = self.fault_report.add(FaultEvent(
                 kind="eviction", time=clock, target=entry.record.job.name,
@@ -630,6 +714,7 @@ class GPUScheduler(_FluidScheduler):
         self.budget_bytes = new_budget
         # A waiting job may now be rejectable, and sjf's order moved.
         self._unplaceable.clear()
+        queue.rekey()
         self.budget_timeline.append((clock, new_budget))
         self.timeline.record(
             "scheduler", EventKind.FAULT, f"budget-shrink x{factor:g}",

@@ -1,27 +1,32 @@
-"""One-pass admission scans against the rescanning scans they replaced.
+"""The event loop and one-pass admission scans against a naive reference.
 
-Both schedulers admit in one pass per event and skip a queued job found
-unplaceable until capacity can grow again (a completion, an eviction or
-a preemption) or the budget changes; their fit checks turn a job away
-when its smallest rung does not fit.  ``admission_reference`` keeps the
-scans that re-ordered the queue and started over after every admission
-or rejection, and the fit checks that walked every rung; every schedule
-here must come out the same under both: per-job records, timeline,
-fault report and preemptions.
+Both schedulers keep the arrived jobs in queue order, compute contended
+rates only when the resident set changes, admit in one pass per event
+and skip a queued job found unplaceable until capacity can grow again (a
+completion, an eviction or a preemption) or the budget changes; their
+fit checks turn a job away when its smallest rung does not fit, and the
+fleet's contention model updates its counts by the entries that joined
+or left.  ``admission_reference`` keeps the naive loop that scanned
+every pending job at every event, re-sorted the queue and started over
+after every admission or rejection, walked every rung and counted every
+resident's links from scratch; every schedule here must come out the
+same under both: per-job records and residency, every timeline lane, the
+pool usage curve, fault report, preemptions and GPU-seconds.
 
 The workloads are seeded synthetic ones (hand-made ladders, no network
 simulation): single-GPU schedules under every admission policy with
 timed budget shrinks and evictions, and 4-GPU fleets of gangs under both
-placements with preemption on and off.  Two fixed cases pin the rules
-that clear the memo: a shrink that makes a waiting job rejectable and an
-eviction that lets a waiting job in.
+placements with preemption on and off.  Fixed cases pin the rules that
+clear the memo (a shrink that makes a waiting job rejectable, an
+eviction that lets a waiting job in) and the order among jobs whose
+policy keys tie.
 """
 
 import random
 
 import pytest
 
-from admission_reference import rescanning
+from admission_reference import reference
 from repro.cluster import ClusterJob, FleetScheduler
 from repro.faults import FaultSpec
 from repro.sched import GPUScheduler, Job, JobState, available_policies
@@ -119,31 +124,32 @@ def _records(result):
             for r in result.records]
 
 
-def _same_gpu_schedule(one_pass, rescan):
-    assert _records(one_pass) == _records(rescan)
-    assert one_pass.timeline == rescan.timeline
-    assert one_pass.budget_timeline == rescan.budget_timeline
-    assert [e.to_dict() for e in one_pass.fault_report.events] == \
-        [e.to_dict() for e in rescan.fault_report.events]
-    assert one_pass.final_pool_live_bytes == rescan.final_pool_live_bytes
+def _same_gpu_schedule(fast, naive):
+    assert _records(fast) == _records(naive)
+    assert fast.timeline == naive.timeline
+    assert fast.usage == naive.usage
+    assert fast.budget_timeline == naive.budget_timeline
+    assert [e.to_dict() for e in fast.fault_report.events] == \
+        [e.to_dict() for e in naive.fault_report.events]
+    assert fast.final_pool_live_bytes == naive.final_pool_live_bytes
 
 
-def _same_fleet_schedule(one_pass, rescan):
-    assert _records(one_pass) == _records(rescan)
-    assert one_pass.timeline == rescan.timeline
-    assert one_pass.preemptions == rescan.preemptions
-    assert one_pass.placements == rescan.placements
-    assert one_pass.gpu_seconds == rescan.gpu_seconds
+def _same_fleet_schedule(fast, naive):
+    assert _records(fast) == _records(naive)
+    assert fast.timeline == naive.timeline
+    assert fast.preemptions == naive.preemptions
+    assert fast.placements == naive.placements
+    assert fast.gpu_seconds == naive.gpu_seconds
 
 
 @pytest.mark.parametrize("policy", available_policies())
 @pytest.mark.parametrize("seed", SEEDS)
 def test_gpu_schedule_matches_rescanning_scan(policy, seed):
     profiles, jobs, faults = _gpu_case(seed)
-    one_pass = _run_gpu(policy, profiles, jobs, faults)
-    with rescanning():
-        rescan = _run_gpu(policy, profiles, jobs, faults)
-    _same_gpu_schedule(one_pass, rescan)
+    fast = _run_gpu(policy, profiles, jobs, faults)
+    with reference():
+        naive = _run_gpu(policy, profiles, jobs, faults)
+    _same_gpu_schedule(fast, naive)
 
 
 @pytest.mark.parametrize("placement", ["bin_pack", "spread"])
@@ -151,10 +157,10 @@ def test_gpu_schedule_matches_rescanning_scan(policy, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fleet_schedule_matches_rescanning_scan(placement, preemption, seed):
     profiles, jobs = _fleet_case(seed)
-    one_pass = _run_fleet(placement, preemption, profiles, jobs)
-    with rescanning():
-        rescan = _run_fleet(placement, preemption, profiles, jobs)
-    _same_fleet_schedule(one_pass, rescan)
+    fast = _run_fleet(placement, preemption, profiles, jobs)
+    with reference():
+        naive = _run_fleet(placement, preemption, profiles, jobs)
+    _same_fleet_schedule(fast, naive)
 
 
 def test_seeded_workloads_reach_every_path():
@@ -188,11 +194,11 @@ def test_shrink_makes_waiting_job_rejectable(policy):
             Job("W", "alexnet", iterations=5, submit_time=0.5),
             Job("C", "alexnet", iterations=5, submit_time=0.6)]
     faults = FaultSpec(budget_shrinks=((1.0, 0.6),))
-    one_pass = _run_gpu(policy, profiles, jobs, faults, budget_mb=10)
-    with rescanning():
-        rescan = _run_gpu(policy, profiles, jobs, faults, budget_mb=10)
-    _same_gpu_schedule(one_pass, rescan)
-    by_name = {r.job.name: r for r in one_pass.records}
+    fast = _run_gpu(policy, profiles, jobs, faults, budget_mb=10)
+    with reference():
+        naive = _run_gpu(policy, profiles, jobs, faults, budget_mb=10)
+    _same_gpu_schedule(fast, naive)
+    by_name = {r.job.name: r for r in fast.records}
     assert by_name["W"].state is JobState.REJECTED
     assert by_name["W"].finish_time == 1.0
     assert by_name["C"].admit_time == (1.0 if policy == "fifo" else 0.6)
@@ -207,12 +213,30 @@ def test_eviction_lets_waiting_job_in():
     jobs = [Job("A", "alexnet", iterations=20),
             Job("W", "alexnet", iterations=2, submit_time=0.5)]
     faults = FaultSpec(evictions=((1.0, "A"),))
-    one_pass = _run_gpu("sjf", profiles, jobs, faults, budget_mb=10)
-    with rescanning():
-        rescan = _run_gpu("sjf", profiles, jobs, faults, budget_mb=10)
-    _same_gpu_schedule(one_pass, rescan)
-    by_name = {r.job.name: r for r in one_pass.records}
+    fast = _run_gpu("sjf", profiles, jobs, faults, budget_mb=10)
+    with reference():
+        naive = _run_gpu("sjf", profiles, jobs, faults, budget_mb=10)
+    _same_gpu_schedule(fast, naive)
+    by_name = {r.job.name: r for r in fast.records}
     assert by_name["W"].admit_time == 1.0
     assert by_name["A"].evictions == 1
     assert by_name["A"].admit_time == by_name["W"].finish_time == 3.0
-    assert all(r.state is JobState.FINISHED for r in one_pass.records)
+    assert all(r.state is JobState.FINISHED for r in fast.records)
+
+
+@pytest.mark.parametrize("policy", available_policies())
+def test_equal_keys_keep_queue_order(policy):
+    # Four jobs with one submit time, footprint, priority and length tie
+    # under every policy: they run in submission order, and A, evicted
+    # at t=1, re-enters the queue behind all of them.
+    profiles = {name: [synthetic_rung("r0", 6, 1.0, 0.0)]
+                for name in "ABCD"}
+    jobs = [Job(name, "alexnet", iterations=2) for name in "ABCD"]
+    faults = FaultSpec(evictions=((1.0, "A"),))
+    fast = _run_gpu(policy, profiles, jobs, faults, budget_mb=10)
+    with reference():
+        naive = _run_gpu(policy, profiles, jobs, faults, budget_mb=10)
+    _same_gpu_schedule(fast, naive)
+    assert [(r.job.name, r.admit_time, r.finish_time)
+            for r in fast.records] == [("A", 7.0, 8.0), ("B", 1.0, 3.0),
+                                       ("C", 3.0, 5.0), ("D", 5.0, 7.0)]

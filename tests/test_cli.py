@@ -178,6 +178,8 @@ class TestCommands:
         "nosuchnet:8:5",        # unknown network
         "alexnet:abc",          # non-integer batch
         "alexnet:8:-3",         # non-positive iterations
+        "alexnet:nan",          # non-finite batch
+        "alexnet:8:inf",        # non-finite iterations
     ])
     def test_schedule_bad_job_spec_is_usage_error(self, jobs, capsys):
         assert main(["schedule", "--jobs", jobs]) == 2

@@ -59,6 +59,13 @@ class TestClusterJob:
         with pytest.raises(ValueError, match="at least one GPU"):
             ClusterJob(name="j", network="alexnet", num_gpus=0)
 
+    @pytest.mark.parametrize("field", ["submit_time", "deadline"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ClusterJob(name="j", network="alexnet", num_gpus=2,
+                       **{field: value})
+
     def test_global_batch_needs_explicit_batch(self):
         job = ClusterJob(name="j", network="alexnet", num_gpus=2)
         with pytest.raises(ValueError, match="explicit"):

@@ -70,6 +70,15 @@ class TestJob:
         with pytest.raises(ValueError):
             Job("j", "alexnet", iterations=0)
 
+    @pytest.mark.parametrize("field", ["submit_time", "deadline"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_time_rejected(self, field, value):
+        # A nan submit time used to be "rejected" for a false memory
+        # reason and an infinite one to finish with an infinite makespan.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Job("j", "alexnet", **{field: value})
+
     def test_build_network_uses_zoo(self):
         network = Job("j", "alexnet", 8).build_network()
         assert network.input_node.output_spec.shape[0] == 8
