@@ -436,8 +436,7 @@ def legacy_simulate_baseline(network: Network, system: SystemConfig,
     latency = LatencyModel(system.gpu)
     timeline = _LegacyTimeline()
     compute = _LegacyStream(COMPUTE_STREAM, timeline)
-    liveness = LivenessAnalysis(network)
-    breakdown = baseline_allocation_bytes(network, algos, liveness)
+    breakdown = baseline_allocation_bytes(network, algos)
     total = breakdown["total"]
 
     usage = _LegacyUsage()

@@ -7,15 +7,15 @@ quantifies how much that optimization saves — and therefore how much
 *stronger* the baseline the paper compares against is.
 """
 
-from repro.core import AlgoConfig, LivenessAnalysis, baseline_allocation_bytes
+from repro.core import AlgoConfig, baseline_allocation_bytes, liveness_of
 from repro.reporting import format_table, gb_str
 from repro.zoo import build
 
 
 def gradient_policies(network):
     algos = AlgoConfig.memory_optimal(network)
-    liveness = LivenessAnalysis(network)
-    improved = baseline_allocation_bytes(network, algos, liveness)
+    liveness = liveness_of(network)
+    improved = baseline_allocation_bytes(network, algos)
     naive_gradients = sum(
         s.nbytes for s in liveness.all_storages() if s.needs_gradient
     )

@@ -32,16 +32,22 @@ The dataflow-aware rules look past single expressions:
   hooks may allocate.
 * **LINT206** — a ``Network``/``Timeline`` reference stored in a
   plan/cache-shaped structure (class name ending in ``Plan``/
-  ``Record``/``Key``/``Entry``): such structures are cached or keyed,
-  and a retained back-reference defeats the WeakKeyDictionary plan
-  cache (see :mod:`repro.core.plan`'s "no network reference" contract).
+  ``Record``/``Key``/``Entry``, or ``LivenessAnalysis``): such
+  structures are cached or keyed, and a retained back-reference
+  defeats the WeakKeyDictionary plan and liveness caches (see
+  :mod:`repro.core.plan`'s "no network reference" contract).
 * **LINT207** — a ``# repro: allow(RULE)`` suppression on a line where
   RULE no longer fires.  Stale suppressions hide future regressions.
 * **LINT208** — mutation of a :class:`~repro.core.plan.CompiledPlan` /
-  ``StorageRecord`` / step field outside its constructor.  Plans are
-  shared via a cache keyed by content signature; mutating one poisons
-  every holder.  The defining module (``core/plan.py``) is exempt —
-  construction happens there.
+  ``StorageRecord`` / step field outside its constructor, or of a
+  distinctive :class:`~repro.graph.network.NetworkNode` /
+  :class:`~repro.core.liveness.StorageInfo` field outside its home
+  module.  Plans are shared via a cache keyed by content signature,
+  one zoo network by every caller of :func:`repro.zoo.build` and one
+  liveness analysis by every pass over that network; mutating one
+  poisons every holder.  Each field's defining module (``core/plan.py``,
+  ``graph/network.py``, ``core/liveness.py``) is exempt — construction
+  happens there.
 * **LINT209** — a module-scope ``import numpy`` / ``from numpy ...``
   outside ``repro.numerics``, or a module-scope ``concurrent.futures``
   import anywhere in ``repro``.  ``import repro`` and every simulation
@@ -99,8 +105,10 @@ _HOT_MARK = re.compile(r"#\s*repro:\s*hot\b")
 #: does not fire inside them.
 _COLD_GUARDS = ("trace", "obs", "fault", "verify", "report", "debug")
 
-#: Class-name shapes LINT206 treats as cached/keyed structures.
+#: Class-name shapes LINT206 treats as cached/keyed structures, and
+#: the weak-keyed values whose names do not follow that shape.
 _STRUCT_NAME = re.compile(r"(Plan|Record|Key|Entry)$")
+_STRUCT_CLASSES = {"LivenessAnalysis"}
 _HEAVY_TYPES = {"Network", "Timeline"}
 _HEAVY_NAMES = {"network", "timeline"}
 
@@ -125,8 +133,21 @@ _PLAN_FIELDS = {
     "dram_nbytes", "forward_at", "input_owners",
 }
 
-#: The module allowed to assign plan fields: the constructors live here.
-_PLAN_HOME = "core/plan.py"
+#: Distinctive field -> the one module allowed to assign it (LINT208b):
+#: the plan family's constructors, and the build-once facts of a
+#: network's nodes and of its liveness analysis, both shared by every
+#: holder of one zoo network.  Generic names (``index``, ``nbytes``,
+#: ``weight_bytes``, ``owner``...) are left out.
+_FIELD_HOMES = {
+    **dict.fromkeys(_PLAN_FIELDS, "core/plan.py"),
+    **dict.fromkeys((
+        "output_spec", "weight_spec", "bias_spec", "storage_index",
+        "weight_root", "is_feature_extraction", "weight_tensor_bytes",
+    ), "graph/network.py"),
+    **dict.fromkeys((
+        "forward_release_at", "backward_users", "gradient_writers",
+    ), "core/liveness.py"),
+}
 
 #: Modules a ``repro`` module may import only inside a function
 #: (LINT209), each with the one subpackage exempt from that (or None).
@@ -174,7 +195,6 @@ class _Linter(ast.NodeVisitor):
         self.zero_names = _zero_constants(tree)
         self.in_fingerprint_path = any(rel.endswith(p)
                                        for p in FINGERPRINT_PATHS)
-        self.in_plan_home = rel.endswith(_PLAN_HOME)
         parts = Path(rel).parts
         if "repro" in parts:
             # Anchor on the package component so out-of-tree checkouts
@@ -396,7 +416,7 @@ class _Linter(ast.NodeVisitor):
     # -- structure rules (LINT206 / LINT208) ---------------------------
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         self._class_stack.append(node.name)
-        if _STRUCT_NAME.search(node.name):
+        if _is_struct(node.name):
             for stmt in node.body:
                 if isinstance(stmt, ast.AnnAssign) \
                         and _annotation_heavy(stmt.annotation):
@@ -430,7 +450,7 @@ class _Linter(ast.NodeVisitor):
 
         # LINT206: self.network = network (and friends) inside a
         # plan/cache-shaped class.
-        if base_is_self and klass and _STRUCT_NAME.search(klass):
+        if base_is_self and klass and _is_struct(klass):
             stored = _identifier(value) if value is not None else ""
             if target.attr in _HEAVY_NAMES or stored in _HEAVY_NAMES:
                 self.report(
@@ -448,15 +468,15 @@ class _Linter(ast.NodeVisitor):
                 f"objects are shared through a content-keyed cache and "
                 f"must only be written in their constructor")
 
-        # LINT208b: anyone else assigning a distinctive plan field.
-        if not base_is_self and not self.in_plan_home \
-                and target.attr in _PLAN_FIELDS:
+        # LINT208b: anyone else assigning a distinctive shared field.
+        home = _FIELD_HOMES.get(target.attr)
+        if not base_is_self and home and not self.rel.endswith(home):
             self.report(
                 "LINT208", node,
-                f"assignment to plan field '.{target.attr}' outside "
-                f"core/plan.py; compiled plans are shared through a "
-                f"content-keyed cache — mutating one poisons every "
-                f"holder (rebuild via the constructor instead)")
+                f"assignment to shared field '.{target.attr}' outside "
+                f"{home}; plans, zoo networks and liveness analyses are "
+                f"shared by every holder — mutating one poisons them "
+                f"all (rebuild via the constructor instead)")
 
     # ------------------------------------------------------------------
     def finish(self) -> List[Diagnostic]:
@@ -487,6 +507,11 @@ def _has_cold_guard(test: ast.AST) -> bool:
         if name and any(g in name.lower() for g in _COLD_GUARDS):
             return True
     return False
+
+
+def _is_struct(name: str) -> bool:
+    """Is a class cached or keyed, so it must hold no heavy object?"""
+    return name in _STRUCT_CLASSES or bool(_STRUCT_NAME.search(name))
 
 
 def _annotation_heavy(annotation: ast.AST) -> bool:

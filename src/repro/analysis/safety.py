@@ -248,5 +248,5 @@ def _check_refcount_gate(trace: ScheduleTrace, seq: int, block: _LiveBlock,
         report(
             "MS105",
             f"{buffer} discarded without offload although backward "
-            f"layers {storage.backward_users} still need it",
+            f"layers {list(storage.backward_users)} still need it",
             seq)

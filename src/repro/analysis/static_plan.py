@@ -51,7 +51,7 @@ from ..core.dynamic import UntrainableError
 # The walk is re-exported: callers and tests bind it by this module.
 from ..core.interpret import (PlanInterpretation, interpret_joint_plan,
                               interpret_plan)
-from ..core.liveness import LivenessAnalysis
+from ..core.liveness import liveness_of
 from ..core.plan import CompiledPlan, compiled_plan
 from ..core.policy import TransferPolicy
 from ..core.recompute import CheckpointPlan, checkpoint_plan
@@ -64,21 +64,24 @@ from .diagnostics import Report
 # ----------------------------------------------------------------------
 # Structural audit (SP402/SP404): plan lifecycle vs liveness ground truth
 # ----------------------------------------------------------------------
-def audit_plan(network: Network, plan: CompiledPlan, report: Report, *,
-               liveness: Optional[LivenessAnalysis] = None) -> Set[int]:
-    """Audit every storage's whole lifecycle against a fresh liveness.
+def audit_plan(network: Network, plan: CompiledPlan,
+               report: Report) -> Set[int]:
+    """Audit every storage's whole lifecycle against the network's
+    liveness.
 
     Position-independent checks: each allocation must be freed exactly
     once, at the step liveness dictates, by the mechanism the refcount
     gate allows.  Returns the set of flagged owners so the walk can
     skip its own (now redundant) findings for them.
 
-    ``liveness`` is the ground truth; a caller auditing many plans of
-    one network (a static sweep row) builds it once and passes it in.
-    It must be derived from ``network`` independently of the plan.
+    The ground truth is the network's one analysis
+    (:func:`~repro.core.liveness.liveness_of`).  It is shared, not
+    independent: the plan was compiled from it, and each
+    ``StorageRecord.info`` is one of its frozen ``StorageInfo`` objects.
+    What the audit checks is the schedules the plan derived from those
+    facts (release lists, dead-release and offload sites).
     """
-    if liveness is None:
-        liveness = LivenessAnalysis(network)
+    liveness = liveness_of(network)
     releases = plan.release_schedule()
     dead_sites = plan.dead_release_sites()
     offload_sites = plan.offload_candidate_sites()
@@ -246,8 +249,7 @@ def audit_compression(network: Network, system: SystemConfig,
 # Entry points for training plans
 # ----------------------------------------------------------------------
 def _ledger(network: Network, system: SystemConfig, plan: CompiledPlan,
-            report: Report, liveness: Optional[LivenessAnalysis],
-            walk) -> Report:
+            report: Report, walk) -> Report:
     """The structural audit, SP407, one abstract walk and the SP401
     tail; ``walk(flagged)`` interprets the plan into ``report``.
 
@@ -261,8 +263,7 @@ def _ledger(network: Network, system: SystemConfig, plan: CompiledPlan,
         flagged = frozenset()
     else:
         before = len(report.diagnostics)
-        flagged = frozenset(audit_plan(network, plan, report,
-                                       liveness=liveness))
+        flagged = frozenset(audit_plan(network, plan, report))
         audit_compression(network, system, plan, report)
         if len(report.diagnostics) == before:
             plan.audit_memo.add(hardware)
@@ -290,13 +291,12 @@ def verify_compiled_plan(
     sync_after_offload: bool = True,
     sync_after_prefetch: bool = True,
     subject: str = "",
-    liveness: Optional[LivenessAnalysis] = None,
 ) -> Report:
     """Prove (or refute) the SP4xx rules for one compiled plan."""
     report = Report(subject=subject or
                     f"{plan.network_name} {policy.describe()} [static]")
     return _ledger(
-        network, system, plan, report, liveness,
+        network, system, plan, report,
         lambda flagged: interpret_plan(
             network, system, plan, policy,
             bounded_prefetch_window=bounded_prefetch_window,
@@ -315,7 +315,6 @@ def verify_plan(
     sync_after_offload: bool = True,
     sync_after_prefetch: bool = True,
     subject: str = "",
-    liveness: Optional[LivenessAnalysis] = None,
 ) -> Report:
     """Build (or fetch) the compiled plan for a point and verify it."""
     plan = compiled_plan(network, system, algos)
@@ -324,7 +323,7 @@ def verify_plan(
         bounded_prefetch_window=bounded_prefetch_window,
         sync_after_offload=sync_after_offload,
         sync_after_prefetch=sync_after_prefetch,
-        subject=subject, liveness=liveness)
+        subject=subject)
 
 
 def verify_joint_plan(
@@ -333,7 +332,6 @@ def verify_joint_plan(
     config,
     algos: AlgoConfig,
     subject: str = "",
-    liveness: Optional[LivenessAnalysis] = None,
 ) -> Report:
     """Prove the SP4xx rules for one joint configuration.
 
@@ -347,7 +345,7 @@ def verify_joint_plan(
                     f"{network.name} {config.describe()} [static]")
     plan = compiled_plan(network, system, algos)
     return _ledger(
-        network, system, plan, report, liveness,
+        network, system, plan, report,
         lambda flagged: interpret_joint_plan(
             network, system, plan, config,
             report=report, flagged=flagged, subject=report.subject))
@@ -362,15 +360,11 @@ def verify_point_static(
     policy: str = "all",
     algo: str = "p",
     system: Optional[SystemConfig] = None,
-    *,
-    liveness: Optional[LivenessAnalysis] = None,
 ) -> Report:
     """Statically verify one (network, policy, algo) point.
 
     Subjects match :func:`repro.analysis.verify.verify_point` so the
-    two sweeps zip together point for point.  ``liveness`` is the
-    audit's ground truth, shared across a sweep row (see
-    :func:`audit_plan`).
+    two sweeps zip together point for point.
     """
     system = system or PAPER_SYSTEM
     subject = f"{network.name} {point_label(policy, algo)}"
@@ -392,9 +386,9 @@ def verify_point_static(
         return report
     if policy == "joint":
         return verify_joint_plan(network, system, point.config, point.algos,
-                                 subject=subject, liveness=liveness)
+                                 subject=subject)
     return verify_plan(network, system, point.config, point.algos,
-                       subject=subject, liveness=liveness)
+                       subject=subject)
 
 
 def verify_zoo_static(
@@ -403,8 +397,8 @@ def verify_zoo_static(
     policies: Optional[Sequence[Tuple[str, str]]] = None,
     system: Optional[SystemConfig] = None,
 ) -> List[Report]:
-    """Statically verify the whole sweep grid; builds each network, and
-    the liveness its audits check plans against, once per row.
+    """Statically verify the whole sweep grid; builds each network once
+    per row.
 
     A row's points share their network's plans, and each plan keeps its
     clean audits and walks (``CompiledPlan.audit_memo`` / ``walk_memo``):
@@ -422,11 +416,9 @@ def verify_zoo_static(
     reports: List[Report] = []
     for name in names:
         network = build(name, batch)
-        liveness = LivenessAnalysis(network)
         for policy, algo in policies:
             reports.append(verify_point_static(
-                network, policy=policy, algo=algo, system=system,
-                liveness=liveness))
+                network, policy=policy, algo=algo, system=system))
     return reports
 
 
@@ -454,9 +446,9 @@ def verify_recompute_plan(
     any segment whose replay reaches the INPUT storage.
     """
     report = Report(subject=subject or f"{network.name} recompute [static]")
-    liveness = LivenessAnalysis(network)
+    liveness = liveness_of(network)
     if plan is None:
-        plan = checkpoint_plan(network, liveness, segment_count)
+        plan = checkpoint_plan(network, segment_count)
 
     droppable_expected = sorted(
         s.owner for s in liveness.all_storages()

@@ -32,7 +32,7 @@ from .. import zoo
 from ..core.api import point_label, resolve_point
 from ..core.dynamic import UntrainableError
 from ..core.executor import IterationResult
-from ..core.liveness import LivenessAnalysis
+from ..core.liveness import LivenessAnalysis, liveness_of
 from ..core.plan import ScheduleKey
 from ..graph.network import Network
 from ..hw.config import PAPER_SYSTEM, SystemConfig
@@ -80,13 +80,6 @@ def verify_result(result: IterationResult,
                   network: Optional[Network] = None,
                   subject: str = "") -> Report:
     """Verify an executor result that carries a schedule trace."""
-    return _verify_result(result, network, subject, liveness=None)
-
-
-def _verify_result(result: IterationResult, network: Optional[Network],
-                   subject: str,
-                   liveness: Optional[LivenessAnalysis]) -> Report:
-    """``verify_result`` with the network's liveness, when already built."""
     subject = subject or f"{result.network_name} {result.label}"
     if result.schedule_trace is None:
         raise ValueError(
@@ -99,8 +92,7 @@ def _verify_result(result: IterationResult, network: Optional[Network],
         # DMA that ran out of retries): the trace is truncated, so its
         # dangling lifetimes are artifacts, not leaks.
         return Report(subject=f"{subject} (aborted: {result.failure})")
-    if liveness is None and network is not None:
-        liveness = LivenessAnalysis(network)
+    liveness = None if network is None else liveness_of(network)
     return analyze_trace(result.schedule_trace, network=network,
                          liveness=liveness, subject=subject)
 
@@ -112,12 +104,11 @@ def verify_point(
     system: Optional[SystemConfig] = None,
 ) -> Report:
     """Simulate one configuration with tracing on, then verify it."""
-    return _verify_point(network, policy, algo, system, liveness=None)
+    return _verify_point(network, policy, algo, system)
 
 
 def _verify_point(network: Network, policy: str, algo: str,
                   system: Optional[SystemConfig],
-                  liveness: Optional[LivenessAnalysis],
                   analyzed: Optional[Dict[ScheduleKey, Tuple[str, Report]]]
                   = None) -> Report:
     """``verify_point``; ``analyzed`` maps each schedule a row already
@@ -135,8 +126,8 @@ def _verify_point(network: Network, policy: str, algo: str,
     key = None if analyzed is None else point.schedule_key()
     seen = None if key is None else analyzed.get(key)
     if seen is None:
-        report = _verify_result(point.simulate(verify=True), network,
-                                subject, liveness)
+        report = verify_result(point.simulate(verify=True), network,
+                               subject)
         if key is not None:
             analyzed[key] = (subject, report)
         return report
@@ -158,8 +149,8 @@ _Task = Tuple[str, Optional[int], str, str]
 def _verify_row(row: Sequence[_Task]) -> List[Report]:
     """Worker entry: verify a run of points that share one network.
 
-    The network and its liveness are built once per row, so every point
-    of the row reuses its compiled plans.  Every point is resolved (its
+    The network is built once per row, so every point of the row reuses
+    its compiled plans and liveness.  Every point is resolved (its
     ladder runs), but a schedule is simulated and analyzed once per row:
     a point whose :class:`~repro.core.plan.ScheduleKey` an earlier point
     of the row already had gets that point's diagnostics under its own
@@ -167,9 +158,8 @@ def _verify_row(row: Sequence[_Task]) -> List[Report]:
     """
     name, batch = row[0][:2]
     network = zoo.build(name, batch)
-    liveness = LivenessAnalysis(network)
     analyzed: Dict[ScheduleKey, Tuple[str, Report]] = {}
-    return [_verify_point(network, policy, algo, None, liveness, analyzed)
+    return [_verify_point(network, policy, algo, None, analyzed)
             for _name, _batch, policy, algo in row]
 
 

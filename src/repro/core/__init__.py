@@ -39,6 +39,7 @@ _EXPORTS = {
     "simulate_joint_config": "joint",
     "LivenessAnalysis": "liveness",
     "StorageInfo": "liveness",
+    "liveness_of": "liveness",
     "PagingReport": "paging",
     "paging_vs_vdnn": "paging",
     "simulate_page_migration": "paging",

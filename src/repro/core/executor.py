@@ -41,7 +41,7 @@ from ..hw.config import SystemConfig
 from ..sim.stream import make_stream_pair
 from ..sim.timeline import EventKind, Timeline
 from .algo_config import AlgoConfig
-from .liveness import LivenessAnalysis
+from .liveness import liveness_of
 from .plan import BackwardStep, CompiledPlan, ForwardStep, StorageRecord, \
     compiled_plan
 from .policy import TransferPolicy
@@ -138,7 +138,7 @@ def _feature_extraction_time(
 # Baseline manager
 # ----------------------------------------------------------------------
 def baseline_allocation_bytes(
-    network: Network, algos: AlgoConfig, liveness: Optional[LivenessAnalysis] = None
+    network: Network, algos: AlgoConfig
 ) -> Dict[str, int]:
     """Network-wide allocation breakdown of the baseline policy.
 
@@ -146,7 +146,7 @@ def baseline_allocation_bytes(
     ``feature_maps``, ``gradient_maps``, ``workspace`` and ``total`` —
     the functional breakdown of the paper's Figure 4.
     """
-    liveness = liveness or LivenessAnalysis(network)
+    liveness = liveness_of(network)
     weights = network.total_weight_bytes()
     feature_maps = liveness.total_feature_map_bytes()
     # Two reused dY/dX buffers, each sized to the maximum gradient map

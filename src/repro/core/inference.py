@@ -19,7 +19,7 @@ from ..hw.config import SystemConfig
 from ..kernels.latency import LatencyModel
 from ..sim.timeline import EventKind
 from .algo_config import AlgoConfig
-from .liveness import LivenessAnalysis
+from .liveness import liveness_of
 
 if TYPE_CHECKING:
     from .executor import IterationResult
@@ -59,7 +59,7 @@ def weight_load_bytes(network: Network) -> Dict[int, int]:
 def baseline_inference_bytes(network: Network, algos: AlgoConfig) -> int:
     """Network-wide inference allocation: all Xs + W + shared WS."""
     _validate_inference_batch(network)
-    liveness = LivenessAnalysis(network)
+    liveness = liveness_of(network)
     return (liveness.total_feature_map_bytes()
             + network.total_weight_bytes()
             + algos.max_workspace_bytes())
@@ -85,7 +85,7 @@ def simulate_inference(
 
     _validate_inference_batch(network)
     latency = LatencyModel(system.gpu)
-    liveness = LivenessAnalysis(network)
+    liveness = liveness_of(network)
     pool = LiveByteCounter()
     compute, _memory, timeline = make_stream_pair()
     usage = UsageTracker()

@@ -18,20 +18,30 @@ alias/refcount structure into per-storage facts:
 Both the event-driven simulator and the numpy runtime consume exactly
 this analysis, so the performance model and the functional execution can
 never disagree about lifetimes.
+
+A network is immutable once built, so its analysis is too: every pass
+reads the one :func:`liveness_of` keeps per network.  The analysis holds
+no reference to its network (lint LINT206), so that weak-keyed table
+never keeps a network alive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+import weakref
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from ..graph.layer import LayerKind
 from ..graph.network import Network
 
 
-@dataclass
+@dataclass(frozen=True)
 class StorageInfo:
     """Liveness facts for one feature-map buffer (and its gradient twin).
+
+    Frozen, with tuple fields: every plan of a network and every pass
+    over it share these objects (:func:`liveness_of`), so none may
+    change them.
 
     Attributes:
         owner: index of the node that allocates/owns the buffer.
@@ -48,11 +58,11 @@ class StorageInfo:
     """
 
     owner: int
-    chain: List[int]
+    chain: Tuple[int, ...]
     nbytes: int
     forward_release_at: int
-    backward_users: List[int] = field(default_factory=list)
-    gradient_writers: List[int] = field(default_factory=list)
+    backward_users: Tuple[int, ...] = ()
+    gradient_writers: Tuple[int, ...] = ()
 
     @property
     def needed_backward(self) -> bool:
@@ -84,17 +94,20 @@ class StorageInfo:
 
 
 class LivenessAnalysis:
-    """Per-storage liveness for one network."""
+    """Per-storage liveness for one network.
+
+    Holds derived facts only, never the network: each node's output
+    storage and the distinct storages it reads, both looked up in O(1).
+    """
 
     def __init__(self, network: Network):
-        self.network = network
         self.storages: Dict[int, StorageInfo] = {}
         self._storage_of_node: Dict[int, int] = {}
-        self._analyze()
+        self._inputs: Tuple[Tuple[StorageInfo, ...], ...] = ()
+        self._analyze(network)
 
     # ------------------------------------------------------------------
-    def _analyze(self) -> None:
-        network = self.network
+    def _analyze(self, network: Network) -> None:
         chains: Dict[int, List[int]] = {}
         for node in network:
             owner = node.storage_index
@@ -124,38 +137,41 @@ class LivenessAnalysis:
             # The terminal storage's gradient is written by the loss,
             # modeled as the chain's last member.  The input batch gets
             # no gradient at all.
-            gradient_writers: List[int] = []
+            gradient_writers: Tuple[int, ...] = ()
             if network[owner].kind is not LayerKind.INPUT:
                 writers = set(consumers) | {
                     idx for idx in chain[1:]  # in-place members
                 }
                 if not consumers:
                     writers.add(chain[-1])
-                gradient_writers = sorted(writers, reverse=True)
+                gradient_writers = tuple(sorted(writers, reverse=True))
                 if not gradient_writers:
-                    gradient_writers = [chain[-1]]
+                    gradient_writers = (chain[-1],)
 
             self.storages[owner] = StorageInfo(
                 owner=owner,
-                chain=list(chain),
+                chain=tuple(chain),
                 nbytes=network[owner].output_spec.nbytes,
                 forward_release_at=forward_release_at,
-                backward_users=sorted(backward_users, reverse=True),
+                backward_users=tuple(sorted(backward_users, reverse=True)),
                 gradient_writers=gradient_writers,
             )
+
+        # Each node's distinct input storages, in first-read order.
+        storages, storage_of_node = self.storages, self._storage_of_node
+        self._inputs = tuple(
+            tuple(storages[owner] for owner in dict.fromkeys(
+                storage_of_node[p] for p in node.producers))
+            for node in network)
 
     # ------------------------------------------------------------------
     def storage_of(self, node_index: int) -> StorageInfo:
         """The storage holding node ``node_index``'s output Y."""
         return self.storages[self._storage_of_node[node_index]]
 
-    def input_storages(self, node_index: int) -> List[StorageInfo]:
+    def input_storages(self, node_index: int) -> Tuple[StorageInfo, ...]:
         """Distinct storages a node reads as its input X."""
-        seen: Dict[int, StorageInfo] = {}
-        for producer in self.network[node_index].producers:
-            info = self.storage_of(producer)
-            seen[info.owner] = info
-        return list(seen.values())
+        return self._inputs[node_index]
 
     def all_storages(self) -> List[StorageInfo]:
         return [self.storages[k] for k in sorted(self.storages)]
@@ -171,3 +187,18 @@ class LivenessAnalysis:
             (s.nbytes for s in self.storages.values() if s.needs_gradient),
             default=0,
         )
+
+
+#: network -> its analysis.  Weak-keyed, and the analysis holds no
+#: network, so an entry dies with its network.
+_ANALYSES: "weakref.WeakKeyDictionary[Network, LivenessAnalysis]" = \
+    weakref.WeakKeyDictionary()
+
+
+def liveness_of(network: Network) -> LivenessAnalysis:
+    """The one :class:`LivenessAnalysis` of ``network``, built on first
+    use.  Networks are immutable, so every pass may share it."""
+    analysis = _ANALYSES.get(network)
+    if analysis is None:
+        analysis = _ANALYSES[network] = LivenessAnalysis(network)
+    return analysis

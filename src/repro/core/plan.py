@@ -31,9 +31,13 @@ The plan deliberately holds **no reference to the network** (only
 per-storage records, strings and numbers).  That keeps the cache — a
 :class:`weakref.WeakKeyDictionary` keyed by the network — leak-free:
 when the last outside reference to a network dies, its plans die with
-it.  Policies are applied as an overlay too: the per-layer offload
-*candidates* (refcount gate: last forward reader + needed backward)
-live in the plan, and :meth:`CompiledPlan.offload_indices` resolves a
+it.  A base compile reads the network's one liveness analysis
+(:func:`~repro.core.liveness.liveness_of`), which every other pass over
+that network shares; the analysis holds no network either, and the
+plan keeps only its :class:`StorageInfo` records.  Policies are
+applied as an overlay too: the per-layer offload *candidates*
+(refcount gate: last forward reader + needed backward) live in the
+plan, and :meth:`CompiledPlan.offload_indices` resolves a
 :class:`~repro.core.policy.TransferPolicy` to the set of trigger layers
 that actually offload, cached per policy.
 
@@ -54,7 +58,7 @@ from ..graph.network import Network
 from ..hw.config import SystemConfig
 from ..kernels.latency import LatencyModel
 from .algo_config import AlgoConfig
-from .liveness import LivenessAnalysis, StorageInfo
+from .liveness import StorageInfo, liveness_of
 from .prefetcher import conv_floor
 
 if TYPE_CHECKING:
@@ -187,7 +191,7 @@ class CompiledPlan:
     def __init__(self, network: Network, system: SystemConfig,
                  algos: AlgoConfig):
         latency = LatencyModel(system.gpu)
-        liveness = LivenessAnalysis(network)
+        liveness = liveness_of(network)
         pcie = system.pcie
 
         self.network_name = network.name

@@ -28,7 +28,7 @@ from ..sim.stream import make_stream_pair
 from ..sim.timeline import EventKind
 from .algo_config import AlgoConfig
 from .executor import IterationResult, _feature_extraction_time
-from .liveness import LivenessAnalysis, StorageInfo
+from .liveness import StorageInfo, liveness_of
 from .plan import ForwardStep, compiled_plan
 
 _FORWARD = EventKind.FORWARD
@@ -68,7 +68,7 @@ def droppable(network: Network,
             and network[s.owner].kind is not LayerKind.INPUT]
 
 
-def checkpoint_plan(network: Network, liveness: LivenessAnalysis,
+def checkpoint_plan(network: Network,
                     segment_count: Optional[int] = None,
                     exclude: FrozenSet[int] = frozenset()
                     ) -> CheckpointPlan:
@@ -83,7 +83,8 @@ def checkpoint_plan(network: Network, liveness: LivenessAnalysis,
     if segment_count is not None and segment_count < 0:
         raise ValueError(
             f"segment count must be non-negative, got {segment_count}")
-    order = sorted((s for s in droppable(network, liveness.all_storages())
+    storages = liveness_of(network).all_storages()
+    order = sorted((s for s in droppable(network, storages)
                     if s.owner not in exclude), key=lambda s: s.owner)
     count = len(order)
     segments = segment_count or max(1, math.isqrt(count))
@@ -111,7 +112,7 @@ class _RecomputeSimulation:
                  algos: AlgoConfig, segment_count: Optional[int]):
         self.network = network
         self.plan = compiled_plan(network, system, algos)
-        self.liveness = LivenessAnalysis(network)
+        self.liveness = liveness_of(network)
         self.pool = LiveByteCounter()
         self.compute, _memory, self.timeline = make_stream_pair()
         self.usage = UsageTracker()
@@ -120,7 +121,7 @@ class _RecomputeSimulation:
         self.recompute_kernel_seconds = 0.0
         self._dead_resident: Set[int] = set()
 
-        plan = checkpoint_plan(network, self.liveness, segment_count)
+        plan = checkpoint_plan(network, segment_count)
         self.dropped = plan.dropped
         # Map each storage to the checkpointed segment that regenerates
         # it: the contiguous run of dropped owners after a checkpoint.
@@ -260,11 +261,9 @@ class _RecomputeSimulation:
         gradients.clear()
 
 
-def droppable_count(network: Network,
-                    liveness: Optional[LivenessAnalysis] = None) -> int:
+def droppable_count(network: Network) -> int:
     """How many storages a checkpoint plan may drop (Chen et al.'s L)."""
-    liveness = liveness or LivenessAnalysis(network)
-    return len(droppable(network, liveness.all_storages()))
+    return len(droppable(network, liveness_of(network).all_storages()))
 
 
 @dataclass(frozen=True)
@@ -303,8 +302,7 @@ def plan_recompute(
     """
     from .cached import cached_recompute
 
-    liveness = LivenessAnalysis(network)
-    count = droppable_count(network, liveness)
+    count = droppable_count(network)
     budget = system.gpu.memory_bytes if budget_bytes is None \
         else budget_bytes
     probes: List[Tuple[int, bool]] = []
@@ -333,7 +331,7 @@ def plan_recompute(
     segments, result = adopted
     return RecomputePlan(
         segment_count=segments,
-        plan=checkpoint_plan(network, liveness, segments),
+        plan=checkpoint_plan(network, segments),
         result=result,
         probes=tuple(probes),
     )

@@ -42,6 +42,14 @@ class NetworkNode:
             (differs from ``index`` only for weight-tied layers).
         is_feature_extraction: True for layers ahead of the first FC
             layer — the region vDNN targets (Section III).
+        weight_tensor_bytes: size of the parameter tensors this layer's
+            kernels touch (nonzero even when the parameters are shared).
+        weight_bytes: parameter bytes this layer *owns* (0 for tied
+            layers).
+
+    The two weight sizes are derived facts, set once by
+    :class:`Network` after weight ties resolve; like every field here
+    they are never written after the network is built (lint LINT208).
     """
 
     index: int
@@ -54,6 +62,8 @@ class NetworkNode:
     storage_index: int = -1
     weight_root: int = -1
     is_feature_extraction: bool = True
+    weight_tensor_bytes: int = field(default=0, compare=False)
+    weight_bytes: int = field(default=0, compare=False)
 
     @property
     def name(self) -> str:
@@ -76,19 +86,6 @@ class NetworkNode:
     @property
     def is_weight_tied(self) -> bool:
         return self.weight_root != self.index
-
-    @property
-    def weight_tensor_bytes(self) -> int:
-        """Size of the parameter tensors this layer's kernels touch
-        (nonzero even when the parameters are shared)."""
-        total = self.weight_spec.nbytes if self.weight_spec else 0
-        total += self.bias_spec.nbytes if self.bias_spec else 0
-        return total
-
-    @property
-    def weight_bytes(self) -> int:
-        """Parameter bytes this layer *owns* (0 for tied layers)."""
-        return 0 if self.is_weight_tied else self.weight_tensor_bytes
 
 
 class Network:
@@ -220,6 +217,12 @@ class Network:
                     f"{tied_to!r}: specs differ"
                 )
             node.weight_root = root.weight_root
+        # Sizes, now that ties are known: read on every plan compile.
+        for node in self._nodes:
+            total = node.weight_spec.nbytes if node.weight_spec else 0
+            total += node.bias_spec.nbytes if node.bias_spec else 0
+            node.weight_tensor_bytes = total
+            node.weight_bytes = 0 if node.is_weight_tied else total
 
     def _mark_regions(self) -> None:
         """Split feature extraction from the classifier (paper §II-A).

@@ -30,7 +30,6 @@ from typing import List, Optional
 import numpy as np
 
 from ..core.algo_config import AlgoConfig
-from ..core.liveness import LivenessAnalysis
 from ..core.plan import compiled_plan
 from ..core.policy import TransferPolicy
 from ..core.recompute import checkpoint_plan
@@ -128,7 +127,7 @@ class TrainingRuntime:
         self._dropped = frozenset()
         if recompute_segments is not None:
             self._dropped = checkpoint_plan(
-                network, LivenessAnalysis(network), recompute_segments,
+                network, recompute_segments,
                 exclude=self.plan.candidate_owners(
                     self.plan.offload_indices(self.policy, network))
             ).dropped

@@ -22,8 +22,10 @@ than the simulation it replaces; two memos make repeated content free:
   ``AlgoConfig``) are encoded afresh every time.
 * a network's digest is kept on the network, and for networks built by
   :func:`repro.zoo.build` also per ``(builder key, batch size)`` recipe,
-  process-wide: builders are deterministic and networks immutable, so a
-  rebuilt network is not encoded again.
+  process-wide.  ``zoo.build`` already hands every holder of a recipe
+  the same live network, so the recipe memo matters only for a network
+  rebuilt after its last holder dropped it: builders are deterministic
+  and networks immutable, so that rebuild is not encoded again.
 """
 
 from __future__ import annotations

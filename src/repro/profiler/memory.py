@@ -18,7 +18,7 @@ from typing import Dict, List
 
 from ..core.algo_config import AlgoConfig
 from ..core.executor import baseline_allocation_bytes
-from ..core.liveness import LivenessAnalysis
+from ..core.liveness import LivenessAnalysis, liveness_of
 from ..graph.layer import LayerKind
 from ..graph.network import Network, NetworkNode
 
@@ -83,8 +83,8 @@ def baseline_memory_profile(
     network: Network, algos: AlgoConfig
 ) -> BaselineProfile:
     """Network-wide allocation vs. the largest layer-wise working set."""
-    liveness = LivenessAnalysis(network)
-    total = baseline_allocation_bytes(network, algos, liveness)["total"]
+    liveness = liveness_of(network)
+    total = baseline_allocation_bytes(network, algos)["total"]
     max_ws = 0
     for node in network:
         if node.kind is LayerKind.INPUT:
@@ -131,7 +131,7 @@ class LayerMemoryRow:
 
 def per_layer_profile(network: Network, algos: AlgoConfig) -> List[LayerMemoryRow]:
     """Per-layer memory usage for weighted layers (Figure 5)."""
-    liveness = LivenessAnalysis(network)
+    liveness = liveness_of(network)
     rows = []
     for node in network:
         if node.kind not in (LayerKind.CONV, LayerKind.FC):
@@ -160,7 +160,7 @@ def feature_extraction_share(network: Network) -> float:
     The paper quotes 81% for AlexNet and 96% for VGG-16 (256) —
     the justification for targeting only those layers (Section III).
     """
-    liveness = LivenessAnalysis(network)
+    liveness = liveness_of(network)
     total = feat = 0
     for storage in liveness.all_storages():
         total += storage.nbytes

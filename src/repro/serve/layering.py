@@ -38,7 +38,7 @@ from typing import Deque, Dict, List, Tuple
 
 from ..core.algo_config import AlgoConfig
 from ..core.inference import _validate_inference_batch, weight_load_bytes
-from ..core.liveness import LivenessAnalysis
+from ..core.liveness import liveness_of
 from ..core.plan import ForwardStep, compiled_plan
 from ..graph.layer import LayerKind
 from ..graph.network import Network
@@ -121,7 +121,7 @@ def activation_peak_bytes(network: Network, algos: AlgoConfig) -> int:
     liveness-based walk is the independent reference the static
     verifier (SP406) audits it against.
     """
-    liveness = LivenessAnalysis(network)
+    liveness = liveness_of(network)
     live = 0
     peak = 0
     held: Dict[int, int] = {}

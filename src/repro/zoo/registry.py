@@ -5,10 +5,18 @@ Section IV-C lists ten studied DNNs: four conventional ImageNet winners
 and four very deep VGG variants at batch 32.  :data:`PAPER_NETWORKS`
 preserves the paper's figure ordering, and :func:`build` resolves any
 of them (or a custom batch size) by name.
+
+Builders are deterministic and networks immutable, so :func:`build`
+hands every caller of one recipe the same live network: its compiled
+plans (:mod:`repro.core.plan`), digest and liveness analysis are
+derived once and shared.  The table is weak-valued, so it keeps no
+network alive; a recipe rebuilt after its last holder dropped it is a
+new network.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..graph import Network
@@ -80,8 +88,16 @@ def recipe(name: str, batch_size: Optional[int] = None) -> Tuple[str, int]:
     return key, batch_size
 
 
+#: recipe -> the network :func:`build` made from it, while anyone holds it.
+_LIVE: "weakref.WeakValueDictionary[Tuple[str, int], Network]" = \
+    weakref.WeakValueDictionary()
+
+
 def build(name: str, batch_size: Optional[int] = None) -> Network:
     """Build a catalog network by name.
+
+    While any caller holds the network a recipe built, the same recipe
+    returns that network rather than a new one.
 
     Args:
         name: one of :func:`available` (case-insensitive, dashes ignored).
@@ -89,10 +105,12 @@ def build(name: str, batch_size: Optional[int] = None) -> Network:
             (128 for the conventional nets, 64 for VGG-16, 32 for the
             very deep variants).
     """
-    key, batch_size = recipe(name, batch_size)
-    network = _BUILDERS[key](batch_size)
-    # repro.perf.fingerprint digests each recipe once per process.
-    network._repro_recipe = (key, batch_size)
+    key = recipe(name, batch_size)
+    network = _LIVE.get(key)
+    if network is None:
+        network = _LIVE[key] = _BUILDERS[key[0]](key[1])
+        # repro.perf.fingerprint digests each recipe once per process.
+        network._repro_recipe = key
     return network
 
 

@@ -27,6 +27,7 @@ from repro.core.algo_config import AlgoConfig
 from repro.core.executor import simulate_vdnn
 from repro.core.liveness import LivenessAnalysis
 from repro.core.policy import TransferPolicy
+from repro.graph import Network
 from repro.graph.layer import LayerKind
 from repro.hw import PAPER_SYSTEM
 from repro.zoo import build
@@ -38,8 +39,14 @@ ORACLE_POLICIES = ("all", "conv", "comp")
 @functools.lru_cache(maxsize=None)
 def zoo_trace(name, policy):
     """One executor trace at batch 8 under ``vdnn_<policy>``, with the
-    network and its liveness."""
-    network = build(name, 8)
+    network and its liveness.
+
+    The network is a private copy: ``build`` hands every holder of a
+    recipe the same live network, and this cache holds its networks for
+    the whole session, so returning the recipe's own network would warm
+    its plans for every later test of that recipe."""
+    shared = build(name, 8)
+    network = Network(shared.name, [node.layer for node in shared])
     transfer = getattr(TransferPolicy, f"vdnn_{policy}")()
     result = simulate_vdnn(network, PAPER_SYSTEM, transfer,
                            AlgoConfig.performance_optimal(network),
@@ -399,5 +406,5 @@ def _check_refcount_gate(op: TraceOp, block: LiveBlock,
         report(
             "MS105",
             f"{op.buffer} discarded without offload although backward "
-            f"layers {storage.backward_users} still need it",
+            f"layers {list(storage.backward_users)} still need it",
             op)

@@ -290,6 +290,57 @@ class TestStructureRules:
             rel="repro/core/plan.py")
         assert findings == []
 
+    def test_network_store_in_liveness_analysis_fires_lint206(
+            self, tmp_path):
+        # The liveness table is weak-keyed by network: a back-reference
+        # in the value would keep every analysed network alive.
+        findings = lint_snippet(
+            tmp_path,
+            "class LivenessAnalysis:\n"
+            "    def __init__(self, network):\n"
+            "        self.network = network\n")
+        assert rules(findings) == ["LINT206"]
+
+    def test_liveness_analysis_of_derived_facts_is_allowed(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            "class LivenessAnalysis:\n"
+            "    def __init__(self, network):\n"
+            "        self.storages = {}\n"
+            "        self._analyze(network)\n")
+        assert findings == []
+
+    @pytest.mark.parametrize("store", [
+        "node.storage_index = 0", "node.weight_tensor_bytes = 0",
+        "node.is_feature_extraction = False", "node.output_spec = None",
+        "info.forward_release_at = 0", "info.backward_users = []",
+        "info.gradient_writers = []"])
+    def test_shared_graph_field_store_fires_lint208(self, tmp_path, store):
+        # One zoo network (and its liveness) serves every caller of
+        # zoo.build: a store to a node or storage fact reaches them all.
+        findings = lint_snippet(
+            tmp_path, f"def rewire(node, info):\n    {store}\n")
+        assert rules(findings) == ["LINT208"]
+
+    @pytest.mark.parametrize("store, rel", [
+        ("node.storage_index = 0", "repro/graph/network.py"),
+        ("node.weight_tensor_bytes = 0", "repro/graph/network.py"),
+        ("info.backward_users = []", "repro/core/liveness.py"),
+    ])
+    def test_shared_graph_field_home_is_exempt(self, tmp_path, store, rel):
+        findings = lint_snippet(
+            tmp_path, f"def build(node, info):\n    {store}\n", rel=rel)
+        assert findings == []
+
+    def test_graph_field_home_does_not_exempt_other_families(self,
+                                                            tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            "def build(node, info):\n"
+            "    info.gradient_writers = []\n",
+            rel="repro/graph/network.py")
+        assert rules(findings) == ["LINT208"]
+
 
 class TestSuppression:
     def test_allow_comment_suppresses_the_rule_on_that_line(self, tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from repro.core import (
     AlgoConfig,
     CapacityReport,
-    LivenessAnalysis,
     TransferPolicy,
     capacity_report,
     evaluate,
@@ -144,13 +143,12 @@ class TestRecompute:
 
     def test_checkpoint_plan_rejects_negative_segment_count(self, deep_cnn):
         with pytest.raises(ValueError, match="segment count"):
-            checkpoint_plan(deep_cnn, LivenessAnalysis(deep_cnn), -1)
+            checkpoint_plan(deep_cnn, -1)
 
     def test_checkpoint_plan_excludes_owners_before_striding(self, deep_cnn):
-        liveness = LivenessAnalysis(deep_cnn)
-        order = checkpoint_plan(deep_cnn, liveness).droppable_order
+        order = checkpoint_plan(deep_cnn).droppable_order
         kept = frozenset(order[:3])
-        plan = checkpoint_plan(deep_cnn, liveness, 1, exclude=kept)
+        plan = checkpoint_plan(deep_cnn, 1, exclude=kept)
         assert plan.droppable_order == order[3:]
         assert plan.checkpoints == {order[3]}
         assert plan.dropped == set(order[4:])

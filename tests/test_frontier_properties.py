@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import AlgoConfig, UntrainableError
 from repro.core.joint import plan_joint
-from repro.core.liveness import LivenessAnalysis
 from repro.core.recompute import (
     checkpoint_plan,
     droppable_count,
@@ -100,11 +99,10 @@ def test_default_engine_matches_cdma_paper():
        segments=st.one_of(st.none(), st.integers(1, 12)))
 def test_checkpoint_plan_partitions_droppable(network, segments):
     """checkpoints and dropped partition the droppable set exactly."""
-    liveness = LivenessAnalysis(network)
-    plan = checkpoint_plan(network, liveness, segments)
+    plan = checkpoint_plan(network, segments)
     droppable = set(plan.droppable_order)
     assert len(plan.droppable_order) == len(droppable)
-    assert len(droppable) == droppable_count(network, liveness)
+    assert len(droppable) == droppable_count(network)
     assert set(plan.checkpoints) | set(plan.dropped) == droppable
     assert not set(plan.checkpoints) & set(plan.dropped)
     if droppable:
@@ -118,11 +116,10 @@ def test_checkpoint_plan_partitions_droppable(network, segments):
 @given(network=random_linear_network())
 def test_checkpoint_everything_is_baseline(network):
     """One checkpoint per droppable storage ≡ no recomputation at all."""
-    liveness = LivenessAnalysis(network)
-    count = droppable_count(network, liveness)
+    count = droppable_count(network)
     if count == 0:
         return
-    plan = checkpoint_plan(network, liveness, count)
+    plan = checkpoint_plan(network, count)
     assert plan.dropped == frozenset()
     algos = AlgoConfig.memory_optimal(network)
     result = simulate_recompute(network, PAPER_SYSTEM, algos, count)

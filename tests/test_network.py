@@ -165,6 +165,15 @@ class TestAccessors:
     def test_total_weight_bytes_positive(self, linear_cnn):
         assert linear_cnn.total_weight_bytes() > 0
 
+    def test_weight_sizes_are_set_at_build(self, linear_cnn):
+        for node in linear_cnn:
+            specs = [s for s in (node.weight_spec, node.bias_spec) if s]
+            assert node.weight_tensor_bytes == sum(s.nbytes for s in specs)
+            assert node.weight_bytes == node.weight_tensor_bytes
+        # Derived sizes are not part of a node's identity.
+        twin = make_linear_cnn()
+        assert twin.node("conv_1") == linear_cnn.node("conv_1")
+
     def test_summary_mentions_every_layer(self, fork_join_cnn):
         text = fork_join_cnn.summary()
         for node in fork_join_cnn:

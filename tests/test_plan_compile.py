@@ -135,15 +135,33 @@ def _downgrade_chain(network: Network, probes: int = 13) -> List[AlgoConfig]:
     return seen
 
 
+def _private_copy(network: Network) -> Network:
+    """A new network of ``network``'s layers: no other holder shares it,
+    so its plan cache starts empty."""
+    return Network(network.name, [node.layer for node in network])
+
+
 def _assert_cache_orders_match_constructor(make_network) -> None:
-    """m→p, p→m and p→greedy chain, each from a fresh cache."""
-    for order in (("m", "p"), ("p", "m")):
+    """m→p, p→m and p→greedy chain, each from a fresh cache.
+
+    ``make_network()`` must return a new network on every call; the
+    ones made are held, so an identity check proves it."""
+    made: List[Network] = []
+
+    def fresh() -> Network:
         network = make_network()
+        assert all(network is not old for old in made)
+        assert network not in _PLANS
+        made.append(network)
+        return network
+
+    for order in (("m", "p"), ("p", "m")):
+        network = fresh()
         for label in order:
             algos = ALGOS[label](network)
             assert_plans_equal(compiled_plan(network, PAPER_SYSTEM, algos),
                                CompiledPlan(network, PAPER_SYSTEM, algos))
-    network = make_network()
+    network = fresh()
     for algos in _downgrade_chain(network):
         assert_plans_equal(compiled_plan(network, PAPER_SYSTEM, algos),
                            CompiledPlan(network, PAPER_SYSTEM, algos))
@@ -177,14 +195,15 @@ def test_random_dag_backward_schedule_matches_scan(network):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", available())
 def test_zoo_cached_plans_match_constructor(name):
-    _assert_cache_orders_match_constructor(lambda: build(name))
+    # build() shares a recipe's live network, and the module's ``zoo``
+    # fixture holds one per recipe, so each order takes a private copy.
+    _assert_cache_orders_match_constructor(lambda: _private_copy(build(name)))
 
 
 @settings(max_examples=15, deadline=None)
 @given(network=random_dag_network())
 def test_random_dag_cached_plans_match_constructor(network):
-    _assert_cache_orders_match_constructor(
-        lambda: Network(network.name, [node.layer for node in network]))
+    _assert_cache_orders_match_constructor(lambda: _private_copy(network))
 
 
 def test_m_and_p_plans_share_records_and_non_conv_steps():
@@ -267,8 +286,10 @@ def _live_plans() -> int:
 
 
 def test_dropped_network_frees_its_plans():
+    # zoo.build shares a recipe's network with every holder, so this
+    # test needs a recipe no other test keeps alive.
     before, plans_before = len(_PLANS), _live_plans()
-    network = build("alexnet", 8)
+    network = build("alexnet", 12)
     algos = AlgoConfig.memory_optimal(network)
     compiled_plan(network, PAPER_SYSTEM, algos)
     compiled_plan(network, PAPER_SYSTEM.with_oracular_gpu(), algos)

@@ -1,8 +1,13 @@
 """Tests for TransferPolicy and the storage liveness analysis."""
 
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
-from repro.core import LivenessAnalysis, PolicyKind, TransferPolicy
+from repro.core import (LivenessAnalysis, PolicyKind, TransferPolicy,
+                        liveness_of)
 from repro.graph import LayerKind
 
 from conftest import make_fork_join_cnn, make_linear_cnn
@@ -96,7 +101,7 @@ class TestLivenessLinear:
         liveness = LivenessAnalysis(linear_cnn)
         storage = liveness.storage_of(0)
         assert storage.needed_backward
-        assert storage.backward_users == [linear_cnn.node("conv_1").index]
+        assert storage.backward_users == (linear_cnn.node("conv_1").index,)
 
     def test_gradient_lifetime(self, linear_cnn):
         liveness = LivenessAnalysis(linear_cnn)
@@ -142,6 +147,29 @@ class TestLivenessForkJoin:
         storages = liveness.input_storages(join.index)
         owners = [s.owner for s in storages]
         assert len(owners) == len(set(owners)) == 2
+
+    def test_liveness_of_is_one_analysis_per_network(self, fork_join_cnn):
+        assert liveness_of(fork_join_cnn) is liveness_of(fork_join_cnn)
+        assert liveness_of(fork_join_cnn) is not liveness_of(
+            make_fork_join_cnn())
+
+    def test_analysis_does_not_keep_its_network_alive(self):
+        network = make_fork_join_cnn()
+        liveness = liveness_of(network)
+        owners = [s.owner for s in liveness.all_storages()]
+        alive = weakref.ref(network)
+        del network
+        gc.collect()
+        assert alive() is None
+        assert [s.owner for s in liveness.all_storages()] == owners
+
+    def test_shared_storage_facts_cannot_change(self, fork_join_cnn):
+        # Every plan and pass of a network reads these very objects.
+        for storage in liveness_of(fork_join_cnn).all_storages():
+            for name in ("chain", "backward_users", "gradient_writers"):
+                assert isinstance(getattr(storage, name), tuple)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                storage.forward_release_at = 0
 
     def test_all_storages_sorted_by_owner(self, fork_join_cnn):
         liveness = LivenessAnalysis(fork_join_cnn)

@@ -128,8 +128,7 @@ class TestSegmentCount:
     def test_zero_means_sqrt_l(self):
         network = make_deep_cnn(depth=8)
         runtime = TrainingRuntime(network, recompute_segments=0)
-        assert runtime._dropped == checkpoint_plan(
-            network, LivenessAnalysis(network)).dropped
+        assert runtime._dropped == checkpoint_plan(network).dropped
         assert runtime._dropped
 
     def test_none_drops_nothing(self, deep_cnn):

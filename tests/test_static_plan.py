@@ -495,7 +495,7 @@ class TestKnownBadFixtures:
 
     def test_sp405_checkpoint_overlap_fires_once(self):
         network = make_deep_cnn()
-        plan = checkpoint_plan(network, LivenessAnalysis(network), None)
+        plan = checkpoint_plan(network, None)
         stray = sorted(plan.dropped)[0]
         bad = CheckpointPlan(checkpoints=plan.checkpoints | {stray},
                              dropped=plan.dropped,
@@ -778,7 +778,7 @@ class TestRecomputeVerifier:
         # regenerates from the protected input; without it, every
         # replay in that segment bottoms out at freed state.
         network = make_deep_cnn()
-        plan = checkpoint_plan(network, LivenessAnalysis(network), None)
+        plan = checkpoint_plan(network, None)
         first = plan.droppable_order[0]
         forced = CheckpointPlan(checkpoints=plan.checkpoints - {first},
                                 dropped=plan.dropped | {first},

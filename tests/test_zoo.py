@@ -1,8 +1,12 @@
 """Tests for the network zoo against the paper's stated configurations."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.graph import LayerKind, gb
+from repro.perf.fingerprint import fingerprint_network
 from repro.zoo import (
     PAPER_CONVENTIONAL,
     PAPER_NETWORKS,
@@ -159,6 +163,25 @@ class TestRegistry:
             recipe("densenet")
         with pytest.raises(ValueError):
             recipe("alexnet", 0)
+
+    # The sharing tests use recipes no other test holds (alexnet:20,
+    # alexnet:24), so the only holders are the ones in the test.
+    def test_build_shares_the_live_network_of_a_recipe(self):
+        network = build("alexnet", 20)
+        assert build("alexnet", 20) is network
+        assert build("AlexNet", 20) is network
+        assert build("alexnet", 24) is not network
+
+    def test_dropped_network_is_rebuilt_with_the_same_digest(self):
+        network = build("alexnet", 24)
+        digest = fingerprint_network(network)
+        alive = weakref.ref(network)
+        del network
+        gc.collect()
+        assert alive() is None
+        rebuilt = build("alexnet", 24)
+        assert fingerprint_network(rebuilt) == digest
+        assert fingerprint_network(build_alexnet(24)) == digest
 
     def test_paper_catalog_has_ten_networks(self):
         assert len(PAPER_NETWORKS) == 10
