@@ -220,6 +220,43 @@ class PoolAllocator:
         self._alloc_count += 1
         return allocation
 
+    def charge(self, nbytes: int) -> Tuple[int, float]:
+        """Account an ``nbytes`` block held while nothing else touches the pool.
+
+        Equivalent to ``alloc(nbytes)``, reading ``live_bytes`` and
+        ``fragmentation``, then ``free`` — and returns those two reads —
+        without placing the block.  The pool keeps its free blocks
+        coalesced, so the hole ``alloc`` would carve is re-formed whole
+        by ``free``: only the high-water mark and the alloc/free counts
+        move.  Raises :class:`OutOfMemoryError` exactly when ``alloc``
+        would.
+        """
+        if nbytes < 0:
+            raise ValueError("allocation size must be non-negative")
+        size = footprint(nbytes)
+        offset = self._place(size)
+        if offset is None:
+            raise OutOfMemoryError(size, self._live_bytes, self.capacity)
+        live = self._live_bytes + size
+        if live > self._peak_bytes:
+            self._peak_bytes = live
+        self._alloc_count += 1
+        self._free_count += 1
+
+        total_free = self.capacity - live
+        if total_free <= 0:
+            return live, 0.0
+        # The largest hole once the chosen one is carved: unchanged
+        # unless the chosen hole is the (last-ordered) largest itself.
+        by_size = self._free_by_size
+        hole = self._free[offset]
+        largest = by_size[-1][0]
+        if by_size[-1][1] == offset:
+            largest = hole - size
+            if len(by_size) > 1 and by_size[-2][0] > largest:
+                largest = by_size[-2][0]
+        return live, 1.0 - largest / total_free
+
     def free(self, allocation: Allocation) -> None:
         """Return a block to the pool, coalescing with free neighbours."""
         if allocation.freed:

@@ -381,14 +381,14 @@ class _VDNNSimulation(PlanWalk):
         stall = self.compute.wait_for(self.memory)
         if stall > 0:
             self.stall_seconds += stall
-            self.timeline.record(
+            self.timeline.append(
                 self.compute.name, EventKind.STALL, label,
                 before, before + stall, layer_index=layer_index,
             )
             if self.obs is not None:
                 self.obs.stall(cause, stall)
         if self.trace is not None:
-            self.timeline.record(
+            self.timeline.append(
                 self.compute.name, EventKind.SYNC, label,
                 before + max(stall, 0.0), before + max(stall, 0.0),
                 layer_index=layer_index,

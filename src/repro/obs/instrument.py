@@ -24,8 +24,10 @@ methods at interesting moments.  The contract every hook honours:
   :meth:`Instrumentation.flush`, outside the simulated region.
   Rare hooks (gauges, cache/job/serve lifecycle counters) stay eager —
   gauge ``set`` does not commute, and off-hot-path dispatch is free.
-  The serving hooks, eager but per request, bind each metric once per
-  label set and never read (so never drain) the registry.
+  The per-request serving hooks, eager, bind each metric once per
+  label value and never read the registry; serving's demand stall and
+  DMA go through the eager :meth:`Instrumentation.serve_streamed`, so a
+  serving run leaves the deferred log empty.
 
 :class:`NullInstrumentation` overrides every hook with ``pass`` — the
 no-op registry whose overhead ``benchmarks/bench_obs_overhead.py``
@@ -81,8 +83,14 @@ class Instrumentation:
         #: metrics, and :meth:`_drain` replays them on first read.
         self._pending: list = []
         self._push = self._pending.append
-        #: Serving metrics bound per label set; see :meth:`_serve_metric`.
-        self._serve_bound: Dict[tuple, object] = {}
+        #: Per-request serving metrics, registered on first use (so a
+        #: run that never serves exports none) and then bound per label
+        #: value: each later call is one dict lookup, with no label
+        #: normalisation, registry lookup or drain.
+        self._serve_requests: Dict[str, Dict[str, Counter]] = {
+            outcome: {} for outcome in SERVE_OUTCOMES}
+        self._serve_latency: Dict[str, Histogram] = {}
+        self._serve_queue_depth: Optional[Gauge] = None
         reg = self._registry
 
         # -- pre-bound hot-path metrics --------------------------------
@@ -467,26 +475,16 @@ class Instrumentation:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    def _serve_metric(self, key: tuple, register):
-        """The serving metric for ``key``, registered on first use.
-
-        ``register`` runs once per key and makes the same registry call
-        as ever, so metrics stay lazy; every later call is one dict
-        lookup — no label normalisation, no registry lookup and no
-        drain of the deferred event log.
-        """
-        metric = self._serve_bound.get(key)
-        if metric is None:
-            metric = self._serve_bound[key] = register()
-        return metric
-
     def serve_request(self, model: str, outcome: str) -> None:
         """One request's terminal outcome (see :data:`SERVE_OUTCOMES`)."""
-        self._serve_metric(
-            ("requests", model, outcome), lambda: self._registry.counter(
+        bound = self._serve_requests[outcome]
+        metric = bound.get(model)
+        if metric is None:
+            metric = bound[model] = self._registry.counter(
                 "repro_serve_requests_total",
                 "Serving requests by model and terminal outcome",
-                {"model": model, "outcome": outcome})).inc()
+                {"model": model, "outcome": outcome})
+        metric.value += 1.0
 
     def serve_latency(self, model: str, seconds: float) -> None:
         """End-to-end latency (arrival to completion) of one request.
@@ -495,38 +493,62 @@ class Instrumentation:
         report: p50/p95/p99 come from :meth:`Histogram.quantile` and
         attainment from :meth:`Histogram.fraction_below`.
         """
-        self._serve_metric(
-            ("latency", model), lambda: self._registry.histogram(
+        metric = self._serve_latency.get(model)
+        if metric is None:
+            metric = self._serve_latency[model] = self._registry.histogram(
                 "repro_serve_latency_seconds", SERVE_LATENCY_BUCKETS,
                 "End-to-end request latency (arrival to completion)",
-                {"model": model})).observe(seconds)
+                {"model": model})
+        metric.observe(seconds)
+
+    def serve_streamed(self, stall_seconds: float, nbytes: int,
+                       dma_seconds: float) -> None:
+        """One served request's demand-fetch stall and streamed-weight DMA.
+
+        Ticks the same families as :meth:`stall` (``demand-fetch``) and
+        :meth:`pcie_transfer` (``demand``), but at once rather than
+        through the deferred log, so a serving run leaves no log behind.
+        Anything already logged is replayed first, which keeps every
+        metric's update order what deferral would give.
+        """
+        if self._pending:
+            self._drain()
+        if stall_seconds > 0:
+            self._stall_events["demand-fetch"].value += 1.0
+            self._stall_seconds["demand-fetch"].observe(stall_seconds)
+        if dma_seconds > 0:
+            bytes_c, transfers_c, ok_c, seconds_h, bytes_h = \
+                self._dma_by_direction["demand"]
+            bytes_c.value += nbytes
+            transfers_c.value += 1.0
+            ok_c.value += 1.0
+            seconds_h.observe(dma_seconds)
+            bytes_h.observe(nbytes)
 
     def serve_cold_start(self, model: str, seconds: float) -> None:
         """One model install (persistent weights DMA'd on-device)."""
-        self._serve_metric(
-            ("cold_starts", model), lambda: self._registry.counter(
-                "repro_serve_cold_starts_total",
-                "Model installs (cold starts) by model",
-                {"model": model})).inc()
-        self._serve_metric(
-            ("cold_start_seconds", model), lambda: self._registry.histogram(
-                "repro_serve_cold_start_seconds", DURATION_BUCKETS,
-                "Cold-start install latency",
-                {"model": model})).observe(seconds)
+        self._registry.counter(
+            "repro_serve_cold_starts_total",
+            "Model installs (cold starts) by model", {"model": model}).inc()
+        self._registry.histogram(
+            "repro_serve_cold_start_seconds", DURATION_BUCKETS,
+            "Cold-start install latency", {"model": model}).observe(seconds)
 
     def serve_queue_depth(self, depth: int) -> None:
         """Pending-queue depth sample (max is the high-water mark)."""
-        self._serve_metric(("queue_depth",), lambda: self._registry.gauge(
-            "repro_serve_queue_depth",
-            "Pending request queue depth (max = high-water)")).set(depth)
+        metric = self._serve_queue_depth
+        if metric is None:
+            metric = self._serve_queue_depth = self._registry.gauge(
+                "repro_serve_queue_depth",
+                "Pending request queue depth (max = high-water)")
+        metric.set(depth)
 
     def serve_window_shrink(self, model: str) -> None:
         """Overload ladder rung 1 fired: a model's window halved."""
-        self._serve_metric(
-            ("window_shrinks", model), lambda: self._registry.counter(
-                "repro_serve_window_shrinks_total",
-                "Demand-layering window shrinks under overload",
-                {"model": model})).inc()
+        self._registry.counter(
+            "repro_serve_window_shrinks_total",
+            "Demand-layering window shrinks under overload",
+            {"model": model}).inc()
 
     # ------------------------------------------------------------------
     # Spans
@@ -614,6 +636,9 @@ class NullInstrumentation(Instrumentation):
         pass
 
     def serve_latency(self, model, seconds):
+        pass
+
+    def serve_streamed(self, stall_seconds, nbytes, dma_seconds):
         pass
 
     def serve_cold_start(self, model, seconds):

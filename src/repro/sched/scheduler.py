@@ -351,7 +351,7 @@ class _FluidScheduler:
         ready_since = record.requeued_at if record.requeued_at is not None \
             else record.job.submit_time
         if clock > ready_since:
-            self.timeline.record(
+            self.timeline.append(
                 f"job:{record.job.name}", EventKind.STALL,
                 "requeued" if record.requeued_at is not None else "queued",
                 ready_since, clock,
@@ -376,7 +376,7 @@ class _FluidScheduler:
         record.rung = None
         record.footprint_bytes = 0
         queue.requeue(record)
-        self.timeline.record(
+        self.timeline.append(
             f"job:{record.job.name}", EventKind.FAULT, reason, clock, clock,
         )
         if self.obs is not None:
@@ -716,7 +716,7 @@ class GPUScheduler(_FluidScheduler):
         self._unplaceable.clear()
         queue.rekey()
         self.budget_timeline.append((clock, new_budget))
-        self.timeline.record(
+        self.timeline.append(
             "scheduler", EventKind.FAULT, f"budget-shrink x{factor:g}",
             clock, clock, nbytes=new_budget,
         )

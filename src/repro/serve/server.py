@@ -7,8 +7,10 @@ Models multiplex the pool: a model's *persistent* weights (all of them
 for ``resident``, the pinned set for ``pinned``, none for ``layered``)
 are installed on first use — a cold start paying the PCIe upload — and
 evicted LRU when another model needs the room.  Each request then
-allocates its transient footprint (sliding window + activations),
-replays its :class:`~repro.serve.layering.ServicePlan`, and frees it.
+holds its transient footprint (sliding window + activations) while it
+replays its :class:`~repro.serve.layering.ServicePlan`.  The GPU is
+serial, so no other pool operation falls inside that hold: the block
+is charged (:meth:`PoolAllocator.charge`), not placed and freed.
 
 Under overload the server degrades along a ladder, mirroring the
 scheduler's admission ladder (strong before weak, never fail outright
@@ -246,7 +248,7 @@ class _PendingQueue:
 class _ModelState:
     """Mutable per-model serving state."""
 
-    __slots__ = ("spec", "network", "algos", "plan", "allocation",
+    __slots__ = ("spec", "network", "algos", "plan", "lane", "allocation",
                  "last_used", "streamed_dma", "window_floor", "shrinks")
 
     def __init__(self, spec: ModelSpec, network: Network,
@@ -255,6 +257,8 @@ class _ModelState:
         self.network = network
         self.algos = algos
         self.plan = plan
+        #: The model's timeline lane.
+        self.lane = MODEL_STREAM_PREFIX + spec.name
         self.allocation: Optional[Allocation] = None
         self.last_used = -1.0
         self.streamed_dma: List[float] = []
@@ -408,7 +412,7 @@ def simulate_serving(
                     pool.free(blocker)
             pool.shrink(target)
             obs.fault_event("shrink", "applied")
-            timeline.record("serve", EventKind.FAULT,
+            timeline.append("serve", EventKind.FAULT,
                             f"shrink->{target >> 20}MiB", when, when,
                             nbytes=target)
         while evict_events and evict_events[0][0] <= now:
@@ -416,10 +420,17 @@ def simulate_serving(
             if name in states and states[name].allocation is not None:
                 evict(name)
                 obs.fault_event("evict", "applied")
-                timeline.record("serve", EventKind.FAULT,
+                timeline.append("serve", EventKind.FAULT,
                                 f"evict {name}", when, when)
             else:
                 obs.fault_event("evict", "no-target")
+
+    faults = config.faults
+    rate = faults.dma_failure_rate
+    if faults.prefetch_failure_rate is not None:
+        rate = faults.prefetch_failure_rate
+    #: Whether a streamed transfer draws from the fault RNG at all.
+    draws = rate != 0.0 or faults.pcie_jitter != 0.0
 
     def fault_overhead(state: _ModelState) -> float:
         """Stochastic per-request DMA perturbation, seconds.
@@ -429,15 +440,8 @@ def simulate_serving(
         up to the spec's attempt bound, each failed attempt wasting its
         transfer time.  Draw order is fixed (jitter then failures,
         layer by layer) so runs are bit-identical per fault seed.
+        Called only when ``draws`` and the model streams.
         """
-        faults = config.faults
-        if not state.streamed_dma:
-            return 0.0
-        rate = faults.dma_failure_rate
-        if faults.prefetch_failure_rate is not None:
-            rate = faults.prefetch_failure_rate
-        if rate == 0.0 and faults.pcie_jitter == 0.0:
-            return 0.0
         extra = 0.0
         for seconds in state.streamed_dma:
             if faults.pcie_jitter:
@@ -479,7 +483,7 @@ def simulate_serving(
                 window_shrinks += 1
                 obs.serve_window_shrink(state.spec.name)
 
-    def admit(request: Request) -> None:
+    def admit(request: Request, depth: int) -> int:
         """Ladder rungs 2 and 3 guard the queue at the door.
 
         Rung 2 (``shed_depth``) is priority displacement: a
@@ -487,54 +491,61 @@ def simulate_serving(
         and takes its place, so depth holds while rank improves.
         Equal-or-lower-priority arrivals still enqueue — the queue
         grows toward rung 3 (``reject_depth``), the hard bound where
-        arrivals are turned away outright.
+        arrivals are turned away outright.  ``depth`` is the queue's
+        length on entry; the length on exit is returned.
         """
-        if len(pending) >= config.reject_depth:
+        if depth >= config.reject_depth:
             records.append(RequestRecord(
                 rid=request.rid, model=request.model,
                 priority=request.priority, arrival=request.time,
                 outcome="rejected"))
             obs.serve_request(request.model, "rejected")
-            return
-        if (len(pending) >= config.shed_depth
+            return depth
+        if (depth >= config.shed_depth
                 and request.priority > pending.worst().priority):
             worst = pending.pop_worst()
+            depth -= 1
             records.append(RequestRecord(
                 rid=worst.rid, model=worst.model,
                 priority=worst.priority, arrival=worst.time,
                 outcome="shed"))
             obs.serve_request(worst.model, "shed")
         pending.push(request)
-        obs.serve_queue_depth(len(pending))
+        obs.serve_queue_depth(depth + 1)
+        return depth + 1
 
     # -- the event loop ------------------------------------------------
     last_snapshot: Optional[Tuple[int, int, int, float]] = None
-    while next_arrival < len(requests) or pending:
-        snapshot = (next_arrival, len(pending), len(records), gpu_free)
+    arrivals = len(requests)
+    while True:
+        depth = len(pending)
+        if next_arrival >= arrivals and not depth:
+            break
+        snapshot = (next_arrival, depth, len(records), gpu_free)
         if snapshot == last_snapshot:
             raise RuntimeError(
                 "serving event loop made no progress "
-                f"(arrival={next_arrival}, queued={len(pending)}, "
+                f"(arrival={next_arrival}, queued={depth}, "
                 f"decided={len(records)}, t={gpu_free:.6f}); "
                 "this is a bug in the overload ladder")
         last_snapshot = snapshot
 
-        if not pending:
+        if not depth:
             gpu_free = max(gpu_free, requests[next_arrival].time)
-        apply_timed_faults(gpu_free)
-        while (next_arrival < len(requests)
+        if shrink_events or evict_events:
+            apply_timed_faults(gpu_free)
+        while (next_arrival < arrivals
                and requests[next_arrival].time <= gpu_free):
-            admit(requests[next_arrival])
+            depth = admit(requests[next_arrival], depth)
             next_arrival += 1
-        if not pending:
+        if not depth:
             continue
-        if len(pending) >= config.shrink_depth:
+        if depth >= config.shrink_depth:
             shrink_ladder()
 
         request = pending.pop_best()
         state = states[request.model]
         plan = state.plan
-        lane = MODEL_STREAM_PREFIX + request.model
 
         if plan.footprint_bytes > pool.capacity:
             records.append(RequestRecord(
@@ -559,7 +570,7 @@ def simulate_serving(
             cold = True
             cold_starts += 1
             obs.serve_cold_start(request.model, plan.cold_start_seconds)
-            timeline.record(lane, EventKind.PREFETCH, "install",
+            timeline.append(state.lane, EventKind.PREFETCH, "install",
                             start, start + plan.cold_start_seconds,
                             nbytes=plan.persistent_bytes)
             start += plan.cold_start_seconds
@@ -572,22 +583,22 @@ def simulate_serving(
                 outcome="rejected"))
             obs.serve_request(request.model, "rejected")
             continue
-        scratch = pool.alloc(transient, f"T[{request.model}]") \
-            if transient else None
-        obs.pool_sample(pool.live_bytes, pool.capacity,
-                        pool.fragmentation)
+        # The GPU is serial: no other pool operation falls inside this
+        # service, so its transient block is charged, not placed.
+        if transient:
+            live, fragmentation = pool.charge(transient)
+        else:
+            live, fragmentation = pool.live_bytes, pool.fragmentation
+        obs.pool_sample(live, pool.capacity, fragmentation)
 
-        service = plan.service_seconds + fault_overhead(state)
+        service = plan.service_seconds
+        if draws and state.streamed_dma:
+            service += fault_overhead(state)
         finish = start + service
-        timeline.record(lane, EventKind.FORWARD, f"req{request.rid}",
+        timeline.append(state.lane, EventKind.FORWARD, f"req{request.rid}",
                         start, finish, nbytes=plan.streamed_bytes)
-        if plan.stall_seconds > 0:
-            obs.stall("demand-fetch", plan.stall_seconds)
-        if plan.dma_seconds > 0:
-            obs.pcie_transfer("demand", plan.streamed_bytes,
-                              plan.dma_seconds)
-        if scratch is not None:
-            pool.free(scratch)
+        obs.serve_streamed(plan.stall_seconds, plan.streamed_bytes,
+                           plan.dma_seconds)
         state.last_used = finish
         gpu_free = finish
         records.append(RequestRecord(

@@ -159,6 +159,22 @@ def test_serve_overload_bit_neutral():
     assert live.obs.registry.get("repro_serve_queue_depth") is not None
 
 
+@pytest.mark.parametrize("scenario", ["burst", "pinned"])
+def test_serve_leaves_no_deferred_log(scenario):
+    """Serving counts its demand stalls and DMA (and, under faults, the
+    failed attempts and backoffs) at once: nothing is left in the
+    deferred log for export to replay."""
+    from repro.serve import simulate_serving
+    from test_serve_golden import SCENARIOS
+
+    obs = Instrumentation()
+    result = simulate_serving(SCENARIOS[scenario], obs=obs)
+    assert obs._pending == []
+    assert result.completed > 0
+    assert obs.registry.get(
+        "repro_pcie_transfers_total", {"direction": "demand"}).value > 0
+
+
 # ----------------------------------------------------------------------
 # The sanitizer stays clean on instrumented runs
 # ----------------------------------------------------------------------

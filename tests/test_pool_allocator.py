@@ -303,3 +303,81 @@ def test_property_freeing_everything_restores_full_capacity(sizes):
     for block in blocks:
         pool.free(block)
     assert pool.alloc(pool.capacity).size == pool.capacity
+
+
+def _pool_state(pool):
+    """Everything ``charge`` must leave as ``alloc`` then ``free`` would."""
+    return (pool.capacity, dict(pool._free), list(pool._free_offsets),
+            list(pool._free_by_size), dict(pool._live), pool.stats)
+
+
+#: Block sizes in whole granules, so holes often tie or nearly fit:
+#: small ones fill the 64-granule pool, any size may be charged (past
+#: 64 it is out of memory).
+_small = st.integers(min_value=0, max_value=12).map(lambda g: g * ALIGNMENT)
+_any = st.integers(min_value=0, max_value=66).map(lambda g: g * ALIGNMENT)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["best_fit", "first_fit"]),
+    st.lists(_small, max_size=16),
+    st.sets(st.integers(min_value=0, max_value=15)),
+    st.lists(st.one_of(
+        st.tuples(st.just("alloc"), _small),
+        st.tuples(st.just("free"), st.integers(min_value=0, max_value=30)),
+        st.tuples(st.just("shrink"), st.integers(min_value=1, max_value=1000)),
+        st.tuples(st.just("charge"), _small | _any),
+    ), max_size=40),
+)
+def test_property_charge_is_alloc_read_free(strategy, fill, holes, operations):
+    """``charge(n)`` reads and leaves the pool as alloc, read, free does.
+
+    Two pools run the same history: ``fill`` packs blocks from offset 0
+    and the ``holes`` among them are freed, then random ``operations``
+    follow.  At each ``charge`` step one pool charges while its twin
+    allocates, reads ``live_bytes`` and ``fragmentation``, and frees.
+    The reads, the out-of-memory outcome and the whole allocator state
+    (free index, live map, peak, counts) must agree.
+    """
+    charged = PoolAllocator(1 << 14, strategy)
+    placed = PoolAllocator(1 << 14, strategy)
+    live = []
+    operations = [("alloc", size) for size in fill] \
+        + [("free", index) for index in sorted(holes, reverse=True)
+           if index < len(fill)] + operations
+    for op, value in operations:
+        if op == "alloc":
+            try:
+                block = charged.alloc(value)
+            except OutOfMemoryError:
+                with pytest.raises(OutOfMemoryError):
+                    placed.alloc(value)
+            else:
+                live.append((block, placed.alloc(value)))
+        elif op == "free":
+            if live:
+                for pool, block in zip((charged, placed),
+                                       live.pop(value % len(live))):
+                    pool.free(block)
+        elif op == "shrink":
+            target = max(1, charged.capacity * value // 1000)
+            for pool, index in ((charged, 0), (placed, 1)):
+                doomed = {id(b) for b in pool.blockers_above(target)}
+                for pair in live:
+                    if id(pair[index]) in doomed:
+                        pool.free(pair[index])
+                pool.shrink(target)
+            live = [pair for pair in live if not pair[0].freed]
+        else:
+            try:
+                block = placed.alloc(value)
+            except OutOfMemoryError:
+                with pytest.raises(OutOfMemoryError):
+                    charged.charge(value)
+            else:
+                expected = (placed.live_bytes, placed.fragmentation)
+                placed.free(block)
+                assert charged.charge(value) == expected
+        assert _pool_state(charged) == _pool_state(placed)
+    charged.check_invariants()

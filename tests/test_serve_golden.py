@@ -1,9 +1,10 @@
 """Golden fixtures for the serving simulator's overload ladder.
 
-Two deterministic scenarios, each pinned by a sha256 over every
-per-request record, the ``window_shrinks`` and ``cold_starts`` counts
-(``serve_overload.json``) and the full Prometheus export of its metrics
-(``serve_overload.prom``):
+Three deterministic scenarios, each pinned by a sha256 over every
+per-request record, a sha256 over every timeline event, the pool's
+high-water mark, the ``window_shrinks``, ``cold_starts`` and
+``evictions`` counts (``serve_overload.json``) and the full Prometheus
+export of its metrics (``serve_overload.prom``):
 
 * ``diurnal`` — the day-night shape of the ``serve-diurnal`` benchmark
   (four models in 1 GiB under ``auto`` residency).  vgg16 streams from
@@ -12,6 +13,9 @@ per-request record, the ``window_shrinks`` and ``cold_starts`` counts
 * ``burst`` — a 20x flash crowd over three layered models with PCIe
   jitter, transient DMA failures, a budget shrink and a forced
   eviction.  Here rung 1 really shrinks windows.
+* ``pinned`` — four models under ``pinned`` residency in 640 MiB: each
+  keeps a 128 MiB weight prefix on the device and streams the rest, so
+  installs and LRU evictions churn the pool on most requests.
 
 A diff here means serving changed behaviour.  If the change is
 intentional, regenerate with::
@@ -37,6 +41,7 @@ PROM_PATH = os.path.join(GOLDEN_DIR, "serve_overload.prom")
 
 _REGEN = os.environ.get("REPRO_REGEN_GOLDEN", "") not in ("", "0")
 
+MIB = 1 << 20
 GIB = 1 << 30
 
 #: scenario name -> the ServeConfig it runs (on the paper system).
@@ -58,6 +63,14 @@ SCENARIOS = {
             "jitter=0.1,dma=0.05,shrink@1.0=0.5,evict@2.0=alexnet"),
         fault_seed=3,
     ),
+    "pinned": ServeConfig(
+        models=tuple(parse_models("vgg16:2,googlenet:1,alexnet,resnet50")),
+        arrivals=ArrivalSpec.parse("poisson:rate=30,seed=4"),
+        requests=400,
+        budget_bytes=640 * MIB,
+        residency="pinned",
+        pinned_bytes=128 * MIB,
+    ),
 }
 
 
@@ -67,6 +80,16 @@ def records_sha256(records) -> str:
     for r in records:
         digest.update(repr((r.rid, r.model, r.priority, r.arrival, r.outcome,
                             r.start, r.finish, r.cold_start)).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def timeline_sha256(timeline) -> str:
+    """sha256 over every field of every timeline event, in append order."""
+    digest = hashlib.sha256()
+    for e in timeline.events:
+        digest.update(repr((e.stream, e.kind.value, e.label, e.start, e.end,
+                            e.nbytes, e.layer_index)).encode())
         digest.update(b"\n")
     return digest.hexdigest()
 
@@ -82,6 +105,9 @@ def _render():
             "records_sha256": records_sha256(result.records),
             "window_shrinks": result.window_shrinks,
             "cold_starts": result.cold_starts,
+            "timeline_sha256": timeline_sha256(result.timeline),
+            "pool_peak_bytes": result.pool_peak_bytes,
+            "evictions": result.evictions,
         }
         prom.append(f"# scenario: {name}\n")
         prom.append(prometheus_text(result.obs.flush().registry))
@@ -112,3 +138,16 @@ def test_serve_golden_scenarios_exercise_both_rungs():
         summary = json.load(handle)
     assert summary["burst"]["window_shrinks"] > 0
     assert summary["diurnal"]["window_shrinks"] == 0
+
+
+def test_serve_golden_pinned_scenario_churns_the_pool():
+    """The pinned scenario pins weights and evicts them again and again."""
+    result = simulate_serving(SCENARIOS["pinned"], system=PAPER_SYSTEM)
+    for plan in result.plans.values():
+        assert plan.residency == "pinned"
+        assert 0 < plan.persistent_bytes <= plan.weight_bytes
+    assert any(plan.streamed_bytes for plan in result.plans.values())
+    with open(JSON_PATH) as handle:
+        summary = json.load(handle)
+    assert summary["pinned"]["evictions"] > 0
+    assert summary["pinned"]["cold_starts"] > summary["pinned"]["evictions"]
