@@ -220,20 +220,17 @@ class PoolAllocator:
         self._alloc_count += 1
         return allocation
 
-    def charge(self, nbytes: int) -> Tuple[int, float]:
-        """Account an ``nbytes`` block held while nothing else touches the pool.
+    def charge(self, size: int) -> Tuple[int, float]:
+        """Account a block held while nothing else touches the pool.
 
-        Equivalent to ``alloc(nbytes)``, reading ``live_bytes`` and
+        Equivalent to ``alloc(nbytes)`` of any ``nbytes`` whose
+        :func:`footprint` is ``size``, reading ``live_bytes`` and
         ``fragmentation``, then ``free`` — and returns those two reads —
-        without placing the block.  The pool keeps its free blocks
-        coalesced, so the hole ``alloc`` would carve is re-formed whole
-        by ``free``: only the high-water mark and the alloc/free counts
-        move.  Raises :class:`OutOfMemoryError` exactly when ``alloc``
-        would.
+        without placing the block.  The pool keeps its free blocks coalesced, so the
+        hole ``alloc`` would carve is re-formed whole by ``free``: only
+        the high-water mark and the alloc/free counts move.  Raises
+        :class:`OutOfMemoryError` exactly when ``alloc`` would.
         """
-        if nbytes < 0:
-            raise ValueError("allocation size must be non-negative")
-        size = footprint(nbytes)
         offset = self._place(size)
         if offset is None:
             raise OutOfMemoryError(size, self._live_bytes, self.capacity)

@@ -13,7 +13,6 @@ _EXPORTS = {
     "compare_policies": "api",
     "evaluate": "api",
     "oracular_baseline": "api",
-    "cached_baseline": "cached",
     "cached_recompute": "cached",
     "cached_vdnn": "cached",
     "CapacityReport": "capacity",

@@ -22,7 +22,7 @@ adopting ``dyn`` and ``joint`` through their ladders.  ``evaluate``,
 ``repro verify`` (dynamic and static), sweep keys, admission rungs and
 cluster workers all resolve labels through it.
 
-Every entry point consults the content-addressed simulation cache
+Every entry point consults the simulation result cache
 (:mod:`repro.perf`): identical (network, system, policy, algo) points
 are simulated once and replayed from pickled results afterwards.  Pass
 ``use_cache=False`` (or set ``REPRO_NO_CACHE=1``) to force fresh
@@ -34,18 +34,19 @@ across worker processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
 
 from ..faults import FaultSpec
 from ..graph.network import Network
 from ..hw.config import PAPER_SYSTEM, SystemConfig
 from ..perf.cache import cache_enabled, get_cache
+from ..perf.fingerprint import fingerprint_point, lookup_key
 from .algo_config import AlgoConfig
-from .cached import (_through_cache, baseline_key, dynamic_key,
-                     recompute_key, vdnn_key)
+from .cached import _through_cache, baseline_key, recompute_key, vdnn_key
 from .dynamic import adopt_dynamic
 from .executor import IterationResult, simulate_baseline, simulate_vdnn
-from .joint import (JointConfig, adopt_joint, adopted_joint_key, joint_key,
+from .joint import (JointConfig, adopt_joint, joint_key,
                     simulate_joint_config)
 from .plan import ScheduleKey, compiled_plan
 from .policy import PolicyKind, TransferPolicy
@@ -115,16 +116,18 @@ class Point:
     algos: AlgoConfig
     config: Union[TransferPolicy, JointConfig, None] = None
 
-    def key(self) -> str:
-        """The cache key of the configuration's own simulation."""
+    def key(self, keyer):
+        """The configuration's own simulation named by ``keyer``:
+        ``lookup_key`` for its cache key, ``fingerprint_point`` for its
+        name on disk."""
+        network, system, algos = self.network, self.system, self.algos
         if self.policy == "base":
-            return baseline_key(self.network, self.system, self.algos)
+            return baseline_key(network, system, algos, keyer)
         if self.policy == "hybrid":
-            return recompute_key(self.network, self.system, self.algos)
+            return recompute_key(network, system, algos, keyer=keyer)
         if self.policy == "joint":
-            return joint_key(self.network, self.system, self.config,
-                             self.algos)
-        return vdnn_key(self.network, self.system, self.config, self.algos)
+            return joint_key(network, system, self.config, algos, keyer)
+        return vdnn_key(network, system, self.config, algos, keyer)
 
     def schedule_key(self) -> Optional[ScheduleKey]:
         """What :meth:`simulate` executes, or None for ``hybrid``, whose
@@ -191,39 +194,41 @@ def resolve_point(network: Network, system: SystemConfig, policy: str,
 
 
 def point_key(network: Network, system: SystemConfig, policy: str,
-              algo: str = "p") -> str:
-    """The cache key :func:`run_point` stores a label's result under.
+              algo: str = "p", keyer=lookup_key):
+    """The cache key :func:`run_point` stores a label's result under;
+    with ``keyer=fingerprint_point``, its name on disk.
 
     ``dyn`` and ``joint`` results are keyed by network and system alone,
     so their keys need no ladder.
     """
-    if policy == "dyn":
-        return dynamic_key(network, system)
-    if policy == "joint":
-        return adopted_joint_key(network, system)
-    return resolve_point(network, system, policy, algo).key()
+    if policy in _ADOPTED:
+        kind = "dynamic" if policy == "dyn" else "joint-adopted"
+        return keyer(kind, network, system)
+    return resolve_point(network, system, policy, algo).key(keyer)
 
 
 def run_point(network: Network, system: SystemConfig, policy: str,
               algo: str = "p",
               use_cache: Optional[bool] = None) -> IterationResult:
-    """A label's result through the content-addressed cache.
+    """A label's result through the result cache.
 
     A ``dyn`` or ``joint`` result is also cached, relabelled, under
     :func:`point_key`, so a warm call skips the whole ladder; a cold
     call still replays the adopted configuration's own simulation.
     """
-    key = (point_key(network, system, policy)
-           if policy in _ADOPTED and cache_enabled(use_cache) else None)
-    if key is not None:
-        cached = get_cache().get(key)
+    adopted = policy in _ADOPTED and cache_enabled(use_cache)
+    if adopted:
+        key = point_key(network, system, policy)
+        name = partial(point_key, network, system, policy,
+                       keyer=fingerprint_point)
+        cached = get_cache().get(key, name)
         if cached is not None:
             return cached
     point = resolve_point(network, system, policy, algo)
     result = point.relabel(
-        _through_cache(point.key(), point.simulate, use_cache))
-    if key is not None:
-        get_cache().put(key, result)
+        _through_cache(point.key, point.simulate, use_cache))
+    if adopted:
+        get_cache().put(key, result, name)
     return result
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..graph.network import Network
@@ -354,16 +355,12 @@ def simulate_joint_config(
 # imports — the joint keys would otherwise create an import cycle)
 # ----------------------------------------------------------------------
 def joint_key(network: Network, system: SystemConfig,
-              config: JointConfig, algos: AlgoConfig) -> str:
+              config: JointConfig, algos: AlgoConfig,
+              keyer=fingerprint_point):
     # The policy canonicalizes offload ∪ drop together; `extra` carries
     # the drop partition so OFFLOAD-vs-RECOMPUTE configs never collide.
-    return fingerprint_point("joint", network, system,
-                             policy=config.policy(), algos=algos,
-                             extra={"drop": sorted(config.drop)})
-
-
-def adopted_joint_key(network: Network, system: SystemConfig) -> str:
-    return fingerprint_point("joint-adopted", network, system)
+    return keyer("joint", network, system, policy=config.policy(),
+                 algos=algos, extra={"drop": sorted(config.drop)})
 
 
 def cached_joint(
@@ -373,9 +370,9 @@ def cached_joint(
     algos: AlgoConfig,
     use_cache: Optional[bool] = None,
 ) -> IterationResult:
-    """:func:`simulate_joint_config` through the content-addressed cache."""
+    """:func:`simulate_joint_config` through the result cache."""
     return _through_cache(
-        joint_key(network, system, config, algos),
+        partial(joint_key, network, system, config, algos),
         lambda: simulate_joint_config(network, system, config, algos),
         use_cache,
     )

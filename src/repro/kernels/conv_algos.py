@@ -227,11 +227,14 @@ def memory_optimal_profile(
     layer: Conv2D, input_spec: TensorSpec, output_spec: TensorSpec
 ) -> AlgoProfile:
     """The zero-workspace implicit-GEMM profile."""
-    return AlgoProfile(
-        algo=MEMORY_OPTIMAL_ALGO,
-        workspace_bytes=0,
-        time_multiplier=time_multiplier(MEMORY_OPTIMAL_ALGO, layer),
-    )
+    return _memory_optimal_profile(layer.kernel)
+
+
+@lru_cache(maxsize=None)
+def _memory_optimal_profile(kernel: int) -> AlgoProfile:
+    # Shared like the (p) profiles, so its cache-key text is made once.
+    return AlgoProfile(MEMORY_OPTIMAL_ALGO, 0,
+                       _time_multiplier(MEMORY_OPTIMAL_ALGO, kernel))
 
 
 def next_cheaper_algo(

@@ -1,4 +1,4 @@
-"""Performance layer: content-addressed simulation cache + parallel sweeps.
+"""Performance layer: simulation result cache + parallel sweeps.
 
 Every sweep in the repo — ``evaluate()``/``compare_policies()``, the
 vDNN_dyn profiling ladder, the multi-tenant admission ladder and the
@@ -8,9 +8,10 @@ package makes those points fast twice over:
 * :mod:`repro.perf.fingerprint` canonically fingerprints a
   (network, system, policy, algorithms) point with sha256 over sorted
   JSON, so identical points hash identically across processes and runs;
-* :mod:`repro.perf.cache` keys pickled :class:`IterationResult` blobs on
-  those fingerprints (in-memory LRU + optional on-disk store), so a
-  point is simulated at most once;
+* :mod:`repro.perf.cache` keeps pickled :class:`IterationResult` blobs
+  in an in-memory LRU keyed by ``lookup_key`` value tuples, and in an
+  optional on-disk store named by those fingerprints, so a point is
+  simulated at most once;
 * :mod:`repro.perf.sweep` fans independent points out across worker
   processes and merges their results back into the parent's cache.
 

@@ -1,8 +1,12 @@
-"""Content-addressed result cache for simulation points.
+"""Result cache for simulation points.
 
-The cache stores **pickled** :class:`IterationResult` blobs keyed by
-:func:`repro.perf.fingerprint.fingerprint_point` digests.  Storing bytes
-rather than live objects buys two properties for free:
+The cache stores **pickled** :class:`IterationResult` blobs.  In memory
+they are keyed by :func:`repro.perf.fingerprint.lookup_key` tuples,
+which name a point by value; on disk, one file per point is named by
+its :func:`repro.perf.fingerprint.fingerprint_point` digest, which is
+stable across processes.  A caller passes that name as a zero-argument
+callable, so the sha256 is made only when a disk tier is configured.
+Storing bytes rather than live objects buys two properties for free:
 
 * every hit returns a *fresh* deep copy, so callers (e.g. vDNN_dyn's
   relabeling of the adopted result) can mutate what they get back
@@ -10,11 +14,11 @@ rather than live objects buys two properties for free:
 * every value is serialization-validated at ``put`` time, which is the
   same contract the cross-process sweep executor needs.
 
-In-memory entries live in an LRU ordered dict; an optional on-disk store
-(one file per fingerprint) persists results across runs.  Both layers
-are controlled by environment variables so benchmarks and tests can be
-run with caching disabled (``REPRO_NO_CACHE=1``) to prove results are
-bit-identical either way.
+In-memory entries live in an LRU ordered dict; the optional on-disk
+store persists results across runs.  Both layers are controlled by
+environment variables so benchmarks and tests can be run with caching
+disabled (``REPRO_NO_CACHE=1``) to prove results are bit-identical
+either way.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ import os
 import pickle
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Hashable, Optional
 
 #: Disable all caching when set to a non-empty, non-"0" value.
 ENV_DISABLE = "REPRO_NO_CACHE"
@@ -34,6 +38,9 @@ ENV_SIZE = "REPRO_CACHE_SIZE"
 ENV_DIR = "REPRO_CACHE_DIR"
 
 DEFAULT_MAX_ENTRIES = 256
+
+#: An entry's name on disk, made on demand (a sha256 digest).
+Name = Optional[Callable[[], str]]
 
 
 def env_int(name: str, default: int) -> int:
@@ -59,18 +66,8 @@ class CacheStats:
     stores: int = 0
     evictions: int = 0
 
-    def reset(self) -> None:
-        self.hits = self.misses = self.disk_hits = 0
-        self.stores = self.evictions = 0
-
     def snapshot(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "disk_hits": self.disk_hits,
-            "stores": self.stores,
-            "evictions": self.evictions,
-        }
+        return asdict(self)
 
 
 class SimulationCache:
@@ -100,11 +97,15 @@ class SimulationCache:
         self.obs = obs
 
     # ------------------------------------------------------------------
-    def _disk_path(self, key: str) -> str:
-        return os.path.join(self.disk_dir, f"{key}.pkl")
+    def _disk_path(self, name: Name) -> Optional[str]:
+        """The entry's file, or None when it does not reach the disk."""
+        if not self.disk_dir or name is None:
+            return None
+        return os.path.join(self.disk_dir, f"{name()}.pkl")
 
-    def get_blob(self, key: str) -> Optional[bytes]:
-        """The raw pickled entry for ``key``, or None on a miss."""
+    def get_blob(self, key: Hashable, name: Name = None) -> Optional[bytes]:
+        """The raw pickled entry for ``key``, or None on a miss.  An entry
+        with a ``name`` is also looked for on disk."""
         with self._lock:
             blob = self._blobs.get(key)
             if blob is not None:
@@ -113,25 +114,25 @@ class SimulationCache:
                 if self.obs is not None:
                     self.obs.cache_event("hit")
                 return blob
-        if self.disk_dir:
-            path = self._disk_path(key)
-            if os.path.exists(path):
-                with open(path, "rb") as handle:
-                    blob = handle.read()
-                self.put_blob(key, blob, write_disk=False)
-                with self._lock:
-                    self.stats.disk_hits += 1
-                    if self.obs is not None:
-                        self.obs.cache_event("disk_hit")
-                return blob
+        path = self._disk_path(name)
+        if path is not None and os.path.exists(path):
+            with open(path, "rb") as handle:
+                blob = handle.read()
+            self.put_blob(key, blob)
+            with self._lock:
+                self.stats.disk_hits += 1
+                if self.obs is not None:
+                    self.obs.cache_event("disk_hit")
+            return blob
         with self._lock:
             self.stats.misses += 1
             if self.obs is not None:
                 self.obs.cache_event("miss")
         return None
 
-    def put_blob(self, key: str, blob: bytes, write_disk: bool = True) -> None:
-        """Insert an already-pickled entry (used by the sweep executor)."""
+    def put_blob(self, key: Hashable, blob: bytes, name: Name = None) -> None:
+        """Insert an already-pickled entry (used by the sweep executor);
+        one with a ``name`` is also written to disk."""
         with self._lock:
             self._blobs[key] = blob
             self._blobs.move_to_end(key)
@@ -143,46 +144,42 @@ class SimulationCache:
                 self.stats.evictions += 1
                 if self.obs is not None:
                     self.obs.cache_event("eviction")
-        if write_disk and self.disk_dir:
+        path = self._disk_path(name)
+        if path is not None:
             os.makedirs(self.disk_dir, exist_ok=True)
-            path = self._disk_path(key)
             tmp = f"{path}.tmp.{os.getpid()}"
             with open(tmp, "wb") as handle:
                 handle.write(blob)
             os.replace(tmp, path)
 
     # ------------------------------------------------------------------
-    def get(self, key: str) -> Optional[Any]:
+    def get(self, key: Hashable, name: Name = None) -> Optional[Any]:
         """A fresh copy of the cached value, or None on a miss."""
-        blob = self.get_blob(key)
+        blob = self.get_blob(key, name)
         return pickle.loads(blob) if blob is not None else None
 
-    def put(self, key: str, value: Any) -> None:
-        self.put_blob(key, pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
+    def put(self, key: Hashable, value: Any, name: Name = None) -> None:
+        self.put_blob(key, pickle.dumps(value, pickle.HIGHEST_PROTOCOL), name)
 
-    def get_or_compute(self, key: str, compute: Callable[[], Any]) -> Any:
+    def get_or_compute(self, key: Hashable, compute: Callable[[], Any],
+                       name: Name = None) -> Any:
         """Cached value for ``key``, computing and storing on a miss.
 
         On a miss the *live* computed object is returned (not a pickle
         round-trip) so the cold path is bit-identical to no caching.
         """
-        cached = self.get(key)
+        cached = self.get(key, name)
         if cached is not None:
             return cached
         value = compute()
-        self.put(key, value)
+        self.put(key, value, name)
         return value
-
-    def clear(self) -> None:
-        with self._lock:
-            self._blobs.clear()
-            self.stats.reset()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._blobs)
 
-    def __contains__(self, key: str) -> bool:
+    def __contains__(self, key: Hashable) -> bool:
         with self._lock:
             return key in self._blobs
 

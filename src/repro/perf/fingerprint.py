@@ -11,21 +11,17 @@ no object identities, no ``repr`` of live objects, enums reduced to
 their values, sets sorted.
 
 The canonical text is written in one recursive walk (:func:`_encode`),
-with no intermediate dict and no second pass through :mod:`json`.  A
-point key is looked up on every cache probe, so it must cost far less
-than the simulation it replaces; two memos make repeated content free:
+with no intermediate dict and no second pass through :mod:`json`.
+Digests name the result cache's files on disk, so only that tier pays
+for a sha256; an in-process lookup names the point by value with
+:func:`lookup_key`.  Two memos make repeated content free:
 
 * a frozen dataclass instance (``TensorSpec``, ``AlgoProfile``,
   ``SystemConfig``, ``TransferPolicy``...) keeps its encoded text on
   itself, so an ``AlgoConfig`` of shared, ``lru_cache``'d profiles
   encodes as a join of cached strings.  Mutable dataclasses (layers,
   ``AlgoConfig``) are encoded afresh every time.
-* a network's digest is kept on the network, and for networks built by
-  :func:`repro.zoo.build` also per ``(builder key, batch size)`` recipe,
-  process-wide.  ``zoo.build`` already hands every holder of a recipe
-  the same live network, so the recipe memo matters only for a network
-  rebuilt after its last holder dropped it: builders are deterministic
-  and networks immutable, so that rebuild is not encoded again.
+* a network's digest is kept on the network.
 """
 
 from __future__ import annotations
@@ -35,16 +31,12 @@ import dataclasses
 import enum
 import hashlib
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Optional
 
 from ..graph.network import Network
 
 #: Instance attribute holding a frozen dataclass's canonical text.
 _MEMO = "_repro_canon"
-
-#: Content digest per zoo recipe ``(builder key, batch size)``, filled
-#: the first time a network built from that recipe is fingerprinted.
-_RECIPE_DIGESTS: Dict[Tuple[str, int], str] = {}
 
 _INF = float("inf")
 
@@ -215,23 +207,15 @@ def fingerprint(value: Any) -> str:
 
 
 def fingerprint_network(network: Network) -> str:
-    """The network's content digest, encoded at most once per instance
-    and, for zoo-built networks, once per recipe per process.
+    """The network's content digest, encoded at most once per instance.
 
-    The digest itself is pure content: two independently built
-    identical networks get equal digests, whether or not either came
-    from :func:`repro.zoo.build`.
+    The digest is pure content: two independently built identical
+    networks get equal digests, whether or not either came from
+    :func:`repro.zoo.build`.
     """
     digest = getattr(network, "_repro_fingerprint", None)
     if digest is None:
-        recipe = getattr(network, "_repro_recipe", None)
-        if recipe is not None:
-            digest = _RECIPE_DIGESTS.get(recipe)
-        if digest is None:
-            digest = _digest(_encode_network(network))
-            if recipe is not None:
-                _RECIPE_DIGESTS[recipe] = digest
-        network._repro_fingerprint = digest
+        digest = network._repro_fingerprint = _digest(_encode_network(network))
     return digest
 
 
@@ -260,3 +244,27 @@ def fingerprint_point(
         + ',"system":' + _encode(system)
         + "}"
     )
+
+
+def lookup_key(kind: str, network: Network, system: Any, policy: Any = None,
+               algos: Any = None, extra: Optional[dict] = None) -> tuple:
+    """The in-process cache key of the point :func:`fingerprint_point`
+    digests, made without a sha256 and holding no ``Network``.
+
+    A zoo-built network enters as its recipe (builders are
+    deterministic), any other as its digest; frozen values as their
+    memoized canonical text, never as themselves (``1 == 1.0 == True``);
+    ``algos`` as its label and its profiles' texts in layer order.  Keys
+    are equal exactly when digests are, except that a network built
+    outside ``zoo.build`` keys apart from an equal recipe: a miss, never
+    a wrong hit.
+    """
+    if algos is not None:
+        profiles = algos.profiles
+        layers = sorted(profiles)
+        algos = (algos.label, tuple(layers),
+                 tuple([_encode(profiles[layer]) for layer in layers]))
+    return (kind,
+            getattr(network, "_repro_recipe", None)
+            or fingerprint_network(network),
+            _encode(system), _encode(policy), algos, _encode(extra))

@@ -3,13 +3,13 @@
 A sweep is a list of :class:`SweepPoint` — each one simulation of a
 (network, policy, algo, system) combination.  Points are independent, so
 they fan out over a :class:`concurrent.futures.ProcessPoolExecutor`;
-each worker returns ``(cache key, pickled IterationResult)`` and the
-parent merges the blobs into its own content-addressed cache before
-unpickling the ordered result list.  Downstream serial code (figure
-tables, admission ladders) then reads every point as a cache hit, which
-is what makes parallel output **bit-identical** to serial output: the
-same simulator produced the same bytes, only the executing process
-differed.
+each worker returns its pickled ``IterationResult`` and the parent
+stores each blob in its own result cache, under the key it looked the
+point up by, before unpickling the ordered result list.  Downstream
+serial code (figure tables, admission ladders) then reads every point
+as a cache hit, which is what makes parallel output **bit-identical**
+to serial output: the same simulator produced the same bytes, only the
+executing process differed.
 
 ``jobs <= 1`` degrades to a plain serial loop with no pickling round
 trip at all.
@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import List, Optional, Sequence, Union
 
 from .cache import cache_enabled, env_int, get_cache
+from .fingerprint import fingerprint_point, lookup_key
 
 #: Default worker count for parallel sweeps (1 = serial).
 ENV_JOBS = "REPRO_JOBS"
@@ -66,17 +68,18 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return max(1, jobs)
 
 
-def point_key(point: SweepPoint) -> str:
-    """The content-addressed cache key this point's result is stored under.
+def point_key(point: SweepPoint, keyer=lookup_key):
+    """The cache key this point's result is stored under; with
+    ``keyer=fingerprint_point``, its name on disk.
 
-    Computed identically in workers and in the parent, which is the
-    parity that lets a parallel warm-up serve later serial reads.
+    The key :func:`repro.core.api.run_point` uses, which is the parity
+    that lets a parallel warm-up serve later serial reads.
     """
     from ..core.api import point_key as label_key
     from ..hw.config import PAPER_SYSTEM
 
     return label_key(point.build_network(), point.system or PAPER_SYSTEM,
-                     point.policy, point.algo)
+                     point.policy, point.algo, keyer)
 
 
 def _simulate_point(point: SweepPoint):
@@ -88,10 +91,9 @@ def _simulate_point(point: SweepPoint):
                      point.policy, point.algo)
 
 
-def _worker_run_point(point: SweepPoint) -> Tuple[str, bytes]:
+def _worker_run_point(point: SweepPoint) -> bytes:
     """Process-pool entry: simulate and ship the result back as bytes."""
-    result = _simulate_point(point)
-    return point_key(point), pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+    return pickle.dumps(_simulate_point(point), pickle.HIGHEST_PROTOCOL)
 
 
 def sweep(
@@ -113,23 +115,23 @@ def sweep(
     cache = get_cache() if cache_enabled(use_cache) else None
     # Points the parent cache already holds don't fan out at all.
     results: List = [None] * len(points)
-    pending: List[int] = []
-    for index, point in enumerate(points):
-        hit = cache.get(point_key(point)) if cache is not None else None
-        if hit is not None:
-            results[index] = hit
-        else:
-            pending.append(index)
+    if cache is not None:
+        addresses = [(point_key(point), partial(point_key, point,
+                                                 fingerprint_point))
+                     for point in points]
+        results = [cache.get(key, name) for key, name in addresses]
+    pending = [index for index, hit in enumerate(results) if hit is None]
 
     if pending:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-            for index, (key, blob) in zip(
+            for index, blob in zip(
                 pending,
                 pool.map(_worker_run_point, [points[i] for i in pending]),
             ):
                 if cache is not None:
-                    cache.put_blob(key, blob)
+                    key, name = addresses[index]
+                    cache.put_blob(key, blob, name)
                 results[index] = pickle.loads(blob)
     return results

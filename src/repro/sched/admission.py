@@ -35,7 +35,6 @@ process, builds a recipe's network and runs its rungs once.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -43,7 +42,7 @@ from ..core.api import POINT_POLICIES, point_label, run_point
 from ..core.executor import IterationResult
 from ..hw.config import PAPER_SYSTEM, SystemConfig
 from ..perf.cache import cache_enabled, get_cache
-from ..perf.fingerprint import fingerprint
+from ..perf.fingerprint import canonical_json
 from ..sim.stream import COMPUTE_STREAM, MEMORY_STREAM
 from ..zoo import recipe
 from .job import Job
@@ -114,16 +113,15 @@ def _ladder_entry(job: Job,
     """
     key = None
     if cache_enabled():
-        key = fingerprint(
-            ("ladder", recipe(job.network, job.batch_size), system))
+        key = ("ladder", recipe(job.network, job.batch_size),
+               canonical_json(system))
         entry = get_cache().get(key)
         if entry is not None:
             return entry
     network = job.build_network()
     entry = (evaluate_ladder(network, system), network.total_weight_bytes())
     if key is not None:
-        get_cache().put_blob(key, pickle.dumps(entry, pickle.HIGHEST_PROTOCOL),
-                             write_disk=False)
+        get_cache().put(key, entry)
     return entry
 
 

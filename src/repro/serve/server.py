@@ -39,7 +39,8 @@ from typing import Dict, List, Optional, Tuple
 
 import random
 
-from ..alloc.pool import Allocation, OutOfMemoryError, PoolAllocator
+from ..alloc.pool import Allocation, OutOfMemoryError, PoolAllocator, \
+    footprint
 from ..core.algo_config import AlgoConfig
 from ..faults.spec import FaultSpec
 from ..graph.network import Network
@@ -386,13 +387,13 @@ def simulate_serving(
             state.allocation = None
             evictions += 1
 
-    def make_room(nbytes: int, keep: str) -> bool:
-        """Evict idle installed models (LRU first) until fit or empty."""
-        while not pool.can_fit(nbytes):
+    def make_room(size: int, keep: str) -> bool:
+        """Evict idle models (LRU first) until a ``size`` hole is free."""
+        while pool.largest_free_block < size:
             idle = [s for s in states.values()
                     if s.allocation is not None and s.spec.name != keep]
             if not idle:
-                return pool.can_fit(nbytes)
+                return False
             victim = min(idle, key=lambda s: (s.last_used, s.spec.name))
             evict(victim.spec.name)
         return True
@@ -558,7 +559,7 @@ def simulate_serving(
         start = max(gpu_free, request.time)
         cold = False
         if state.allocation is None and plan.persistent_bytes > 0:
-            if not make_room(plan.persistent_bytes, request.model):
+            if not make_room(footprint(plan.persistent_bytes), request.model):
                 records.append(RequestRecord(
                     rid=request.rid, model=request.model,
                     priority=request.priority, arrival=request.time,
@@ -576,7 +577,8 @@ def simulate_serving(
             start += plan.cold_start_seconds
 
         transient = plan.window_bytes + plan.activation_bytes
-        if transient and not make_room(transient, request.model):
+        size = footprint(transient)
+        if transient and not make_room(size, request.model):
             records.append(RequestRecord(
                 rid=request.rid, model=request.model,
                 priority=request.priority, arrival=request.time,
@@ -586,7 +588,7 @@ def simulate_serving(
         # The GPU is serial: no other pool operation falls inside this
         # service, so its transient block is charged, not placed.
         if transient:
-            live, fragmentation = pool.charge(transient)
+            live, fragmentation = pool.charge(size)
         else:
             live, fragmentation = pool.live_bytes, pool.fragmentation
         obs.pool_sample(live, pool.capacity, fragmentation)

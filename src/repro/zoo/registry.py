@@ -109,7 +109,7 @@ def build(name: str, batch_size: Optional[int] = None) -> Network:
     network = _LIVE.get(key)
     if network is None:
         network = _LIVE[key] = _BUILDERS[key[0]](key[1])
-        # repro.perf.fingerprint digests each recipe once per process.
+        # The result cache keys this network by its recipe in process.
         network._repro_recipe = key
     return network
 

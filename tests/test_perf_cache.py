@@ -6,6 +6,8 @@ result equals a from-scratch simulation, and the cache can always be
 bypassed (``use_cache=False`` / ``REPRO_NO_CACHE=1``).
 """
 
+import os
+
 import pytest
 
 from repro.core import evaluate
@@ -16,8 +18,11 @@ from repro.zoo import build
 
 
 @pytest.fixture(autouse=True)
-def fresh_cache():
-    """Each test gets an empty process-wide cache."""
+def fresh_cache(monkeypatch):
+    """Each test gets an empty, enabled process-wide cache."""
+    # The tests assert hits and stores, so they enable the cache
+    # whatever REPRO_NO_CACHE says.
+    monkeypatch.delenv(ENV_DISABLE, raising=False)
     cache = configure_cache()
     yield cache
     set_cache(None)
@@ -106,13 +111,30 @@ def test_lru_recency_is_updated_on_get():
 def test_disk_tier_survives_a_new_cache(tmp_path):
     disk = str(tmp_path / "simcache")
     first = SimulationCache(max_entries=8, disk_dir=disk)
-    first.put("key", {"answer": 42})
+    first.put(("key",), {"answer": 42}, name=lambda: "digest")
+    assert os.listdir(disk) == ["digest.pkl"]
     second = SimulationCache(max_entries=8, disk_dir=disk)
-    assert second.get("key") == {"answer": 42}
+    assert second.get(("key",), lambda: "digest") == {"answer": 42}
     assert second.stats.disk_hits == 1
     # Promoted into memory: the next read is an in-memory hit.
-    assert second.get("key") == {"answer": 42}
+    assert second.get(("key",)) == {"answer": 42}
     assert second.stats.hits >= 1
+
+
+def test_entries_without_a_name_stay_in_memory(tmp_path):
+    disk = tmp_path / "simcache"
+    cache = SimulationCache(max_entries=8, disk_dir=str(disk))
+    cache.put(("ladder",), 1)
+    assert cache.get(("ladder",)) == 1
+    assert not disk.exists()
+
+    def unnamed():
+        raise AssertionError("the name is made only for the disk tier")
+
+    memory_only = SimulationCache(max_entries=8)
+    memory_only.put(("key",), 2, unnamed)
+    assert memory_only.get(("key",), unnamed) == 2
+    assert memory_only.get(("absent",), unnamed) is None
 
 
 def test_get_or_compute_computes_once():

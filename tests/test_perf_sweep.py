@@ -7,12 +7,16 @@ from repro.core import compare_policies, evaluate
 from repro.core.api import POINT_POLICIES
 from repro.hw import PAPER_SYSTEM
 from repro.perf import SweepPoint, configure_cache, get_cache, set_cache, sweep
+from repro.perf.cache import ENV_DISABLE
 from repro.perf.sweep import _simulate_point, point_key, resolve_jobs
 from repro.zoo import build
 
 
 @pytest.fixture(autouse=True)
-def fresh_cache():
+def fresh_cache(monkeypatch):
+    # The tests assert hits and stores, so they enable the cache
+    # whatever REPRO_NO_CACHE says.
+    monkeypatch.delenv(ENV_DISABLE, raising=False)
     cache = configure_cache()
     yield cache
     set_cache(None)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.alloc import (ALIGNMENT, DoubleFreeError, OutOfMemoryError,
                          PoolAllocator)
+from repro.alloc.pool import footprint
 
 
 class TestBasics:
@@ -331,7 +332,8 @@ _any = st.integers(min_value=0, max_value=66).map(lambda g: g * ALIGNMENT)
     ), max_size=40),
 )
 def test_property_charge_is_alloc_read_free(strategy, fill, holes, operations):
-    """``charge(n)`` reads and leaves the pool as alloc, read, free does.
+    """``charge(footprint(n))`` reads and leaves the pool as alloc(n),
+    read, free does.
 
     Two pools run the same history: ``fill`` packs blocks from offset 0
     and the ``holes`` among them are freed, then random ``operations``
@@ -374,10 +376,10 @@ def test_property_charge_is_alloc_read_free(strategy, fill, holes, operations):
                 block = placed.alloc(value)
             except OutOfMemoryError:
                 with pytest.raises(OutOfMemoryError):
-                    charged.charge(value)
+                    charged.charge(footprint(value))
             else:
                 expected = (placed.live_bytes, placed.fragmentation)
                 placed.free(block)
-                assert charged.charge(value) == expected
+                assert charged.charge(footprint(value)) == expected
         assert _pool_state(charged) == _pool_state(placed)
     charged.check_invariants()
