@@ -3,26 +3,36 @@
 Simonyan & Zisserman trained VGG-16 (256) by splitting it over four
 GPUs, each holding a batch-64 replica.  vDNN's pitch is doing it on
 *one* card.  This bench puts both options on one table: hardware cost,
-trainability, and images/second.
+trainability, and images/second.  The N-GPU rows are the cluster model's
+``base(p)`` gang on a PCIe switch, whose ring allreduce overlaps the
+replicas' compute.
 """
 
-from repro.core import evaluate, simulate_data_parallel
-from repro.hw import PAPER_SYSTEM
+from repro.cluster.dataparallel import simulate_cluster_iteration
+from repro.core import evaluate
+from repro.hw.interconnects import pcie_switch_tree
 from repro.reporting import format_table
 from repro.zoo import build
 
+GLOBAL_BATCH = 256
+
 
 def comparison():
-    network = build("vgg16", 256)
     rows = []
     for num_gpus in (1, 2, 4):
-        report = simulate_data_parallel(network, num_gpus, PAPER_SYSTEM)
+        per_gpu_batch = GLOBAL_BATCH // num_gpus
+        report = simulate_cluster_iteration(
+            "vgg16", per_gpu_batch, num_gpus, pcie_switch_tree(num_gpus),
+            rung="base(p)")
+        replica = evaluate(build("vgg16", per_gpu_batch),
+                           policy="base", algo="p")
         rows.append([
             f"{num_gpus} GPU(s), baseline",
-            report.per_gpu_batch,
-            "yes" if report.per_gpu_trainable else "NO",
-            f"{report.images_per_second:,.0f}",
+            per_gpu_batch,
+            "yes" if replica.trainable else "NO",
+            f"{GLOBAL_BATCH / report.iter_seconds:,.0f}",
         ])
+    network = build("vgg16", GLOBAL_BATCH)
     dyn = evaluate(network, policy="dyn")
     ips = network.batch_size / dyn.total_time if dyn.total_time else 0
     rows.append(["1 GPU, vDNN_dyn", network.batch_size,

@@ -11,6 +11,7 @@ broader literature that this repo implements: OS-style demand paging
 Run:  python examples/memory_strategies.py
 """
 
+from repro.cluster.dataparallel import simulate_cluster_iteration
 from repro.core import (
     AlgoConfig,
     TransferPolicy,
@@ -18,11 +19,11 @@ from repro.core import (
     evaluate,
     paging_vs_vdnn,
     simulate_baseline,
-    simulate_data_parallel,
     simulate_recompute,
     simulate_vdnn,
 )
 from repro.hw import PAPER_SYSTEM
+from repro.hw.interconnects import pcie_switch_tree
 from repro.reporting import format_table, gb_str, ms_str
 from repro.zoo import build
 
@@ -57,12 +58,14 @@ def main() -> None:
                  ms_str(mem.total_time),
                  f"{mem.total_time / oracle.total_time:.2f}x"])
 
-    # Option 3: data parallelism across four GPUs.
-    dp = simulate_data_parallel(network, 4, PAPER_SYSTEM)
+    # Option 3: data parallelism across four GPUs behind a PCIe switch.
+    dp = simulate_cluster_iteration("vgg16", 64, 4, pcie_switch_tree(4),
+                                    rung="base(p)")
+    replica = evaluate(build("vgg16", 64), policy="base", algo="p")
     rows.append(["data parallel, baseline per replica", "4 GPUs",
-                 "yes" if dp.per_gpu_trainable else "NO",
-                 ms_str(dp.iteration_seconds),
-                 f"{dp.iteration_seconds / oracle.total_time:.2f}x"])
+                 "yes" if replica.trainable else "NO",
+                 ms_str(dp.iter_seconds),
+                 f"{dp.iter_seconds / oracle.total_time:.2f}x"])
 
     # Option 4: OS demand paging (the strawman).
     paging = paging_vs_vdnn(network, PAPER_SYSTEM)

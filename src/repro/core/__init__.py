@@ -42,9 +42,6 @@ _EXPORTS = {
     "PagingReport": "paging",
     "paging_vs_vdnn": "paging",
     "simulate_page_migration": "paging",
-    "DataParallelReport": "parallel",
-    "min_gpus_for_baseline": "parallel",
-    "simulate_data_parallel": "parallel",
     "TrainingRunPlan": "planner",
     "plan_training_run": "planner",
     "PolicyKind": "policy",

@@ -122,12 +122,9 @@ class IterationResult:
         return f"{self.policy_label}({self.algo_label})"
 
 
-def _feature_extraction_time(
-    network: Network, timeline: Timeline, classifier=None
-) -> float:
-    """Wall time minus the classifier window (Section V-C's metric)."""
-    if classifier is None:
-        classifier = {n.index for n in network.classifier_nodes}
+def _feature_extraction_time(timeline: Timeline, classifier) -> float:
+    """Wall time minus the window of the ``classifier`` layers (Section
+    V-C's metric)."""
     window = timeline.layer_window(classifier)
     if window is None:
         return timeline.span
@@ -237,7 +234,7 @@ def simulate_baseline(
         persistent_bytes=breakdown["weights"] * 2,
         total_time=timeline.span,
         feature_extraction_time=_feature_extraction_time(
-            network, timeline, classifier=plan.classifier_indices),
+            timeline, plan.classifier_indices),
         offload_bytes=0,
         prefetch_bytes=0,
         pinned_peak_bytes=0,
@@ -752,7 +749,7 @@ def _run_iteration(sim: _VDNNSimulation) -> IterationResult:
         persistent_bytes=persistent,
         total_time=sim.timeline.span,
         feature_extraction_time=_feature_extraction_time(
-            network, sim.timeline, classifier=sim.plan.classifier_indices),
+            sim.timeline, sim.plan.classifier_indices),
         offload_bytes=sim.offload_bytes,
         prefetch_bytes=sim.prefetch_bytes,
         pinned_peak_bytes=sim.pinned.peak_bytes,

@@ -4,20 +4,18 @@ During inference no feature map needs to survive for a backward pass,
 so a layer-wise manager can release every X at its last consumer (the
 black-X arrows of Figure 7) with no offloading at all.  The baseline,
 by contrast, still allocates "the sum of all green (W) and red (X)
-arrows" network-wide (Figure 2).  This executor quantifies that gap —
-the inference-side counterpart of Figure 11.
+arrows" network-wide (Figure 2).  :func:`simulate_inference` quantifies
+that gap — the inference-side counterpart of Figure 11 — as the
+forward-only run of the timed plan walk
+(:meth:`repro.core.walk.PlanWalk.run_forward_only`).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict
 
-from ..alloc.pool import Allocation, LiveByteCounter
-from ..graph.layer import LayerKind
 from ..graph.network import Network
 from ..hw.config import SystemConfig
-from ..kernels.latency import LatencyModel
-from ..sim.timeline import EventKind
 from .algo_config import AlgoConfig
 from .liveness import liveness_of
 
@@ -72,91 +70,56 @@ def simulate_inference(
 ) -> IterationResult:
     """One forward pass under layer-wise release (Figure 7).
 
-    Returns an :class:`IterationResult` with ``policy_label``
+    The forward-only run of the timed plan walk: no policy offloads,
+    every last-consumed input is dropped at its reader, and only the
+    feature-extraction weights (no weight gradients) are placed in the
+    pool.  Returns an :class:`IterationResult` with ``policy_label``
     ``"inference"``; backward-related fields are zero and
     ``weight_load_bytes`` carries the per-layer weight accounting the
     serving subsystem's demand-layering executor reuses.
     """
-    # Serving calls only the two helpers above, so what this simulator
-    # alone needs is imported on its first call.
-    from ..alloc.stats import UsageTracker
-    from ..sim.stream import make_stream_pair
-    from .executor import IterationResult, _feature_extraction_time
+    # Serving calls only the two helpers above, so the walk is imported
+    # on this simulator's first call.
+    from .executor import IterationResult, _VDNNSimulation, \
+        _feature_extraction_time
+    from .plan import compiled_plan
+    from .policy import TransferPolicy
 
     _validate_inference_batch(network)
-    latency = LatencyModel(system.gpu)
-    liveness = liveness_of(network)
-    pool = LiveByteCounter()
-    compute, _memory, timeline = make_stream_pair()
-    usage = UsageTracker()
-    device: Dict[int, Allocation] = {}
+    plan = compiled_plan(network, system, algos)
+    sim = _VDNNSimulation(
+        network, system, TransferPolicy.none(), algos, plan,
+        drop=plan.candidate_owners(frozenset(plan.forward_at)))
+    for item in plan.persistent:
+        sim._alloc(item.nbytes, item.w_tag, buffer=item.w_buf,
+                   layer=item.index, persistent=True)
+    sim.run_forward_only()
+    sim.usage.record(sim.timeline.end_time, sim.pool.live_bytes)
 
-    def sample() -> None:
-        usage.record(compute.ready_time, pool.live_bytes)
-
-    persistent = 0
-    external = 0
-    for node in network:
-        if not node.weight_bytes:
-            continue
-        if node.is_feature_extraction:
-            pool.alloc(node.weight_bytes, f"W[{node.name}]")
-            sample()
-        else:
-            external += node.weight_bytes
-        persistent += node.weight_bytes
-
-    for index in network.forward_schedule():
-        node = network[index]
-        if not node.in_place:
-            storage = liveness.storage_of(index)
-            device[storage.owner] = pool.alloc(storage.nbytes,
-                                               f"Y[{node.name}]")
-            sample()
-        if node.kind is not LayerKind.INPUT:
-            workspace = None
-            ws_bytes = algos.workspace_bytes(node)
-            if ws_bytes:
-                workspace = pool.alloc(ws_bytes, f"WS[{node.name}]")
-                sample()
-            timing = latency.forward(network, node, algos.profile(node))
-            compute.push(EventKind.FORWARD, node.name, timing.seconds,
-                         nbytes=int(timing.dram_bytes), layer_index=index)
-            if workspace is not None:
-                pool.free(workspace)
-                sample()
-        # Figure 7: free every input at its last consumer, full stop.
-        for storage in liveness.input_storages(index):
-            if storage.forward_release_at == index:
-                pool.free(device.pop(storage.owner))
-                sample()
-
-    # The network output remains live for the caller; free it last.
-    for allocation in list(device.values()):
-        pool.free(allocation)
-    device.clear()
-    usage.record(timeline.end_time, pool.live_bytes)
-
-    peak = usage.max_bytes
-    total_peak = peak + external
-    trainable = total_peak <= system.gpu.memory_bytes
+    # Classifier weights live outside the pool (Section IV-A).
+    weights = weight_load_bytes(network)
+    persistent = sum(weights.values())
+    external = persistent - sum(item.nbytes for item in plan.persistent)
+    peak = sim.usage.max_bytes
+    trainable = peak + external <= system.gpu.memory_bytes
     return IterationResult(
         network_name=network.name,
         policy_label="inference",
         algo_label=algos.label,
         trainable=trainable,
         failure=None if trainable else "inference footprint exceeds GPU",
-        timeline=timeline,
-        usage=usage,
+        timeline=sim.timeline,
+        usage=sim.usage,
         managed_max_bytes=peak,
-        managed_avg_bytes=usage.average_bytes,
+        managed_avg_bytes=sim.usage.average_bytes,
         external_bytes=external,
         persistent_bytes=persistent,
-        total_time=timeline.span,
-        feature_extraction_time=_feature_extraction_time(network, timeline),
+        total_time=sim.timeline.span,
+        feature_extraction_time=_feature_extraction_time(
+            sim.timeline, plan.classifier_indices),
         offload_bytes=0,
         prefetch_bytes=0,
         pinned_peak_bytes=0,
         compute_stall_seconds=0.0,
-        weight_load_bytes=weight_load_bytes(network),
+        weight_load_bytes=weights,
     )

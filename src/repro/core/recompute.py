@@ -376,7 +376,7 @@ def simulate_recompute(
         persistent_bytes=persistent,
         total_time=sim.timeline.span,
         feature_extraction_time=_feature_extraction_time(
-            network, sim.timeline, classifier=sim.plan.classifier_indices),
+            sim.timeline, sim.plan.classifier_indices),
         offload_bytes=0,
         prefetch_bytes=0,
         pinned_peak_bytes=0,

@@ -14,6 +14,10 @@ decides that schedule, and its order, once:
   and the discard of replayed intermediates;
 * the end sweep.
 
+Training runs both passes; inference
+(:func:`repro.core.inference.simulate_inference`) is the forward-only
+run, :meth:`PlanWalk.run_forward_only`.
+
 Three domains give the walk its consequences: the timed executor
 (:class:`repro.core.executor._VDNNSimulation`: live bytes, streams,
 pinned staging, faults, trace, obs), its abstract twin
@@ -152,6 +156,14 @@ class PlanWalk:
     def run_backward(self) -> None:
         for step in self.plan.backward:
             self._backward_layer(step)
+        self._end_sweep()
+
+    def run_forward_only(self) -> None:
+        """The forward pass with no backward after it (inference,
+        Figure 7): nothing replays a drop, so no input storage is kept
+        for one, and the end sweep frees what the pass leaves live."""
+        self._protected = frozenset()
+        self.run_forward()
         self._end_sweep()
 
     def _forward_layer(self, step: ForwardStep) -> None:  # repro: hot

@@ -229,19 +229,6 @@ class NetworkBuilder:
     # ------------------------------------------------------------------
     # Composite verbs
     # ------------------------------------------------------------------
-    def conv_bn_relu(
-        self,
-        out_channels: int,
-        kernel: int = 3,
-        stride: int = 1,
-        pad: int = 0,
-        name: Optional[str] = None,
-        after: Optional[str] = None,
-    ) -> "NetworkBuilder":
-        """CONV -> BN -> in-place ReLU (the ResNet idiom)."""
-        self.conv(out_channels, kernel, stride, pad, name=name, after=after)
-        return self.batchnorm().relu()
-
     def conv_relu(
         self,
         out_channels: int,

@@ -206,10 +206,6 @@ class ScheduleResult(_RunResult):
 
     # -- fleet metrics -------------------------------------------------
     @property
-    def total_iterations(self) -> float:
-        return sum(r.job.iterations for r in self.finished)
-
-    @property
     def mean_queueing_delay(self) -> float:
         delays = [r.queueing_delay for r in self.records
                   if r.queueing_delay is not None]

@@ -102,13 +102,6 @@ class ServicePlan:
         """Device bytes needed to hold the model and serve one request."""
         return self.persistent_bytes + self.window_bytes + self.activation_bytes
 
-    @property
-    def hidden_fraction(self) -> float:
-        """Fraction of streamed DMA time hidden behind compute."""
-        if self.dma_seconds <= 0:
-            return 1.0
-        return max(0.0, 1.0 - self.stall_seconds / self.dma_seconds)
-
 
 def activation_peak_bytes(network: Network, algos: AlgoConfig) -> int:
     """Peak transient bytes of one layer-wise-release forward pass.

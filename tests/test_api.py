@@ -4,9 +4,10 @@ import pytest
 
 from repro.analysis.static_plan import verify_point_static
 from repro.analysis.verify import verify_point
-from repro.core import (compare_policies, evaluate, min_gpus_for_baseline,
-                        oracular_baseline, simulate_data_parallel)
-from repro.hw import PAPER_SYSTEM
+from repro.cluster.dataparallel import (simulate_cluster_iteration,
+                                       worker_results)
+from repro.core import compare_policies, evaluate, oracular_baseline
+from repro.hw import pcie_switch_tree
 from repro.perf import configure_cache, set_cache
 
 from conftest import make_linear_cnn
@@ -76,15 +77,6 @@ _LABELED = {
     "verify_point": verify_point,
     "verify_point_static": verify_point_static,
 }
-#: Entry points that take only an algo (their policy is the baseline).
-_ALGO_ONLY = {
-    "simulate_data_parallel": lambda net, _policy, algo:
-        simulate_data_parallel(net, 1, PAPER_SYSTEM, algo),
-    "min_gpus_for_baseline": lambda net, _policy, algo:
-        min_gpus_for_baseline(net, PAPER_SYSTEM, algo),
-}
-
-
 class TestLabelBoundary:
     """A bad label fails at the boundary with evaluate's ValueError:
     never a bare KeyError, and never a silent fallback to another point."""
@@ -94,13 +86,17 @@ class TestLabelBoundary:
         *((name, "hybrid", "m", "policy") for name in _LABELED),
         *((name, "all", "x", "algo") for name in _LABELED),
         *((name, "base", "x", "algo") for name in _LABELED),
-        *((name, "base", "x", "algo") for name in _ALGO_ONLY),
     ])
     def test_bad_label_raises_value_error(self, linear_cnn, entry, policy,
                                           algo, match):
-        call = {**_LABELED, **_ALGO_ONLY}[entry]
         with pytest.raises(ValueError, match=match):
-            call(linear_cnn, policy, algo)
+            _LABELED[entry](linear_cnn, policy, algo)
+
+    @pytest.mark.parametrize("entry", [simulate_cluster_iteration,
+                                       worker_results])
+    def test_bad_rung_raises_value_error(self, entry):
+        with pytest.raises(ValueError, match="unknown ladder rung"):
+            entry("alexnet", 8, 1, pcie_switch_tree(1), rung="bogus")
 
 
 class TestWarmAdoptedPoints:

@@ -3,6 +3,7 @@ data-parallel, interconnects, and fp16 precision."""
 
 import pytest
 
+from repro.cluster.dataparallel import simulate_cluster_iteration
 from repro.core import (
     AlgoConfig,
     CapacityReport,
@@ -10,10 +11,8 @@ from repro.core import (
     capacity_report,
     evaluate,
     max_trainable_batch,
-    min_gpus_for_baseline,
     paging_vs_vdnn,
     simulate_baseline,
-    simulate_data_parallel,
     simulate_page_migration,
     simulate_recompute,
     simulate_vdnn,
@@ -28,8 +27,10 @@ from repro.hw import (
     PCIE_GEN4,
     TransferMode,
     interconnect_sweep,
+    pcie_switch_tree,
     system_with_link,
 )
+from repro.sched.admission import evaluate_ladder
 from repro.zoo import build
 
 from conftest import make_deep_cnn, make_fork_join_cnn, make_linear_cnn
@@ -168,34 +169,43 @@ class TestRecompute:
         assert final_live < persistent + 4096 * len(deep_cnn.nodes)
 
 
+def _data_parallel(name, global_batch, num_gpus):
+    """A ``base(p)`` gang on a PCIe switch, the global batch split
+    evenly across its replicas."""
+    return simulate_cluster_iteration(
+        name, global_batch // num_gpus, num_gpus,
+        pcie_switch_tree(num_gpus), rung="base(p)")
+
+
+def _replica_fits(name, batch):
+    base = evaluate_ladder(build(name, batch), PAPER_SYSTEM)[0]
+    return base.footprint_bytes <= PAPER_SYSTEM.gpu.memory_bytes
+
+
+def _min_gpus(name, global_batch):
+    """Fewest GPUs (a divisor of the global batch) whose replica fits."""
+    return next(n for n in range(1, global_batch + 1)
+                if global_batch % n == 0
+                and _replica_fits(name, global_batch // n))
+
+
 class TestDataParallel:
     def test_paper_4x_vgg_story(self):
-        net = build("vgg16", 256)
-        one = simulate_data_parallel(net, 1, PAPER_SYSTEM)
-        four = simulate_data_parallel(net, 4, PAPER_SYSTEM)
-        assert not one.per_gpu_trainable
-        assert four.per_gpu_trainable
-        assert four.per_gpu_batch == 64
-        assert four.images_per_second > one.images_per_second
+        one = _data_parallel("vgg16", 256, 1)
+        four = _data_parallel("vgg16", 256, 4)
+        assert not _replica_fits("vgg16", 256)
+        assert _replica_fits("vgg16", 64)
+        assert four.batch_size == 64
+        assert four.iter_seconds < one.iter_seconds
 
     def test_allreduce_grows_with_gpu_count(self):
-        net = build("vgg16", 256)
-        two = simulate_data_parallel(net, 2, PAPER_SYSTEM)
-        four = simulate_data_parallel(net, 4, PAPER_SYSTEM)
-        assert 0 < two.allreduce_seconds < four.allreduce_seconds
-
-    def test_scaling_efficiency_below_one(self):
-        net = build("vgg16", 256)
-        report = simulate_data_parallel(net, 4, PAPER_SYSTEM)
-        assert 0 < report.scaling_efficiency < 1.0
-
-    def test_indivisible_batch_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_data_parallel(build("vgg16", 64), 3, PAPER_SYSTEM)
+        two = _data_parallel("vgg16", 256, 2)
+        four = _data_parallel("vgg16", 256, 4)
+        assert 0 < two.allreduce_bytes < four.allreduce_bytes
 
     def test_min_gpus(self):
-        assert min_gpus_for_baseline(build("vgg16", 256), PAPER_SYSTEM) == 4
-        assert min_gpus_for_baseline(build("alexnet", 128), PAPER_SYSTEM) == 1
+        assert _min_gpus("vgg16", 256) == 4
+        assert _min_gpus("alexnet", 128) == 1
 
 
 class TestInterconnects:
