@@ -76,6 +76,9 @@ class _LegacyTimeline:
             self._t1 = event.end
         return event
 
+    def seal(self) -> None:
+        """IterationResult seals its logs; this log has no sealed form."""
+
     @property
     def events(self) -> List[_LegacyEvent]:
         return list(self._events)
@@ -132,6 +135,9 @@ class _LegacyUsage:
         if self._samples and time < self._samples[-1].time:
             raise ValueError("time went backwards")
         self._samples.append(_LegacySample(time, live_bytes))
+
+    def seal(self) -> None:
+        """IterationResult seals its logs; this log has no sealed form."""
 
     @property
     def max_bytes(self) -> int:

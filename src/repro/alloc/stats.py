@@ -11,12 +11,19 @@ Figure 11 reports two statistics per configuration:
 
 :class:`UsageTracker` consumes (timestamp, live_bytes) samples emitted by
 the executor every time the pool's occupancy changes and produces both.
+Like the :class:`~repro.sim.timeline.Timeline`, a finished curve is
+sealed when its :class:`~repro.core.executor.IterationResult` is made:
+its two columns become typed arrays, read-only and shareable between a
+cached result and the copies the result cache hands out.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import List, Tuple
+
+from ..sim.timeline import same_column
 
 
 @dataclass
@@ -32,19 +39,23 @@ class UsageTracker:
     in two parallel arrays and :class:`UsageSample` objects are only
     materialised by the :attr:`samples` view, so the simulator's
     per-alloc/free sampling appends two scalars instead of constructing
-    a dataclass.
+    a dataclass.  :meth:`seal` moves them into typed arrays once the
+    curve is final.
     """
 
-    __slots__ = ("_times", "_bytes")
+    __slots__ = ("_times", "_bytes", "_sealed")
 
     def __init__(self) -> None:
         self._times: List[float] = []
         self._bytes: List[int] = []
+        self._sealed = False
 
     def record(self, time: float, live_bytes: int) -> None:
         """Append one sample; timestamps must be non-decreasing."""
         if live_bytes < 0:
             raise ValueError("live_bytes cannot be negative")
+        if self._sealed:
+            raise TypeError("cannot record: the usage curve is sealed")
         times = self._times
         if times and time < times[-1]:
             raise ValueError(
@@ -53,21 +64,35 @@ class UsageTracker:
         times.append(time)
         self._bytes.append(live_bytes)
 
+    def seal(self) -> "UsageTracker":
+        """Make the curve read-only, its columns typed arrays
+        (idempotent)."""
+        if not self._sealed:
+            self._times = array("d", self._times)
+            self._bytes = array("q", self._bytes)
+            self._sealed = True
+        return self
+
+    @property
+    def sealed(self) -> bool:
+        return self._sealed
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UsageTracker):
             return NotImplemented
         # Bit-identity is the contract here, not approximation: two
         # trackers are equal iff they recorded identical curves.
-        return self._times == other._times \
-            and self._bytes == other._bytes  # repro: allow(LINT204)
+        return same_column(self._times, other._times) \
+            and same_column(self._bytes, other._bytes)
 
     __hash__ = None  # mutable container; value-equal, not hashable
 
-    def __getstate__(self) -> Tuple[List[float], List[int]]:
+    def __getstate__(self) -> tuple:
         return (self._times, self._bytes)
 
     def __setstate__(self, state) -> None:
         self._times, self._bytes = state
+        self._sealed = isinstance(self._times, array)
 
     # ------------------------------------------------------------------
     @property

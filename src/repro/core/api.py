@@ -33,7 +33,7 @@ across worker processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
 
@@ -163,11 +163,12 @@ class Point:
                              fault_seed=fault_seed, obs=obs)
 
     def relabel(self, result: IterationResult) -> IterationResult:
-        """Label a ladder-adopted result ``vDNN_dyn``/``vDNN_joint``, so
-        fresh and cached adopted results compare equal."""
+        """A ladder-adopted result labelled ``vDNN_dyn``/``vDNN_joint``,
+        so fresh and cached adopted results compare equal; a copy, so
+        ``result`` keeps its own label."""
         if self.policy in _ADOPTED:
-            result.policy_label = _ADOPTED[self.policy]
-            result.algo_label = self.algos.label
+            return replace(result, policy_label=_ADOPTED[self.policy],
+                           algo_label=self.algos.label)
         return result
 
 
@@ -216,20 +217,17 @@ def run_point(network: Network, system: SystemConfig, policy: str,
     :func:`point_key`, so a warm call skips the whole ladder; a cold
     call still replays the adopted configuration's own simulation.
     """
-    adopted = policy in _ADOPTED and cache_enabled(use_cache)
-    if adopted:
-        key = point_key(network, system, policy)
-        name = partial(point_key, network, system, policy,
-                       keyer=fingerprint_point)
-        cached = get_cache().get(key, name)
-        if cached is not None:
-            return cached
-    point = resolve_point(network, system, policy, algo)
-    result = point.relabel(
-        _through_cache(point.key, point.simulate, use_cache))
-    if adopted:
-        get_cache().put(key, result, name)
-    return result
+    def run() -> IterationResult:
+        point = resolve_point(network, system, policy, algo)
+        return point.relabel(
+            _through_cache(point.key, point.simulate, use_cache))
+
+    if policy in _ADOPTED and cache_enabled(use_cache):
+        return get_cache().get_or_compute(
+            point_key(network, system, policy), run,
+            partial(point_key, network, system, policy,
+                    keyer=fingerprint_point))
+    return run()
 
 
 # ----------------------------------------------------------------------

@@ -107,6 +107,27 @@ class IterationResult:
     fault_report: Optional[FaultReport] = field(
         default=None, compare=False, repr=False)
 
+    def __post_init__(self) -> None:
+        # A result is final: its logs become read-only, so the result
+        # cache can keep it live and its copies can share them.
+        self.timeline.seal()
+        self.usage.seal()
+
+    def __setstate__(self, state: dict) -> None:
+        # A result unpickled from a file written before logs were sealed
+        # is sealed on arrival, like every other.
+        self.__dict__.update(state)
+        self.__post_init__()
+
+    def __copy__(self) -> "IterationResult":
+        """What a result-cache hit returns: a copy that owns its fields
+        and its two small containers, and shares the sealed logs."""
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        clone.offloaded_layers = list(self.offloaded_layers)
+        clone.weight_load_bytes = dict(self.weight_load_bytes)
+        return clone
+
     @property
     def max_usage_bytes(self) -> int:
         """Peak device-memory footprint including unmanaged allocations."""

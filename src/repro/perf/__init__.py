@@ -8,10 +8,10 @@ package makes those points fast twice over:
 * :mod:`repro.perf.fingerprint` canonically fingerprints a
   (network, system, policy, algorithms) point with sha256 over sorted
   JSON, so identical points hash identically across processes and runs;
-* :mod:`repro.perf.cache` keeps pickled :class:`IterationResult` blobs
-  in an in-memory LRU keyed by ``lookup_key`` value tuples, and in an
-  optional on-disk store named by those fingerprints, so a point is
-  simulated at most once;
+* :mod:`repro.perf.cache` keeps sealed :class:`IterationResult`
+  objects in an in-memory LRU keyed by ``lookup_key`` value tuples,
+  and their pickles in an optional on-disk store named by those
+  fingerprints, so a point is simulated at most once;
 * :mod:`repro.perf.sweep` fans independent points out across worker
   processes and merges their results back into the parent's cache.
 

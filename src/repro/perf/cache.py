@@ -1,18 +1,23 @@
 """Result cache for simulation points.
 
-The cache stores **pickled** :class:`IterationResult` blobs.  In memory
-they are keyed by :func:`repro.perf.fingerprint.lookup_key` tuples,
-which name a point by value; on disk, one file per point is named by
-its :func:`repro.perf.fingerprint.fingerprint_point` digest, which is
-stable across processes.  A caller passes that name as a zero-argument
+The cache keeps **sealed results**, live.  In memory they are keyed by
+:func:`repro.perf.fingerprint.lookup_key` tuples, which name a point by
+value; on disk, one file per point is named by its
+:func:`repro.perf.fingerprint.fingerprint_point` digest, which is stable
+across processes.  A caller passes that name as a zero-argument
 callable, so the sha256 is made only when a disk tier is configured.
-Storing bytes rather than live objects buys two properties for free:
 
-* every hit returns a *fresh* deep copy, so callers (e.g. vDNN_dyn's
-  relabeling of the adopted result) can mutate what they get back
-  without corrupting the cache;
-* every value is serialization-validated at ``put`` time, which is the
-  same contract the cross-process sweep executor needs.
+* ``get``, and ``get_or_compute`` on a miss, return a *copy*
+  (:func:`copy.copy`): an :class:`~repro.core.executor.IterationResult`
+  copy owns its fields and its two small containers, so callers (e.g.
+  vDNN_dyn's relabelling of the adopted result) can change what they get
+  back without touching the entry, and it shares the entry's timeline
+  and usage curve, which are read-only.
+* Those two logs are sealed when the result is made: their numeric
+  columns are typed arrays, so a live entry costs about what its pickle
+  did, and nothing a caller does can change them.
+* Pickling remains only where bytes cross a boundary: the on-disk tier
+  and the results of :mod:`repro.perf.sweep`'s worker processes.
 
 In-memory entries live in an LRU ordered dict; the optional on-disk
 store persists results across runs.  Both layers are controlled by
@@ -27,6 +32,7 @@ import os
 import pickle
 import threading
 from collections import OrderedDict
+from copy import copy
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Hashable, Optional
 
@@ -71,7 +77,7 @@ class CacheStats:
 
 
 class SimulationCache:
-    """LRU cache of pickled simulation results, with optional disk tier."""
+    """LRU cache of sealed simulation results, with optional disk tier."""
 
     def __init__(
         self,
@@ -87,7 +93,7 @@ class SimulationCache:
             disk_dir = os.environ.get(ENV_DIR) or None
         self.max_entries = max_entries
         self.disk_dir = disk_dir
-        self._blobs: "OrderedDict[str, bytes]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
         self.stats = CacheStats()
         #: Optional ``repro.obs.Instrumentation``; mirrors ``stats`` into
@@ -103,44 +109,44 @@ class SimulationCache:
             return None
         return os.path.join(self.disk_dir, f"{name()}.pkl")
 
-    def get_blob(self, key: Hashable, name: Name = None) -> Optional[bytes]:
-        """The raw pickled entry for ``key``, or None on a miss.  An entry
-        with a ``name`` is also looked for on disk."""
+    def get(self, key: Hashable, name: Name = None) -> Optional[Any]:
+        """A copy of the cached value, or None on a miss.  An entry with
+        a ``name`` is also looked for on disk."""
         with self._lock:
-            blob = self._blobs.get(key)
-            if blob is not None:
-                self._blobs.move_to_end(key)
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
                 self.stats.hits += 1
                 if self.obs is not None:
                     self.obs.cache_event("hit")
-                return blob
+                return copy(value)
         path = self._disk_path(name)
         if path is not None and os.path.exists(path):
             with open(path, "rb") as handle:
-                blob = handle.read()
-            self.put_blob(key, blob)
+                value = pickle.load(handle)
+            self.put(key, value)
             with self._lock:
                 self.stats.disk_hits += 1
                 if self.obs is not None:
                     self.obs.cache_event("disk_hit")
-            return blob
+            return copy(value)
         with self._lock:
             self.stats.misses += 1
             if self.obs is not None:
                 self.obs.cache_event("miss")
         return None
 
-    def put_blob(self, key: Hashable, blob: bytes, name: Name = None) -> None:
-        """Insert an already-pickled entry (used by the sweep executor);
-        one with a ``name`` is also written to disk."""
+    def put(self, key: Hashable, value: Any, name: Name = None) -> None:
+        """Keep ``value`` itself, which its caller no longer changes; one
+        with a ``name`` is also pickled to disk."""
         with self._lock:
-            self._blobs[key] = blob
-            self._blobs.move_to_end(key)
+            self._entries[key] = value
+            self._entries.move_to_end(key)
             self.stats.stores += 1
             if self.obs is not None:
                 self.obs.cache_event("store")
-            while len(self._blobs) > self.max_entries:
-                self._blobs.popitem(last=False)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
                 self.stats.evictions += 1
                 if self.obs is not None:
                     self.obs.cache_event("eviction")
@@ -149,39 +155,27 @@ class SimulationCache:
             os.makedirs(self.disk_dir, exist_ok=True)
             tmp = f"{path}.tmp.{os.getpid()}"
             with open(tmp, "wb") as handle:
-                handle.write(blob)
+                pickle.dump(value, handle, pickle.HIGHEST_PROTOCOL)
             os.replace(tmp, path)
-
-    # ------------------------------------------------------------------
-    def get(self, key: Hashable, name: Name = None) -> Optional[Any]:
-        """A fresh copy of the cached value, or None on a miss."""
-        blob = self.get_blob(key, name)
-        return pickle.loads(blob) if blob is not None else None
-
-    def put(self, key: Hashable, value: Any, name: Name = None) -> None:
-        self.put_blob(key, pickle.dumps(value, pickle.HIGHEST_PROTOCOL), name)
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], Any],
                        name: Name = None) -> Any:
-        """Cached value for ``key``, computing and storing on a miss.
-
-        On a miss the *live* computed object is returned (not a pickle
-        round-trip) so the cold path is bit-identical to no caching.
-        """
+        """A copy of the value for ``key``, computing and storing it on a
+        miss."""
         cached = self.get(key, name)
         if cached is not None:
             return cached
         value = compute()
         self.put(key, value, name)
-        return value
+        return copy(value)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._blobs)
+            return len(self._entries)
 
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
-            return key in self._blobs
+            return key in self._entries
 
 
 # ----------------------------------------------------------------------

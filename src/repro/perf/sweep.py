@@ -3,21 +3,20 @@
 A sweep is a list of :class:`SweepPoint` — each one simulation of a
 (network, policy, algo, system) combination.  Points are independent, so
 they fan out over a :class:`concurrent.futures.ProcessPoolExecutor`;
-each worker returns its pickled ``IterationResult`` and the parent
-stores each blob in its own result cache, under the key it looked the
-point up by, before unpickling the ordered result list.  Downstream
-serial code (figure tables, admission ladders) then reads every point
+each worker's ``IterationResult`` comes back pickled, and the parent
+stores it in its own result cache, under the key it looked the point up
+by, and returns a copy of it.  Downstream serial code (figure tables,
+admission ladders) then reads every point
 as a cache hit, which is what makes parallel output **bit-identical**
 to serial output: the same simulator produced the same bytes, only the
 executing process differed.
 
-``jobs <= 1`` degrades to a plain serial loop with no pickling round
-trip at all.
+``jobs <= 1`` degrades to a plain serial loop with no pickling at all.
 """
 
 from __future__ import annotations
 
-import pickle
+from copy import copy
 from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Sequence, Union
@@ -83,17 +82,13 @@ def point_key(point: SweepPoint, keyer=lookup_key):
 
 
 def _simulate_point(point: SweepPoint):
-    """Run one point through the (cache-aware) simulators."""
+    """Run one point through the (cache-aware) simulators; also the
+    process-pool entry, whose result the pool pickles back."""
     from ..core.api import run_point
     from ..hw.config import PAPER_SYSTEM
 
     return run_point(point.build_network(), point.system or PAPER_SYSTEM,
                      point.policy, point.algo)
-
-
-def _worker_run_point(point: SweepPoint) -> bytes:
-    """Process-pool entry: simulate and ship the result back as bytes."""
-    return pickle.dumps(_simulate_point(point), pickle.HIGHEST_PROTOCOL)
 
 
 def sweep(
@@ -104,8 +99,8 @@ def sweep(
     """Simulate every point, fanning out across ``jobs`` processes.
 
     Results come back in point order.  With ``jobs > 1`` each worker's
-    pickled result is merged into the parent cache, so any subsequent
-    serial evaluation of the same point is a cache hit.
+    result is merged into the parent cache, so any subsequent serial
+    evaluation of the same point is a cache hit.
     """
     points = list(points)
     jobs = resolve_jobs(jobs)
@@ -126,12 +121,13 @@ def sweep(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-            for index, blob in zip(
+            for index, result in zip(
                 pending,
-                pool.map(_worker_run_point, [points[i] for i in pending]),
+                pool.map(_simulate_point, [points[i] for i in pending]),
             ):
                 if cache is not None:
                     key, name = addresses[index]
-                    cache.put_blob(key, blob, name)
-                results[index] = pickle.loads(blob)
+                    cache.put(key, result, name)
+                    result = copy(result)
+                results[index] = result
     return results

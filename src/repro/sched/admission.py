@@ -36,7 +36,7 @@ process, builds a recipe's network and runs its rungs once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.api import POINT_POLICIES, point_label, run_point
 from ..core.executor import IterationResult
@@ -88,7 +88,7 @@ def _distill(rung: str, result: IterationResult) -> RungEval:
     )
 
 
-def evaluate_ladder(network, system: SystemConfig) -> List[RungEval]:
+def evaluate_ladder(network, system: SystemConfig) -> Tuple[RungEval, ...]:
     """Run the four rung simulations for one network, ladder order.
 
     Each rung goes through the content-addressed simulation cache
@@ -97,16 +97,17 @@ def evaluate_ladder(network, system: SystemConfig) -> List[RungEval]:
     single simulation per rung.  :class:`AdmissionController` calls this
     only when its recipe's ladder entry is missing.
     """
-    return [_distill(rung, run_point(network, system, policy, algo))
-            for rung, (policy, algo) in zip(LADDER, LADDER_POINTS)]
+    return tuple(_distill(rung, run_point(network, system, policy, algo))
+                 for rung, (policy, algo) in zip(LADDER, LADDER_POINTS))
 
 
 def _ladder_entry(job: Job,
-                  system: SystemConfig) -> Tuple[List[RungEval], int]:
+                  system: SystemConfig) -> Tuple[Tuple[RungEval, ...], int]:
     """The job's ``(rungs, weight bytes)``, one perf-cache entry per
     (zoo recipe, system), built and simulated only on a miss.
 
-    The entry stays in memory (LRU-bounded, reset by
+    The entry is immutable, so the cache shares it rather than copying
+    it.  It stays in memory (LRU-bounded, reset by
     ``configure_cache()``, bypassed under ``REPRO_NO_CACHE``); it is
     never written to the disk tier, since a recipe names content only
     within one version of the zoo builders.
@@ -137,11 +138,12 @@ class AdmissionController:
 
     def __init__(self, system: Optional[SystemConfig] = None):
         self.system = system or PAPER_SYSTEM
-        self._cache: Dict[Tuple[str, Optional[int]], List[RungEval]] = {}
+        self._cache: Dict[Tuple[str, Optional[int]],
+                          Sequence[RungEval]] = {}
         self._weight_bytes: Dict[Tuple[str, Optional[int]], int] = {}
         self._min_footprint: Dict[Tuple[str, Optional[int]], int] = {}
 
-    def ladder(self, job: Job) -> List[RungEval]:
+    def ladder(self, job: Job) -> Sequence[RungEval]:
         """The job's rung evaluations, fastest first (memoized)."""
         key = (job.network, job.batch_size)
         rungs = self._cache.get(key)

@@ -409,9 +409,10 @@ class _FluidScheduler:
             # Every loop iteration must change *something* — otherwise
             # the event horizon has collapsed (e.g. float underflow in
             # the progress arithmetic) and we would spin forever.
+            # ``_changes`` names the resident set.
             snapshot = (
-                clock, len(queue), len(fault_queue),
-                tuple((id(r), r.remaining_iterations) for r in resident),
+                clock, len(queue), len(fault_queue), self._changes,
+                [r.remaining_iterations for r in resident],
             )
             if snapshot == last_snapshot:
                 raise RuntimeError(
@@ -468,7 +469,9 @@ class _FluidScheduler:
                         (horizon - clock) / iter_seconds
                     self._log_run(entry, clock, horizon, tenants)
                     self._account(entry, horizon - clock)
-            clock = horizon
+            # ``max`` keeps the clock when the horizon is NaN (a NaN
+            # rate), so the guard above sees the stall.
+            clock = max(clock, horizon)
 
             # Completion sweep.  ``finish <= clock`` also collects jobs
             # whose per-step progress underflowed (clock + tiny == clock)

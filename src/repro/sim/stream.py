@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .timeline import EventKind, Timeline, TimelineEvent
+from .timeline import EventKind, Timeline
 
 COMPUTE_STREAM = "stream_compute"
 MEMORY_STREAM = "stream_memory"
@@ -43,22 +43,6 @@ class SimStream:
     #: excludes it.
     busy_seconds: float = field(default=0.0)
 
-    def enqueue(
-        self,
-        kind: EventKind,
-        label: str,
-        duration: float,
-        earliest_start: float = 0.0,
-        nbytes: int = 0,
-        layer_index: int = -1,
-    ) -> TimelineEvent:
-        """Append one operation; it starts when the stream *and* its
-        dependencies are ready, and runs for ``duration`` seconds."""
-        start, end = self.push(kind, label, duration, earliest_start,
-                               nbytes, layer_index)
-        return TimelineEvent(self.name, kind, label, start, end,
-                             nbytes, layer_index)
-
     def push(
         self,
         kind: EventKind,
@@ -68,11 +52,11 @@ class SimStream:
         nbytes: int = 0,
         layer_index: int = -1,
     ) -> tuple:
-        """:meth:`enqueue` without the event-object construction.
+        """Append one operation; it starts when the stream *and* its
+        dependencies are ready, and runs for ``duration`` seconds.
 
-        The simulator hot loop only ever needs the operation's placement
-        in time, so this returns the bare ``(start, end)`` pair and lets
-        the slot-based timeline store the rest.
+        Returns the operation's bare ``(start, end)`` placement in time;
+        the slot-based timeline stores the rest.
         """
         if duration < 0:
             raise ValueError(f"negative duration for {label!r}")

@@ -15,12 +15,23 @@ event objects for analysis-time consumers, so everything downstream of
 the simulator keeps its API while the simulator itself stops paying for
 it.  Derived facts that analysis passes need repeatedly — the sorted
 start/end boundary set, the stream-name set — are computed in one pass
-over the arrays and cached until the next append.
+over the arrays and cached.
+
+A finished log is **sealed** (:meth:`Timeline.seal`, called when an
+:class:`~repro.core.executor.IterationResult` is made): its four numeric
+columns move once into typed ``array('d')``/``array('q')`` buffers,
+about a quarter of the size of lists of boxed numbers, and appending
+raises.  The
+walk itself keeps appending to lists, which is several times faster than
+``array.append``.  A sealed log reads, compares and pickles exactly like
+its unsealed twin, and being read-only it can be shared: a result-cache
+hit hands out a copy of the result that shares the log.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -70,8 +81,14 @@ class EmptyTimelineError(ValueError):
         )
 
 
-_SLOTS = ("_stream", "_kind", "_label", "_start", "_end", "_nbytes",
-          "_layer", "_t0", "_t1")
+_COLUMNS = ("_stream", "_kind", "_label", "_start", "_end", "_nbytes",
+            "_layer")
+_SLOTS = _COLUMNS + ("_t0", "_t1")
+
+
+def same_column(a, b) -> bool:
+    """Equality of two log columns, each a list or its sealed array."""
+    return a == b if type(a) is type(b) else list(a) == list(b)
 
 
 class Timeline:
@@ -79,10 +96,11 @@ class Timeline:
 
     Time bounds (``t0``/``t1``) are tracked incrementally on append, so
     ``span``/``end_time``/``render_ascii`` never rescan the whole log.
-    Timelines compare equal when they hold equal event sequences.
+    Timelines compare equal when they hold equal event sequences, sealed
+    or not.
     """
 
-    __slots__ = _SLOTS + ("_view", "_bounds", "_streams")
+    __slots__ = _SLOTS + ("_sealed", "_view", "_bounds", "_streams")
 
     def __init__(self) -> None:
         self._stream: List[str] = []
@@ -94,6 +112,7 @@ class Timeline:
         self._layer: List[int] = []
         self._t0: Optional[float] = None
         self._t1: Optional[float] = None
+        self._sealed = False
         # Caches derived from the arrays; invalidated by every append.
         self._view: Optional[List[TimelineEvent]] = None
         self._bounds: Optional[List[float]] = None
@@ -113,6 +132,8 @@ class Timeline:
         """Hot-path append: seven scalar pushes, no event object."""
         if end < start:
             raise ValueError(f"event {label!r} ends before it starts")
+        if self._sealed:
+            raise TypeError(f"cannot append {label!r}: the timeline is sealed")
         self._stream.append(stream)
         self._kind.append(kind)
         self._label.append(label)
@@ -128,25 +149,20 @@ class Timeline:
         self._bounds = None
         self._streams = None
 
-    def record(
-        self,
-        stream: str,
-        kind: EventKind,
-        label: str,
-        start: float,
-        end: float,
-        nbytes: int = 0,
-        layer_index: int = -1,
-    ) -> TimelineEvent:
-        """Append and return the event view (compat API)."""
-        self.append(stream, kind, label, start, end, nbytes, layer_index)
-        return TimelineEvent(stream, kind, label, start, end, nbytes,
-                             layer_index)
-
-    def add(self, event: TimelineEvent) -> "Timeline":
-        self.append(event.stream, event.kind, event.label, event.start,
-                    event.end, event.nbytes, event.layer_index)
+    def seal(self) -> "Timeline":
+        """Make the log read-only, its numeric columns typed arrays
+        (idempotent)."""
+        if not self._sealed:
+            self._start = array("d", self._start)
+            self._end = array("d", self._end)
+            self._nbytes = array("q", self._nbytes)
+            self._layer = array("q", self._layer)
+            self._sealed = True
         return self
+
+    @property
+    def sealed(self) -> bool:
+        return self._sealed
 
     # -- identity -------------------------------------------------------
     def __eq__(self, other: object) -> bool:
@@ -154,13 +170,8 @@ class Timeline:
             return NotImplemented
         # Bit-identity is the contract here, not approximation: two
         # timelines are equal iff they hold identical event sequences.
-        return (self._stream == other._stream
-                and self._kind == other._kind
-                and self._label == other._label
-                and self._start == other._start
-                and self._end == other._end
-                and self._nbytes == other._nbytes  # repro: allow(LINT204)
-                and self._layer == other._layer)
+        return all(same_column(getattr(self, name), getattr(other, name))
+                   for name in _COLUMNS)
 
     __hash__ = None  # mutable container; value-equal, not hashable
 
@@ -175,6 +186,7 @@ class Timeline:
     def __setstate__(self, state: dict) -> None:
         for name in _SLOTS:
             setattr(self, name, state[name])
+        self._sealed = isinstance(self._start, array)
         self._view = None
         self._bounds = None
         self._streams = None

@@ -1,5 +1,7 @@
 """Tests for UsageTracker and the pinned host allocator."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -68,6 +70,58 @@ class TestUsageTracker:
             tracker.record(float(t), v)
         assert min(values) <= tracker.average_bytes <= max(values)
         assert tracker.max_bytes == max(values)
+
+
+# A usage curve: non-decreasing times (running sums of gaps), live bytes.
+CURVES = st.lists(st.tuples(st.floats(0.0, 1e3, allow_nan=False),
+                            st.integers(0, 2 ** 62)), max_size=40)
+
+
+def tracker_of(curve, start=0.0):
+    tracker = UsageTracker()
+    clock = start
+    for gap, live in curve:
+        clock += gap
+        tracker.record(clock, live)
+    return tracker
+
+
+def usage_readers(tracker):
+    """Every reader's answer, as text, so a float/int change shows."""
+    return repr((tracker.samples, tracker.curve(), tracker.max_bytes,
+                 tracker.average_bytes))
+
+
+class TestSealedUsageTracker:
+    @settings(max_examples=60, deadline=None)
+    @given(CURVES, st.floats(-1e6, 1e6, allow_nan=False))
+    def test_readers_are_bit_identical_after_seal(self, curve, start):
+        plain = tracker_of(curve, start)
+        before = usage_readers(plain)
+        assert usage_readers(tracker_of(curve, start).seal()) == before
+        assert usage_readers(plain.seal()) == before
+
+    @settings(max_examples=30, deadline=None)
+    @given(CURVES)
+    def test_sealed_equals_its_unsealed_twin_across_pickle(self, curve):
+        plain, sealed = tracker_of(curve), tracker_of(curve).seal()
+        assert sealed.sealed and not plain.sealed
+        assert sealed == plain and plain == sealed
+        restored = pickle.loads(pickle.dumps(sealed))
+        assert restored.sealed
+        assert restored == plain and plain == restored
+
+    def test_seal_is_idempotent(self):
+        tracker = tracker_of([(0.0, 1), (1.0, 2)]).seal()
+        columns = (tracker._times, tracker._bytes)
+        assert tracker.seal() is tracker
+        assert columns[0] is tracker._times and columns[1] is tracker._bytes
+
+    def test_record_on_a_sealed_curve_raises(self):
+        tracker = tracker_of([(0.0, 1)]).seal()
+        with pytest.raises(TypeError, match="sealed"):
+            tracker.record(1.0, 2)
+        assert tracker.curve() == [(0.0, 1)]
 
 
 class TestPinnedHostAllocator:

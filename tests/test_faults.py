@@ -459,6 +459,22 @@ class TestSchedulerLiveness:
                 assert result.records[0].state in (
                     JobState.FINISHED, JobState.REJECTED)
 
+    def test_nan_rate_raises_instead_of_spinning(self):
+        # A NaN rate gives a NaN horizon: no event can ever change the
+        # loop's state, and the no-progress guard must say so.
+        scheduler = self.make_scheduler(float("nan"))
+        scheduler.submit(Job("j", "alexnet", 8, iterations=100))
+        admit, spins = scheduler._try_admit, []
+
+        def bounded(*args):
+            spins.append(None)
+            assert len(spins) < 100, "the event loop spun"
+            admit(*args)
+
+        scheduler._try_admit = bounded
+        with pytest.raises(RuntimeError, match="no progress"):
+            scheduler.run()
+
 
 class TestFleetSchedulerLiveness(TestSchedulerLiveness):
     """The same guards on the fleet scheduler, which runs the same loop."""

@@ -31,15 +31,15 @@ class TestNetworkSummary:
 class TestTimelineRendering:
     def test_custom_stream_order(self):
         timeline = Timeline()
-        timeline.record("b", EventKind.FORWARD, "x", 0.0, 1.0)
-        timeline.record("a", EventKind.BACKWARD, "y", 1.0, 2.0)
+        timeline.append("b", EventKind.FORWARD, "x", 0.0, 1.0)
+        timeline.append("a", EventKind.BACKWARD, "y", 1.0, 2.0)
         art = timeline.render_ascii(width=50, streams=["b", "a"])
         lines = art.splitlines()
         assert lines[0].strip().startswith("b")
 
     def test_zero_span_timeline(self):
         timeline = Timeline()
-        timeline.record("a", EventKind.FORWARD, "x", 1.0, 1.0)
+        timeline.append("a", EventKind.FORWARD, "x", 1.0, 1.0)
         assert "a" in timeline.render_ascii(width=30)
 
     def test_trace_export_without_usage(self, linear_cnn):

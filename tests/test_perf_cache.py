@@ -11,9 +11,12 @@ import os
 import pytest
 
 from repro.core import evaluate
+from repro.core.api import point_key, resolve_point
 from repro.hw import PAPER_SYSTEM
-from repro.perf import SimulationCache, configure_cache, get_cache, set_cache
+from repro.perf import (SimulationCache, SweepPoint, configure_cache,
+                        get_cache, set_cache, sweep)
 from repro.perf.cache import ENV_DISABLE, ENV_SIZE, cache_enabled
+from repro.perf.fingerprint import lookup_key
 from repro.zoo import build
 
 
@@ -148,3 +151,97 @@ def test_get_or_compute_computes_once():
     assert cache.get_or_compute("k", compute) == "value"
     assert cache.get_or_compute("k", compute) == "value"
     assert len(calls) == 1
+
+
+class TestCopyContract:
+    """The cache keeps each result live and hands out copies that share
+    its sealed logs: a caller's changes never reach the next hit."""
+
+    @staticmethod
+    def tamper(result):
+        result.policy_label = "tampered"
+        result.total_time = -1.0
+        result.offloaded_layers.append(999)
+        result.weight_load_bytes[999] = 1
+
+    def test_changing_a_miss_or_a_hit_never_reaches_the_next_hit(self):
+        network = build("alexnet", 8)
+        fresh = evaluate(network, PAPER_SYSTEM, "all", "m", use_cache=False)
+        assert fresh.offloaded_layers        # a list worth tampering with
+        miss = evaluate(network, PAPER_SYSTEM, "all", "m")
+        self.tamper(miss)
+        hit = evaluate(network, PAPER_SYSTEM, "all", "m")
+        assert hit == fresh
+        self.tamper(hit)
+        again = evaluate(network, PAPER_SYSTEM, "all", "m")
+        assert again == fresh
+        assert again.weight_load_bytes == {}
+        assert get_cache().stats.hits == 2
+        # What the copies share is the read-only logs.
+        assert again.timeline is hit.timeline and again.timeline.sealed
+        assert again.usage is hit.usage and again.usage.sealed
+
+    def test_dyn_relabel_leaves_the_adopted_column_alone(self):
+        # At 720 MB vDNN_dyn adopts conv(p), so both labels share the
+        # conv(p) entry.
+        network = build("alexnet", 8)
+        system = PAPER_SYSTEM.with_gpu_memory(720 * 10 ** 6)
+        conv = resolve_point(network, system, "conv", "p")
+        dyn_point = resolve_point(network, system, "dyn")
+        assert dyn_point.key(lookup_key) == conv.key(lookup_key)
+        fresh_conv = conv.simulate()
+
+        dyn = evaluate(network, system, "dyn")
+        assert dyn.policy_label == "vDNN_dyn"
+        hits = get_cache().stats.hits
+        column = evaluate(network, system, "conv", "p")
+        assert get_cache().stats.hits == hits + 1
+        assert column == fresh_conv
+        assert column.policy_label == fresh_conv.policy_label != "vDNN_dyn"
+        # ``relabel`` itself returns a copy and leaves its argument alone.
+        relabelled = dyn_point.relabel(column)
+        assert relabelled is not column
+        assert relabelled.policy_label == "vDNN_dyn"
+        assert column.policy_label == fresh_conv.policy_label
+
+    def test_a_result_read_from_disk_equals_a_fresh_simulation(
+            self, tmp_path):
+        network = build("alexnet", 8)
+        fresh = evaluate(network, PAPER_SYSTEM, "dyn", use_cache=False)
+        set_cache(SimulationCache(disk_dir=str(tmp_path)))
+        evaluate(network, PAPER_SYSTEM, "dyn")
+        reader = SimulationCache(disk_dir=str(tmp_path))
+        set_cache(reader)
+        from_disk = evaluate(network, PAPER_SYSTEM, "dyn")
+        assert reader.stats.disk_hits == 1
+        assert from_disk == fresh
+        assert from_disk.timeline.sealed and from_disk.usage.sealed
+
+    def test_a_result_warmed_by_a_parallel_sweep_equals_a_fresh_one(self):
+        network = build("alexnet", 8)
+        points = [SweepPoint(network="alexnet", batch=8, policy=policy,
+                             algo=algo)
+                  for policy, algo in (("all", "m"), ("dyn", "p"))]
+        warmed = sweep(points, jobs=2)
+        hits = get_cache().stats.hits
+        for (policy, algo), result in zip((("all", "m"), ("dyn", "p")),
+                                          warmed):
+            fresh = evaluate(network, PAPER_SYSTEM, policy, algo,
+                             use_cache=False)
+            assert result == fresh
+            assert evaluate(network, PAPER_SYSTEM, policy, algo) == fresh
+        assert get_cache().stats.hits == hits + 2
+
+    def test_an_evicted_key_misses(self):
+        network = build("alexnet", 8)
+        set_cache(SimulationCache(max_entries=1))
+        first = evaluate(network, PAPER_SYSTEM, "all", "m")
+        evaluate(network, PAPER_SYSTEM, "conv", "m")     # evicts all(m)
+        cache = get_cache()
+        key = point_key(network, PAPER_SYSTEM, "all", "m")
+        assert cache.stats.evictions == 1
+        assert key not in cache and len(cache) == 1
+        assert cache.get(key) is None
+        misses = cache.stats.misses
+        assert evaluate(network, PAPER_SYSTEM, "all", "m") == first
+        assert cache.stats.misses == misses + 1
